@@ -17,105 +17,10 @@
 //
 //   HTPB_QUICK=1   fewer operating points / placements / dynamics cells
 //   HTPB_THREADS   caps the sweep pool
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
 #include "bench_util.hpp"
-#include "core/campaign.hpp"
-#include "core/defense_sweep.hpp"
-#include "core/parallel_sweep.hpp"
-#include "core/placement.hpp"
-#include "workload/application.hpp"
-
-namespace {
-
-/// Warmup-fork A/B: the same DefenseSweep (detection + clean + response
-/// arms, which all share warmup prefixes) with prefix forking off, then
-/// on. Returns {off: {...}, on: {...}, identical, saved_warmup_epochs}
-/// for the JSON artifact; the curves must agree double for double (the
-/// fork is a pure cost optimization).
-htpb::json::Value warmup_fork_ab(bool quick) {
-  using namespace htpb;
-  namespace hc = htpb::core;
-
-  hc::DefenseSweepConfig sweep;
-  sweep.base.system = system::SystemConfig::with_size(64);
-  sweep.base.system.epoch_cycles = 1000;
-  sweep.base.mix = workload::standard_mixes().at(0);
-  sweep.base.trojan.victim_scale = 0.10;
-  sweep.base.trojan.attacker_boost = 8.0;
-  sweep.base.warmup_epochs = quick ? 2 : 4;
-  sweep.base.measure_epochs = quick ? 3 : 5;
-  sweep.detectors.resize(quick ? 2 : 3);
-  for (std::size_t d = 1; d < sweep.detectors.size(); ++d) {
-    sweep.detectors[d].high_ratio =
-        sweep.detectors[d - 1].high_ratio * 0.8;
-  }
-  sweep.measure_false_positives = true;
-  sweep.responses = {power::ResponseKind::kQuarantine,
-                     power::ResponseKind::kThrottle};
-  sweep.response_base = power::ResponseConfig{};
-  {
-    const MeshGeometry geom(sweep.base.system.width,
-                            sweep.base.system.height);
-    const hc::AttackCampaign probe(sweep.base);
-    sweep.placements.push_back(hc::clustered_placement(
-        geom, 8, geom.coord_of(probe.gm_node()), probe.gm_node()));
-    if (!quick) {
-      sweep.placements.push_back(hc::clustered_placement(
-          geom, 4, MeshGeometry::corner(), probe.gm_node()));
-    }
-  }
-  const hc::ParallelSweepRunner runner(0);
-
-  double q_off = 0.0;
-  double q_on = 0.0;
-  const auto run_arm = [&](bool fork, double& q_sum) {
-    sweep.base.warmup_fork = fork;
-    const std::uint64_t w0 = hc::AttackCampaign::warmup_epochs_simulated();
-    const std::uint64_t s0 = hc::AttackCampaign::systems_simulated();
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto curve = hc::DefenseSweep(sweep).run(runner);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    q_sum = 0.0;
-    for (const auto& pt : curve) {
-      q_sum += pt.mean_q_plain;
-      for (const auto& rp : pt.responses) q_sum += rp.mean_q;
-    }
-    json::Object arm;
-    arm["warmup_epochs_simulated"] = json::Value(static_cast<long long>(
-        hc::AttackCampaign::warmup_epochs_simulated() - w0));
-    arm["systems_simulated"] = json::Value(
-        static_cast<long long>(hc::AttackCampaign::systems_simulated() - s0));
-    arm["seconds"] = json::Value(seconds);
-    return arm;
-  };
-
-  json::Object ab;
-  json::Object off = run_arm(false, q_off);
-  json::Object on = run_arm(true, q_on);
-  const long long saved = off.find("warmup_epochs_simulated")->as_int() -
-                          on.find("warmup_epochs_simulated")->as_int();
-  std::fprintf(stderr,
-               "warmup fork: off %lld warmup epochs %.2fs | on %lld warmup "
-               "epochs %.2fs | %lld epochs saved, curves %s\n",
-               off.find("warmup_epochs_simulated")->as_int(),
-               off.find("seconds")->as_double(),
-               on.find("warmup_epochs_simulated")->as_int(),
-               on.find("seconds")->as_double(), saved,
-               q_off == q_on ? "identical" : "DIVERGED");
-  ab["off"] = json::Value(std::move(off));
-  ab["on"] = json::Value(std::move(on));
-  ab["saved_warmup_epochs"] = json::Value(saved);
-  ab["identical"] = json::Value(q_off == q_on);
-  return json::Value(std::move(ab));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace htpb;
@@ -250,7 +155,6 @@ int main(int argc, char** argv) {
     r["points"] = *roc.find("points");
     artifact["roc"] = json::Value(std::move(r));
   }
-  artifact["warmup_fork"] = warmup_fork_ab(bench::quick_mode());
   try {
     json::dump_file(json::Value(std::move(artifact)), json_path);
     std::fprintf(stderr, "wrote %s\n", json_path);

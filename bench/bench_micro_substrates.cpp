@@ -10,7 +10,6 @@
 //
 //   bench_micro_substrates [--quick] [--json <path>] [--baseline <path>]
 //                          [--max-regression <frac>]
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -179,13 +178,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--max-regression") == 0 && i + 1 < argc) {
-      max_regression = std::atof(argv[++i]);
+      max_regression = htpb::bench::parse_max_regression(argv[++i], argv[0]);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json <path>] [--baseline <path>] "
-                   "[--max-regression <frac>]\n",
-                   argv[0]);
-      return 2;
+      return htpb::bench::perf_usage(argv[0]);
     }
   }
 

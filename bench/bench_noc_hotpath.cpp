@@ -18,11 +18,11 @@
 //   quiescent -- no traffic at all after a priming burst: isolates the
 //               per-cycle bookkeeping cost of an idle mesh, the case the
 //               active-set scheduler exists for.
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "perf_harness.hpp"
@@ -151,7 +151,7 @@ bench::PerfResult run_workload(const std::string& name, int width, int height,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
+  bool quick = htpb::bench::quick_mode();
   std::string json_path = "BENCH_noc_hotpath.json";
   std::string baseline_path;
   double max_regression = 0.25;
@@ -163,16 +163,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--max-regression") == 0 && i + 1 < argc) {
-      max_regression = std::atof(argv[++i]);
+      max_regression = htpb::bench::parse_max_regression(argv[++i], argv[0]);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--json <path>] [--baseline <path>] "
-                   "[--max-regression <frac>]\n",
-                   argv[0]);
-      return 2;
+      return htpb::bench::perf_usage(argv[0]);
     }
   }
-  if (quick || std::getenv("HTPB_QUICK") != nullptr) quick = true;
 
   struct Sized {
     int size;

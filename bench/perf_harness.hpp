@@ -6,10 +6,12 @@
 // must not hinge on it).
 #pragma once
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,6 +25,34 @@ namespace htpb::bench {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
+}
+
+/// The command line shared by the harness benches; returns exit code 2.
+inline int perf_usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--quick] [--json <path>] [--baseline <path>] "
+               "[--max-regression <frac>]\n",
+               argv0);
+  return 2;
+}
+
+/// Strict --max-regression parse: the whole text must be a number in the
+/// open interval (0, 1). Anything else -- garbage, trailing junk, 0, 1,
+/// negatives, NaN -- prints the usage and exits 2 rather than gating CI
+/// against a silently wrong tolerance.
+[[nodiscard]] inline double parse_max_regression(const char* text,
+                                                 const char* argv0) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (errno != 0 || end == text || *end != '\0' || !(v > 0.0 && v < 1.0)) {
+    std::fprintf(stderr,
+                 "%s: --max-regression expects a fraction in (0, 1), got"
+                 " \"%s\"\n",
+                 argv0, text);
+    std::exit(perf_usage(argv0));
+  }
+  return v;
 }
 
 /// One measured workload. `cycles_per_sec` is the figure of merit; the

@@ -2,22 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
-#include <exception>
-#include <functional>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
-#include "common/atomic_file.hpp"
-#include "common/json.hpp"
-#include "common/snapshot.hpp"
 #include "core/infection.hpp"
-#include "core/run_dir.hpp"
 #include "sim/event_desc.hpp"
 #include "system/manycore_system.hpp"
 #include "workload/benchmark_profile.hpp"
@@ -26,11 +16,8 @@ namespace htpb::core {
 
 namespace {
 
-/// See AttackCampaign::systems_simulated(). The warmup-prefix scratch
-/// runs (compute_warmup) are deliberately NOT counted here -- this
-/// counter's contract is "chip lifetimes run through the standard leg
-/// path" and the trace-replay tests assert exact deltas of it; scratch
-/// warmups are accounted by warmup_epochs_simulated instead.
+/// See AttackCampaign::systems_simulated(). One count per leg: the
+/// trace-replay tests assert exact deltas of it.
 std::atomic<std::uint64_t> g_systems_simulated{0};
 
 /// See AttackCampaign::warmup_epochs_simulated().
@@ -50,168 +37,6 @@ void broadcast_config(system::ManyCoreSystem& sys, NodeId agent_node,
   }
 }
 
-json::Value trojan_config_to_json(const TrojanConfig& tc) {
-  json::Object o;
-  o["active"] = json::Value(tc.active);
-  o["attenuate_victims"] = json::Value(tc.attenuate_victims);
-  o["boost_attackers"] = json::Value(tc.boost_attackers);
-  o["victim_scale"] = json::Value(tc.victim_scale);
-  o["attacker_boost"] = json::Value(tc.attacker_boost);
-  o["global_manager"] = json::Value(static_cast<long long>(tc.global_manager));
-  json::Array agents;
-  for (const NodeId n : tc.attacker_agents) {
-    agents.push_back(json::Value(static_cast<long long>(n)));
-  }
-  o["attacker_agents"] = json::Value(std::move(agents));
-  o["adapt_enabled"] = json::Value(tc.adapt.enabled);
-  o["adapt_alpha"] = json::Value(tc.adapt.alpha);
-  o["adapt_backoff_ratio"] = json::Value(tc.adapt.backoff_ratio);
-  o["adapt_max_on_epochs"] =
-      json::Value(static_cast<long long>(tc.adapt.max_on_epochs));
-  o["adapt_hold_off_epochs"] =
-      json::Value(static_cast<long long>(tc.adapt.hold_off_epochs));
-  return json::Value(std::move(o));
-}
-
-TrojanConfig trojan_config_from_json(const json::Value& v) {
-  const json::Object& o = v.as_object();
-  TrojanConfig tc;
-  tc.active = o.find("active")->as_bool();
-  tc.attenuate_victims = o.find("attenuate_victims")->as_bool();
-  tc.boost_attackers = o.find("boost_attackers")->as_bool();
-  tc.victim_scale = o.find("victim_scale")->as_double();
-  tc.attacker_boost = o.find("attacker_boost")->as_double();
-  tc.global_manager = static_cast<NodeId>(o.find("global_manager")->as_int());
-  tc.attacker_agents.clear();
-  for (const json::Value& n : o.find("attacker_agents")->as_array()) {
-    tc.attacker_agents.push_back(static_cast<NodeId>(n.as_int()));
-  }
-  tc.adapt.enabled = o.find("adapt_enabled")->as_bool();
-  tc.adapt.alpha = o.find("adapt_alpha")->as_double();
-  tc.adapt.backoff_ratio = o.find("adapt_backoff_ratio")->as_double();
-  tc.adapt.max_on_epochs =
-      static_cast<int>(o.find("adapt_max_on_epochs")->as_int());
-  tc.adapt.hold_off_epochs =
-      static_cast<int>(o.find("adapt_hold_off_epochs")->as_int());
-  return tc;
-}
-
-json::Value trace_to_json(const power::RequestTrace& trace) {
-  json::Object o;
-  o["node_count"] = json::Value(static_cast<long long>(trace.node_count));
-  o["epoch_cycles"] = common::ju64(trace.epoch_cycles);
-  json::Array epochs;
-  for (const power::TraceEpoch& ep : trace.epochs) {
-    json::Object e;
-    e["epoch_start"] = common::ju64(ep.epoch_start);
-    e["allocate_cycle"] = common::ju64(ep.allocate_cycle);
-    e["budget_mw"] = common::ju64(ep.budget_mw);
-    json::Array reqs;
-    for (const power::BudgetRequest& r : ep.requests) {
-      json::Array a;
-      a.push_back(json::Value(static_cast<long long>(r.node)));
-      a.push_back(json::Value(static_cast<long long>(r.app)));
-      a.push_back(json::Value(static_cast<long long>(r.request_mw)));
-      reqs.push_back(json::Value(std::move(a)));
-    }
-    e["requests"] = json::Value(std::move(reqs));
-    epochs.push_back(json::Value(std::move(e)));
-  }
-  o["epochs"] = json::Value(std::move(epochs));
-  return json::Value(std::move(o));
-}
-
-power::RequestTrace trace_from_json(const json::Value& v) {
-  const json::Object& o = v.as_object();
-  power::RequestTrace trace;
-  trace.node_count = static_cast<int>(o.find("node_count")->as_int());
-  trace.epoch_cycles = common::pu64(*o.find("epoch_cycles"));
-  for (const json::Value& ev : o.find("epochs")->as_array()) {
-    const json::Object& e = ev.as_object();
-    power::TraceEpoch ep;
-    ep.epoch_start = common::pu64(*e.find("epoch_start"));
-    ep.allocate_cycle = common::pu64(*e.find("allocate_cycle"));
-    ep.budget_mw = common::pu64(*e.find("budget_mw"));
-    for (const json::Value& rv : e.find("requests")->as_array()) {
-      const json::Array& a = rv.as_array();
-      power::BudgetRequest r;
-      r.node = static_cast<NodeId>(a.at(0).as_int());
-      r.app = static_cast<AppId>(a.at(1).as_int());
-      r.request_mw = static_cast<std::uint32_t>(a.at(2).as_int());
-      ep.requests.push_back(r);
-    }
-    trace.epochs.push_back(std::move(ep));
-  }
-  return trace;
-}
-
-json::Value detector_config_fingerprint_json(const power::DetectorConfig& d) {
-  json::Object o;
-  o["kind"] = json::Value(static_cast<long long>(d.kind));
-  o["history_alpha"] = json::Value(d.history_alpha);
-  o["low_ratio"] = json::Value(d.low_ratio);
-  o["high_ratio"] = json::Value(d.high_ratio);
-  o["warmup_epochs"] = json::Value(static_cast<long long>(d.warmup_epochs));
-  o["confirm_epochs"] = json::Value(static_cast<long long>(d.confirm_epochs));
-  return json::Value(std::move(o));
-}
-
-/// Canonical serialization of every SystemConfig field that can move the
-/// simulated dynamics. The power model has no field accessors; its
-/// observable effect -- milliwatts at every ladder level -- is a faithful
-/// encoding (two levels already pin both parameters).
-json::Value system_config_fingerprint_json(const system::SystemConfig& sc) {
-  json::Object o;
-  o["width"] = json::Value(static_cast<long long>(sc.width));
-  o["height"] = json::Value(static_cast<long long>(sc.height));
-  json::Object noc;
-  noc["vcs"] = json::Value(static_cast<long long>(sc.noc.vcs));
-  noc["vc_depth"] = json::Value(static_cast<long long>(sc.noc.vc_depth));
-  noc["data_packet_flits"] =
-      json::Value(static_cast<long long>(sc.noc.data_packet_flits));
-  noc["meta_packet_flits"] =
-      json::Value(static_cast<long long>(sc.noc.meta_packet_flits));
-  noc["command_packet_flits"] =
-      json::Value(static_cast<long long>(sc.noc.command_packet_flits));
-  noc["router_latency"] =
-      json::Value(static_cast<long long>(sc.noc.router_latency));
-  noc["link_latency"] = json::Value(static_cast<long long>(sc.noc.link_latency));
-  noc["routing"] = json::Value(static_cast<long long>(sc.noc.routing));
-  o["noc"] = json::Value(std::move(noc));
-  json::Object l1;
-  l1["sets"] = common::ju64(sc.l1.sets);
-  l1["ways"] = json::Value(static_cast<long long>(sc.l1.ways));
-  l1["mshrs"] = json::Value(static_cast<long long>(sc.l1.mshrs));
-  o["l1"] = json::Value(std::move(l1));
-  json::Object l2;
-  l2["sets"] = common::ju64(sc.l2.sets);
-  l2["ways"] = json::Value(static_cast<long long>(sc.l2.ways));
-  l2["mem_latency"] = common::ju64(sc.l2.mem_latency);
-  o["l2"] = json::Value(std::move(l2));
-  json::Array freqs;
-  for (int i = 0; i < sc.freqs.num_levels(); ++i) {
-    json::Array lvl;
-    lvl.push_back(json::Value(sc.freqs.ghz(i)));
-    lvl.push_back(json::Value(sc.freqs.volts(i)));
-    lvl.push_back(json::Value(
-        static_cast<long long>(sc.power_model.milliwatts_at(sc.freqs, i))));
-    freqs.push_back(json::Value(std::move(lvl)));
-  }
-  o["freqs_power"] = json::Value(std::move(freqs));
-  o["budgeter"] = json::Value(static_cast<long long>(sc.budgeter));
-  o["guard_requests"] = json::Value(sc.guard_requests);
-  o["guard_config"] = detector_config_fingerprint_json(sc.guard_config);
-  o["budget_fraction"] = json::Value(sc.budget_fraction);
-  o["epoch_cycles"] = common::ju64(sc.epoch_cycles);
-  o["collect_window"] = common::ju64(sc.collect_window);
-  o["first_epoch_cycle"] = common::ju64(sc.first_epoch_cycle);
-  o["gm_placement"] = json::Value(static_cast<long long>(sc.gm_placement));
-  o["gm_node"] = json::Value(
-      static_cast<long long>(sc.gm_node.has_value() ? *sc.gm_node : -1));
-  o["seed"] = common::ju64(sc.seed);
-  return json::Value(std::move(o));
-}
-
 /// Uniform light workload for infection-only experiments: every core runs
 /// one thread of the same moderately communicating benchmark.
 workload::Mix uniform_mix() {
@@ -226,8 +51,7 @@ workload::Mix uniform_mix() {
 /// One leg's attack wiring, owned by the leg frame: the implanted Trojans
 /// and the duty-cycle controller state the engine's kCampaignToggle /
 /// kCampaignAdapt handlers mutate. The handlers close over this struct by
-/// reference (wiring, never serialized); the *state* fields are what the
-/// warmup checkpoint captures and restores.
+/// reference, so it must outlive the leg's system.
 struct AttackFrame {
   std::vector<std::unique_ptr<HardwareTrojan>> trojans;
   /// The resolved broadcast configuration (immutable after install).
@@ -235,7 +59,7 @@ struct AttackFrame {
   NodeId agent_node = 0;
   Cycle toggle_period = 0;  ///< >0 iff the periodic toggle is engaged
 
-  // -- checkpointed controller state --------------------------------------
+  // -- duty-cycle controller state ----------------------------------------
   TrojanConfig toggle_state;
   struct Adapt {
     bool active = true;
@@ -249,175 +73,6 @@ struct AttackFrame {
   /// adds it into the run's running totals when it finishes.
   AdaptationOutcome adapt_totals;
   bool adapt_engaged = false;
-};
-
-/// Everything a forked run needs to resume at the end of warmup: the chip
-/// snapshot, the Trojans' latched registers, the duty-cycle controller
-/// state, and the warmup request stream (replayed through the arm's own
-/// detector/response, which the checkpoint deliberately excludes).
-struct WarmupCheckpoint {
-  std::string fingerprint;
-  json::Value system;
-  std::vector<json::Value> trojans;  ///< aligned with the placement order
-  TrojanConfig toggle_state;
-  AttackFrame::Adapt adapt_state;
-  AdaptationOutcome adapt_totals;
-  power::RequestTrace trace;  ///< the warmup epochs, in order
-};
-
-namespace {
-
-constexpr long long kWarmupCheckpointSchema = 1;
-
-json::Value adapt_state_to_json(const AttackFrame::Adapt& a) {
-  json::Object o;
-  o["active"] = json::Value(a.active);
-  o["on_streak"] = json::Value(static_cast<long long>(a.on_streak));
-  o["hold"] = json::Value(static_cast<long long>(a.hold));
-  o["reference"] = json::Value(a.reference);
-  o["reference_valid"] = json::Value(a.reference_valid);
-  return json::Value(std::move(o));
-}
-
-AttackFrame::Adapt adapt_state_from_json(const json::Value& v) {
-  const json::Object& o = v.as_object();
-  AttackFrame::Adapt a;
-  a.active = o.find("active")->as_bool();
-  a.on_streak = static_cast<int>(o.find("on_streak")->as_int());
-  a.hold = static_cast<int>(o.find("hold")->as_int());
-  a.reference = o.find("reference")->as_double();
-  a.reference_valid = o.find("reference_valid")->as_bool();
-  return a;
-}
-
-json::Value warmup_payload_to_json(const WarmupCheckpoint& ck) {
-  json::Object o;
-  o["system"] = ck.system;
-  json::Array trojans;
-  for (const json::Value& t : ck.trojans) trojans.push_back(t);
-  o["trojans"] = json::Value(std::move(trojans));
-  o["toggle_state"] = trojan_config_to_json(ck.toggle_state);
-  o["adapt_state"] = adapt_state_to_json(ck.adapt_state);
-  json::Object totals;
-  totals["epochs_on"] =
-      json::Value(static_cast<long long>(ck.adapt_totals.epochs_on));
-  totals["epochs_off"] =
-      json::Value(static_cast<long long>(ck.adapt_totals.epochs_off));
-  totals["backoffs"] =
-      json::Value(static_cast<long long>(ck.adapt_totals.backoffs));
-  o["adapt_totals"] = json::Value(std::move(totals));
-  o["trace"] = trace_to_json(ck.trace);
-  return json::Value(std::move(o));
-}
-
-std::shared_ptr<const WarmupCheckpoint> warmup_payload_from_json(
-    const json::Value& v, const std::string& fp) {
-  const json::Object& o = v.as_object();
-  auto ck = std::make_shared<WarmupCheckpoint>();
-  ck->fingerprint = fp;
-  ck->system = *o.find("system");
-  for (const json::Value& t : o.find("trojans")->as_array()) {
-    ck->trojans.push_back(t);
-  }
-  ck->toggle_state = trojan_config_from_json(*o.find("toggle_state"));
-  ck->adapt_state = adapt_state_from_json(*o.find("adapt_state"));
-  const json::Object& totals = o.find("adapt_totals")->as_object();
-  ck->adapt_totals.epochs_on =
-      static_cast<int>(totals.find("epochs_on")->as_int());
-  ck->adapt_totals.epochs_off =
-      static_cast<int>(totals.find("epochs_off")->as_int());
-  ck->adapt_totals.backoffs =
-      static_cast<int>(totals.find("backoffs")->as_int());
-  ck->trace = trace_from_json(*o.find("trace"));
-  return ck;
-}
-
-/// Loads a persisted checkpoint. Returns nullptr -- caller recomputes --
-/// on ANY defect: unreadable file, unparseable JSON, schema or
-/// fingerprint mismatch, or a payload whose checksum does not match (a
-/// torn or hand-edited file must never be restored into a simulation).
-std::shared_ptr<const WarmupCheckpoint> load_warmup_file(
-    const std::string& path, const std::string& fp) {
-  try {
-    const json::Value v = json::parse(common::read_file(path));
-    const json::Object& o = v.as_object();
-    if (!o.contains("schema") ||
-        o.find("schema")->as_int() != kWarmupCheckpointSchema) {
-      return nullptr;
-    }
-    if (!o.contains("fingerprint") ||
-        o.find("fingerprint")->as_string() != fp) {
-      return nullptr;
-    }
-    if (!o.contains("checksum") || !o.contains("payload")) return nullptr;
-    const json::Value& payload = *o.find("payload");
-    if (o.find("checksum")->as_string() != fingerprint(json::dump(payload))) {
-      return nullptr;
-    }
-    return warmup_payload_from_json(payload, fp);
-  } catch (const std::exception&) {
-    return nullptr;
-  }
-}
-
-void save_warmup_file(const std::string& path, const WarmupCheckpoint& ck) {
-  json::Object o;
-  o["schema"] = json::Value(kWarmupCheckpointSchema);
-  o["fingerprint"] = json::Value(ck.fingerprint);
-  json::Value payload = warmup_payload_to_json(ck);
-  o["checksum"] = json::Value(fingerprint(json::dump(payload)));
-  o["payload"] = std::move(payload);
-  common::atomic_write_file(path, json::dump(json::Value(std::move(o))));
-}
-
-}  // namespace
-
-/// Compute-once store of warmup checkpoints keyed by prefix fingerprint.
-/// The first caller for a fingerprint computes (publishing a future so
-/// concurrent arms wait instead of duplicating the work); a failed
-/// computation publishes nullptr, which callers treat as "simulate the
-/// warmup yourself". Bounded: oldest completed entries are evicted first
-/// (in-flight shared_ptrs keep evicted checkpoints alive).
-class WarmupCache {
- public:
-  using Checkpoint = std::shared_ptr<const WarmupCheckpoint>;
-  static constexpr std::size_t kMaxEntries = 128;
-
-  Checkpoint get_or_compute(const std::string& fp,
-                            const std::function<Checkpoint()>& compute) {
-    std::promise<Checkpoint> promise;
-    std::shared_future<Checkpoint> fut;
-    bool compute_here = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = entries_.find(fp);
-      if (it != entries_.end()) {
-        fut = it->second;
-      } else {
-        fut = promise.get_future().share();
-        entries_.emplace(fp, fut);
-        order_.push_back(fp);
-        if (order_.size() > kMaxEntries) {
-          entries_.erase(order_.front());
-          order_.pop_front();
-        }
-        compute_here = true;
-      }
-    }
-    if (compute_here) {
-      try {
-        promise.set_value(compute());
-      } catch (const std::exception&) {
-        promise.set_value(nullptr);  // waiters fall back, never wedge
-      }
-    }
-    return fut.get();
-  }
-
- private:
-  std::mutex mu_;
-  std::map<std::string, std::shared_future<Checkpoint>> entries_;
-  std::deque<std::string> order_;
 };
 
 AttackCampaign::AttackCampaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
@@ -462,7 +117,6 @@ AttackCampaign::AttackCampaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
       }
     }
   }
-  warmup_cache_ = std::make_shared<WarmupCache>();
 }
 
 AttackCampaign::RunResult AttackCampaign::run_system(
@@ -530,64 +184,8 @@ AttackCampaign::RunResult AttackCampaign::run_system(
     AttackFrame frame;
     install_attack(sys, apps, ht_nodes, frame);
 
-    // Warmup: fork from the shared prefix checkpoint when one is (or can
-    // be made) available, otherwise simulate it cycle by cycle.
-    bool forked = false;
-    if (cfg_.warmup_fork && cfg_.warmup_epochs > 0) {
-      const auto ckpt =
-          obtain_warmup(warmup_fingerprint(apps, ht_nodes), apps, ht_nodes);
-      if (ckpt != nullptr && ckpt->trojans.size() == frame.trojans.size()) {
-        // Detectors are observational, so feeding the checkpoint's
-        // recorded warmup request stream to this arm's fresh detector
-        // reproduces, bit for bit, the state an in-simulation detector
-        // would hold at the cut (the request_trace replay contract). The
-        // response engine is stepped alongside; if it would have
-        // sanctioned during warmup, the checkpoint's response-free
-        // dynamics are invalid for this arm and it re-simulates in full.
-        bool valid = true;
-        for (const power::TraceEpoch& ep : ckpt->trace.epochs) {
-          power::DetectorReport newly;
-          if (detector != nullptr) newly = detector->observe_epoch(ep.requests);
-          if (response != nullptr && !migrate_mode) {
-            response->begin_epoch(newly);
-            if (response->any_sanctioned()) {
-              valid = false;
-              break;
-            }
-            response->end_epoch();
-          }
-        }
-        if (valid) {
-          sys.load_state(ckpt->system);
-          for (std::size_t i = 0; i < frame.trojans.size(); ++i) {
-            frame.trojans[i]->load_state(ckpt->trojans[i]);
-          }
-          frame.toggle_state = ckpt->toggle_state;
-          frame.adapt_state = ckpt->adapt_state;
-          frame.adapt_totals = ckpt->adapt_totals;
-          if (trace != nullptr) {
-            trace->epochs.insert(trace->epochs.end(),
-                                 ckpt->trace.epochs.begin(),
-                                 ckpt->trace.epochs.end());
-          }
-          forked = true;
-        } else {
-          // The failed replay polluted the fresh detector and response;
-          // rebuild both before simulating the warmup for real. (Only
-          // single-leg policies land here: migrate never attaches the
-          // response, so its replay cannot be invalidated.)
-          detector = cfg_.detector_factory
-                         ? cfg_.detector_factory(*cfg_.detector)
-                         : power::make_detector(*cfg_.detector);
-          sys.gm().attach_detector(detector.get());
-          response = std::make_unique<power::ResponseEngine>(*cfg_.response);
-          response->attach_detector(detector.get());
-          sys.gm().attach_response(response.get());
-        }
-      }
-    }
     if (trace != nullptr) sys.gm().attach_recorder(trace);
-    if (!forked && cfg_.warmup_epochs > 0) {
+    if (cfg_.warmup_epochs > 0) {
       g_warmup_epochs_simulated.fetch_add(
           static_cast<std::uint64_t>(cfg_.warmup_epochs),
           std::memory_order_relaxed);
@@ -808,8 +406,8 @@ void AttackCampaign::install_attack(
     // Periodic ON/OFF re-broadcasts (Sec. III-B duty-cycling), driven by
     // serializable kCampaignToggle events: the handler -- wiring, closed
     // over the frame -- flips the frame-owned state and re-schedules the
-    // next descriptor, so a snapshot cut between toggles checkpoints the
-    // pending event and the controller state, never a closure.
+    // next descriptor, so a system snapshot cut between toggles captures
+    // the pending event, never a closure.
     frame.toggle_period = static_cast<Cycle>(cfg_.toggle_period_epochs) *
                           cfg_.system.epoch_cycles;
     frame.toggle_state = tc;
@@ -889,103 +487,6 @@ void AttackCampaign::install_attack(
         cfg_.system.first_epoch_cycle + cfg_.system.epoch_cycles - 1,
         sim::EventDesc{sim::EventKind::kCampaignAdapt, -1, 0, 0});
   }
-}
-
-std::string AttackCampaign::warmup_fingerprint(
-    const std::vector<workload::Application>& apps,
-    std::span<const NodeId> ht_nodes) const {
-  json::Object o;
-  o["schema"] = json::Value(kWarmupCheckpointSchema);
-  o["system"] = system_config_fingerprint_json(cfg_.system);
-  json::Array japps;
-  for (const auto& app : apps) {
-    json::Object a;
-    a["id"] = json::Value(static_cast<long long>(app.id));
-    a["name"] = json::Value(app.profile.name);
-    a["cpi_base"] = json::Value(app.profile.cpi_base);
-    a["apki"] = json::Value(app.profile.apki);
-    a["working_set_lines"] = common::ju64(app.profile.working_set_lines);
-    a["shared_lines"] = common::ju64(app.profile.shared_lines);
-    a["shared_fraction"] = json::Value(app.profile.shared_fraction);
-    a["write_fraction"] = json::Value(app.profile.write_fraction);
-    a["threads"] = json::Value(static_cast<long long>(app.threads));
-    a["attacker"] = json::Value(app.is_attacker());
-    json::Array cores;
-    for (const NodeId c : app.cores) {
-      cores.push_back(json::Value(static_cast<long long>(c)));
-    }
-    a["cores"] = json::Value(std::move(cores));
-    japps.push_back(json::Value(std::move(a)));
-  }
-  o["apps"] = json::Value(std::move(japps));
-  json::Array hts;
-  for (const NodeId n : ht_nodes) {
-    hts.push_back(json::Value(static_cast<long long>(n)));
-  }
-  o["ht_nodes"] = json::Value(std::move(hts));
-  o["trojan"] = trojan_config_to_json(cfg_.trojan);
-  o["warmup_epochs"] = json::Value(static_cast<long long>(cfg_.warmup_epochs));
-  o["toggle_period_epochs"] =
-      json::Value(static_cast<long long>(cfg_.toggle_period_epochs));
-  o["attacker_agent"] = json::Value(static_cast<long long>(
-      cfg_.attacker_agent.has_value() ? *cfg_.attacker_agent : -1));
-  o["gm_node"] = json::Value(static_cast<long long>(gm_node_));
-  return fingerprint(json::dump(json::Value(std::move(o))));
-}
-
-std::shared_ptr<const WarmupCheckpoint> AttackCampaign::obtain_warmup(
-    const std::string& fp, const std::vector<workload::Application>& apps,
-    std::span<const NodeId> ht_nodes) {
-  if (warmup_cache_ == nullptr) return nullptr;
-  return warmup_cache_->get_or_compute(fp, [&]() {
-    const std::string path = cfg_.checkpoint_dir.empty()
-                                 ? std::string()
-                                 : cfg_.checkpoint_dir + "/warmup-" + fp +
-                                       ".json";
-    if (!path.empty()) {
-      if (auto loaded = load_warmup_file(path, fp)) return loaded;
-    }
-    auto ck = compute_warmup(fp, apps, ht_nodes);
-    if (!path.empty() && ck != nullptr) {
-      // Persistence is an optimization; a read-only or missing directory
-      // must not fail the run itself.
-      try {
-        save_warmup_file(path, *ck);
-      } catch (const std::exception&) {
-      }
-    }
-    return ck;
-  });
-}
-
-std::shared_ptr<const WarmupCheckpoint> AttackCampaign::compute_warmup(
-    const std::string& fp, const std::vector<workload::Application>& apps,
-    std::span<const NodeId> ht_nodes) const {
-  // The scratch run is exactly the prefix every sharing arm would have
-  // simulated: same construction order, same implants, same broadcast,
-  // same duty-cycle controllers. Detectors and responses are *absent* --
-  // they are arm-specific; detectors are replayed from the recorded
-  // request stream and a response that would have acted invalidates the
-  // fork (checked by the arm).
-  g_warmup_epochs_simulated.fetch_add(
-      static_cast<std::uint64_t>(cfg_.warmup_epochs),
-      std::memory_order_relaxed);
-  auto ck = std::make_shared<WarmupCheckpoint>();
-  ck->fingerprint = fp;
-  system::ManyCoreSystem sys(cfg_.system, apps);
-  ck->trace.node_count = cfg_.system.node_count();
-  ck->trace.epoch_cycles = cfg_.system.epoch_cycles;
-  sys.gm().attach_recorder(&ck->trace);
-  AttackFrame frame;
-  install_attack(sys, apps, ht_nodes, frame);
-  sys.run_epochs(cfg_.warmup_epochs);
-  ck->system = sys.save_state();
-  ck->trojans.reserve(frame.trojans.size());
-  for (const auto& ht : frame.trojans) ck->trojans.push_back(ht->save_state());
-  ck->toggle_state = frame.toggle_state;
-  ck->adapt_state = frame.adapt_state;
-  ck->adapt_totals = frame.adapt_totals;
-  return ck;
 }
 
 CampaignOutcome AttackCampaign::reduce_outcome(

@@ -67,21 +67,6 @@ struct CampaignConfig {
   /// through the mesh's center mirror at the first confirmed flag's epoch
   /// boundary (modeled as a rebuild-and-resume, see run_system).
   std::optional<power::ResponseConfig> response;
-  /// Warmup-prefix forking: runs that share a warmup prefix (same system,
-  /// workload mapping, placement and Trojan behaviour -- detectors and
-  /// responses excluded, they are replayed/checked separately) simulate
-  /// the warmup ONCE, snapshot the chip, and every subsequent run restores
-  /// from the checkpoint instead of re-simulating -- O(1) warmup per
-  /// shared prefix instead of O(arms). Bit-identical to the non-forking
-  /// path by the snapshot layer's round-trip guarantee; a run whose
-  /// response policy would have sanctioned during warmup falls back to a
-  /// full simulation (the checkpoint's dynamics would have differed).
-  bool warmup_fork = true;
-  /// When non-empty, warmup checkpoints are persisted to
-  /// `<checkpoint_dir>/warmup-<fingerprint>.json` (atomic writes) and
-  /// reused across processes. Corrupt or mismatched files are recomputed,
-  /// never trusted.
-  std::string checkpoint_dir;
 };
 
 struct AppOutcome {
@@ -162,11 +147,7 @@ struct CampaignOutcome {
   std::optional<AdaptationOutcome> adaptation;
 };
 
-/// Process-internal warmup-checkpoint store (one per campaign family;
-/// clones share it through the campaign's shared_ptr). Defined in
-/// campaign.cpp; compute-once under concurrency via shared_future.
-class WarmupCache;
-struct WarmupCheckpoint;
+/// One leg's Trojans and duty-cycle controller state (campaign.cpp).
 struct AttackFrame;
 
 class AttackCampaign {
@@ -242,23 +223,9 @@ class AttackCampaign {
   /// the detector-grid size.
   [[nodiscard]] static std::uint64_t systems_simulated() noexcept;
 
-  /// Process-wide count of warmup epochs actually simulated cycle by
-  /// cycle (forked runs restore a checkpoint and add nothing here).
-  /// Monotonic, thread-safe; the warmup-fork tests assert on deltas that
-  /// a sweep's arms share one warmup per prefix instead of re-simulating
-  /// it per arm.
+  /// Process-wide count of warmup epochs simulated, summed over legs
+  /// (every leg simulates its own warmup). Monotonic, thread-safe.
   [[nodiscard]] static std::uint64_t warmup_epochs_simulated() noexcept;
-
-  /// The campaign's warmup-checkpoint store. Clones made by copy share it
-  /// automatically; sweep layers that build *separate* masters over the
-  /// same scenario hand one master's cache to the others so every arm
-  /// sharing a warmup prefix forks from one checkpoint.
-  [[nodiscard]] std::shared_ptr<WarmupCache> warmup_cache() const noexcept {
-    return warmup_cache_;
-  }
-  void adopt_warmup_cache(std::shared_ptr<WarmupCache> cache) noexcept {
-    if (cache != nullptr) warmup_cache_ = std::move(cache);
-  }
 
  private:
   struct RunResult {
@@ -288,35 +255,17 @@ class AttackCampaign {
   /// Implants the Trojans into `sys`, broadcasts the attacker's
   /// configuration and arms the duty-cycle controllers (serializable
   /// kCampaignToggle / kCampaignAdapt events whose handlers close over
-  /// `frame`). Shared by the leg path and the warmup scratch run, which
-  /// is what makes the scratch prefix bit-identical to a live one.
+  /// `frame`).
   void install_attack(system::ManyCoreSystem& sys,
                       const std::vector<workload::Application>& apps,
                       std::span<const NodeId> ht_nodes,
                       AttackFrame& frame) const;
-  /// Canonical fingerprint of a leg's warmup prefix: system config, the
-  /// mapped applications, the placement and the Trojan/duty-cycle
-  /// behaviour. Detector, response and measure_epochs are deliberately
-  /// excluded -- they do not move the (response-free) warmup dynamics.
-  [[nodiscard]] std::string warmup_fingerprint(
-      const std::vector<workload::Application>& apps,
-      std::span<const NodeId> ht_nodes) const;
-  /// Cache lookup (disk-backed when checkpoint_dir is set) with
-  /// compute-on-miss; nullptr means "simulate the warmup yourself".
-  [[nodiscard]] std::shared_ptr<const WarmupCheckpoint> obtain_warmup(
-      const std::string& fp, const std::vector<workload::Application>& apps,
-      std::span<const NodeId> ht_nodes);
-  /// Runs the warmup prefix once on a scratch system and snapshots it.
-  [[nodiscard]] std::shared_ptr<const WarmupCheckpoint> compute_warmup(
-      const std::string& fp, const std::vector<workload::Application>& apps,
-      std::span<const NodeId> ht_nodes) const;
 
   CampaignConfig cfg_;
   std::vector<workload::Application> apps_;
   NodeId gm_node_ = kInvalidNode;
   NodeId agent_node_ = 0;
   std::shared_ptr<const RunResult> baseline_;  // set once; shared by clones
-  std::shared_ptr<WarmupCache> warmup_cache_;  // shared by clones
 };
 
 }  // namespace htpb::core

@@ -58,13 +58,6 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
   AttackCampaign master(detect_cfg);
   master.prime_baseline();
   const MonitoredCores cores = count_cores(master);
-  // Every arm built below evaluates the same scenario, so arms sharing a
-  // warmup prefix (same placement; detectors/responses excluded from the
-  // prefix) fork from one checkpoint instead of each re-simulating the
-  // warmup -- one WarmupCache spans all masters. Guard arms change the
-  // system config, which changes the prefix fingerprint, so they
-  // naturally get their own checkpoints from the same cache.
-  const auto warmup_cache = master.warmup_cache();
 
   const auto traced = runner.map(p_count, [&](std::size_t p) {
     AttackCampaign clone(master);
@@ -91,7 +84,6 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
     clean_cfg.trojan.active = false;
     clean_cfg.toggle_period_epochs = 0;  // never wakes up
     AttackCampaign clean_campaign(clean_cfg);
-    clean_campaign.adopt_warmup_cache(warmup_cache);
     const power::RequestTrace clean_trace =
         clean_campaign.record_trace(cfg_.placements.front());
     clean = runner.map(d_count, [&](std::size_t d) {
@@ -115,7 +107,6 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
           guard_cfg.system.guard_requests = true;
           guard_cfg.system.guard_config = cfg_.detectors[d];
           auto m = std::make_shared<AttackCampaign>(guard_cfg);
-          m->adopt_warmup_cache(warmup_cache);
           m->prime_baseline();
           return m;
         });
@@ -140,7 +131,6 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
           response_cfg.response = cfg_.response_base;
           response_cfg.response->kind = cfg_.responses[i % r_count];
           auto m = std::make_shared<AttackCampaign>(response_cfg);
-          m->adopt_warmup_cache(warmup_cache);
           m->prime_baseline();
           return m;
         });

@@ -1,9 +1,5 @@
 #include "core/trojan.hpp"
 
-#include <utility>
-
-#include "common/snapshot.hpp"
-
 namespace htpb::core {
 
 void HardwareTrojan::inspect(noc::Packet& pkt, NodeId /*router*/,
@@ -62,48 +58,6 @@ void HardwareTrojan::tamper(noc::Packet& pkt) {
   pkt.payload = scaled;
   pkt.tampered = true;
   ++stats_.victim_requests_modified;
-}
-
-json::Value HardwareTrojan::save_state() const {
-  json::Object o;
-  o["gm"] = json::Value(static_cast<long long>(gm_));
-  json::Array agents;
-  for (const NodeId n : attackers_) {
-    agents.push_back(json::Value(static_cast<long long>(n)));
-  }
-  o["attackers"] = json::Value(std::move(agents));
-  o["active"] = json::Value(active_);
-  o["attenuate_victims"] = json::Value(attenuate_victims_);
-  o["boost_attackers"] = json::Value(boost_attackers_);
-  o["victim_scale"] = json::Value(victim_scale_);
-  o["attacker_boost"] = json::Value(attacker_boost_);
-  o["config_packets_seen"] = common::ju64(stats_.config_packets_seen);
-  o["power_requests_seen"] = common::ju64(stats_.power_requests_seen);
-  o["victim_requests_modified"] =
-      common::ju64(stats_.victim_requests_modified);
-  o["attacker_requests_boosted"] =
-      common::ju64(stats_.attacker_requests_boosted);
-  return json::Value(std::move(o));
-}
-
-void HardwareTrojan::load_state(const json::Value& v) {
-  const json::Object& o = v.as_object();
-  gm_ = static_cast<NodeId>(o.find("gm")->as_int());
-  attackers_.clear();
-  for (const json::Value& n : o.find("attackers")->as_array()) {
-    attackers_.push_back(static_cast<NodeId>(n.as_int()));
-  }
-  active_ = o.find("active")->as_bool();
-  attenuate_victims_ = o.find("attenuate_victims")->as_bool();
-  boost_attackers_ = o.find("boost_attackers")->as_bool();
-  victim_scale_ = o.find("victim_scale")->as_double();
-  attacker_boost_ = o.find("attacker_boost")->as_double();
-  stats_.config_packets_seen = common::pu64(*o.find("config_packets_seen"));
-  stats_.power_requests_seen = common::pu64(*o.find("power_requests_seen"));
-  stats_.victim_requests_modified =
-      common::pu64(*o.find("victim_requests_modified"));
-  stats_.attacker_requests_boosted =
-      common::pu64(*o.find("attacker_requests_boosted"));
 }
 
 }  // namespace htpb::core

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/types.hpp"
 #include "core/trojan_config.hpp"
 #include "noc/inspector.hpp"
@@ -42,13 +41,6 @@ class HardwareTrojan final : public noc::PacketInspector {
   }
   [[nodiscard]] const TrojanStats& stats() const noexcept { return stats_; }
 
-  /// Checkpointing: the latched registers (manager id, agent ids,
-  /// activation/mode state, scale factors) and the counters. The host
-  /// router id is construction wiring; restore into a Trojan implanted at
-  /// the same router.
-  [[nodiscard]] json::Value save_state() const;
-  void load_state(const json::Value& v);
-
  private:
   [[nodiscard]] bool is_attacker(NodeId node) const noexcept {
     return std::find(attackers_.begin(), attackers_.end(), node) !=
@@ -58,7 +50,7 @@ class HardwareTrojan final : public noc::PacketInspector {
   void latch_config(const noc::Packet& pkt);
   void tamper(noc::Packet& pkt);
 
-  NodeId host_;  // snapshot-exempt: construction wiring -- restore implants at the same router
+  NodeId host_;
   // "Two registers" of Fig. 2a: the global manager id and the attacker
   // agent ids, plus the activation/mode state.
   NodeId gm_ = kInvalidNode;

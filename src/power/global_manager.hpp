@@ -229,7 +229,7 @@ class GlobalManager {
   /// order, victim set, current record), epoch history, budget and the
   /// budgeter's own state (GuardedBudgeter trust bands). The attached
   /// detector/recorder/response pointers are wiring and are not captured;
-  /// their state is owned and checkpointed by the campaign layer.
+  /// their state is owned by the campaign layer.
   [[nodiscard]] json::Value save_state() const {
     json::Object o;
     o["budget_mw"] = common::ju64(budget_mw_);

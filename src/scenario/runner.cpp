@@ -64,7 +64,6 @@ namespace {
   cfg.measure_epochs = spec.epochs.measure;
   if (spec.detector.has_value()) cfg.detector = spec.detector->to_config();
   if (spec.response.has_value()) cfg.response = spec.response->to_config();
-  cfg.checkpoint_dir = spec.checkpoint_dir;
   return cfg;
 }
 
@@ -1074,9 +1073,6 @@ ScenarioSpec resolve(const ScenarioSpec& spec, const RunOptions& opts) {
     resolved.system.seed = *opts.seed;
   }
   if (opts.threads > 0) resolved.threads = opts.threads;
-  if (!opts.checkpoint_dir.empty()) {
-    resolved.checkpoint_dir = opts.checkpoint_dir;
-  }
   resolved.validate();
   return resolved;
 }

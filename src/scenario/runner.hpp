@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "common/json.hpp"
 #include "power/request_trace.hpp"
@@ -30,11 +29,6 @@ struct RunOptions {
   /// Overrides BOTH spec.seed and spec.system.seed: one knob reseeds the
   /// whole experiment (placements and per-node workload streams alike).
   std::optional<std::uint64_t> seed;
-  /// Directory where campaign warmup checkpoints are persisted and
-  /// reused across runs (htpb_run --checkpoint-dir). Empty = in-memory
-  /// warmup forking only. Results are bit-identical either way; the
-  /// directory only converts warmup simulation into a file load.
-  std::string checkpoint_dir;
 };
 
 /// The spec with options folded in (quick overlay applied, seed/thread

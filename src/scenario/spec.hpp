@@ -322,16 +322,6 @@ struct ScenarioSpec {
   /// no quick variant.
   json::Value quick;
 
-  /// Warmup-checkpoint directory for the campaign layer's warmup fork
-  /// (core::CampaignConfig::checkpoint_dir); empty = in-memory cache
-  /// only. Runtime plumbing written through by resolve() from
-  /// RunOptions::checkpoint_dir -- NOT part of the spec schema: never
-  /// serialized by to_json, never read by from_json. Checkpoints are
-  /// keyed by a config fingerprint and checksummed, so a stale or shared
-  /// directory can never change a result, only skip warmup simulation.
-  // json-exempt: runtime plumbing from RunOptions, deliberately outside the spec schema (see above)
-  std::string checkpoint_dir;
-
   [[nodiscard]] json::Value to_json() const;
   [[nodiscard]] static ScenarioSpec from_json(const json::Value& v);
 

@@ -5,7 +5,8 @@
 //     detector would have filed for the same run.
 //  2. Cost shape -- the DefenseSweep detection arm simulates O(placements)
 //     systems, independent of the detector-grid size (asserted via the
-//     AttackCampaign::systems_simulated counting hook).
+//     AttackCampaign::systems_simulated counting hook), and every
+//     simulated leg pays exactly one warmup (warmup_epochs_simulated).
 //  3. Attack-from-epoch-0 -- a Trojan live before the detector's warmup
 //     completes: the self-history EWMA anchors to the attacked level and
 //     misses it; the cohort-median detector catches it from the same
@@ -154,9 +155,17 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
       sweep_cfg.detectors.push_back(d);
     }
     const std::uint64_t before = AttackCampaign::systems_simulated();
+    const std::uint64_t warmup_before =
+        AttackCampaign::warmup_epochs_simulated();
     const auto curve = DefenseSweep(sweep_cfg).run(runner);
     EXPECT_EQ(curve.size(), grid);
-    return AttackCampaign::systems_simulated() - before;
+    const std::uint64_t systems = AttackCampaign::systems_simulated() - before;
+    // One full warmup per simulated leg: the per-leg warmup is what
+    // scenario benchmarks divide by when they report warmup reuse.
+    EXPECT_EQ(AttackCampaign::warmup_epochs_simulated() - warmup_before,
+              systems * static_cast<std::uint64_t>(
+                            sweep_cfg.base.warmup_epochs));
+    return systems;
   };
 
   // 1 shared baseline + |placements| recorded runs + 1 clean recording,
@@ -164,6 +173,27 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
   const std::uint64_t expected = 1 + sweep_cfg.placements.size() + 1;
   EXPECT_EQ(run_with_grid(2), expected);
   EXPECT_EQ(run_with_grid(6), expected);
+
+  // A migrating run is two legs, and each simulates its own warmup.
+  CampaignConfig migrate_cfg = base_config();
+  migrate_cfg.warmup_epochs = 2;
+  migrate_cfg.measure_epochs = 8;
+  migrate_cfg.detector->low_ratio = 0.6;
+  migrate_cfg.detector->high_ratio = 1.6;
+  power::ResponseConfig migrate;
+  migrate.kind = power::ResponseKind::kMigrate;
+  migrate.trigger = power::ResponseTrigger::kBoth;
+  migrate_cfg.response = migrate;
+  AttackCampaign campaign(migrate_cfg);
+  campaign.prime_baseline();
+  const std::uint64_t systems_before = AttackCampaign::systems_simulated();
+  const std::uint64_t warmup_before = AttackCampaign::warmup_epochs_simulated();
+  const CampaignOutcome out = campaign.run(sweep_cfg.placements.front());
+  ASSERT_TRUE(out.response.has_value());
+  ASSERT_EQ(out.response->migrations, 1);
+  EXPECT_EQ(AttackCampaign::systems_simulated() - systems_before, 2U);
+  EXPECT_EQ(AttackCampaign::warmup_epochs_simulated() - warmup_before,
+            2U * static_cast<std::uint64_t>(migrate_cfg.warmup_epochs));
 }
 
 TEST(TraceReplay, EpochZeroAttackMissedByEwmaCaughtByCohort) {

@@ -162,9 +162,12 @@ TEST(HtpbRunE2e, BadSetOverridesFailLoudly) {
 
 TEST(HtpbRunE2e, UnknownArgumentPrintsUsage) {
   const TempDir dir;
-  const RunResult r = run_tool(dir, "--scenarios defense-closed-loop");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+  for (const char* args : {"--scenarios defense-closed-loop",
+                           "--scenario table1 --checkpoint-dir x"}) {
+    const RunResult r = run_tool(dir, args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_NE(r.err.find("usage:"), std::string::npos) << args << r.err;
+  }
 }
 
 }  // namespace

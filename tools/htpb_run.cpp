@@ -25,12 +25,6 @@
 //                          campaign once and save its request trace
 //   --replay-trace <path>  replay a saved trace through the scenario's
 //                          detector grid -- no simulation at all
-//   --checkpoint-dir <dir> persist campaign warmup checkpoints in <dir>
-//                          (created if missing) and reuse matching ones
-//                          from earlier runs; results are bit-identical
-//                          with or without it -- the directory only
-//                          converts repeated warmup simulation into a
-//                          fingerprint-checked file load
 //
 // Results are bit-identical across thread counts and runs for a fixed
 // (scenario, seed, quick) triple, except the "timing" object.
@@ -40,7 +34,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,17 +51,15 @@ using htpb::json::Value;
 using htpb::scenario::RunOptions;
 using htpb::scenario::ScenarioSpec;
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
+void print_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
                "usage: %s --list\n"
                "       %s --scenario <name|file.json> [--quick]"
                " [--set key=value ...]\n"
                "           [--seed N] [--threads N] [--json out|-]"
                " [--dump-spec [out|-]]\n"
-               "           [--record-trace path | --replay-trace path]"
-               " [--checkpoint-dir dir]\n",
+               "           [--record-trace path | --replay-trace path]\n",
                argv0, argv0);
-  return 2;
 }
 
 bool looks_like_path(const std::string& arg) {
@@ -166,25 +157,16 @@ int main(int argc, char** argv) {
       record_trace_path = next_arg(i, arg);
     } else if (std::strcmp(arg, "--replay-trace") == 0) {
       replay_trace_path = next_arg(i, arg);
-    } else if (std::strcmp(arg, "--checkpoint-dir") == 0) {
-      opts.checkpoint_dir = next_arg(i, arg);
     } else if (std::strcmp(arg, "--help") == 0 ||
                std::strcmp(arg, "-h") == 0) {
-      // Asked-for help goes to stdout and exits cleanly; only the
-      // error paths use the stderr usage() helper.
-      std::printf(
-          "usage: %s --list\n"
-          "       %s --scenario <name|file.json> [--quick]"
-          " [--set key=value ...]\n"
-          "           [--seed N] [--threads N] [--json out|-]"
-          " [--dump-spec [out|-]]\n"
-          "           [--record-trace path | --replay-trace path]"
-          " [--checkpoint-dir dir]\n",
-          argv[0], argv[0]);
+      // Asked-for help goes to stdout and exits cleanly; the error paths
+      // print the same text to stderr and exit 2.
+      print_usage(stdout, argv[0]);
       return 0;
     } else {
       std::fprintf(stderr, "%s: unknown argument \"%s\"\n", argv[0], arg);
-      return usage(argv[0]);
+      print_usage(stderr, argv[0]);
+      return 2;
     }
   }
 
@@ -194,14 +176,9 @@ int main(int argc, char** argv) {
 
   try {
     if (list) return list_registry();
-    if (scenario_arg.empty()) return usage(argv[0]);
-
-    if (!opts.checkpoint_dir.empty()) {
-      // Create it up front so the first run can persist; load/save of
-      // individual checkpoint files stays best-effort inside the
-      // campaign layer (a corrupt or read-only dir degrades to plain
-      // simulation, never to a wrong result).
-      std::filesystem::create_directories(opts.checkpoint_dir);
+    if (scenario_arg.empty()) {
+      print_usage(stderr, argv[0]);
+      return 2;
     }
 
     ScenarioSpec spec = load_scenario(scenario_arg);
