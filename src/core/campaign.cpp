@@ -46,6 +46,21 @@ workload::Mix uniform_mix() {
   return mix;
 }
 
+/// The attack-side rules shared by the constructor and set_attack.
+void validate_attack(const TrojanConfig& trojan, int toggle_period_epochs,
+                     const std::optional<power::DetectorConfig>& detector,
+                     const std::optional<power::ResponseConfig>& response) {
+  if (response.has_value() && !detector.has_value()) {
+    throw std::invalid_argument(
+        "AttackCampaign: a response policy requires a detector to act on");
+  }
+  if (trojan.adapt.enabled && toggle_period_epochs > 0) {
+    throw std::invalid_argument(
+        "AttackCampaign: adaptation and toggle_period_epochs are rival "
+        "duty-cycle controllers; enable one");
+  }
+}
+
 }  // namespace
 
 /// One leg's attack wiring, owned by the leg frame: the implanted Trojans
@@ -77,15 +92,8 @@ struct AttackFrame {
 
 AttackCampaign::AttackCampaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.system.validate();
-  if (cfg_.response.has_value() && !cfg_.detector.has_value()) {
-    throw std::invalid_argument(
-        "AttackCampaign: a response policy requires a detector to act on");
-  }
-  if (cfg_.trojan.adapt.enabled && cfg_.toggle_period_epochs > 0) {
-    throw std::invalid_argument(
-        "AttackCampaign: adaptation and toggle_period_epochs are rival "
-        "duty-cycle controllers; enable one");
-  }
+  validate_attack(cfg_.trojan, cfg_.toggle_period_epochs, cfg_.detector,
+                  cfg_.response);
   const workload::Mix mix = cfg_.mix.value_or(uniform_mix());
   const int nodes = cfg_.system.node_count();
   int threads = cfg_.threads_per_app;
@@ -319,6 +327,17 @@ AttackCampaign::RunResult AttackCampaign::run_system(
   if (adapt_engaged) result.adaptation = adapt_totals;
   if (detector != nullptr) result.detection = detector->cumulative();
   return result;
+}
+
+void AttackCampaign::set_attack(
+    TrojanConfig trojan, int toggle_period_epochs,
+    std::optional<power::DetectorConfig> detector,
+    std::optional<power::ResponseConfig> response) {
+  validate_attack(trojan, toggle_period_epochs, detector, response);
+  cfg_.trojan = std::move(trojan);
+  cfg_.toggle_period_epochs = toggle_period_epochs;
+  cfg_.detector = std::move(detector);
+  cfg_.response = std::move(response);
 }
 
 void AttackCampaign::ensure_baseline() {

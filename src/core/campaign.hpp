@@ -2,8 +2,12 @@
 // the router-inspector hook, broadcasts the attacker's configuration
 // packets, runs warmup + measurement epochs, and reduces the raw
 // simulator output to the paper's metrics (infection rate, Theta per
-// application, Q). The baseline (Trojan-free) run is cached so placement
-// sweeps pay for it once.
+// application, Q). The baseline (Trojan-free) run is cached and depends
+// only on the chip side of the config (system, mix, threads_per_app,
+// warmup/measure epochs): clones of a primed campaign share it, and
+// set_attack swaps the attack side (Trojan, toggle, detector, response)
+// without invalidating it -- so a sweep pays for each distinct baseline
+// once, whatever its placement or attack axes.
 #pragma once
 
 #include <memory>
@@ -208,13 +212,16 @@ class AttackCampaign {
   /// baseline size).
   void prime_baseline() { ensure_baseline(); }
 
-  /// Swaps the detection policy of subsequent runs. Detectors are purely
-  /// observational, so the cached baseline stays valid -- defense sweeps
-  /// clone one primed campaign and vary the detector per clone without
-  /// re-running the baseline.
-  void set_detector(std::optional<power::DetectorConfig> detector) {
-    cfg_.detector = std::move(detector);
-  }
+  /// Swaps the attack side of subsequent runs: the Trojan configuration,
+  /// the duty-cycle toggle period, the detector and the response policy.
+  /// None of them reaches the baseline (it implants nothing and arms no
+  /// detector), so the cached baseline stays valid -- sweeps clone one
+  /// primed campaign and vary these per clone without re-running it.
+  /// Throws std::invalid_argument under the constructor's rules: a
+  /// response needs a detector, and adaptation and toggle are rivals.
+  void set_attack(TrojanConfig trojan, int toggle_period_epochs,
+                  std::optional<power::DetectorConfig> detector,
+                  std::optional<power::ResponseConfig> response);
 
   /// Process-wide count of full ManyCoreSystem simulations run by any
   /// campaign (baselines included). Monotonic, thread-safe. The trace

@@ -117,25 +117,20 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
   }
 
   // Response arm: closed-loop policies act on the grant stream, so --
-  // like the guard, unlike passive detection -- each (detector, response)
-  // pair changes the dynamics and gets its own primed master before its
-  // placements fan out. The policy only engages on attacked runs, so the
-  // baseline matches the plain arm's.
+  // like the guard, unlike passive detection -- every (detector,
+  // response, placement) cell is its own simulation. The policy only
+  // engages on attacked runs, so the baseline is the detection master's:
+  // each cell clones it and swaps in its detector and policy.
   const std::size_t r_count = cfg_.responses.size();
   std::vector<CampaignOutcome> responded;
   if (r_count > 0) {
-    const auto response_masters =
-        runner.map(d_count * r_count, [&](std::size_t i) {
-          CampaignConfig response_cfg = cfg_.base;
-          response_cfg.detector = cfg_.detectors[i / r_count];
-          response_cfg.response = cfg_.response_base;
-          response_cfg.response->kind = cfg_.responses[i % r_count];
-          auto m = std::make_shared<AttackCampaign>(response_cfg);
-          m->prime_baseline();
-          return m;
-        });
     responded = runner.map(d_count * r_count * p_count, [&](std::size_t i) {
-      AttackCampaign clone(*response_masters[i / p_count]);
+      const std::size_t dr = i / p_count;
+      power::ResponseConfig response = cfg_.response_base;
+      response.kind = cfg_.responses[dr % r_count];
+      AttackCampaign clone(master);
+      clone.set_attack(cfg_.base.trojan, cfg_.base.toggle_period_epochs,
+                       cfg_.detectors[dr / r_count], response);
       return clone.run(cfg_.placements[i % p_count]);
     });
   }

@@ -60,7 +60,8 @@ struct DefenseSweepConfig {
   /// (power/response.hpp) and reports the recovery/collateral tradeoff.
   /// Responses perturb the dynamics, so -- unlike the detection arm --
   /// every cell is a fresh simulation: O(detectors x responses x
-  /// placements) systems. Empty (the default) = axis off, and the sweep's
+  /// placements) systems, all sharing the detection arm's baseline.
+  /// Empty (the default) = axis off, and the sweep's
   /// simulation count stays the trace-replay-test-locked O(placements).
   std::vector<power::ResponseKind> responses;
   /// Trigger/sanction/recovery parameters shared by every response arm

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -220,41 +221,57 @@ json::Value run_infection_vs_distribution(const ScenarioSpec& spec) {
 }
 
 /// Figs. 5 and 6 share one sweep: per mix, greedy target-coverage
-/// placements off one serial Rng(seed) stream (legacy constant: 42),
-/// campaigns fanned across the pool. The result carries both the Q
-/// reduction (Fig. 5) and the per-app Theta detail (Fig. 6).
+/// placements off one serial Rng(seed) stream (legacy constant: 42).
+/// Every mix's baseline primes in one fan-out, then every mix x target
+/// leg runs in a second one -- no per-mix barrier idles the pool. The
+/// result carries both the Q reduction (Fig. 5) and the per-app Theta
+/// detail (Fig. 6).
 json::Value run_attack_sweep(const ScenarioSpec& spec,
                              const core::ParallelSweepRunner& runner) {
-  json::Array mixes_out;
-  for (const std::string& mix_name : spec.workload.mixes) {
-    core::AttackCampaign campaign(campaign_config(spec, mix_name));
-    const MeshGeometry geom(spec.system.width, spec.system.height);
-    const core::InfectionAnalyzer analyzer(geom, campaign.gm_node());
+  const std::vector<std::string>& mixes = spec.workload.mixes;
+  const std::vector<double>& targets = spec.axes.infection_targets;
+  const auto masters = runner.map(mixes.size(), [&](std::size_t m) {
+    auto master =
+        std::make_shared<core::AttackCampaign>(campaign_config(spec, mixes[m]));
+    master->prime_baseline();
+    return master;
+  });
+
+  const MeshGeometry geom(spec.system.width, spec.system.height);
+  std::vector<std::vector<NodeId>> node_sets;  // mix-major
+  node_sets.reserve(mixes.size() * targets.size());
+  for (const auto& master : masters) {
+    const core::InfectionAnalyzer analyzer(geom, master->gm_node());
     Rng rng(spec.seed);
-    std::vector<std::vector<NodeId>> node_sets;
-    node_sets.reserve(spec.axes.infection_targets.size());
-    for (const double target : spec.axes.infection_targets) {
+    for (const double target : targets) {
       node_sets.push_back(analyzer.placement_for_target(
           target, spec.axes.placement_max_hts, rng));
     }
-    const auto outs = runner.run_node_sets(campaign, node_sets);
+  }
+  const auto outs = runner.map(node_sets.size(), [&](std::size_t i) {
+    core::AttackCampaign clone(*masters[i / targets.size()]);
+    return clone.run(node_sets[i]);
+  });
 
+  json::Array mixes_out;
+  for (std::size_t m = 0; m < mixes.size(); ++m) {
     json::Array rows;
-    for (std::size_t t = 0; t < outs.size(); ++t) {
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      const core::CampaignOutcome& out = outs[m * targets.size() + t];
       json::Object row;
-      row["target"] = json::Value(spec.axes.infection_targets[t]);
-      row["infection"] = json::Value(outs[t].infection_measured);
-      row["q"] = json::Value(outs[t].q);
+      row["target"] = json::Value(targets[t]);
+      row["infection"] = json::Value(out.infection_measured);
+      row["q"] = json::Value(out.q);
       json::Array changes;
-      for (const auto& app : outs[t].apps) {
+      for (const auto& app : out.apps) {
         changes.push_back(json::Value(app.change));
       }
       row["theta_change"] = json::Value(std::move(changes));
       rows.push_back(json::Value(std::move(row)));
     }
     json::Object mix_out;
-    mix_out["mix"] = json::Value(mix_name);
-    mix_out["apps"] = app_list(campaign);
+    mix_out["mix"] = json::Value(mixes[m]);
+    mix_out["apps"] = app_list(*masters[m]);
     mix_out["rows"] = json::Value(std::move(rows));
     mixes_out.push_back(json::Value(std::move(mix_out)));
   }
@@ -709,16 +726,21 @@ json::Value run_attack_comparison(const ScenarioSpec& spec,
   }
 
   // ---- arm 4: duty-cycled activation sweep ----------------------------
-  // Independent campaigns fanned across the pool (each task owns its
-  // campaign, so results are identical at any thread count).
+  // Every period shares the duty warmup/measure window and so one
+  // baseline: a primed master, cloned per period with its toggle swapped
+  // in, fanned across the pool.
+  ScenarioSpec duty_spec = spec;
+  duty_spec.epochs.warmup = spec.axes.duty_warmup_epochs;
+  duty_spec.epochs.measure = spec.axes.duty_measure_epochs;
+  core::AttackCampaign duty_master(
+      campaign_config(duty_spec, spec.workload.mix));
+  if (!spec.axes.toggle_periods.empty()) duty_master.prime_baseline();
   const auto duty_outs =
       runner.map(spec.axes.toggle_periods.size(), [&](std::size_t i) {
-        ScenarioSpec duty_spec = spec;
-        duty_spec.epochs.warmup = spec.axes.duty_warmup_epochs;
-        duty_spec.epochs.measure = spec.axes.duty_measure_epochs;
-        duty_spec.trojan.toggle_period_epochs = spec.axes.toggle_periods[i];
-        core::AttackCampaign duty(
-            campaign_config(duty_spec, spec.workload.mix));
+        const core::CampaignConfig& cfg = duty_master.config();
+        core::AttackCampaign duty(duty_master);
+        duty.set_attack(cfg.trojan, spec.axes.toggle_periods[i], cfg.detector,
+                        cfg.response);
         const auto out = duty.run(hts);
         return std::pair<double, double>(out.infection_measured, out.q);
       });
@@ -797,9 +819,11 @@ json::Value run_budgeter_ablation(const ScenarioSpec& spec) {
 }
 
 /// Closed-loop defense tradeoff grid: placements x {static, adaptive}
-/// Trojan x {none + axes.responses} response policy. Every arm is an
-/// independent re-simulation (responses perturb the dynamics, so nothing
-/// here can ride on trace replays); arms fan out across the pool. The
+/// Trojan x {none + axes.responses} response policy. Every arm simulates
+/// its own attacked run (responses perturb the dynamics, so nothing here
+/// can ride on trace replays), but all arms share one Trojan-free
+/// baseline: the probe is primed once and each arm clones it with its
+/// attack side swapped in; arms fan out across the pool. The
 /// static and adaptive arms are tuned to equal mean duty cycle
 /// (toggle_period_epochs vs max_on/hold_off), so the duty_comparison
 /// block isolates what grant-feedback adaptation buys the attacker.
@@ -811,7 +835,7 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
     int response = -1;  // -1 = no response policy, else axes.responses index
   };
 
-  const core::AttackCampaign probe(campaign_config(spec, spec.workload.mix));
+  core::AttackCampaign probe(campaign_config(spec, spec.workload.mix));
   const MeshGeometry geom(spec.system.width, spec.system.height);
   std::vector<std::vector<NodeId>> placements;
   for (const ClusterSpec& cluster : spec.axes.placements) {
@@ -831,25 +855,31 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
     }
   }
 
+  probe.prime_baseline();
   const auto outs = runner.map(arms.size(), [&](std::size_t i) {
     const Arm& arm = arms[i];
-    core::CampaignConfig cfg = campaign_config(spec, spec.workload.mix);
+    const core::CampaignConfig& base = probe.config();
+    core::TrojanConfig trojan = base.trojan;
+    int toggle_period_epochs = base.toggle_period_epochs;
     if (arm.adaptive) {
       // Grant-feedback duty cycling replaces the open-loop toggle; the
       // Trojans start live, the agent decides epoch by epoch.
-      cfg.trojan.active = true;
-      cfg.toggle_period_epochs = 0;
-      cfg.trojan.adapt.enabled = true;
+      trojan.active = true;
+      toggle_period_epochs = 0;
+      trojan.adapt.enabled = true;
     } else {
-      cfg.trojan.adapt.enabled = false;
+      trojan.adapt.enabled = false;
     }
+    std::optional<power::ResponseConfig> response = base.response;
     if (arm.response < 0) {
-      cfg.response.reset();
+      response.reset();
     } else {
-      cfg.response->kind =
+      response->kind =
           spec.axes.responses[static_cast<std::size_t>(arm.response)];
     }
-    core::AttackCampaign campaign(cfg);
+    core::AttackCampaign campaign(probe);
+    campaign.set_attack(std::move(trojan), toggle_period_epochs,
+                        base.detector, std::move(response));
     return campaign.run(placements[arm.placement]);
   });
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/infection.hpp"
 #include "core/placement.hpp"
 #include "workload/application.hpp"
@@ -145,6 +148,57 @@ TEST(AttackCampaign, MoreAppsThanCoresRejected) {
   cfg.system.width = 2;
   cfg.system.height = 1;
   EXPECT_THROW(AttackCampaign{cfg}, std::invalid_argument);
+}
+
+/// The std::invalid_argument message `fn` throws ("" when it does not).
+template <typename Fn>
+std::string rejection(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// set_attack enforces the constructor's attack-side rules, word for word,
+// and a rejected call leaves the campaign's attack side untouched.
+TEST(AttackCampaign, SetAttackRejectsWhatTheConstructorRejects) {
+  const CampaignConfig ok = fast_config();
+
+  CampaignConfig headless = ok;
+  headless.response = power::ResponseConfig{};
+  const std::string no_detector =
+      rejection([&] { AttackCampaign{headless}; });
+  EXPECT_NE(no_detector.find("requires a detector"), std::string::npos)
+      << no_detector;
+
+  CampaignConfig rivals = ok;
+  rivals.trojan.adapt.enabled = true;
+  rivals.toggle_period_epochs = 2;
+  const std::string rival = rejection([&] { AttackCampaign{rivals}; });
+  EXPECT_NE(rival.find("rival"), std::string::npos) << rival;
+
+  AttackCampaign campaign(ok);
+  EXPECT_EQ(rejection([&] {
+              campaign.set_attack(ok.trojan, 0, std::nullopt,
+                                  power::ResponseConfig{});
+            }),
+            no_detector);
+  EXPECT_EQ(rejection([&] {
+              campaign.set_attack(rivals.trojan, 2, std::nullopt,
+                                  std::nullopt);
+            }),
+            rival);
+  EXPECT_FALSE(campaign.config().trojan.adapt.enabled);
+  EXPECT_EQ(campaign.config().toggle_period_epochs, 0);
+  EXPECT_FALSE(campaign.config().response.has_value());
+
+  // A legal attack side is taken as given.
+  campaign.set_attack(rivals.trojan, 0, power::DetectorConfig{},
+                      power::ResponseConfig{});
+  EXPECT_TRUE(campaign.config().trojan.adapt.enabled);
+  EXPECT_TRUE(campaign.config().response.has_value());
 }
 
 }  // namespace

@@ -234,7 +234,8 @@ TEST(DefenseSweep, MatchesPerCellResimulation) {
   for (std::size_t d = 0; d < sweep_cfg.detectors.size(); ++d) {
     for (std::size_t p = 0; p < sweep_cfg.placements.size(); ++p) {
       AttackCampaign clone(master);
-      clone.set_detector(sweep_cfg.detectors[d]);
+      clone.set_attack(detect_cfg.trojan, detect_cfg.toggle_period_epochs,
+                       sweep_cfg.detectors[d], std::nullopt);
       const CampaignOutcome reference = clone.run(sweep_cfg.placements[p]);
       expect_outcomes_identical(curve[d].cells[p].outcome, reference,
                                 "cell " + std::to_string(d) + "," +

@@ -7,6 +7,8 @@
 //     systems, independent of the detector-grid size (asserted via the
 //     AttackCampaign::systems_simulated counting hook), and every
 //     simulated leg pays exactly one warmup (warmup_epochs_simulated).
+//     Sweeps that vary only the attack side (response axis, closed-loop
+//     arms, duty-cycle periods) simulate one baseline, not one per arm.
 //  3. Attack-from-epoch-0 -- a Trojan live before the detector's warmup
 //     completes: the self-history EWMA anchors to the attacked level and
 //     misses it; the cohort-median detector catches it from the same
@@ -26,6 +28,7 @@
 #include "core/parallel_sweep.hpp"
 #include "core/placement.hpp"
 #include "power/request_trace.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "workload/application.hpp"
 
@@ -147,6 +150,8 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
   sweep_cfg.placements = placements_for(sweep_cfg.base);
   const ParallelSweepRunner runner(2);
 
+  const std::uint64_t placements = sweep_cfg.placements.size();
+  std::uint64_t migrations = 0;
   const auto run_with_grid = [&](std::size_t grid) {
     sweep_cfg.detectors.clear();
     for (std::size_t i = 0; i < grid; ++i) {
@@ -165,14 +170,31 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
     EXPECT_EQ(AttackCampaign::warmup_epochs_simulated() - warmup_before,
               systems * static_cast<std::uint64_t>(
                             sweep_cfg.base.warmup_epochs));
+    migrations = 0;
+    for (const DefenseCurvePoint& pt : curve) {
+      for (const ResponseCurvePoint& rp : pt.responses) {
+        migrations += static_cast<std::uint64_t>(
+            rp.mean_migrations * static_cast<double>(placements) + 0.5);
+      }
+    }
     return systems;
   };
 
   // 1 shared baseline + |placements| recorded runs + 1 clean recording,
   // whatever the detector-grid size.
-  const std::uint64_t expected = 1 + sweep_cfg.placements.size() + 1;
+  const std::uint64_t expected = 1 + placements + 1;
   EXPECT_EQ(run_with_grid(2), expected);
   EXPECT_EQ(run_with_grid(6), expected);
+
+  // The response axis simulates every (detector, response, placement)
+  // cell, a migrating one as two legs, all on that one baseline: no
+  // baseline per (detector, response) pair.
+  sweep_cfg.responses = {power::ResponseKind::kQuarantine,
+                         power::ResponseKind::kMigrate};
+  sweep_cfg.response_base.trigger = power::ResponseTrigger::kBoth;
+  const std::uint64_t with_responses = run_with_grid(2);
+  EXPECT_GT(migrations, 0U);
+  EXPECT_EQ(with_responses, expected + 2 * 2 * placements + migrations);
 
   // A migrating run is two legs, and each simulates its own warmup.
   CampaignConfig migrate_cfg = base_config();
@@ -194,6 +216,42 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
   EXPECT_EQ(AttackCampaign::systems_simulated() - systems_before, 2U);
   EXPECT_EQ(AttackCampaign::warmup_epochs_simulated() - warmup_before,
             2U * static_cast<std::uint64_t>(migrate_cfg.warmup_epochs));
+}
+
+// The closed-loop grid simulates one attacked run per arm (two legs when
+// it migrates) on a single shared Trojan-free baseline.
+TEST(TraceReplay, ClosedLoopArmsShareOneBaseline) {
+  scenario::RunOptions quick;
+  quick.quick = true;
+  const std::uint64_t before = AttackCampaign::systems_simulated();
+  const json::Value result = scenario::run_scenario(
+      scenario::scenario_or_throw("defense-closed-loop"), quick);
+  const std::uint64_t systems = AttackCampaign::systems_simulated() - before;
+
+  const json::Array& arms = result.as_object().find("arms")->as_array();
+  std::uint64_t migrations = 0;
+  for (const json::Value& arm : arms) {
+    if (const json::Value* m = arm.as_object().find("migrations")) {
+      migrations += static_cast<std::uint64_t>(m->as_int());
+    }
+  }
+  EXPECT_EQ(systems, 1 + arms.size() + migrations);
+}
+
+// Every duty-cycle period of the attack comparison shares one baseline;
+// the false-data arm adds its own baseline and attacked run.
+TEST(TraceReplay, DutyArmsShareOneBaseline) {
+  scenario::RunOptions quick;
+  quick.quick = true;
+  const std::uint64_t before = AttackCampaign::systems_simulated();
+  const json::Value result = scenario::run_scenario(
+      scenario::scenario_or_throw("attack-comparison"), quick);
+  const std::uint64_t systems = AttackCampaign::systems_simulated() - before;
+
+  const std::size_t periods =
+      result.as_object().find("duty_cycle")->as_array().size();
+  ASSERT_GT(periods, 1U);
+  EXPECT_EQ(systems, 2 + 1 + periods);
 }
 
 TEST(TraceReplay, EpochZeroAttackMissedByEwmaCaughtByCohort) {

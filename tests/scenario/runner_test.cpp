@@ -283,6 +283,27 @@ TEST(ScenarioRunner, ResultIsThreadCountInvariant) {
   four.threads = 4;
   EXPECT_EQ(json::dump(without_timing(run_scenario(spec, one)), 0),
             json::dump(without_timing(run_scenario(spec, four)), 0));
+
+  // 2 mixes x 2 targets: the sweep fans every mix x target leg flat, and
+  // 3 threads split those 4 legs (and the 2 baselines) unevenly.
+  ScenarioSpec wide = spec;
+  wide.workload.mixes = {"mix-1", "mix-2"};
+  wide.axes.infection_targets = {0.3, 0.6};
+  RunOptions three;
+  three.threads = 3;
+  const json::Value serial = without_timing(run_scenario(wide, one));
+  EXPECT_EQ(json::dump(serial, 0),
+            json::dump(without_timing(run_scenario(wide, three)), 0));
+
+  // Each flat leg lands in its own mix's rows: the second mix reads the
+  // same as a sweep over that mix alone.
+  ScenarioSpec second = wide;
+  second.workload.mixes = {"mix-2"};
+  const json::Value alone = run_scenario(second, three);
+  const json::Array& mixes = serial.as_object().find("mixes")->as_array();
+  ASSERT_EQ(mixes.size(), 2U);
+  EXPECT_EQ(json::dump(mixes[1], 0),
+            json::dump(alone.as_object().find("mixes")->as_array()[0], 0));
 }
 
 // ------------------------------------------------- defense-closed-loop
