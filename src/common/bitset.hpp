@@ -38,6 +38,22 @@ class DynamicBitset {
     return false;
   }
 
+  /// Visits every set bit in ascending index order and clears those for
+  /// which `keep(i)` returns false. Each word is read once, before its
+  /// bits are visited, so a bit `keep` sets in the current or an earlier
+  /// word is kept but not visited until the next pass.
+  template <typename Keep>
+  void retain_if(Keep&& keep) {
+    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+      std::uint64_t drop = 0;
+      for (std::uint64_t w = words_[wi]; w != 0; w &= w - 1) {
+        const int b = __builtin_ctzll(w);
+        if (!keep(wi * 64 + static_cast<std::size_t>(b))) drop |= 1ULL << b;
+      }
+      words_[wi] &= ~drop;
+    }
+  }
+
   /// Indices of all set bits in ascending order.
   [[nodiscard]] std::vector<std::uint32_t> set_bits() const {
     std::vector<std::uint32_t> out;

@@ -13,17 +13,16 @@ enum class RoutingKind {
   kWestFirstAdaptive,
 };
 
-/// Hard caps backing the router's inline storage (flit_fifo.hpp): VC
-/// buffers are fixed-capacity rings and VC state lives in fixed arrays,
-/// so `vcs` / `vc_depth` must fit. Generous vs. Table I's 4 VCs x 5 flits.
+/// Cap on `vcs` backing the router's inline per-VC state (output-VC
+/// registers, one-word masks over all input VCs). Generous vs. Table I's
+/// 4 VCs. Input buffers are sized from `vcs` x `vc_depth` at construction.
 inline constexpr int kMaxVcs = 8;
-inline constexpr int kMaxVcDepth = 8;
 
 struct NocConfig {
   /// Virtual channels per input port (Table I: 4); <= kMaxVcs.
   int vcs = 4;
   /// Buffer depth per VC in flits (Table I / Sec III-D: 5-flit FIFOs);
-  /// <= kMaxVcDepth.
+  /// in [1, 255].
   int vc_depth = 5;
   /// Data packet size in flits (Table I: 5).
   int data_packet_flits = 5;

@@ -1,87 +1,17 @@
-// Ring buffers for the NoC hot paths.
-//
-// RingFifo: fixed-capacity inline ring for router input-VC FIFOs. Table I
-// caps VC depth at a handful of flits, so a bounded ring with inline
-// storage beats std::deque's chunked heap allocation on every axis that
-// matters here: zero allocation, contiguous slots, trivially predictable
-// head/tail arithmetic. Capacity is a compile-time power of two (masked
-// wraparound); the credit protocol keeps occupancy <= vc_depth <= kCap,
-// and push/pop assert it.
-//
 // DynRingFifo: growable power-of-two ring for the NI inject/eject queues,
 // whose occupancy is workload-dependent (a global-manager grant burst can
-// enqueue one packet per node in a single cycle) and so cannot use a
-// compile-time cap. Same contiguous-slot layout; doubles and unwraps when
-// full. FIFO semantics are identical to std::deque's push_back/pop_front,
+// enqueue one packet per node in a single cycle) and so has no fixed cap.
+// (Router input VCs are rings over the router's own slot block; see
+// router.hpp.) Contiguous slots; doubles and unwraps when full. FIFO semantics are identical to std::deque's push_back/pop_front,
 // so swapping it in cannot change simulation results.
 #pragma once
 
-#include <array>
 #include <cassert>
-#include <cstdint>
 #include <cstddef>
 #include <utility>
 #include <vector>
 
 namespace htpb::noc {
-
-template <typename T, int kCap>
-class RingFifo {
-  static_assert(kCap > 0 && (kCap & (kCap - 1)) == 0,
-                "RingFifo capacity must be a power of two");
-
- public:
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] bool full() const noexcept { return size_ == kCap; }
-  [[nodiscard]] int size() const noexcept { return size_; }
-  [[nodiscard]] static constexpr int capacity() noexcept { return kCap; }
-
-  [[nodiscard]] T& front() noexcept {
-    assert(!empty());
-    return slots_[head_];
-  }
-  [[nodiscard]] const T& front() const noexcept {
-    assert(!empty());
-    return slots_[head_];
-  }
-
-  /// Element `i` counted from the front (checkpoint enumeration).
-  [[nodiscard]] const T& at(int i) const noexcept {
-    assert(i >= 0 && i < size_);
-    return slots_[(head_ + static_cast<unsigned>(i)) & kMask];
-  }
-
-  void push_back(T&& v) noexcept {
-    assert(!full());
-    slots_[(head_ + size_) & kMask] = std::move(v);
-    ++size_;
-  }
-  void push_back(const T& v) noexcept {
-    assert(!full());
-    slots_[(head_ + size_) & kMask] = v;
-    ++size_;
-  }
-
-  /// Pops the front and resets the vacated slot, so a T holding shared
-  /// resources (a flit's PacketPtr) releases them now, not at wraparound.
-  void pop_front() noexcept {
-    assert(!empty());
-    slots_[head_] = T{};
-    head_ = (head_ + 1) & kMask;
-    --size_;
-  }
-
-  void clear() noexcept {
-    while (!empty()) pop_front();
-  }
-
- private:
-  static constexpr unsigned kMask = static_cast<unsigned>(kCap - 1);
-
-  std::array<T, kCap> slots_{};
-  unsigned head_ = 0;
-  int size_ = 0;
-};
 
 template <typename T>
 class DynRingFifo {

@@ -40,9 +40,9 @@ MeshNetwork::MeshNetwork(sim::Engine& engine, MeshGeometry geom, NocConfig cfg)
       }
     }
   }
-  router_active_.assign(static_cast<std::size_t>(n), 0);
-  inject_active_.assign(static_cast<std::size_t>(n), 0);
-  eject_active_.assign(static_cast<std::size_t>(n), 0);
+  active_routers_ = DynamicBitset(static_cast<std::size_t>(n));
+  active_inject_ = DynamicBitset(static_cast<std::size_t>(n));
+  active_eject_ = DynamicBitset(static_cast<std::size_t>(n));
   engine_.add_tickable(this);
   // Loopback deliveries ride the serializable event path so a snapshot
   // can capture them: the packet parks in pending_local_ and the event
@@ -102,7 +102,7 @@ void MeshNetwork::send(PacketPtr pkt) {
   }
   const NodeId src = pkt->src;
   nis_[src]->enqueue(std::move(pkt));
-  mark_inject_active(src);
+  active_inject_.set(src);
 }
 
 void MeshNetwork::record_delivery(const Packet& pkt) {
@@ -127,68 +127,48 @@ void MeshNetwork::record_delivery(const Packet& pkt) {
 }
 
 void MeshNetwork::tick(Cycle now) {
-  // Every phase walks its active set in ascending node id -- the same
+  // Every phase visits its active set in ascending node id -- the same
   // order the full 0..N-1 scans used -- so handler invocations, staged
   // transfers and therefore every floating-point stats accumulation
-  // happen in the pre-active-set order, bit for bit.
+  // happen in the pre-active-set order, bit for bit. A node that has gone
+  // quiet leaves its set during the visit; phases 3 and 5 re-add any that
+  // receive new work.
 
   // Phase 0: drain ejections (handlers may enqueue replies this cycle).
-  // The sets stay sorted across compactions; appends from last cycle sit
-  // at the tail, so most cycles the is_sorted probe replaces the sort.
-  if (!std::is_sorted(active_eject_.begin(), active_eject_.end())) {
-    std::sort(active_eject_.begin(), active_eject_.end());
-  }
-  for (std::size_t k = 0; k < active_eject_.size(); ++k) {
-    const NodeId i = active_eject_[k];
+  active_eject_.retain_if([&](std::size_t i) {
     freed_vcs_.clear();
     nis_[i]->tick_eject(now, freed_vcs_);
     for (const int vc : freed_vcs_) {
       routers_[i]->add_output_credit(Direction::kLocal, vc);
     }
-  }
-  std::erase_if(active_eject_, [this](NodeId i) {
-    if (nis_[i]->eject_pending()) return false;
-    eject_active_[i] = 0;
-    return true;
+    return nis_[i]->eject_pending();
   });
 
-  // Phase 1: switch allocation / traversal in every active router, staging
-  // link transfers and credit returns (applied after all routers
-  // evaluated). Phase 2: route computation / VC allocation for newly
-  // arrived heads. Later phases may append newly woken routers to the
-  // list; those start participating next cycle, exactly like a freshly
-  // arrived flit did under the full scan.
-  transfers_.clear();
-  credits_.clear();
-  if (!std::is_sorted(active_routers_.begin(), active_routers_.end())) {
-    std::sort(active_routers_.begin(), active_routers_.end());
-  }
-  const std::size_t n_active = active_routers_.size();
-  for (std::size_t k = 0; k < n_active; ++k) {
-    routers_[active_routers_[k]]->tick_sa_st(now, transfers_, credits_);
-  }
-  for (std::size_t k = 0; k < n_active; ++k) {
-    routers_[active_routers_[k]]->tick_rc_va(now);
-  }
+  // Phases 1-2, one pass per active router: switch allocation / traversal,
+  // staging link transfers and credit returns (applied after all routers
+  // evaluated), then route computation / VC allocation for newly arrived
+  // heads. SA and RC of a router touch only that router and the staged
+  // vectors, and inspectors still run in ascending router order, so the
+  // merged pass equals running all SA stages before all RC stages.
+  // Routers woken by phases 3/5 start participating next cycle, exactly
+  // like a freshly arrived flit did under the full scan.
+  active_routers_.retain_if([&](std::size_t i) {
+    Router& r = *routers_[i];
+    r.tick_sa_st(now, transfers_, credits_);
+    if (r.rc_pending()) r.tick_rc_va(now);
+    return r.buffered_flits() != 0;
+  });
 
   // Phase 3: NI injection (one flit per node per cycle). Includes NIs that
   // enqueued during phase 0 of this very cycle, as the full scan did.
-  if (!std::is_sorted(active_inject_.begin(), active_inject_.end())) {
-    std::sort(active_inject_.begin(), active_inject_.end());
-  }
-  for (std::size_t k = 0; k < active_inject_.size(); ++k) {
-    const NodeId i = active_inject_[k];
+  active_inject_.retain_if([&](std::size_t i) {
     Flit flit;
     if (nis_[i]->tick_inject(now, flit)) {
-      routers_[i]->accept_flit(Direction::kLocal, flit,
+      routers_[i]->accept_flit(Direction::kLocal, std::move(flit),
                                now + static_cast<Cycle>(cfg_.link_latency));
-      mark_router_active(i);
+      active_routers_.set(i);
     }
-  }
-  std::erase_if(active_inject_, [this](NodeId i) {
-    if (nis_[i]->pending_injections() != 0) return false;
-    inject_active_[i] = 0;
-    return true;
+    return nis_[i]->pending_injections() != 0;
   });
 
   // Phase 4: apply staged credits (visible next cycle).
@@ -214,26 +194,18 @@ void MeshNetwork::tick(Cycle now) {
         tr.flit.pkt->delivered = arrival;
         record_delivery(*tr.flit.pkt);
       }
-      nis_[tr.from_router]->eject(tr.flit, arrival);
-      mark_eject_active(tr.from_router);
+      nis_[tr.from_router]->eject(std::move(tr.flit), arrival);
+      active_eject_.set(tr.from_router);
     } else {
       const std::int32_t next =
           neighbour_[static_cast<std::size_t>(tr.from_router) * kNumPorts +
                      port_index(tr.out_port)];
       assert(next >= 0 && "transfer through a disconnected port");
       routers_[static_cast<std::size_t>(next)]->accept_flit(
-          opposite(tr.out_port), tr.flit, arrival);
-      mark_router_active(static_cast<NodeId>(next));
+          opposite(tr.out_port), std::move(tr.flit), arrival);
+      active_routers_.set(static_cast<std::size_t>(next));
     }
   }
-
-  // Routers that went fully quiet leave the active set; anything that
-  // received a flit in phases 3/5 has buffered flits and stays.
-  std::erase_if(active_routers_, [this](NodeId i) {
-    if (routers_[i]->buffered_flits() != 0) return false;
-    router_active_[i] = 0;
-    return true;
-  });
 
   // The staged sets were consumed by phases 4/5; leave them empty so the
   // between-cycles invariant save_state checks actually holds at every
@@ -243,16 +215,10 @@ void MeshNetwork::tick(Cycle now) {
 }
 
 bool MeshNetwork::idle() const noexcept {
-  // Routers with buffered flits and NIs with pending injections are
-  // always members of their active set (marked on accept/enqueue, removed
-  // only once empty), so checking the sets equals the old full scans.
-  for (const NodeId i : active_routers_) {
-    if (routers_[i]->buffered_flits() != 0) return false;
-  }
-  for (const NodeId i : active_inject_) {
-    if (nis_[i]->pending_injections() != 0) return false;
-  }
-  return true;
+  // Between cycles a router is in its active set iff it buffers flits, and
+  // an NI iff it has pending injections (marked on accept/enqueue, dropped
+  // by the visit that finds them empty).
+  return !active_routers_.any() && !active_inject_.any();
 }
 
 json::Value MeshNetwork::save_state() const {
@@ -284,15 +250,6 @@ json::Value MeshNetwork::save_state() const {
     pending_local.push_back(common::ju64(id));
   }
   o["pending_local"] = json::Value(std::move(pending_local));
-
-  const auto node_list = [](const std::vector<NodeId>& ids) {
-    json::Array a;
-    for (const NodeId i : ids) a.push_back(json::Value(static_cast<long long>(i)));
-    return json::Value(std::move(a));
-  };
-  o["active_routers"] = node_list(active_routers_);
-  o["active_inject"] = node_list(active_inject_);
-  o["active_eject"] = node_list(active_eject_);
 
   json::Object stats;
   stats["packets_sent"] = common::ju64(stats_.packets_sent);
@@ -346,19 +303,16 @@ void MeshNetwork::load_state(const json::Value& v) {
     nis_[i]->load_state(nis.at(i), resolve);
   }
 
-  const auto load_set = [&](const char* key, std::vector<NodeId>& ids,
-                            std::vector<std::uint8_t>& flags) {
-    ids.clear();
-    std::fill(flags.begin(), flags.end(), 0);
-    for (const json::Value& iv : o.find(key)->as_array()) {
-      const auto id = static_cast<NodeId>(iv.as_int());
-      ids.push_back(id);
-      flags[id] = 1;
-    }
-  };
-  load_set("active_routers", active_routers_, router_active_);
-  load_set("active_inject", active_inject_, inject_active_);
-  load_set("active_eject", active_eject_, eject_active_);
+  // Between cycles each active set holds exactly the nodes with work, so
+  // it is rebuilt from the restored routers and NIs.
+  active_routers_.clear_all();
+  active_inject_.clear_all();
+  active_eject_.clear_all();
+  for (std::size_t i = 0; i < routers_.size(); ++i) {
+    if (routers_[i]->buffered_flits() != 0) active_routers_.set(i);
+    if (nis_[i]->pending_injections() != 0) active_inject_.set(i);
+    if (nis_[i]->eject_pending()) active_eject_.set(i);
+  }
 
   transfers_.clear();
   credits_.clear();

@@ -1,20 +1,24 @@
 // The 2D-mesh network: owns routers, links and network interfaces, and
 // performs the deterministic two-phase per-cycle evaluation.
 //
-// Hot-path machinery (PR 2): the per-cycle phases iterate *active sets*
-// (routers holding flits, NIs with pending injections/ejections) instead
-// of scanning every node -- a quiescent mesh costs near-zero per cycle.
-// The sets are kept sorted by node id at each use, so evaluation order,
-// and with it every stat and delivery sequence, is bit-identical to the
-// full scans (locked by tests/noc/golden_stats_test.cpp). Packets come
-// from a recycling PacketPool, and link/credit hops use precomputed
-// neighbour tables instead of re-deriving coordinates per transfer.
+// Hot-path machinery: the per-cycle phases iterate *active sets* (routers
+// holding flits, NIs with pending injections/ejections) instead of
+// scanning every node -- a quiescent mesh costs near-zero per cycle. Each
+// set is a bitset over node ids, visited in ascending id order, so
+// evaluation order, and with it every stat and delivery sequence, is
+// bit-identical to the full scans (locked by
+// tests/noc/golden_stats_test.cpp); a node that went quiet is dropped
+// during the same visit. Each active router runs SA/ST and then RC/VA in
+// one pass. Packets come from a recycling PacketPool, flits move (never
+// copy) from hop to hop, and link/credit hops use precomputed neighbour
+// tables instead of re-deriving coordinates per transfer.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "common/bitset.hpp"
 #include "common/geometry.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -90,7 +94,8 @@ class MeshNetwork : public sim::Tickable {
   [[nodiscard]] const PacketPool& packet_pool() const noexcept { return pool_; }
 
   /// Checkpointing: live packets (sorted by id), per-router and per-NI
-  /// state, pending loopback deliveries, active sets and stats. Valid
+  /// state, pending loopback deliveries and stats (the active sets are
+  /// derived from the restored routers and NIs). Valid
   /// between cycles only -- save_state throws if the staged transfer or
   /// credit vectors are non-empty (they are drained within each tick).
   /// Wiring (neighbour tables, handlers, inspectors, port connectivity)
@@ -102,27 +107,6 @@ class MeshNetwork : public sim::Tickable {
 
  private:
   void record_delivery(const Packet& pkt);
-
-  /// Active-set membership. Marking is idempotent; the lists are sorted
-  /// by id at each use and compacted when a node goes quiet.
-  void mark_router_active(NodeId id) {
-    if (!router_active_[id]) {
-      router_active_[id] = 1;
-      active_routers_.push_back(id);
-    }
-  }
-  void mark_inject_active(NodeId id) {
-    if (!inject_active_[id]) {
-      inject_active_[id] = 1;
-      active_inject_.push_back(id);
-    }
-  }
-  void mark_eject_active(NodeId id) {
-    if (!eject_active_[id]) {
-      eject_active_[id] = 1;
-      active_eject_.push_back(id);
-    }
-  }
 
   sim::Engine& engine_;  // snapshot-exempt: non-owning wiring, re-attached by construction
   MeshGeometry geom_;    // snapshot-exempt: construction config, immutable
@@ -137,12 +121,11 @@ class MeshNetwork : public sim::Tickable {
   std::vector<LinkTransfer> transfers_;
   std::vector<CreditReturn> credits_;
   std::vector<int> freed_vcs_;
-  std::vector<NodeId> active_routers_;
-  std::vector<NodeId> active_inject_;
-  std::vector<NodeId> active_eject_;
-  std::vector<std::uint8_t> router_active_;
-  std::vector<std::uint8_t> inject_active_;
-  std::vector<std::uint8_t> eject_active_;
+  /// Active sets by node id: routers holding flits, NIs with pending
+  /// injections, NIs with ejected flits to drain.
+  DynamicBitset active_routers_;
+  DynamicBitset active_inject_;
+  DynamicBitset active_eject_;
   /// Loopback (src == dst) packets awaiting their kNocLocalDeliver event,
   /// keyed by packet id. std::map: save order must be deterministic.
   std::map<PacketId, PacketPtr> pending_local_;

@@ -45,7 +45,7 @@ bool NetworkInterface::try_inject_class(int cls, Flit& out) {
     for (auto& f : state.flits) f.vc = static_cast<std::int8_t>(state.vc);
   }
   if (credits_[static_cast<std::size_t>(state.vc)] <= 0) return false;
-  out = state.flits[state.cursor];
+  out = std::move(state.flits[state.cursor]);
   --credits_[static_cast<std::size_t>(state.vc)];
   ++state.cursor;
   ++stats_.flits_injected;
@@ -69,8 +69,8 @@ bool NetworkInterface::tick_inject(Cycle /*now*/, Flit& out) {
   return false;
 }
 
-void NetworkInterface::eject(const Flit& flit, Cycle arrival) {
-  eject_queue_.push_back(EjectedFlit{flit, arrival});
+void NetworkInterface::eject(Flit&& flit, Cycle arrival) {
+  eject_queue_.push_back(EjectedFlit{std::move(flit), arrival});
 }
 
 void NetworkInterface::tick_eject(Cycle now, std::vector<int>& freed_vcs) {
@@ -108,10 +108,13 @@ json::Value NetworkInterface::save_state() const {
       queue.push_back(common::ju64(cls.queue.at(i)->id));
     }
     co["queue"] = json::Value(std::move(queue));
+    // Only the flits still to inject: the ones before the cursor were
+    // moved into the router.
     json::Array flits;
-    for (const Flit& f : cls.flits) flits.push_back(flit_to_json(f));
+    for (std::size_t i = cls.cursor; i < cls.flits.size(); ++i) {
+      flits.push_back(flit_to_json(cls.flits[i]));
+    }
     co["flits"] = json::Value(std::move(flits));
-    co["cursor"] = json::Value(static_cast<long long>(cls.cursor));
     co["vc"] = json::Value(static_cast<long long>(cls.vc));
     co["rr_vc"] = json::Value(static_cast<long long>(cls.rr_vc));
     classes.push_back(json::Value(std::move(co)));
@@ -156,7 +159,7 @@ void NetworkInterface::load_state(const json::Value& v,
     for (const json::Value& fv : co.find("flits")->as_array()) {
       cls.flits.push_back(flit_from_json(fv, resolve));
     }
-    cls.cursor = static_cast<std::size_t>(co.find("cursor")->as_int());
+    cls.cursor = 0;
     cls.vc = static_cast<int>(co.find("vc")->as_int());
     cls.rr_vc = static_cast<int>(co.find("rr_vc")->as_int());
   }

@@ -37,11 +37,11 @@ class NetworkInterface {
 
   /// Stages at most one flit into the router's local input port per cycle
   /// (local port bandwidth), alternating between the two VC classes.
-  /// Returns true and fills `out` when a flit was injected.
+  /// Returns true and moves the flit into `out` when one was injected.
   bool tick_inject(Cycle now, Flit& out);
 
   /// Accepts an ejected flit from the router (arrives at `arrival`).
-  void eject(const Flit& flit, Cycle arrival);
+  void eject(Flit&& flit, Cycle arrival);
 
   /// Drains ejected flits that have arrived; delivers packets on tails.
   /// Freed buffer slots are reported as credits for the router's local
@@ -77,7 +77,8 @@ class NetworkInterface {
   struct ClassState {
     DynRingFifo<PacketPtr> queue;
     std::vector<Flit> flits;    // flits of the in-flight packet (capacity
-                                // reused across packets via make_flits_into)
+                                // reused across packets via make_flits_into);
+                                // those before `cursor` were moved out
     std::size_t cursor = 0;     // next flit to inject
     int vc = -1;                // VC assigned to the in-flight packet
     int rr_vc = 0;              // round-robin VC choice within the class

@@ -1,7 +1,10 @@
 #include "noc/router.hpp"
 
+#include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/snapshot.hpp"
@@ -43,11 +46,20 @@ Router::Router(NodeId id, const MeshGeometry& geom, const NocConfig& cfg,
   if (cfg_.vcs < 2 || cfg_.vcs % 2 != 0) {
     throw std::invalid_argument("Router: vcs must be even and >= 2");
   }
-  if (cfg_.vcs > kMaxVcs || cfg_.vc_depth > kMaxVcDepth) {
+  if (cfg_.vcs > kMaxVcs) {
     throw std::invalid_argument(
-        "Router: vcs/vc_depth exceed the inline-storage caps "
-        "(kMaxVcs/kMaxVcDepth in noc/config.hpp)");
+        "Router: vcs exceeds the inline VC-state cap (kMaxVcs in "
+        "noc/config.hpp)");
   }
+  // A depth of 0 would leave the NIs without a single credit: every packet
+  // would queue forever without an error.
+  if (cfg_.vc_depth < 1 ||
+      cfg_.vc_depth > std::numeric_limits<VcReg>::max()) {
+    throw std::invalid_argument(
+        "Router: vc_depth must be in [1, " +
+        std::to_string(std::numeric_limits<VcReg>::max()) + "]");
+  }
+  slots_.resize(static_cast<std::size_t>(kNumPorts * cfg_.vcs * cfg_.vc_depth));
   for (auto& port : out_) {
     for (int v = 0; v < cfg_.vcs; ++v) {
       port.vcs[static_cast<std::size_t>(v)].credits = cfg_.vc_depth;
@@ -60,17 +72,19 @@ void Router::set_port_connected(Direction p, bool connected) {
   out_[port_index(p)].connected = connected;
 }
 
-void Router::accept_flit(Direction in_port, const Flit& flit, Cycle arrival) {
-  InputPort& iport = in_[port_index(in_port)];
-  InputVc& ivc = iport.vcs[static_cast<std::size_t>(flit.vc)];
-  assert(ivc.fifo.size() < cfg_.vc_depth &&
+void Router::accept_flit(Direction in_port, Flit&& flit, Cycle arrival) {
+  const int v = port_index(in_port) * cfg_.vcs + flit.vc;
+  InputVc& ivc = in_vcs_[static_cast<std::size_t>(v)];
+  assert(ivc.size < cfg_.vc_depth &&
          "credit protocol violated: input buffer overflow");
   // A head landing at the front of an idle VC starts waiting for RC.
-  if (!ivc.active && ivc.fifo.empty() && flit.is_head) {
-    ++iport.rc_pending;
-    ++rc_pending_total_;
+  if (!ivc.active && ivc.size == 0 && flit.is_head) {
+    rc_pending_mask_ |= 1ULL << v;
   }
-  ivc.fifo.push_back(BufferedFlit{flit, arrival, false});
+  BufferedFlit& slot = slots_[slot_index(v, ivc.size)];
+  slot.flit = std::move(flit);
+  slot.arrival = arrival;
+  ++ivc.size;
   ++buffered_flits_;
 }
 
@@ -93,40 +107,25 @@ void Router::tick_sa_st(Cycle now, std::vector<LinkTransfer>& transfers,
 
   for (int pi = 0; pi < kNumPorts; ++pi) {
     OutputPort& oport = out_[pi];
-    if (!oport.connected || oport.active_inputs == 0) continue;
+    if (!oport.connected || oport.routed == 0) continue;
     const auto out_dir = static_cast<Direction>(pi);
 
-    // Order the routed input VCs by circular distance from rr_candidate.
-    // Evaluating them in that order is exactly the old full scan over all
-    // (in_port, vc) combinations -- unrouted combinations had no effect --
-    // so grants and conflict-stall counts stay bit-identical.
-    const int n = oport.active_inputs;
-    SaCandidate ord[kNumPorts * kMaxVcs];
-    int ord_dist[kNumPorts * kMaxVcs];
-    for (int i = 0; i < n; ++i) {
-      const SaCandidate sc = oport.routed[static_cast<std::size_t>(i)];
-      int dist = static_cast<int>(sc.cand) - oport.rr_candidate;
-      if (dist < 0) dist += candidates;
-      int j = i;
-      while (j > 0 && ord_dist[j - 1] > dist) {
-        ord[j] = ord[j - 1];
-        ord_dist[j] = ord_dist[j - 1];
-        --j;
-      }
-      ord[j] = sc;
-      ord_dist[j] = dist;
-    }
-
-    for (int k = 0; k < n; ++k) {
-      const SaCandidate sc = ord[k];
-      const int in_pi = sc.in_port;
-      const int in_vc = sc.in_vc;
+    // Visit the routed input VCs in circular order from rr_candidate:
+    // rotating the mask puts VC rr_candidate at bit 0 and the VCs below it
+    // above every other bit (there are at most 40 of 64). That is exactly
+    // the old full scan over all (in_port, vc) combinations -- unrouted
+    // combinations had no effect -- so grants and conflict-stall counts
+    // stay bit-identical.
+    const int rr = oport.rr_candidate;
+    for (std::uint64_t m = std::rotr(oport.routed, rr); m != 0; m &= m - 1) {
+      const int v = (std::countr_zero(m) + rr) & 63;
+      const int in_pi = v / cfg_.vcs;
       if (input_used[in_pi]) continue;
-      InputVc& ivc = in_[in_pi].vcs[static_cast<std::size_t>(in_vc)];
+      InputVc& ivc = in_vcs_[static_cast<std::size_t>(v)];
       assert(ivc.active && ivc.out_port == out_dir);
-      if (ivc.fifo.empty()) continue;
+      if (ivc.size == 0) continue;
 
-      const BufferedFlit& front = ivc.fifo.front();
+      BufferedFlit& front = slots_[slot_index(v, 0)];
       // The flit spends cfg_.router_latency cycles in this router before it
       // may traverse the switch.
       if (now < front.arrival + static_cast<Cycle>(cfg_.router_latency)) {
@@ -138,41 +137,35 @@ void Router::tick_sa_st(Cycle now, std::vector<LinkTransfer>& transfers,
         continue;
       }
 
-      // Grant: move the flit through the crossbar onto the link.
-      Flit flit = front.flit;
-      flit.vc = static_cast<std::int8_t>(ivc.out_vc);
-      ivc.fifo.pop_front();
+      // Grant: move the flit through the crossbar onto the link. The
+      // moved-from slot holds no packet reference.
+      const bool tail = front.flit.is_tail;
+      transfers.push_back(LinkTransfer{id_, out_dir, std::move(front.flit)});
+      transfers.back().flit.vc = ivc.out_vc;
+      credits.push_back(CreditReturn{id_, static_cast<Direction>(in_pi),
+                                     v - in_pi * cfg_.vcs});
+      ivc.head = static_cast<VcReg>(ivc.head + 1 == cfg_.vc_depth ? 0
+                                                                  : ivc.head + 1);
+      --ivc.size;
+      ivc.inspected = false;
       --buffered_flits_;
       --ovc.credits;
       ++stats_.flits_forwarded;
       if (out_dir == Direction::kLocal) ++stats_.flits_ejected;
 
-      transfers.push_back(LinkTransfer{id_, out_dir, std::move(flit)});
-      credits.push_back(
-          CreditReturn{id_, static_cast<Direction>(in_pi), in_vc});
-
-      if (transfers.back().flit.is_tail) {
+      if (tail) {
         ovc.allocated = false;
         ivc.active = false;
         ivc.out_vc = -1;
-        // Swap-remove the candidate from the routed list.
-        for (int i = 0; i < oport.active_inputs; ++i) {
-          if (oport.routed[static_cast<std::size_t>(i)].cand == sc.cand) {
-            oport.routed[static_cast<std::size_t>(i)] =
-                oport.routed[static_cast<std::size_t>(oport.active_inputs - 1)];
-            break;
-          }
-        }
-        --oport.active_inputs;
+        oport.routed &= ~(1ULL << v);
         // The next packet's head (if queued behind the tail) now fronts an
         // idle VC and waits for RC.
-        if (!ivc.fifo.empty() && ivc.fifo.front().flit.is_head) {
-          ++in_[in_pi].rc_pending;
-          ++rc_pending_total_;
+        if (ivc.size != 0 && slots_[slot_index(v, 0)].flit.is_head) {
+          rc_pending_mask_ |= 1ULL << v;
         }
       }
       input_used[in_pi] = true;
-      oport.rr_candidate = sc.cand + 1 == candidates ? 0 : sc.cand + 1;
+      oport.rr_candidate = v + 1 == candidates ? 0 : v + 1;
       break;  // one flit per output port per cycle
     }
   }
@@ -180,35 +173,26 @@ void Router::tick_sa_st(Cycle now, std::vector<LinkTransfer>& transfers,
 
 json::Value Router::save_state() const {
   json::Object o;
-  json::Array in_ports;
-  for (int pi = 0; pi < kNumPorts; ++pi) {
-    const InputPort& port = in_[static_cast<std::size_t>(pi)];
-    json::Object po;
-    json::Array vcs;
-    for (int vi = 0; vi < cfg_.vcs; ++vi) {
-      const InputVc& ivc = port.vcs[static_cast<std::size_t>(vi)];
-      json::Object vo;
-      json::Array fifo;
-      for (int i = 0; i < ivc.fifo.size(); ++i) {
-        const BufferedFlit& bf = ivc.fifo.at(i);
-        json::Array e;
-        e.push_back(flit_to_json(bf.flit));
-        e.push_back(common::ju64(bf.arrival));
-        e.push_back(json::Value(bf.inspected));
-        fifo.push_back(json::Value(std::move(e)));
-      }
-      vo["fifo"] = json::Value(std::move(fifo));
-      vo["active"] = json::Value(ivc.active);
-      vo["out_port"] = json::Value(static_cast<long long>(ivc.out_port));
-      vo["out_vc"] = json::Value(static_cast<long long>(ivc.out_vc));
-      vo["alloc_cycle"] = common::ju64(ivc.alloc_cycle);
-      vcs.push_back(json::Value(std::move(vo)));
+  json::Array in_vcs;
+  for (int v = 0; v < kNumPorts * cfg_.vcs; ++v) {
+    const InputVc& ivc = in_vcs_[static_cast<std::size_t>(v)];
+    json::Object vo;
+    json::Array fifo;
+    for (int k = 0; k < ivc.size; ++k) {
+      const BufferedFlit& bf = slots_[slot_index(v, k)];
+      json::Array e;
+      e.push_back(flit_to_json(bf.flit));
+      e.push_back(common::ju64(bf.arrival));
+      fifo.push_back(json::Value(std::move(e)));
     }
-    po["vcs"] = json::Value(std::move(vcs));
-    po["rc_pending"] = json::Value(static_cast<long long>(port.rc_pending));
-    in_ports.push_back(json::Value(std::move(po)));
+    vo["fifo"] = json::Value(std::move(fifo));
+    vo["active"] = json::Value(ivc.active);
+    vo["inspected"] = json::Value(ivc.inspected);
+    vo["out_port"] = json::Value(static_cast<long long>(ivc.out_port));
+    vo["out_vc"] = json::Value(static_cast<long long>(ivc.out_vc));
+    in_vcs.push_back(json::Value(std::move(vo)));
   }
-  o["in"] = json::Value(std::move(in_ports));
+  o["in"] = json::Value(std::move(in_vcs));
 
   json::Array out_ports;
   for (int pi = 0; pi < kNumPorts; ++pi) {
@@ -225,16 +209,6 @@ json::Value Router::save_state() const {
     po["vcs"] = json::Value(std::move(vcs));
     po["rr_candidate"] = json::Value(static_cast<long long>(port.rr_candidate));
     po["rr_vc"] = json::Value(static_cast<long long>(port.rr_vc));
-    json::Array routed;
-    for (int i = 0; i < port.active_inputs; ++i) {
-      const SaCandidate& sc = port.routed[static_cast<std::size_t>(i)];
-      json::Array e;
-      e.push_back(json::Value(static_cast<long long>(sc.cand)));
-      e.push_back(json::Value(static_cast<long long>(sc.in_port)));
-      e.push_back(json::Value(static_cast<long long>(sc.in_vc)));
-      routed.push_back(json::Value(std::move(e)));
-    }
-    po["routed"] = json::Value(std::move(routed));
     out_ports.push_back(json::Value(std::move(po)));
   }
   o["out"] = json::Value(std::move(out_ports));
@@ -245,33 +219,44 @@ json::Value Router::save_state() const {
 void Router::load_state(const json::Value& v, const PacketResolver& resolve) {
   const json::Object& o = v.as_object();
   buffered_flits_ = 0;
-  rc_pending_total_ = 0;
+  rc_pending_mask_ = 0;
+  for (BufferedFlit& bf : slots_) bf = BufferedFlit{};
+  for (OutputPort& port : out_) port.routed = 0;
 
-  const json::Array& in_ports = o.find("in")->as_array();
-  for (int pi = 0; pi < kNumPorts; ++pi) {
-    InputPort& port = in_[static_cast<std::size_t>(pi)];
-    const json::Object& po = in_ports.at(static_cast<std::size_t>(pi)).as_object();
-    const json::Array& vcs = po.find("vcs")->as_array();
-    for (int vi = 0; vi < cfg_.vcs; ++vi) {
-      InputVc& ivc = port.vcs[static_cast<std::size_t>(vi)];
-      const json::Object& vo = vcs.at(static_cast<std::size_t>(vi)).as_object();
-      ivc.fifo.clear();
-      for (const json::Value& ev : vo.find("fifo")->as_array()) {
-        const json::Array& e = ev.as_array();
-        BufferedFlit bf;
-        bf.flit = flit_from_json(e.at(0), resolve);
-        bf.arrival = common::pu64(e.at(1));
-        bf.inspected = e.at(2).as_bool();
-        ivc.fifo.push_back(std::move(bf));
-        ++buffered_flits_;
-      }
-      ivc.active = vo.find("active")->as_bool();
-      ivc.out_port = static_cast<Direction>(vo.find("out_port")->as_int());
-      ivc.out_vc = static_cast<int>(vo.find("out_vc")->as_int());
-      ivc.alloc_cycle = common::pu64(*vo.find("alloc_cycle"));
+  const json::Array& in_vcs = o.find("in")->as_array();
+  for (int v = 0; v < kNumPorts * cfg_.vcs; ++v) {
+    InputVc& ivc = in_vcs_[static_cast<std::size_t>(v)];
+    const json::Object& vo = in_vcs.at(static_cast<std::size_t>(v)).as_object();
+    const json::Array& fifo = vo.find("fifo")->as_array();
+    if (fifo.size() > static_cast<std::size_t>(cfg_.vc_depth)) {
+      throw std::runtime_error("Router::load_state: input VC holds more "
+                               "flits than vc_depth");
     }
-    port.rc_pending = static_cast<int>(po.find("rc_pending")->as_int());
-    rc_pending_total_ += port.rc_pending;
+    ivc = InputVc{};
+    ivc.active = vo.find("active")->as_bool();
+    ivc.inspected = vo.find("inspected")->as_bool();
+    const long long out_port = vo.find("out_port")->as_int();
+    const long long out_vc = vo.find("out_vc")->as_int();
+    if (out_port < 0 || out_port >= kNumPorts || out_vc < -1 ||
+        out_vc >= cfg_.vcs || (ivc.active && out_vc < 0)) {
+      throw std::runtime_error("Router::load_state: input VC route out of "
+                               "range");
+    }
+    ivc.out_port = static_cast<Direction>(out_port);
+    ivc.out_vc = static_cast<std::int8_t>(out_vc);
+    for (const json::Value& ev : fifo) {
+      const json::Array& e = ev.as_array();
+      BufferedFlit& bf = slots_[slot_index(v, ivc.size)];
+      bf.flit = flit_from_json(e.at(0), resolve);
+      bf.arrival = common::pu64(e.at(1));
+      ++ivc.size;
+      ++buffered_flits_;
+    }
+    if (ivc.active) {
+      out_[port_index(ivc.out_port)].routed |= 1ULL << v;
+    } else if (ivc.size != 0 && slots_[slot_index(v, 0)].flit.is_head) {
+      rc_pending_mask_ |= 1ULL << v;
+    }
   }
 
   const json::Array& out_ports = o.find("out")->as_array();
@@ -288,16 +273,6 @@ void Router::load_state(const json::Value& v, const PacketResolver& resolve) {
     }
     port.rr_candidate = static_cast<int>(po.find("rr_candidate")->as_int());
     port.rr_vc = static_cast<int>(po.find("rr_vc")->as_int());
-    const json::Array& routed = po.find("routed")->as_array();
-    port.active_inputs = static_cast<int>(routed.size());
-    port.routed = {};
-    for (std::size_t i = 0; i < routed.size(); ++i) {
-      const json::Array& e = routed[i].as_array();
-      port.routed[i] = SaCandidate{
-          static_cast<std::uint8_t>(e.at(0).as_int()),
-          static_cast<std::uint8_t>(e.at(1).as_int()),
-          static_cast<std::uint8_t>(e.at(2).as_int())};
-    }
   }
   stats_ = router_stats_from_json(*o.find("stats"));
 }
@@ -309,80 +284,70 @@ void Router::run_inspectors(Packet& pkt, Cycle now) {
 }
 
 void Router::tick_rc_va(Cycle now) {
-  // Only input VCs fronted by an unrouted head need RC/VA; their count is
-  // tracked by accept_flit / tick_sa_st, so quiet routers and mid-packet
-  // VCs cost nothing here.
-  if (rc_pending_total_ == 0) return;
-  for (int pi = 0; pi < kNumPorts; ++pi) {
-    if (in_[pi].rc_pending == 0) continue;
-    for (int vi = 0; vi < cfg_.vcs; ++vi) {
-      InputVc& ivc = in_[pi].vcs[static_cast<std::size_t>(vi)];
-      if (ivc.active || ivc.fifo.empty()) continue;
-      BufferedFlit& front = ivc.fifo.front();
-      if (!front.flit.is_head) continue;  // waiting for a stale tail: bug guard
-      // One cycle of buffer write before the head enters RC.
-      if (now < front.arrival + 1) continue;
+  // Only input VCs fronted by an unrouted head need RC/VA; accept_flit and
+  // tick_sa_st keep their bits in rc_pending_mask_, so mid-packet VCs cost
+  // nothing here.
+  for (std::uint64_t m = rc_pending_mask_; m != 0; m &= m - 1) {
+    const int v = std::countr_zero(m);
+    InputVc& ivc = in_vcs_[static_cast<std::size_t>(v)];
+    const BufferedFlit& front = slots_[slot_index(v, 0)];
+    assert(!ivc.active && ivc.size != 0 && front.flit.is_head);
+    // One cycle of buffer write before the head enters RC.
+    if (now < front.arrival + 1) continue;
 
-      Packet& pkt = *front.flit.pkt;
-      if (!front.inspected) {
-        // Fig. 2b: the Trojan taps the path between the input buffer and
-        // the routing-computation unit, so it sees the packet exactly once
-        // per router, before the route is computed.
-        run_inspectors(pkt, now);
-        front.inspected = true;
-        if (pkt.type == PacketType::kPowerRequest) {
-          ++stats_.power_requests_seen;
-        }
+    Packet& pkt = *front.flit.pkt;
+    if (!ivc.inspected) {
+      // Fig. 2b: the Trojan taps the path between the input buffer and
+      // the routing-computation unit, so it sees the packet exactly once
+      // per router, before the route is computed.
+      run_inspectors(pkt, now);
+      ivc.inspected = true;
+      if (pkt.type == PacketType::kPowerRequest) {
+        ++stats_.power_requests_seen;
       }
-
-      RouteQuery q;
-      q.here = coord_;
-      q.dst = geom_.coord_of(pkt.dst);
-      q.vc_class = vc_class_of(pkt.type);
-      if (routing_uses_credits_) {
-        for (int p = 0; p < kNumPorts; ++p) {
-          q.free_credits[p] =
-              free_credits_for_class(static_cast<Direction>(p), q.vc_class);
-        }
-      }
-
-      const Direction out_dir = routing_->select(q);
-      OutputPort& oport = out_[port_index(out_dir)];
-      assert(oport.connected && "routing selected a disconnected port");
-
-      // VC allocation: round-robin over the free VCs of the packet's class.
-      const int base = cfg_.class_base(q.vc_class);
-      const int span = cfg_.vcs_per_class();
-      int granted = -1;
-      for (int k = 0; k < span; ++k) {
-        int rel = oport.rr_vc + k;
-        if (rel >= span) rel -= span;
-        const int v = base + rel;
-        if (!oport.vcs[static_cast<std::size_t>(v)].allocated) {
-          granted = v;
-          break;
-        }
-      }
-      if (granted < 0) {
-        ++stats_.va_stalls;
-        continue;
-      }
-      oport.vcs[static_cast<std::size_t>(granted)].allocated = true;
-      const int next_rr = granted - base + 1;
-      oport.rr_vc = next_rr == span ? 0 : next_rr;
-      oport.routed[static_cast<std::size_t>(oport.active_inputs)] =
-          SaCandidate{static_cast<std::uint8_t>(pi * cfg_.vcs + vi),
-                      static_cast<std::uint8_t>(pi),
-                      static_cast<std::uint8_t>(vi)};
-      ++oport.active_inputs;
-      ivc.active = true;
-      ivc.out_port = out_dir;
-      ivc.out_vc = granted;
-      ivc.alloc_cycle = now;
-      ++stats_.packets_routed;
-      --in_[pi].rc_pending;
-      --rc_pending_total_;
     }
+
+    RouteQuery q;
+    q.here = coord_;
+    q.dst = geom_.coord_of(pkt.dst);
+    q.vc_class = vc_class_of(pkt.type);
+    if (routing_uses_credits_) {
+      for (int p = 0; p < kNumPorts; ++p) {
+        q.free_credits[p] =
+            free_credits_for_class(static_cast<Direction>(p), q.vc_class);
+      }
+    }
+
+    const Direction out_dir = routing_->select(q);
+    OutputPort& oport = out_[port_index(out_dir)];
+    assert(oport.connected && "routing selected a disconnected port");
+
+    // VC allocation: round-robin over the free VCs of the packet's class.
+    const int base = cfg_.class_base(q.vc_class);
+    const int span = cfg_.vcs_per_class();
+    int granted = -1;
+    for (int k = 0; k < span; ++k) {
+      int rel = oport.rr_vc + k;
+      if (rel >= span) rel -= span;
+      const int ov = base + rel;
+      if (!oport.vcs[static_cast<std::size_t>(ov)].allocated) {
+        granted = ov;
+        break;
+      }
+    }
+    if (granted < 0) {
+      ++stats_.va_stalls;
+      continue;
+    }
+    oport.vcs[static_cast<std::size_t>(granted)].allocated = true;
+    const int next_rr = granted - base + 1;
+    oport.rr_vc = next_rr == span ? 0 : next_rr;
+    oport.routed |= 1ULL << v;
+    ivc.active = true;
+    ivc.out_port = out_dir;
+    ivc.out_vc = static_cast<std::int8_t>(granted);
+    ++stats_.packets_routed;
+    rc_pending_mask_ &= ~(1ULL << v);
   }
 }
 

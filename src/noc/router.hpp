@@ -7,11 +7,13 @@
 // the input buffer and route computation -- the attachment point of the
 // paper's hardware Trojan (Fig. 2b).
 //
-// Hot-path layout: VC state lives in fixed-size inline arrays (no
-// per-router heap graph), input FIFOs are bounded rings (flit_fifo.hpp),
-// and each output port keeps the list of input VCs currently routed to it
-// so switch allocation only examines real candidates instead of scanning
-// all kNumPorts x vcs combinations -- while granting in exactly the same
+// Hot-path layout: all input buffers are one contiguous block of
+// kNumPorts x vcs x vc_depth slots, sized at construction; each input VC
+// is a ring over its own vc_depth slots, driven by one-byte head/size
+// registers. Flits move (never copy) through the buffers. Each output
+// port keeps a bit mask of the input VCs currently routed to it, so switch
+// allocation only examines real candidates instead of scanning all
+// kNumPorts x vcs combinations -- while granting in exactly the same
 // round-robin order as the full scan did.
 #pragma once
 
@@ -23,7 +25,6 @@
 #include "common/types.hpp"
 #include "noc/config.hpp"
 #include "noc/direction.hpp"
-#include "noc/flit_fifo.hpp"
 #include "noc/inspector.hpp"
 #include "noc/packet.hpp"
 #include "noc/routing.hpp"
@@ -60,9 +61,10 @@ struct CreditReturn {
   int vc = 0;
 };
 
-/// One mesh router. The network ticks every router's SA/ST stage, applies
-/// the produced link transfers and credits, then ticks every RC/VA stage
-/// -- a two-phase update, so the result is independent of router order.
+/// One mesh router. Each cycle the network runs every active router's
+/// SA/ST stage and then its RC/VA stage, staging link transfers and
+/// credits that it applies only after all routers ran -- a two-phase
+/// update, so the result is independent of router order.
 class Router {
  public:
   Router(NodeId id, const MeshGeometry& geom, const NocConfig& cfg,
@@ -80,7 +82,7 @@ class Router {
 
   /// Accepts a flit into an input buffer; `arrival` is the cycle at which
   /// the flit has been fully written (becomes visible to the pipeline).
-  void accept_flit(Direction in_port, const Flit& flit, Cycle arrival);
+  void accept_flit(Direction in_port, Flit&& flit, Cycle arrival);
 
   /// Pipeline stage 2: switch allocation + traversal. At most one flit per
   /// output port and one per input port per cycle.
@@ -91,6 +93,12 @@ class Router {
   /// computation, VC allocation. Runs after SA within a tick so grants take
   /// effect the following cycle.
   void tick_rc_va(Cycle now);
+
+  /// True while some input VC is fronted by a head awaiting RC/VA; the
+  /// network skips tick_rc_va otherwise.
+  [[nodiscard]] bool rc_pending() const noexcept {
+    return rc_pending_mask_ != 0;
+  }
 
   /// Credit bookkeeping for the downstream buffer behind output port `p`.
   void add_output_credit(Direction p, int vc) noexcept {
@@ -103,7 +111,8 @@ class Router {
   [[nodiscard]] int free_credits_for_class(Direction p, int vc_class) const noexcept;
 
   [[nodiscard]] int input_occupancy(Direction p, int vc) const noexcept {
-    return in_[port_index(p)].vcs[static_cast<std::size_t>(vc)].fifo.size();
+    return in_vcs_[static_cast<std::size_t>(port_index(p) * cfg_.vcs + vc)]
+        .size;
   }
   [[nodiscard]] std::uint64_t buffered_flits() const noexcept {
     return buffered_flits_;
@@ -124,33 +133,32 @@ class Router {
   void reset_stats() noexcept { stats_ = RouterStats{}; }
 
   /// Checkpointing: everything that changes while flits move -- input-VC
-  /// ring buffers, routing/allocation registers, output credits,
+  /// buffer contents, routing/allocation registers, output credits,
   /// round-robin pointers, stats. Wiring (connected ports, the routing
-  /// algorithm, inspectors) is construction state and is not captured.
+  /// algorithm, inspectors) is construction state and is not captured;
+  /// ring positions and the RC/SA candidate masks are derived on load.
   [[nodiscard]] json::Value save_state() const;
   void load_state(const json::Value& v, const PacketResolver& resolve);
 
  private:
+  /// Width of the per-VC ring registers; the constructor rejects a
+  /// vc_depth they cannot index.
+  using VcReg = std::uint8_t;
+
   struct BufferedFlit {
     Flit flit;
     Cycle arrival = 0;
-    bool inspected = false;
   };
 
+  /// Input VC `v` (= in_port * vcs + vc) owns slots
+  /// [v * vc_depth, (v + 1) * vc_depth) of `slots_` as a ring.
   struct InputVc {
-    RingFifo<BufferedFlit, kMaxVcDepth> fifo;
+    VcReg head = 0;            // ring offset of the front flit
+    VcReg size = 0;            // buffered flits
     bool active = false;       // holds a routed packet
+    bool inspected = false;    // the front head already passed inspection
     Direction out_port = Direction::kLocal;
-    int out_vc = -1;
-    Cycle alloc_cycle = 0;
-  };
-
-  struct InputPort {
-    std::array<InputVc, kMaxVcs> vcs;
-    /// Input VCs whose front flit is a head awaiting route computation
-    /// (inactive VC, non-empty FIFO). RC/VA only scans ports where this
-    /// is non-zero; a head that loses VC allocation stays counted.
-    int rc_pending = 0;
+    std::int8_t out_vc = -1;
   };
 
   struct OutputVc {
@@ -158,28 +166,22 @@ class Router {
     bool allocated = false;
   };
 
-  /// An input VC routed to an output port, pre-split so the SA loop does
-  /// no divisions: `cand` is the round-robin code (in_port * vcs + vc).
-  struct SaCandidate {
-    std::uint8_t cand = 0;
-    std::uint8_t in_port = 0;
-    std::uint8_t in_vc = 0;
-  };
-
   struct OutputPort {
     std::array<OutputVc, kMaxVcs> vcs;
     bool connected = false;
-    int rr_candidate = 0;  // SA round-robin over (in_port, vc) pairs
+    int rr_candidate = 0;  // SA round-robin over input VCs (in_port * vcs + vc)
     int rr_vc = 0;         // VA round-robin over output VCs
-    int active_inputs = 0; // input VCs currently routed to this port
-    /// Those input VCs; the SA stage orders them by round-robin distance
-    /// instead of scanning all (in_port, vc) combinations. Unordered;
-    /// first `active_inputs` entries are valid.
-    std::array<SaCandidate, kNumPorts * kMaxVcs> routed{};
+    /// Bit v set <=> input VC v is routed to this port: the SA candidates.
+    /// Derived from the input VCs' registers on load.
+    std::uint64_t routed = 0;
   };
 
-  [[nodiscard]] InputVc& input_vc(Direction p, int vc) noexcept {
-    return in_[port_index(p)].vcs[static_cast<std::size_t>(vc)];
+  /// Index into `slots_` of the flit `k` places behind input VC `v`'s
+  /// front.
+  [[nodiscard]] std::size_t slot_index(int v, int k) const noexcept {
+    int pos = in_vcs_[static_cast<std::size_t>(v)].head + k;
+    if (pos >= cfg_.vc_depth) pos -= cfg_.vc_depth;
+    return static_cast<std::size_t>(v * cfg_.vc_depth + pos);
   }
 
   void run_inspectors(Packet& pkt, Cycle now);
@@ -190,13 +192,17 @@ class Router {
   NocConfig cfg_;
   const RoutingAlgorithm* routing_;  // snapshot-exempt: non-owning wiring, re-attached by construction
   bool routing_uses_credits_ = false;  // snapshot-exempt: derived from the routing algorithm's capabilities
-  std::array<InputPort, kNumPorts> in_;
+  std::vector<BufferedFlit> slots_;
+  std::array<InputVc, kNumPorts * kMaxVcs> in_vcs_{};
   std::array<OutputPort, kNumPorts> out_;
   // snapshot-exempt: attached probes re-register themselves after restore
   std::vector<PacketInspector*> inspectors_;
   RouterStats stats_;
   std::uint64_t buffered_flits_ = 0;
-  int rc_pending_total_ = 0;  // sum of InputPort::rc_pending
+  /// Bit v set <=> input VC v is idle and fronted by a head awaiting RC.
+  /// Visiting set bits in ascending order is the (port, vc) scan order.
+  std::uint64_t rc_pending_mask_ = 0;
+  static_assert(kNumPorts * kMaxVcs <= 64, "per-VC bit masks are one word");
 };
 
 }  // namespace htpb::noc

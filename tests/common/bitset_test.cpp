@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace htpb {
 namespace {
 
@@ -42,6 +44,26 @@ TEST(DynamicBitset, ClearAll) {
   EXPECT_EQ(bs.count(), 32U);
   bs.clear_all();
   EXPECT_EQ(bs.count(), 0U);
+  EXPECT_FALSE(bs.any());
+}
+
+TEST(DynamicBitset, RetainIfVisitsAscendingAndClearsDropped) {
+  DynamicBitset bs(130);
+  for (const std::size_t i : {129U, 0U, 64U, 63U, 70U}) bs.set(i);
+  std::vector<std::size_t> seen;
+  bs.retain_if([&](std::size_t i) {
+    seen.push_back(i);
+    if (i == 64) bs.set(65);  // word already read: kept, visited next pass
+    return i % 2 == 0;
+  });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 63, 64, 70, 129}));
+  EXPECT_EQ(bs.set_bits(), (std::vector<std::uint32_t>{0, 64, 65, 70}));
+  seen.clear();
+  bs.retain_if([&](std::size_t i) {
+    seen.push_back(i);
+    return false;
+  });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 64, 65, 70}));
   EXPECT_FALSE(bs.any());
 }
 

@@ -36,6 +36,13 @@ constexpr std::uint64_t kGoldenXyDelivered = 1500;
 constexpr std::uint64_t kGoldenAdaptiveDelivered = 1500;
 // ------------------------------------------------------------------------
 
+// --- 10x13 = 130 nodes: the active-node sets span three 64-bit words, the
+// last one partial. Captured before the bitset active sets replaced the
+// sorted id lists. ------------------------------------------------------
+constexpr std::uint64_t kGoldenXyWide = 0xcdfbcfee2ac50109ULL;
+constexpr std::uint64_t kGoldenAdaptiveWide = 0x36083b41d0a4c655ULL;
+// ------------------------------------------------------------------------
+
 class Fingerprint {
  public:
   void add(std::uint64_t v) noexcept {
@@ -65,7 +72,7 @@ bool dump_mode() {
   return env != nullptr && env[0] == '1';
 }
 
-/// Fixed-seed uniform-random traffic on an 8x8 mesh, fully drained, every
+/// Fixed-seed uniform-random traffic on a mesh, fully drained, every
 /// observable folded into one fingerprint. Injection happens outside the
 /// engine loop on a precomputed per-cycle schedule so the golden value
 /// only depends on the network core, not on tickable ordering.
@@ -74,9 +81,10 @@ struct NocGoldenRun {
   std::uint64_t delivered = 0;
 };
 
-NocGoldenRun run_noc_golden(RoutingKind routing) {
+NocGoldenRun run_noc_golden(RoutingKind routing, int width = 8,
+                            int height = 8) {
   sim::Engine engine;
-  MeshGeometry geom(8, 8);
+  MeshGeometry geom(width, height);
   NocConfig cfg;
   cfg.routing = routing;
   MeshNetwork net(engine, geom, cfg);
@@ -173,6 +181,31 @@ TEST(GoldenStats, WestFirstAdaptiveBitIdentical) {
   }
   EXPECT_EQ(run.delivered, kGoldenAdaptiveDelivered);
   EXPECT_EQ(run.fingerprint, kGoldenAdaptive);
+}
+
+TEST(GoldenStats, XyRoutingAcrossWordBoundaries) {
+  const NocGoldenRun run = run_noc_golden(RoutingKind::kXY, 10, 13);
+  if (dump_mode()) {
+    std::printf("kGoldenXyWide = 0x%llxULL; delivered = %llu\n",
+                static_cast<unsigned long long>(run.fingerprint),
+                static_cast<unsigned long long>(run.delivered));
+    return;
+  }
+  EXPECT_EQ(run.delivered, 1500U);
+  EXPECT_EQ(run.fingerprint, kGoldenXyWide);
+}
+
+TEST(GoldenStats, WestFirstAdaptiveAcrossWordBoundaries) {
+  const NocGoldenRun run =
+      run_noc_golden(RoutingKind::kWestFirstAdaptive, 10, 13);
+  if (dump_mode()) {
+    std::printf("kGoldenAdaptiveWide = 0x%llxULL; delivered = %llu\n",
+                static_cast<unsigned long long>(run.fingerprint),
+                static_cast<unsigned long long>(run.delivered));
+    return;
+  }
+  EXPECT_EQ(run.delivered, 1500U);
+  EXPECT_EQ(run.fingerprint, kGoldenAdaptiveWide);
 }
 
 TEST(GoldenStats, FullCampaignOutcomeBitIdentical) {
