@@ -37,6 +37,11 @@ Value* Object::find(std::string_view key) noexcept {
   return nullptr;
 }
 
+const Value& Object::at(std::string_view key) const {
+  if (const Value* v = find(key)) return *v;
+  throw std::runtime_error("missing key \"" + std::string(key) + "\"");
+}
+
 Value& Object::operator[](std::string_view key) {
   if (Value* v = find(key)) return *v;
   members_.emplace_back(std::string(key), Value());
@@ -507,28 +512,6 @@ const Value& ObjectReader::require(std::string_view key) {
   const Value* v = optional(key);
   if (v == nullptr) fail("missing required key \"" + std::string(key) + "\"");
   return *v;
-}
-
-bool ObjectReader::get_bool(std::string_view key, bool fallback) {
-  const Value* v = optional(key);
-  return v == nullptr ? fallback : v->as_bool();
-}
-
-std::int64_t ObjectReader::get_int(std::string_view key,
-                                   std::int64_t fallback) {
-  const Value* v = optional(key);
-  return v == nullptr ? fallback : v->as_int();
-}
-
-double ObjectReader::get_double(std::string_view key, double fallback) {
-  const Value* v = optional(key);
-  return v == nullptr ? fallback : v->as_double();
-}
-
-std::string ObjectReader::get_string(std::string_view key,
-                                     std::string fallback) {
-  const Value* v = optional(key);
-  return v == nullptr ? std::move(fallback) : v->as_string();
 }
 
 void ObjectReader::finish() const {

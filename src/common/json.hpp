@@ -39,6 +39,9 @@ class Object {
 
   [[nodiscard]] const Value* find(std::string_view key) const noexcept;
   [[nodiscard]] Value* find(std::string_view key) noexcept;
+  /// find() for a key that must be there: throws std::runtime_error
+  /// naming `key` when it is absent.
+  [[nodiscard]] const Value& at(std::string_view key) const;
   [[nodiscard]] bool contains(std::string_view key) const noexcept {
     return find(key) != nullptr;
   }
@@ -157,13 +160,6 @@ class ObjectReader {
   [[nodiscard]] const Value* optional(std::string_view key);
   /// Throws when absent.
   [[nodiscard]] const Value& require(std::string_view key);
-
-  [[nodiscard]] bool get_bool(std::string_view key, bool fallback);
-  [[nodiscard]] std::int64_t get_int(std::string_view key,
-                                     std::int64_t fallback);
-  [[nodiscard]] double get_double(std::string_view key, double fallback);
-  [[nodiscard]] std::string get_string(std::string_view key,
-                                       std::string fallback);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 

@@ -6,11 +6,20 @@
 //  - 64-bit integers are stored as decimal strings, because a JSON number
 //    read back through double parsing would lose bits above 2^53 (Rng
 //    state words and packet tags use the full width).
+//
+// Records with a field list (common/fields.hpp) go through the snapshot
+// codec, to_snapshot / from_snapshot: an object holding every field,
+// u64s as decimal strings, enums as their integer values, vectors as
+// arrays and RunningStats as their raw accumulators. Loads look every
+// key up with json::Object::at, so a truncated snapshot throws naming the
+// missing key.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
+#include "common/fields.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 
@@ -32,26 +41,63 @@ namespace htpb::common {
   return out;
 }
 
-[[nodiscard]] inline json::Value stat_to_json(const RunningStat& s) {
-  const RunningStat::Raw r = s.raw();
-  json::Object o;
-  o["n"] = ju64(r.n);
-  o["mean"] = json::Value(r.mean);
-  o["m2"] = json::Value(r.m2);
-  o["min"] = json::Value(r.min);
-  o["max"] = json::Value(r.max);
-  return json::Value(std::move(o));
+template <class T>
+inline constexpr bool kIsU64 = std::is_unsigned_v<T> && sizeof(T) == 8;
+
+template <class T>
+[[nodiscard]] json::Value to_snapshot(const T& v) {
+  if constexpr (HasFields<T>) {
+    json::Object o;
+    T::fields(v, [&o](const char* key, const auto& field) {
+      o[key] = to_snapshot(field);
+    });
+    return json::Value(std::move(o));
+  } else if constexpr (std::is_same_v<T, RunningStat>) {
+    return to_snapshot(v.raw());
+  } else if constexpr (kIsVector<T>) {
+    json::Array a;
+    a.reserve(v.size());
+    for (const auto& e : v) a.push_back(to_snapshot(e));
+    return json::Value(std::move(a));
+  } else if constexpr (std::is_enum_v<T>) {
+    return json::Value(static_cast<long long>(v));
+  } else if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double>) {
+    return json::Value(v);
+  } else if constexpr (kIsU64<T>) {
+    return ju64(v);
+  } else {
+    static_assert(std::is_integral_v<T> && sizeof(T) <= 4,
+                  "no snapshot encoding for this field type");
+    return json::Value(static_cast<long long>(v));
+  }
 }
 
-inline void stat_from_json(RunningStat& s, const json::Value& v) {
-  const json::Object& o = v.as_object();
-  RunningStat::Raw r;
-  r.n = pu64(*o.find("n"));
-  r.mean = o.find("mean")->as_double();
-  r.m2 = o.find("m2")->as_double();
-  r.min = o.find("min")->as_double();
-  r.max = o.find("max")->as_double();
-  s.set_raw(r);
+template <class T>
+void from_snapshot(const json::Value& v, T& out) {
+  if constexpr (HasFields<T>) {
+    const json::Object& o = v.as_object();
+    T::fields(out, [&o](const char* key, auto& field) {
+      from_snapshot(o.at(key), field);
+    });
+  } else if constexpr (std::is_same_v<T, RunningStat>) {
+    RunningStat::Raw raw;
+    from_snapshot(v, raw);
+    out.set_raw(raw);
+  } else if constexpr (kIsVector<T>) {
+    const json::Array& a = v.as_array();
+    out.assign(a.size(), typename T::value_type{});
+    for (std::size_t i = 0; i < a.size(); ++i) from_snapshot(a[i], out[i]);
+  } else if constexpr (std::is_enum_v<T>) {
+    out = static_cast<T>(v.as_int());
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out = v.as_bool();
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = v.as_double();
+  } else if constexpr (kIsU64<T>) {
+    out = pu64(v);
+  } else {
+    out = static_cast<T>(v.as_int());
+  }
 }
 
 }  // namespace htpb::common

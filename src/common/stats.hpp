@@ -34,6 +34,15 @@ class RunningStat {
     double m2 = 0.0;
     double min = 0.0;
     double max = 0.0;
+
+    template <class S, class F>
+    static void fields(S& s, F&& f) {
+      f("n", s.n);
+      f("mean", s.mean);
+      f("m2", s.m2);
+      f("min", s.min);
+      f("max", s.max);
+    }
   };
   [[nodiscard]] Raw raw() const noexcept { return {n_, mean_, m2_, min_, max_}; }
   void set_raw(const Raw& r) noexcept {

@@ -43,6 +43,18 @@ struct TrojanAdaptation {
   /// OFF epochs held after a voluntary backoff; doubled after a detected
   /// sanction.
   int hold_off_epochs = 1;
+
+  friend bool operator==(const TrojanAdaptation&,
+                         const TrojanAdaptation&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("enabled", s.enabled);
+    f("alpha", s.alpha);
+    f("backoff_ratio", s.backoff_ratio);
+    f("max_on_epochs", s.max_on_epochs);
+    f("hold_off_epochs", s.hold_off_epochs);
+  }
 };
 
 struct TrojanConfig {

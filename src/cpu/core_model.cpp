@@ -54,18 +54,18 @@ json::Value CoreModel::save_state() const {
 
 void CoreModel::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
-  level_ = static_cast<int>(o.find("level")->as_int());
-  duty_ = o.find("duty")->as_double();
-  instructions_ = o.find("instructions")->as_double();
-  access_accumulator_ = o.find("access_accumulator")->as_double();
-  accesses_issued_ = common::pu64(*o.find("accesses_issued"));
-  as_cursor_ = common::pu64(*o.find("as_cursor"));
-  const json::Array& rng = o.find("rng")->as_array();
+  level_ = static_cast<int>(o.at("level").as_int());
+  duty_ = o.at("duty").as_double();
+  instructions_ = o.at("instructions").as_double();
+  access_accumulator_ = o.at("access_accumulator").as_double();
+  accesses_issued_ = common::pu64(o.at("accesses_issued"));
+  as_cursor_ = common::pu64(o.at("as_cursor"));
+  const json::Array& rng = o.at("rng").as_array();
   std::array<std::uint64_t, 4> st{};
   for (std::size_t i = 0; i < 4; ++i) st[i] = common::pu64(rng.at(i));
   rng_.set_state(st);
-  ipc_.set_mpi(o.find("mpi")->as_double());
-  ipc_.set_mem_latency_ns(o.find("mem_latency_ns")->as_double());
+  ipc_.set_mpi(o.at("mpi").as_double());
+  ipc_.set_mem_latency_ns(o.at("mem_latency_ns").as_double());
 }
 
 }  // namespace htpb::cpu

@@ -160,16 +160,7 @@ json::Value L1Cache::save_state() const {
     mshrs.push_back(json::Value(std::move(a)));
   }
   o["mshrs"] = json::Value(std::move(mshrs));
-  json::Object stats;
-  stats["hits"] = common::ju64(stats_.hits);
-  stats["misses"] = common::ju64(stats_.misses);
-  stats["upgrades"] = common::ju64(stats_.upgrades);
-  stats["writebacks"] = common::ju64(stats_.writebacks);
-  stats["invalidations"] = common::ju64(stats_.invalidations);
-  stats["mshr_coalesced"] = common::ju64(stats_.mshr_coalesced);
-  stats["mshr_full_drops"] = common::ju64(stats_.mshr_full_drops);
-  stats["replies"] = common::ju64(stats_.replies);
-  o["stats"] = json::Value(std::move(stats));
+  o["stats"] = common::to_snapshot(stats_);
   return json::Value(std::move(o));
 }
 
@@ -178,7 +169,7 @@ void L1Cache::load_state(const json::Value& v) {
   for (std::size_t i = 0; i < cache_.capacity_lines(); ++i) {
     cache_.line_at(i) = SetAssocCache<LineData>::Line{};
   }
-  for (const json::Value& lv : o.find("lines")->as_array()) {
+  for (const json::Value& lv : o.at("lines").as_array()) {
     const json::Array& a = lv.as_array();
     auto& line = cache_.line_at(static_cast<std::size_t>(common::pu64(a.at(0))));
     line.addr = common::pu64(a.at(1));
@@ -187,9 +178,9 @@ void L1Cache::load_state(const json::Value& v) {
     line.data.state = static_cast<MesiState>(a.at(3).as_int());
     line.data.gen = static_cast<std::uint32_t>(a.at(4).as_int());
   }
-  cache_.set_lru_clock(common::pu64(*o.find("clock")));
+  cache_.set_lru_clock(common::pu64(o.at("clock")));
   mshrs_.clear();
-  for (const json::Value& mv : o.find("mshrs")->as_array()) {
+  for (const json::Value& mv : o.at("mshrs").as_array()) {
     const json::Array& a = mv.as_array();
     Mshr m;
     m.write = a.at(1).as_bool();
@@ -198,15 +189,7 @@ void L1Cache::load_state(const json::Value& v) {
     m.inval_gen = static_cast<std::uint32_t>(a.at(4).as_int());
     mshrs_.emplace(common::pu64(a.at(0)), m);
   }
-  const json::Object& stats = o.find("stats")->as_object();
-  stats_.hits = common::pu64(*stats.find("hits"));
-  stats_.misses = common::pu64(*stats.find("misses"));
-  stats_.upgrades = common::pu64(*stats.find("upgrades"));
-  stats_.writebacks = common::pu64(*stats.find("writebacks"));
-  stats_.invalidations = common::pu64(*stats.find("invalidations"));
-  stats_.mshr_coalesced = common::pu64(*stats.find("mshr_coalesced"));
-  stats_.mshr_full_drops = common::pu64(*stats.find("mshr_full_drops"));
-  stats_.replies = common::pu64(*stats.find("replies"));
+  common::from_snapshot(o.at("stats"), stats_);
 }
 
 }  // namespace htpb::mem

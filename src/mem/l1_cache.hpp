@@ -30,6 +30,18 @@ struct L1Stats {
   std::uint64_t mshr_coalesced = 0;
   std::uint64_t mshr_full_drops = 0;
   std::uint64_t replies = 0;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("hits", s.hits);
+    f("misses", s.misses);
+    f("upgrades", s.upgrades);
+    f("writebacks", s.writebacks);
+    f("invalidations", s.invalidations);
+    f("mshr_coalesced", s.mshr_coalesced);
+    f("mshr_full_drops", s.mshr_full_drops);
+    f("replies", s.replies);
+  }
 };
 
 class L1Cache {

@@ -225,23 +225,6 @@ void L2Bank::send_invalidate(NodeId target, std::uint64_t addr,
   net_->send(std::move(pkt));
 }
 
-json::Value L2Bank::request_to_json(const Request& r) {
-  json::Array a;
-  a.push_back(json::Value(static_cast<long long>(r.requester)));
-  a.push_back(json::Value(r.write));
-  a.push_back(json::Value(static_cast<long long>(r.app)));
-  return json::Value(std::move(a));
-}
-
-L2Bank::Request L2Bank::request_from_json(const json::Value& v) {
-  const json::Array& a = v.as_array();
-  Request r;
-  r.requester = static_cast<NodeId>(a.at(0).as_int());
-  r.write = a.at(1).as_bool();
-  r.app = static_cast<AppId>(a.at(2).as_int());
-  return r;
-}
-
 json::Value L2Bank::save_state() const {
   json::Object o;
   json::Array lines;
@@ -275,25 +258,18 @@ json::Value L2Bank::save_state() const {
     const Txn& txn = busy_.at(addr);
     json::Object to;
     to["addr"] = common::ju64(addr);
-    to["current"] = request_to_json(txn.current);
+    to["current"] = common::to_snapshot(txn.current);
     to["acks_needed"] = json::Value(static_cast<long long>(txn.acks_needed));
     to["fetching"] = json::Value(txn.fetching);
     json::Array waiting;
-    for (const Request& w : txn.waiting) waiting.push_back(request_to_json(w));
+    for (const Request& w : txn.waiting) {
+      waiting.push_back(common::to_snapshot(w));
+    }
     to["waiting"] = json::Value(std::move(waiting));
     busy.push_back(json::Value(std::move(to)));
   }
   o["busy"] = json::Value(std::move(busy));
-  json::Object stats;
-  stats["gets"] = common::ju64(stats_.gets);
-  stats["getm"] = common::ju64(stats_.getm);
-  stats["hits"] = common::ju64(stats_.hits);
-  stats["memory_fetches"] = common::ju64(stats_.memory_fetches);
-  stats["recalls"] = common::ju64(stats_.recalls);
-  stats["invalidations_sent"] = common::ju64(stats_.invalidations_sent);
-  stats["eviction_writebacks"] = common::ju64(stats_.eviction_writebacks);
-  stats["replies_sent"] = common::ju64(stats_.replies_sent);
-  o["stats"] = json::Value(std::move(stats));
+  o["stats"] = common::to_snapshot(stats_);
   return json::Value(std::move(o));
 }
 
@@ -302,43 +278,35 @@ void L2Bank::load_state(const json::Value& v) {
   for (std::size_t i = 0; i < cache_.capacity_lines(); ++i) {
     cache_.line_at(i) = SetAssocCache<DirEntry>::Line{};
   }
-  for (const json::Value& lv : o.find("lines")->as_array()) {
+  for (const json::Value& lv : o.at("lines").as_array()) {
     const json::Object& lo = lv.as_object();
     auto& line = cache_.line_at(
-        static_cast<std::size_t>(common::pu64(*lo.find("slot"))));
-    line.addr = common::pu64(*lo.find("addr"));
+        static_cast<std::size_t>(common::pu64(lo.at("slot"))));
+    line.addr = common::pu64(lo.at("addr"));
     line.valid = true;
-    line.lru = common::pu64(*lo.find("lru"));
-    line.data.state = static_cast<DirState>(lo.find("state")->as_int());
-    line.data.owner = static_cast<NodeId>(lo.find("owner")->as_int());
+    line.lru = common::pu64(lo.at("lru"));
+    line.data.state = static_cast<DirState>(lo.at("state").as_int());
+    line.data.owner = static_cast<NodeId>(lo.at("owner").as_int());
     line.data.sharers.clear();
-    for (const json::Value& sv : lo.find("sharers")->as_array()) {
+    for (const json::Value& sv : lo.at("sharers").as_array()) {
       line.data.sharers.push_back(static_cast<NodeId>(sv.as_int()));
     }
-    line.data.gen = static_cast<std::uint32_t>(lo.find("gen")->as_int());
+    line.data.gen = static_cast<std::uint32_t>(lo.at("gen").as_int());
   }
-  cache_.set_lru_clock(common::pu64(*o.find("clock")));
+  cache_.set_lru_clock(common::pu64(o.at("clock")));
   busy_.clear();
-  for (const json::Value& tv : o.find("busy")->as_array()) {
+  for (const json::Value& tv : o.at("busy").as_array()) {
     const json::Object& to = tv.as_object();
     Txn txn;
-    txn.current = request_from_json(*to.find("current"));
-    txn.acks_needed = static_cast<int>(to.find("acks_needed")->as_int());
-    txn.fetching = to.find("fetching")->as_bool();
-    for (const json::Value& wv : to.find("waiting")->as_array()) {
-      txn.waiting.push_back(request_from_json(wv));
+    common::from_snapshot(to.at("current"), txn.current);
+    txn.acks_needed = static_cast<int>(to.at("acks_needed").as_int());
+    txn.fetching = to.at("fetching").as_bool();
+    for (const json::Value& wv : to.at("waiting").as_array()) {
+      common::from_snapshot(wv, txn.waiting.emplace_back());
     }
-    busy_.emplace(common::pu64(*to.find("addr")), std::move(txn));
+    busy_.emplace(common::pu64(to.at("addr")), std::move(txn));
   }
-  const json::Object& stats = o.find("stats")->as_object();
-  stats_.gets = common::pu64(*stats.find("gets"));
-  stats_.getm = common::pu64(*stats.find("getm"));
-  stats_.hits = common::pu64(*stats.find("hits"));
-  stats_.memory_fetches = common::pu64(*stats.find("memory_fetches"));
-  stats_.recalls = common::pu64(*stats.find("recalls"));
-  stats_.invalidations_sent = common::pu64(*stats.find("invalidations_sent"));
-  stats_.eviction_writebacks = common::pu64(*stats.find("eviction_writebacks"));
-  stats_.replies_sent = common::pu64(*stats.find("replies_sent"));
+  common::from_snapshot(o.at("stats"), stats_);
 }
 
 }  // namespace htpb::mem

@@ -34,6 +34,18 @@ struct L2Stats {
   std::uint64_t invalidations_sent = 0;
   std::uint64_t eviction_writebacks = 0;
   std::uint64_t replies_sent = 0;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("gets", s.gets);
+    f("getm", s.getm);
+    f("hits", s.hits);
+    f("memory_fetches", s.memory_fetches);
+    f("recalls", s.recalls);
+    f("invalidations_sent", s.invalidations_sent);
+    f("eviction_writebacks", s.eviction_writebacks);
+    f("replies_sent", s.replies_sent);
+  }
 };
 
 class L2Bank {
@@ -62,6 +74,20 @@ class L2Bank {
   [[nodiscard]] json::Value save_state() const;
   void load_state(const json::Value& v);
 
+  /// A queued coherence request, as a snapshot record.
+  struct Request {
+    NodeId requester = kInvalidNode;
+    bool write = false;
+    AppId app = kInvalidApp;
+
+    template <class S, class F>
+    static void fields(S& s, F&& f) {
+      f("requester", s.requester);
+      f("write", s.write);
+      f("app", s.app);
+    }
+  };
+
  private:
   enum class DirState : std::uint8_t { kShared, kModified };
 
@@ -72,12 +98,6 @@ class L2Bank {
     /// Generation counter, bumped on every exclusive grant; stamped into
     /// replies and invalidations so L1s can order them (see coherence.hpp).
     std::uint32_t gen = 0;
-  };
-
-  struct Request {
-    NodeId requester = kInvalidNode;
-    bool write = false;
-    AppId app = kInvalidApp;
   };
 
   /// Per-line coherence transaction (recall or invalidation round, or an
@@ -101,8 +121,6 @@ class L2Bank {
   /// (now up-to-date) directory line, and drains the waiting queue.
   void serve_busy_line_current(std::uint64_t addr,
                                SetAssocCache<DirEntry>::Line& line);
-  static json::Value request_to_json(const Request& r);
-  static Request request_from_json(const json::Value& v);
   void send_reply(const Request& req, std::uint64_t addr, bool exclusive,
                   std::uint32_t gen);
   void send_invalidate(NodeId target, std::uint64_t addr,

@@ -234,7 +234,7 @@ json::Value MeshNetwork::save_state() const {
   std::sort(live.begin(), live.end(),
             [](const Packet* a, const Packet* b) { return a->id < b->id; });
   json::Array packets;
-  for (const Packet* p : live) packets.push_back(packet_to_json(*p));
+  for (const Packet* p : live) packets.push_back(common::to_snapshot(*p));
   o["packets"] = json::Value(std::move(packets));
   o["next_packet_id"] = common::ju64(next_packet_id_);
 
@@ -251,17 +251,7 @@ json::Value MeshNetwork::save_state() const {
   }
   o["pending_local"] = json::Value(std::move(pending_local));
 
-  json::Object stats;
-  stats["packets_sent"] = common::ju64(stats_.packets_sent);
-  stats["packets_delivered"] = common::ju64(stats_.packets_delivered);
-  stats["power_requests_delivered"] =
-      common::ju64(stats_.power_requests_delivered);
-  stats["tampered_power_requests_delivered"] =
-      common::ju64(stats_.tampered_power_requests_delivered);
-  stats["latency_all"] = common::stat_to_json(stats_.latency_all);
-  stats["latency_power_req"] = common::stat_to_json(stats_.latency_power_req);
-  stats["latency_mem"] = common::stat_to_json(stats_.latency_mem);
-  o["stats"] = json::Value(std::move(stats));
+  o["stats"] = common::to_snapshot(stats_);
   return json::Value(std::move(o));
 }
 
@@ -272,9 +262,9 @@ void MeshNetwork::load_state(const json::Value& v) {
   // this map, and the refcount graph re-emerges from the holders alone.
   // Old packets are released as each holder's load clears it.
   std::unordered_map<PacketId, PacketPtr> restored;
-  for (const json::Value& pv : o.find("packets")->as_array()) {
+  for (const json::Value& pv : o.at("packets").as_array()) {
     PacketPtr p = pool_.allocate();
-    packet_from_json(*p, pv);
+    common::from_snapshot(pv, *p);
     const PacketId id = p->id;
     restored.emplace(id, std::move(p));
   }
@@ -286,19 +276,19 @@ void MeshNetwork::load_state(const json::Value& v) {
     }
     return it->second;
   };
-  next_packet_id_ = static_cast<PacketId>(common::pu64(*o.find("next_packet_id")));
+  next_packet_id_ = static_cast<PacketId>(common::pu64(o.at("next_packet_id")));
 
   pending_local_.clear();
-  for (const json::Value& idv : o.find("pending_local")->as_array()) {
+  for (const json::Value& idv : o.at("pending_local").as_array()) {
     const auto id = static_cast<PacketId>(common::pu64(idv));
     pending_local_.emplace(id, resolve(id));
   }
 
-  const json::Array& routers = o.find("routers")->as_array();
+  const json::Array& routers = o.at("routers").as_array();
   for (std::size_t i = 0; i < routers_.size(); ++i) {
     routers_[i]->load_state(routers.at(i), resolve);
   }
-  const json::Array& nis = o.find("nis")->as_array();
+  const json::Array& nis = o.at("nis").as_array();
   for (std::size_t i = 0; i < nis_.size(); ++i) {
     nis_[i]->load_state(nis.at(i), resolve);
   }
@@ -318,17 +308,7 @@ void MeshNetwork::load_state(const json::Value& v) {
   credits_.clear();
   freed_vcs_.clear();
 
-  const json::Object& stats = o.find("stats")->as_object();
-  stats_.packets_sent = common::pu64(*stats.find("packets_sent"));
-  stats_.packets_delivered = common::pu64(*stats.find("packets_delivered"));
-  stats_.power_requests_delivered =
-      common::pu64(*stats.find("power_requests_delivered"));
-  stats_.tampered_power_requests_delivered =
-      common::pu64(*stats.find("tampered_power_requests_delivered"));
-  common::stat_from_json(stats_.latency_all, *stats.find("latency_all"));
-  common::stat_from_json(stats_.latency_power_req,
-                         *stats.find("latency_power_req"));
-  common::stat_from_json(stats_.latency_mem, *stats.find("latency_mem"));
+  common::from_snapshot(o.at("stats"), stats_);
 }
 
 RouterStats MeshNetwork::total_router_stats() const {

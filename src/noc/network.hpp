@@ -41,6 +41,18 @@ struct NetworkStats {
   RunningStat latency_mem;
 
   void reset() { *this = NetworkStats{}; }
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("packets_sent", s.packets_sent);
+    f("packets_delivered", s.packets_delivered);
+    f("power_requests_delivered", s.power_requests_delivered);
+    f("tampered_power_requests_delivered",
+      s.tampered_power_requests_delivered);
+    f("latency_all", s.latency_all);
+    f("latency_power_req", s.latency_power_req);
+    f("latency_mem", s.latency_mem);
+  }
 };
 
 class MeshNetwork : public sim::Tickable {

@@ -129,53 +129,44 @@ json::Value NetworkInterface::save_state() const {
     eject.push_back(json::Value(std::move(a)));
   }
   o["eject"] = json::Value(std::move(eject));
-  json::Object stats;
-  stats["packets_injected"] = common::ju64(stats_.packets_injected);
-  stats["packets_delivered"] = common::ju64(stats_.packets_delivered);
-  stats["flits_injected"] = common::ju64(stats_.flits_injected);
-  stats["inject_queue_peak"] = common::ju64(stats_.inject_queue_peak);
-  o["stats"] = json::Value(std::move(stats));
+  o["stats"] = common::to_snapshot(stats_);
   return json::Value(std::move(o));
 }
 
 void NetworkInterface::load_state(const json::Value& v,
                                   const PacketResolver& resolve) {
   const json::Object& o = v.as_object();
-  const json::Array& credits = o.find("credits")->as_array();
+  const json::Array& credits = o.at("credits").as_array();
   credits_.assign(credits.size(), 0);
   for (std::size_t i = 0; i < credits.size(); ++i) {
     credits_[i] = static_cast<int>(credits[i].as_int());
   }
-  rr_class_ = static_cast<int>(o.find("rr_class")->as_int());
-  const json::Array& classes = o.find("classes")->as_array();
+  rr_class_ = static_cast<int>(o.at("rr_class").as_int());
+  const json::Array& classes = o.at("classes").as_array();
   for (int c = 0; c < 2; ++c) {
     ClassState& cls = classes_[c];
     const json::Object& co = classes.at(static_cast<std::size_t>(c)).as_object();
     cls.queue.clear();
-    for (const json::Value& idv : co.find("queue")->as_array()) {
+    for (const json::Value& idv : co.at("queue").as_array()) {
       cls.queue.push_back(resolve(static_cast<PacketId>(common::pu64(idv))));
     }
     cls.flits.clear();
-    for (const json::Value& fv : co.find("flits")->as_array()) {
+    for (const json::Value& fv : co.at("flits").as_array()) {
       cls.flits.push_back(flit_from_json(fv, resolve));
     }
     cls.cursor = 0;
-    cls.vc = static_cast<int>(co.find("vc")->as_int());
-    cls.rr_vc = static_cast<int>(co.find("rr_vc")->as_int());
+    cls.vc = static_cast<int>(co.at("vc").as_int());
+    cls.rr_vc = static_cast<int>(co.at("rr_vc").as_int());
   }
   eject_queue_.clear();
-  for (const json::Value& ev : o.find("eject")->as_array()) {
+  for (const json::Value& ev : o.at("eject").as_array()) {
     const json::Array& a = ev.as_array();
     EjectedFlit e;
     e.flit = flit_from_json(a.at(0), resolve);
     e.arrival = common::pu64(a.at(1));
     eject_queue_.push_back(std::move(e));
   }
-  const json::Object& stats = o.find("stats")->as_object();
-  stats_.packets_injected = common::pu64(*stats.find("packets_injected"));
-  stats_.packets_delivered = common::pu64(*stats.find("packets_delivered"));
-  stats_.flits_injected = common::pu64(*stats.find("flits_injected"));
-  stats_.inject_queue_peak = common::pu64(*stats.find("inject_queue_peak"));
+  common::from_snapshot(o.at("stats"), stats_);
 }
 
 }  // namespace htpb::noc

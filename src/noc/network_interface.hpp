@@ -18,6 +18,14 @@ struct NiStats {
   std::uint64_t packets_delivered = 0;
   std::uint64_t flits_injected = 0;
   std::uint64_t inject_queue_peak = 0;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("packets_injected", s.packets_injected);
+    f("packets_delivered", s.packets_delivered);
+    f("flits_injected", s.flits_injected);
+    f("inject_queue_peak", s.inject_queue_peak);
+  }
 };
 
 /// Called when a packet addressed to this node has fully arrived.

@@ -114,53 +114,6 @@ std::vector<Flit> make_flits(PacketPtr pkt) {
   return flits;
 }
 
-json::Value packet_to_json(const Packet& p) {
-  json::Object o;
-  o["id"] = common::ju64(p.id);
-  o["src"] = json::Value(static_cast<long long>(p.src));
-  o["dst"] = json::Value(static_cast<long long>(p.dst));
-  o["type"] =
-      json::Value(static_cast<long long>(static_cast<std::uint32_t>(p.type)));
-  o["payload"] = json::Value(static_cast<long long>(p.payload));
-  json::Array opts;
-  for (const std::uint32_t w : p.options) {
-    opts.push_back(json::Value(static_cast<long long>(w)));
-  }
-  o["options"] = json::Value(std::move(opts));
-  o["size_flits"] = json::Value(static_cast<long long>(p.size_flits));
-  o["tag"] = common::ju64(p.tag);
-  o["src_app"] = json::Value(static_cast<long long>(p.src_app));
-  o["birth"] = common::ju64(p.birth);
-  o["delivered"] = common::ju64(p.delivered);
-  o["tampered"] = json::Value(p.tampered);
-  o["boosted"] = json::Value(p.boosted);
-  o["original_payload"] =
-      json::Value(static_cast<long long>(p.original_payload));
-  return json::Value(std::move(o));
-}
-
-void packet_from_json(Packet& p, const json::Value& v) {
-  const json::Object& o = v.as_object();
-  p.id = static_cast<PacketId>(common::pu64(*o.find("id")));
-  p.src = static_cast<NodeId>(o.find("src")->as_int());
-  p.dst = static_cast<NodeId>(o.find("dst")->as_int());
-  p.type = static_cast<PacketType>(o.find("type")->as_int());
-  p.payload = static_cast<std::uint32_t>(o.find("payload")->as_int());
-  p.options.clear();
-  for (const json::Value& w : o.find("options")->as_array()) {
-    p.options.push_back(static_cast<std::uint32_t>(w.as_int()));
-  }
-  p.size_flits = static_cast<int>(o.find("size_flits")->as_int());
-  p.tag = common::pu64(*o.find("tag"));
-  p.src_app = static_cast<AppId>(o.find("src_app")->as_int());
-  p.birth = common::pu64(*o.find("birth"));
-  p.delivered = common::pu64(*o.find("delivered"));
-  p.tampered = o.find("tampered")->as_bool();
-  p.boosted = o.find("boosted")->as_bool();
-  p.original_payload =
-      static_cast<std::uint32_t>(o.find("original_payload")->as_int());
-}
-
 json::Value flit_to_json(const Flit& f) {
   json::Array a;
   a.push_back(common::ju64(f.pkt ? f.pkt->id : 0));

@@ -125,11 +125,29 @@ struct Packet {
   bool boosted = false;
   std::uint32_t original_payload = 0;
 
-  /// Managed by PacketPtr / PacketPool; not part of the packet's value.
-  // json-exempt: pool refcount bookkeeping, reconstructed when the pool re-adopts a deserialized packet
+  /// Managed by PacketPtr / PacketPool; not part of the packet's value,
+  /// so the field list leaves it out.
   PacketControl ctrl;
 
   [[nodiscard]] std::string to_string() const;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("id", s.id);
+    f("src", s.src);
+    f("dst", s.dst);
+    f("type", s.type);
+    f("payload", s.payload);
+    f("options", s.options);
+    f("size_flits", s.size_flits);
+    f("tag", s.tag);
+    f("src_app", s.src_app);
+    f("birth", s.birth);
+    f("delivered", s.delivered);
+    f("tampered", s.tampered);
+    f("boosted", s.boosted);
+    f("original_payload", s.original_payload);
+  }
 };
 
 /// Shared-ownership handle to a Packet (single-threaded refcount; see the
@@ -231,9 +249,9 @@ class PacketPool {
 struct Flit {
   PacketPtr pkt;
   std::uint16_t index = 0;
-  // json-exempt: derived from index and pkt->size_flits by flit_from_json
+  /// Derived from index and pkt->size_flits; flit_from_json recomputes
+  /// them rather than storing them.
   bool is_head = false;
-  // json-exempt: derived from index and pkt->size_flits by flit_from_json
   bool is_tail = false;
   /// VC assigned on the current link (rewritten hop by hop).
   std::int8_t vc = -1;
@@ -248,7 +266,8 @@ void make_flits_into(const PacketPtr& pkt, std::vector<Flit>& out);
 
 // ---------------------------------------------------------------------
 // Checkpointing (ARCHITECTURE.md §11). A snapshot stores every live
-// packet's value fields once (keyed by its stable id) and every flit as
+// packet's value fields once (keyed by its stable id, through the
+// snapshot codec and Packet::fields) and every flit as
 // an {id, index, vc} reference; restore allocates fresh packets, builds
 // an id -> handle map, and resolves flit references through it, so the
 // shared-ownership graph (and thus the refcounts) re-emerges from the
@@ -258,11 +277,6 @@ void make_flits_into(const PacketPtr& pkt, std::vector<Flit>& out);
 /// Maps a saved packet id to the restored handle. Throws on unknown ids
 /// (a corrupt snapshot).
 using PacketResolver = std::function<PacketPtr(PacketId)>;
-
-/// Value fields only (id through original_payload); ctrl is ownership
-/// bookkeeping and never serialized.
-[[nodiscard]] json::Value packet_to_json(const Packet& p);
-void packet_from_json(Packet& p, const json::Value& v);
 
 [[nodiscard]] json::Value flit_to_json(const Flit& f);
 [[nodiscard]] Flit flit_from_json(const json::Value& v,

@@ -11,33 +11,6 @@
 
 namespace htpb::noc {
 
-namespace {
-
-json::Value router_stats_to_json(const RouterStats& s) {
-  json::Object o;
-  o["flits_forwarded"] = common::ju64(s.flits_forwarded);
-  o["packets_routed"] = common::ju64(s.packets_routed);
-  o["power_requests_seen"] = common::ju64(s.power_requests_seen);
-  o["flits_ejected"] = common::ju64(s.flits_ejected);
-  o["sa_conflict_stalls"] = common::ju64(s.sa_conflict_stalls);
-  o["va_stalls"] = common::ju64(s.va_stalls);
-  return json::Value(std::move(o));
-}
-
-RouterStats router_stats_from_json(const json::Value& v) {
-  const json::Object& o = v.as_object();
-  RouterStats s;
-  s.flits_forwarded = common::pu64(*o.find("flits_forwarded"));
-  s.packets_routed = common::pu64(*o.find("packets_routed"));
-  s.power_requests_seen = common::pu64(*o.find("power_requests_seen"));
-  s.flits_ejected = common::pu64(*o.find("flits_ejected"));
-  s.sa_conflict_stalls = common::pu64(*o.find("sa_conflict_stalls"));
-  s.va_stalls = common::pu64(*o.find("va_stalls"));
-  return s;
-}
-
-}  // namespace
-
 Router::Router(NodeId id, const MeshGeometry& geom, const NocConfig& cfg,
                const RoutingAlgorithm* routing)
     : id_(id), geom_(geom), coord_(geom.coord_of(id)), cfg_(cfg),
@@ -212,7 +185,7 @@ json::Value Router::save_state() const {
     out_ports.push_back(json::Value(std::move(po)));
   }
   o["out"] = json::Value(std::move(out_ports));
-  o["stats"] = router_stats_to_json(stats_);
+  o["stats"] = common::to_snapshot(stats_);
   return json::Value(std::move(o));
 }
 
@@ -223,20 +196,20 @@ void Router::load_state(const json::Value& v, const PacketResolver& resolve) {
   for (BufferedFlit& bf : slots_) bf = BufferedFlit{};
   for (OutputPort& port : out_) port.routed = 0;
 
-  const json::Array& in_vcs = o.find("in")->as_array();
+  const json::Array& in_vcs = o.at("in").as_array();
   for (int v = 0; v < kNumPorts * cfg_.vcs; ++v) {
     InputVc& ivc = in_vcs_[static_cast<std::size_t>(v)];
     const json::Object& vo = in_vcs.at(static_cast<std::size_t>(v)).as_object();
-    const json::Array& fifo = vo.find("fifo")->as_array();
+    const json::Array& fifo = vo.at("fifo").as_array();
     if (fifo.size() > static_cast<std::size_t>(cfg_.vc_depth)) {
       throw std::runtime_error("Router::load_state: input VC holds more "
                                "flits than vc_depth");
     }
     ivc = InputVc{};
-    ivc.active = vo.find("active")->as_bool();
-    ivc.inspected = vo.find("inspected")->as_bool();
-    const long long out_port = vo.find("out_port")->as_int();
-    const long long out_vc = vo.find("out_vc")->as_int();
+    ivc.active = vo.at("active").as_bool();
+    ivc.inspected = vo.at("inspected").as_bool();
+    const long long out_port = vo.at("out_port").as_int();
+    const long long out_vc = vo.at("out_vc").as_int();
     if (out_port < 0 || out_port >= kNumPorts || out_vc < -1 ||
         out_vc >= cfg_.vcs || (ivc.active && out_vc < 0)) {
       throw std::runtime_error("Router::load_state: input VC route out of "
@@ -259,22 +232,22 @@ void Router::load_state(const json::Value& v, const PacketResolver& resolve) {
     }
   }
 
-  const json::Array& out_ports = o.find("out")->as_array();
+  const json::Array& out_ports = o.at("out").as_array();
   for (int pi = 0; pi < kNumPorts; ++pi) {
     OutputPort& port = out_[static_cast<std::size_t>(pi)];
     const json::Object& po =
         out_ports.at(static_cast<std::size_t>(pi)).as_object();
-    const json::Array& vcs = po.find("vcs")->as_array();
+    const json::Array& vcs = po.at("vcs").as_array();
     for (int vi = 0; vi < cfg_.vcs; ++vi) {
       OutputVc& ovc = port.vcs[static_cast<std::size_t>(vi)];
       const json::Array& e = vcs.at(static_cast<std::size_t>(vi)).as_array();
       ovc.credits = static_cast<int>(e.at(0).as_int());
       ovc.allocated = e.at(1).as_bool();
     }
-    port.rr_candidate = static_cast<int>(po.find("rr_candidate")->as_int());
-    port.rr_vc = static_cast<int>(po.find("rr_vc")->as_int());
+    port.rr_candidate = static_cast<int>(po.at("rr_candidate").as_int());
+    port.rr_vc = static_cast<int>(po.at("rr_vc").as_int());
   }
-  stats_ = router_stats_from_json(*o.find("stats"));
+  common::from_snapshot(o.at("stats"), stats_);
 }
 
 void Router::run_inspectors(Packet& pkt, Cycle now) {

@@ -42,6 +42,16 @@ struct RouterStats {
   std::uint64_t flits_ejected = 0;        ///< flits delivered to the local NI
   std::uint64_t sa_conflict_stalls = 0;   ///< switch-allocation losses
   std::uint64_t va_stalls = 0;            ///< head flits waiting for an output VC
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("flits_forwarded", s.flits_forwarded);
+    f("packets_routed", s.packets_routed);
+    f("power_requests_seen", s.power_requests_seen);
+    f("flits_ejected", s.flits_ejected);
+    f("sa_conflict_stalls", s.sa_conflict_stalls);
+    f("va_stalls", s.va_stalls);
+  }
 };
 
 /// A flit leaving a router this cycle, to be applied by the network after

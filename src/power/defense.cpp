@@ -31,40 +31,6 @@ std::vector<NodeId> sorted_nodes(const Map& m) {
 
 }  // namespace
 
-json::Value detector_report_to_json(const DetectorReport& r) {
-  json::Object o;
-  json::Array low;
-  for (const NodeId n : r.flagged_low) {
-    low.push_back(json::Value(static_cast<long long>(n)));
-  }
-  o["flagged_low"] = json::Value(std::move(low));
-  json::Array high;
-  for (const NodeId n : r.flagged_high) {
-    high.push_back(json::Value(static_cast<long long>(n)));
-  }
-  o["flagged_high"] = json::Value(std::move(high));
-  o["observations"] = common::ju64(r.observations);
-  o["epochs_observed"] = common::ju64(r.epochs_observed);
-  o["first_flag_epoch"] =
-      json::Value(static_cast<long long>(r.first_flag_epoch));
-  return json::Value(std::move(o));
-}
-
-DetectorReport detector_report_from_json(const json::Value& v) {
-  const json::Object& o = v.as_object();
-  DetectorReport r;
-  for (const json::Value& n : o.find("flagged_low")->as_array()) {
-    r.flagged_low.push_back(static_cast<NodeId>(n.as_int()));
-  }
-  for (const json::Value& n : o.find("flagged_high")->as_array()) {
-    r.flagged_high.push_back(static_cast<NodeId>(n.as_int()));
-  }
-  r.observations = common::pu64(*o.find("observations"));
-  r.epochs_observed = common::pu64(*o.find("epochs_observed"));
-  r.first_flag_epoch = static_cast<int>(o.find("first_flag_epoch")->as_int());
-  return r;
-}
-
 std::size_t DetectorReport::unique_flagged() const {
   std::vector<NodeId> all;
   all.reserve(flagged_low.size() + flagged_high.size());
@@ -260,7 +226,7 @@ void GuardedBudgeter::reset() {
 
 json::Value RequestAnomalyDetector::save_state() const {
   json::Object o;
-  o["cumulative"] = detector_report_to_json(cumulative_);
+  o["cumulative"] = common::to_snapshot(cumulative_);
   json::Array state;
   for (const NodeId node : sorted_nodes(state_)) {
     const PerCore& pc = state_.at(node);
@@ -278,9 +244,9 @@ json::Value RequestAnomalyDetector::save_state() const {
 
 void RequestAnomalyDetector::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
-  cumulative_ = detector_report_from_json(*o.find("cumulative"));
+  common::from_snapshot(o.at("cumulative"), cumulative_);
   state_.clear();
-  for (const json::Value& sv : o.find("state")->as_array()) {
+  for (const json::Value& sv : o.at("state").as_array()) {
     const json::Array& a = sv.as_array();
     PerCore pc;
     pc.history = a.at(1).as_double();
@@ -296,7 +262,7 @@ void RequestAnomalyDetector::load_state(const json::Value& v) {
 
 json::Value CohortMedianDetector::save_state() const {
   json::Object o;
-  o["cumulative"] = detector_report_to_json(cumulative_);
+  o["cumulative"] = common::to_snapshot(cumulative_);
   json::Array state;
   for (const NodeId node : sorted_nodes(state_)) {
     const FlagState& fs = state_.at(node);
@@ -312,9 +278,9 @@ json::Value CohortMedianDetector::save_state() const {
 
 void CohortMedianDetector::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
-  cumulative_ = detector_report_from_json(*o.find("cumulative"));
+  common::from_snapshot(o.at("cumulative"), cumulative_);
   state_.clear();
-  for (const json::Value& sv : o.find("state")->as_array()) {
+  for (const json::Value& sv : o.at("state").as_array()) {
     const json::Array& a = sv.as_array();
     FlagState fs;
     const json::Array& f = a.at(1).as_array();
@@ -346,7 +312,7 @@ void GuardedBudgeter::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
   history_.clear();
   samples_.clear();
-  for (const json::Value& sv : o.find("state")->as_array()) {
+  for (const json::Value& sv : o.at("state").as_array()) {
     const json::Array& a = sv.as_array();
     const auto node = static_cast<NodeId>(a.at(0).as_int());
     history_[node] = a.at(1).as_double();

@@ -75,6 +75,16 @@ struct DetectorConfig {
 
   friend bool operator==(const DetectorConfig&,
                          const DetectorConfig&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("kind", s.kind);
+    f("history_alpha", s.history_alpha);
+    f("low_ratio", s.low_ratio);
+    f("high_ratio", s.high_ratio);
+    f("warmup_epochs", s.warmup_epochs);
+    f("confirm_epochs", s.confirm_epochs);
+  }
 };
 
 struct DetectorReport {
@@ -100,12 +110,16 @@ struct DetectorReport {
 
   friend bool operator==(const DetectorReport&,
                          const DetectorReport&) = default;
-};
 
-/// Checkpoint helpers for DetectorReport (see common/snapshot.hpp for the
-/// u64-as-string convention).
-[[nodiscard]] json::Value detector_report_to_json(const DetectorReport& r);
-[[nodiscard]] DetectorReport detector_report_from_json(const json::Value& v);
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("flagged_low", s.flagged_low);
+    f("flagged_high", s.flagged_high);
+    f("observations", s.observations);
+    f("epochs_observed", s.epochs_observed);
+    f("first_flag_epoch", s.first_flag_epoch);
+  }
+};
 
 /// Self-history detector (DetectorKind::kSelfEwma) and the base class of
 /// every manager-side detector.

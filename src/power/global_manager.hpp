@@ -49,36 +49,19 @@ struct EpochRecord {
   }
 
   friend bool operator==(const EpochRecord&, const EpochRecord&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("epoch_start", s.epoch_start);
+    f("allocate_cycle", s.allocate_cycle);
+    f("requests_received", s.requests_received);
+    f("tampered_received", s.tampered_received);
+    f("victim_requests", s.victim_requests);
+    f("budget_mw", s.budget_mw);
+    f("granted_mw", s.granted_mw);
+    f("victim_granted_mw", s.victim_granted_mw);
+  }
 };
-
-/// Checkpoint helpers for EpochRecord (u64s as decimal strings; see
-/// common/snapshot.hpp).
-inline json::Value epoch_record_to_json(const EpochRecord& r) {
-  json::Array a;
-  a.push_back(common::ju64(r.epoch_start));
-  a.push_back(common::ju64(r.allocate_cycle));
-  a.push_back(common::ju64(r.requests_received));
-  a.push_back(common::ju64(r.tampered_received));
-  a.push_back(common::ju64(r.victim_requests));
-  a.push_back(common::ju64(r.budget_mw));
-  a.push_back(common::ju64(r.granted_mw));
-  a.push_back(common::ju64(r.victim_granted_mw));
-  return json::Value(std::move(a));
-}
-
-inline EpochRecord epoch_record_from_json(const json::Value& v) {
-  const json::Array& a = v.as_array();
-  EpochRecord r;
-  r.epoch_start = common::pu64(a.at(0));
-  r.allocate_cycle = common::pu64(a.at(1));
-  r.requests_received = common::pu64(a.at(2));
-  r.tampered_received = common::pu64(a.at(3));
-  r.victim_requests = common::pu64(a.at(4));
-  r.budget_mw = common::pu64(a.at(5));
-  r.granted_mw = common::pu64(a.at(6));
-  r.victim_granted_mw = common::pu64(a.at(7));
-  return r;
-}
 
 class GlobalManager {
  public:
@@ -250,22 +233,18 @@ class GlobalManager {
       victim_nodes.push_back(json::Value(static_cast<long long>(n)));
     }
     o["victim_nodes"] = json::Value(std::move(victim_nodes));
-    o["current"] = epoch_record_to_json(current_);
-    json::Array history;
-    for (const EpochRecord& r : history_) {
-      history.push_back(epoch_record_to_json(r));
-    }
-    o["history"] = json::Value(std::move(history));
+    o["current"] = common::to_snapshot(current_);
+    o["history"] = common::to_snapshot(history_);
     o["budgeter"] = budgeter_->save_state();
     return json::Value(std::move(o));
   }
 
   void load_state(const json::Value& v) {
     const json::Object& o = v.as_object();
-    budget_mw_ = common::pu64(*o.find("budget_mw"));
-    collecting_ = o.find("collecting")->as_bool();
+    budget_mw_ = common::pu64(o.at("budget_mw"));
+    collecting_ = o.at("collecting").as_bool();
     pending_.clear();
-    for (const json::Value& rv : o.find("pending")->as_array()) {
+    for (const json::Value& rv : o.at("pending").as_array()) {
       const json::Array& a = rv.as_array();
       pending_.push_back(BudgetRequest{
           static_cast<NodeId>(a.at(0).as_int()),
@@ -273,15 +252,12 @@ class GlobalManager {
           static_cast<std::uint32_t>(a.at(2).as_int())});
     }
     victim_nodes_.clear();
-    for (const json::Value& n : o.find("victim_nodes")->as_array()) {
+    for (const json::Value& n : o.at("victim_nodes").as_array()) {
       victim_nodes_.insert(static_cast<NodeId>(n.as_int()));
     }
-    current_ = epoch_record_from_json(*o.find("current"));
-    history_.clear();
-    for (const json::Value& rv : o.find("history")->as_array()) {
-      history_.push_back(epoch_record_from_json(rv));
-    }
-    budgeter_->load_state(*o.find("budgeter"));
+    common::from_snapshot(o.at("current"), current_);
+    common::from_snapshot(o.at("history"), history_);
+    budgeter_->load_state(o.at("budgeter"));
   }
 
   /// Mean infection rate over the recorded epochs, skipping `warmup`.

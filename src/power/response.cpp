@@ -89,16 +89,7 @@ json::Value ResponseEngine::save_state() const {
     active.push_back(json::Value(std::move(a)));
   }
   o["active"] = json::Value(std::move(active));
-  json::Array cores;
-  for (const NodeId n : stats_.sanctioned_cores) {
-    cores.push_back(json::Value(static_cast<long long>(n)));
-  }
-  o["sanctioned_cores"] = json::Value(std::move(cores));
-  o["sanction_core_epochs"] = common::ju64(stats_.sanction_core_epochs);
-  o["denied_requests"] = common::ju64(stats_.denied_requests);
-  o["clamped_requests"] = common::ju64(stats_.clamped_requests);
-  o["first_sanction_epoch"] =
-      json::Value(static_cast<long long>(stats_.first_sanction_epoch));
+  o["stats"] = common::to_snapshot(stats_);
   o["epoch"] = json::Value(static_cast<long long>(epoch_));
   return json::Value(std::move(o));
 }
@@ -106,21 +97,13 @@ json::Value ResponseEngine::save_state() const {
 void ResponseEngine::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
   active_.clear();
-  for (const json::Value& av : o.find("active")->as_array()) {
+  for (const json::Value& av : o.at("active").as_array()) {
     const json::Array& a = av.as_array();
     active_[static_cast<NodeId>(a.at(0).as_int())] =
         static_cast<int>(a.at(1).as_int());
   }
-  stats_ = ResponseStats{};
-  for (const json::Value& n : o.find("sanctioned_cores")->as_array()) {
-    stats_.sanctioned_cores.push_back(static_cast<NodeId>(n.as_int()));
-  }
-  stats_.sanction_core_epochs = common::pu64(*o.find("sanction_core_epochs"));
-  stats_.denied_requests = common::pu64(*o.find("denied_requests"));
-  stats_.clamped_requests = common::pu64(*o.find("clamped_requests"));
-  stats_.first_sanction_epoch =
-      static_cast<int>(o.find("first_sanction_epoch")->as_int());
-  epoch_ = static_cast<int>(o.find("epoch")->as_int());
+  common::from_snapshot(o.at("stats"), stats_);
+  epoch_ = static_cast<int>(o.at("epoch").as_int());
 }
 
 }  // namespace htpb::power

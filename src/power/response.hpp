@@ -80,6 +80,14 @@ struct ResponseConfig {
 
   friend bool operator==(const ResponseConfig&,
                          const ResponseConfig&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("kind", s.kind);
+    f("trigger", s.trigger);
+    f("sanction_epochs", s.sanction_epochs);
+    f("recovery_threshold", s.recovery_threshold);
+  }
 };
 
 /// Raw per-run counters the engine accumulates; the campaign layer
@@ -98,6 +106,15 @@ struct ResponseStats {
   int first_sanction_epoch = -1;
 
   friend bool operator==(const ResponseStats&, const ResponseStats&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("sanctioned_cores", s.sanctioned_cores);
+    f("sanction_core_epochs", s.sanction_core_epochs);
+    f("denied_requests", s.denied_requests);
+    f("clamped_requests", s.clamped_requests);
+    f("first_sanction_epoch", s.first_sanction_epoch);
+  }
 };
 
 /// Per-run sanction bookkeeping, driven by GlobalManager once per epoch.

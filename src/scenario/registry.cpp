@@ -216,7 +216,7 @@ ScenarioSpec make_defense_evaluation() {
       .toggle_period(3)
       .warmup_epochs(2)
       .measure_epochs(5)
-      .detector(DetectorSpec{})
+      .detector(power::DetectorConfig{})
       .quick(R"({"epochs": {"measure": 3}})");
   b.axes().cluster_hts = 8;
   b.axes().detection_measure_epochs = 6;
@@ -299,9 +299,9 @@ ScenarioSpec make_defense_closed_loop() {
       .toggle_period(2)
       .warmup_epochs(2)
       .measure_epochs(8)
-      .detector(DetectorSpec{})
-      .response(ResponseSpec{})
-      .adaptation(AdaptationSpec{})
+      .detector(power::DetectorConfig{})
+      .response(power::ResponseConfig{})
+      .adaptation(core::TrojanAdaptation{})
       .quick(R"({"epochs": {"measure": 6},
                  "axes": {"placements": [{"at": "gm", "hts": 8}]}})");
   b.axes().placements = {{ClusterSpec::At::kGm, 8},

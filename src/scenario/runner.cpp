@@ -56,15 +56,11 @@ namespace {
   cfg.trojan.victim_scale = spec.trojan.victim_scale;
   cfg.trojan.attacker_boost = spec.trojan.attacker_boost;
   cfg.toggle_period_epochs = spec.trojan.toggle_period_epochs;
-  cfg.trojan.adapt.enabled = spec.trojan.adaptation.enabled;
-  cfg.trojan.adapt.alpha = spec.trojan.adaptation.alpha;
-  cfg.trojan.adapt.backoff_ratio = spec.trojan.adaptation.backoff_ratio;
-  cfg.trojan.adapt.max_on_epochs = spec.trojan.adaptation.max_on_epochs;
-  cfg.trojan.adapt.hold_off_epochs = spec.trojan.adaptation.hold_off_epochs;
+  cfg.trojan.adapt = spec.trojan.adaptation;
   cfg.warmup_epochs = spec.epochs.warmup;
   cfg.measure_epochs = spec.epochs.measure;
-  if (spec.detector.has_value()) cfg.detector = spec.detector->to_config();
-  if (spec.response.has_value()) cfg.response = spec.response->to_config();
+  cfg.detector = spec.detector;
+  cfg.response = spec.response;
   return cfg;
 }
 
@@ -388,7 +384,7 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   sweep_cfg.responses.assign(spec.axes.responses.begin(),
                              spec.axes.responses.end());
   if (spec.response.has_value()) {
-    sweep_cfg.response_base = spec.response->to_config();
+    sweep_cfg.response_base = *spec.response;
   }
   for (const BandSpec& band : spec.axes.bands) {
     power::DetectorConfig d;
@@ -586,7 +582,7 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec) {
     ScenarioSpec detect_spec = spec;
     detect_spec.epochs.measure = spec.axes.detection_measure_epochs;
     if (!detect_spec.detector.has_value()) {
-      detect_spec.detector = DetectorSpec{};
+      detect_spec.detector = power::DetectorConfig{};
     }
     core::CampaignConfig cfg = campaign_config(detect_spec, mix_name);
     core::AttackCampaign campaign(cfg);
@@ -1208,7 +1204,7 @@ json::Value replay_scenario_detectors(const ScenarioSpec& spec,
         "\" epoch_cycles " + std::to_string(s.system.epoch_cycles));
   }
   std::vector<power::DetectorConfig> detectors;
-  if (s.detector.has_value()) detectors.push_back(s.detector->to_config());
+  if (s.detector.has_value()) detectors.push_back(*s.detector);
   const std::vector<power::DetectorConfig> grid = roc_detector_grid(s);
   detectors.insert(detectors.end(), grid.begin(), grid.end());
   if (detectors.empty()) detectors.push_back(power::DetectorConfig{});

@@ -11,13 +11,18 @@
 // new specs (or spec files), not new binaries.
 //
 // Serialization contract (locked by tests/scenario/spec_test.cpp):
+//  - Every section lists its members once, in a static `fields` template
+//    (common/fields.hpp); scenario/spec_codec.hpp turns those lists into
+//    JSON in both directions, so no member can be written without being
+//    read back.
 //  - to_json / from_json round-trip exactly: from_json(to_json(s)) == s,
 //    including double fields bit for bit.
 //  - from_json is strict: unknown keys anywhere in the document are an
-//    error (typos must not silently change an experiment), and
-//    schema_version must match kSchemaVersion.
-//  - Axis fields are emitted sparsely: a spec's JSON only carries the
-//    sections its kind reads, so checked-in spec files stay readable.
+//    error (typos must not silently change an experiment), integers must
+//    fit their member's type, and schema_version must match
+//    kSchemaVersion.
+//  - Members are emitted sparsely: a spec's JSON only carries what
+//    differs from the defaults, so checked-in spec files stay readable.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +33,18 @@
 
 #include "common/json.hpp"
 #include "common/types.hpp"
+#include "core/trojan_config.hpp"
 #include "power/budgeter.hpp"
 #include "power/defense.hpp"
 #include "power/response.hpp"
 #include "system/system_config.hpp"
 
 namespace htpb::scenario {
+
+/// Field-list marker (spec codec only): the key must be present on read,
+/// and it is written even at its default value.
+struct Required {};
+inline constexpr Required kRequired{};
 
 /// Bump on any incompatible spec-schema change; from_json rejects files
 /// written for a different version instead of guessing.
@@ -98,6 +109,20 @@ struct SystemSpec {
   [[nodiscard]] system::SystemConfig to_system_config() const;
 
   friend bool operator==(const SystemSpec&, const SystemSpec&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("width", s.width);
+    f("height", s.height);
+    f("epoch_cycles", s.epoch_cycles);
+    f("first_epoch_cycle", s.first_epoch_cycle);
+    f("budget_fraction", s.budget_fraction);
+    f("budgeter", s.budgeter);
+    f("guard_requests", s.guard_requests);
+    f("gm_placement", s.gm_placement);
+    f("gm_node", s.gm_node);
+    f("seed", s.seed);
+  }
 };
 
 /// What runs on the chip.
@@ -113,20 +138,13 @@ struct WorkloadSpec {
   int threads_per_app = 0;
 
   friend bool operator==(const WorkloadSpec&, const WorkloadSpec&) = default;
-};
 
-/// The adaptive attacker agent's duty-cycle controller (mirrors
-/// core::TrojanAdaptation; the runner bridges the fields). Mutually
-/// exclusive with toggle_period_epochs -- both steer the same activation
-/// signal.
-struct AdaptationSpec {
-  bool enabled = false;
-  double alpha = 0.5;
-  double backoff_ratio = 0.7;
-  int max_on_epochs = 1;
-  int hold_off_epochs = 1;
-
-  friend bool operator==(const AdaptationSpec&, const AdaptationSpec&) = default;
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("mix", s.mix);
+    f("mixes", s.mixes);
+    f("threads_per_app", s.threads_per_app);
+  }
 };
 
 /// The attacker's CONFIG_CMD payload plus its activation schedule.
@@ -139,10 +157,23 @@ struct TrojanSpec {
   /// Duty-cycled activation: flip the activation signal every N epochs
   /// (Sec. III-B); 0 = static.
   int toggle_period_epochs = 0;
-  /// Grant-feedback adaptation (the closed loop's attacker half).
-  AdaptationSpec adaptation;
+  /// Grant-feedback duty-cycle controller of the adaptive attacker agent
+  /// (the closed loop's attacker half). Mutually exclusive with
+  /// toggle_period_epochs -- both steer the same activation signal.
+  core::TrojanAdaptation adaptation;
 
   friend bool operator==(const TrojanSpec&, const TrojanSpec&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("active", s.active);
+    f("attenuate_victims", s.attenuate_victims);
+    f("boost_attackers", s.boost_attackers);
+    f("victim_scale", s.victim_scale);
+    f("attacker_boost", s.attacker_boost);
+    f("toggle_period_epochs", s.toggle_period_epochs);
+    f("adaptation", s.adaptation);
+  }
 };
 
 struct EpochSpec {
@@ -150,36 +181,12 @@ struct EpochSpec {
   int measure = 5;
 
   friend bool operator==(const EpochSpec&, const EpochSpec&) = default;
-};
 
-/// A detector operating point (mirrors power::DetectorConfig).
-struct DetectorSpec {
-  power::DetectorKind kind = power::DetectorKind::kSelfEwma;
-  double history_alpha = 0.25;
-  double low_ratio = 0.45;
-  double high_ratio = 2.2;
-  int warmup_epochs = 2;
-  int confirm_epochs = 2;
-
-  [[nodiscard]] power::DetectorConfig to_config() const;
-  [[nodiscard]] static DetectorSpec from_config(
-      const power::DetectorConfig& cfg);
-
-  friend bool operator==(const DetectorSpec&, const DetectorSpec&) = default;
-};
-
-/// A closed-loop response policy (mirrors power::ResponseConfig).
-struct ResponseSpec {
-  power::ResponseKind kind = power::ResponseKind::kQuarantine;
-  power::ResponseTrigger trigger = power::ResponseTrigger::kHigh;
-  int sanction_epochs = 3;
-  double recovery_threshold = 0.9;
-
-  [[nodiscard]] power::ResponseConfig to_config() const;
-  [[nodiscard]] static ResponseSpec from_config(
-      const power::ResponseConfig& cfg);
-
-  friend bool operator==(const ResponseSpec&, const ResponseSpec&) = default;
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("warmup", s.warmup);
+    f("measure", s.measure);
+  }
 };
 
 /// A trust band [low, high] around the detector reference -- the
@@ -189,6 +196,12 @@ struct BandSpec {
   double high = 2.2;
 
   friend bool operator==(const BandSpec&, const BandSpec&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("low", s.low, kRequired);
+    f("high", s.high, kRequired);
+  }
 };
 
 /// One Fig. 3 arm: a chip size and the #HT sweep evaluated on it.
@@ -197,6 +210,12 @@ struct InfectionArm {
   std::vector<int> ht_counts;
 
   friend bool operator==(const InfectionArm&, const InfectionArm&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("nodes", s.nodes, kRequired);
+    f("ht_counts", s.ht_counts, kRequired);
+  }
 };
 
 /// A clustered Trojan placement, anchored declaratively so the spec needs
@@ -214,6 +233,12 @@ struct ClusterSpec {
   int hts = 8;
 
   friend bool operator==(const ClusterSpec&, const ClusterSpec&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("at", s.at, kRequired);
+    f("hts", s.hts);
+  }
 };
 
 [[nodiscard]] const char* to_string(ClusterSpec::At at) noexcept;
@@ -236,11 +261,19 @@ struct RocSpec {
   }
 
   friend bool operator==(const RocSpec&, const RocSpec&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("periods", s.periods);
+    f("factors", s.factors);
+    f("placements", s.placements);
+    f("epoch0_first_epoch_cycle", s.epoch0_first_epoch_cycle);
+  }
 };
 
-/// Kind-specific sweep axes. Sparse: a spec serializes only the fields
-/// its kind reads (spec.cpp documents the mapping kind -> fields), and
-/// validate() checks the required ones are populated.
+/// Kind-specific sweep axes. A spec sets only the fields its kind reads
+/// (the rest stay at their defaults and are not emitted), and validate()
+/// checks the required ones are populated.
 struct AxesSpec {
   // kInfectionVsHtCount
   std::vector<InfectionArm> arms;
@@ -281,6 +314,36 @@ struct AxesSpec {
   std::vector<int> ht_counts;
 
   friend bool operator==(const AxesSpec&, const AxesSpec&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("arms", s.arms);
+    f("gm_placements", s.gm_placements);
+    f("sizes", s.sizes);
+    f("ht_divisors", s.ht_divisors);
+    f("seeds", s.seeds);
+    f("infection_targets", s.infection_targets);
+    f("placement_max_hts", s.placement_max_hts);
+    f("nodes", s.nodes);
+    f("max_hts", s.max_hts);
+    f("train_samples", s.train_samples);
+    f("random_trials", s.random_trials);
+    f("candidates_per_m", s.candidates_per_m);
+    f("shortlist", s.shortlist);
+    f("bands", s.bands);
+    f("placements", s.placements);
+    f("cluster_hts", s.cluster_hts);
+    f("detection_measure_epochs", s.detection_measure_epochs);
+    f("roc", s.roc);
+    f("responses", s.responses);
+    f("flood_sources", s.flood_sources);
+    f("flood_rate", s.flood_rate);
+    f("toggle_periods", s.toggle_periods);
+    f("duty_warmup_epochs", s.duty_warmup_epochs);
+    f("duty_measure_epochs", s.duty_measure_epochs);
+    f("budgeters", s.budgeters);
+    f("ht_counts", s.ht_counts);
+  }
 };
 
 struct ScenarioSpec {
@@ -300,11 +363,11 @@ struct ScenarioSpec {
   /// Detection policy for kinds that run one detector in-sim
   /// (kDefenseEvaluation, kDefenseClosedLoop); sweeps carry their grids
   /// in axes.bands.
-  std::optional<DetectorSpec> detector;
+  std::optional<power::DetectorConfig> detector;
   /// Closed-loop response policy; requires `detector`. For
   /// kDefenseClosedLoop this sets trigger/sanction/recovery parameters
   /// while axes.responses supplies the policy-kind axis.
-  std::optional<ResponseSpec> response;
+  std::optional<power::ResponseConfig> response;
   AxesSpec axes;
 
   /// Experiment-level seed: every stochastic choice the runner makes
@@ -334,6 +397,26 @@ struct ScenarioSpec {
   [[nodiscard]] ScenarioSpec with_quick() const;
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
+
+  template <class S, class F>
+  static void fields(S& s, F&& f) {
+    f("schema_version", s.schema_version, kRequired);
+    f("name", s.name, kRequired);
+    f("kind", s.kind, kRequired);
+    f("title", s.title);
+    f("paper_ref", s.paper_ref);
+    f("expectation", s.expectation);
+    f("system", s.system);
+    f("workload", s.workload);
+    f("trojan", s.trojan);
+    f("epochs", s.epochs);
+    f("detector", s.detector);
+    f("response", s.response);
+    f("axes", s.axes);
+    f("seed", s.seed);
+    f("threads", s.threads);
+    f("quick", s.quick);
+  }
 };
 
 /// Parses, deserializes and validates a spec file in one step. Every
@@ -389,9 +472,9 @@ class ScenarioBuilder {
 
   ScenarioBuilder& warmup_epochs(int epochs);
   ScenarioBuilder& measure_epochs(int epochs);
-  ScenarioBuilder& detector(DetectorSpec spec);
-  ScenarioBuilder& response(ResponseSpec spec);
-  ScenarioBuilder& adaptation(AdaptationSpec spec);
+  ScenarioBuilder& detector(power::DetectorConfig cfg);
+  ScenarioBuilder& response(power::ResponseConfig cfg);
+  ScenarioBuilder& adaptation(core::TrojanAdaptation adapt);
   ScenarioBuilder& seed(std::uint64_t value);
   ScenarioBuilder& threads(int count);
 

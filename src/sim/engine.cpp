@@ -73,8 +73,8 @@ json::Value Engine::save_state() const {
 void Engine::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
   events_.clear();
-  now_ = common::pu64(*o.find("now"));
-  for (const json::Value& ev : o.find("events")->as_array()) {
+  now_ = common::pu64(o.at("now"));
+  for (const json::Value& ev : o.at("events").as_array()) {
     const json::Array& e = ev.as_array();
     EventDesc desc;
     desc.kind = static_cast<EventKind>(

@@ -308,14 +308,14 @@ void ManyCoreSystem::load_state(const json::Value& v) {
   // Shape check BEFORE any sub-layer mutates: a checkpoint from a
   // different mesh must be rejected whole, not die mid-restore inside
   // the network with half this system overwritten.
-  const json::Array& tiles = o.find("tiles")->as_array();
+  const json::Array& tiles = o.at("tiles").as_array();
   if (tiles.size() != tiles_.size()) {
     throw std::invalid_argument(
         "ManyCoreSystem::load_state: tile count mismatch (checkpoint from a "
         "different configuration?)");
   }
-  engine_.load_state(*o.find("engine"));
-  net_->load_state(*o.find("network"));
+  engine_.load_state(o.at("engine"));
+  net_->load_state(o.at("network"));
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
     Tile& t = tiles_[i];
     const json::Object& to = tiles[i].as_object();
@@ -326,24 +326,24 @@ void ManyCoreSystem::load_state(const json::Value& v) {
           "ManyCoreSystem::load_state: core placement mismatch (checkpoint "
           "from a different thread mapping?)");
     }
-    if (t.core) t.core->load_state(*to.find("core"));
-    if (t.l1) t.l1->load_state(*to.find("l1"));
-    t.l2->load_state(*to.find("l2"));
-    t.last_instructions = to.find("last_instructions")->as_double();
-    t.last_misses = common::pu64(*to.find("last_misses"));
+    if (t.core) t.core->load_state(to.at("core"));
+    if (t.l1) t.l1->load_state(to.at("l1"));
+    t.l2->load_state(to.at("l2"));
+    t.last_instructions = to.at("last_instructions").as_double();
+    t.last_misses = common::pu64(to.at("last_misses"));
     t.last_grant_mw =
-        static_cast<std::uint32_t>(to.find("last_grant_mw")->as_int());
+        static_cast<std::uint32_t>(to.at("last_grant_mw").as_int());
   }
-  gm_->load_state(*o.find("gm"));
-  next_epoch_start_ = common::pu64(*o.find("next_epoch_start"));
-  measure_start_ = common::pu64(*o.find("measure_start"));
-  const json::Array& instr = o.find("instr_snapshot")->as_array();
+  gm_->load_state(o.at("gm"));
+  next_epoch_start_ = common::pu64(o.at("next_epoch_start"));
+  measure_start_ = common::pu64(o.at("measure_start"));
+  const json::Array& instr = o.at("instr_snapshot").as_array();
   instr_snapshot_.assign(tiles_.size(), 0.0);
   for (std::size_t i = 0; i < instr.size() && i < instr_snapshot_.size(); ++i) {
     instr_snapshot_[i] = instr[i].as_double();
   }
   infection_history_mark_ =
-      static_cast<std::size_t>(common::pu64(*o.find("infection_history_mark")));
+      static_cast<std::size_t>(common::pu64(o.at("infection_history_mark")));
 }
 
 void ManyCoreSystem::reset_measurement() {

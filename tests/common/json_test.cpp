@@ -124,7 +124,8 @@ TEST(JsonParse, RoundTripIsExact) {
 TEST(JsonObjectReader, RejectsUnknownKeys) {
   const Value v = parse(R"({"known": 1, "mystery": 2})");
   ObjectReader reader(v.as_object(), "spec");
-  EXPECT_EQ(reader.get_int("known", 0), 1);
+  EXPECT_EQ(reader.require("known").as_int(), 1);
+  EXPECT_EQ(reader.optional("absent"), nullptr);
   try {
     reader.finish();
     FAIL() << "finish() should have thrown";
@@ -141,11 +142,22 @@ TEST(JsonObjectReader, TypeConfusionIsACleanError) {
   const Value v =
       parse(R"({"b": 1, "i": true, "d": "x", "s": 3, "o": [1]})");
   ObjectReader reader(v.as_object(), "t");
-  EXPECT_THROW((void)reader.get_bool("b", false), std::runtime_error);
-  EXPECT_THROW((void)reader.get_int("i", 0), std::runtime_error);
-  EXPECT_THROW((void)reader.get_double("d", 0.0), std::runtime_error);
-  EXPECT_THROW((void)reader.get_string("s", "?"), std::runtime_error);
+  EXPECT_THROW((void)reader.require("b").as_bool(), std::runtime_error);
+  EXPECT_THROW((void)reader.require("i").as_int(), std::runtime_error);
+  EXPECT_THROW((void)reader.require("d").as_double(), std::runtime_error);
+  EXPECT_THROW((void)reader.require("s").as_string(), std::runtime_error);
   EXPECT_THROW((void)reader.require("o").as_object(), std::runtime_error);
+}
+
+TEST(JsonObject, AtNamesTheMissingKey) {
+  const Value v = parse(R"({"present": 1})");
+  EXPECT_EQ(v.as_object().at("present").as_int(), 1);
+  try {
+    (void)v.as_object().at("gone");
+    FAIL() << "at() should have thrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"gone\""), std::string::npos);
+  }
 }
 
 TEST(JsonParse, NestingDepthIsGuardedNotACrash) {
@@ -167,14 +179,14 @@ TEST(JsonParse, NestingDepthIsGuardedNotACrash) {
   EXPECT_THROW((void)parse(std::string(100000, '[')), std::runtime_error);
 }
 
-TEST(JsonObjectReader, RequireAndFallbacks) {
+TEST(JsonObjectReader, RequireAndOptional) {
   const Value v = parse(R"({"a": 2, "s": "x", "b": true, "d": 1.5})");
   ObjectReader reader(v.as_object(), "t");
   EXPECT_EQ(reader.require("a").as_int(), 2);
-  EXPECT_EQ(reader.get_string("s", "?"), "x");
-  EXPECT_EQ(reader.get_string("absent", "?"), "?");
-  EXPECT_EQ(reader.get_bool("b", false), true);
-  EXPECT_DOUBLE_EQ(reader.get_double("d", 0.0), 1.5);
+  EXPECT_EQ(reader.optional("s")->as_string(), "x");
+  EXPECT_EQ(reader.optional("absent"), nullptr);
+  EXPECT_EQ(reader.optional("b")->as_bool(), true);
+  EXPECT_DOUBLE_EQ(reader.optional("d")->as_double(), 1.5);
   EXPECT_THROW((void)reader.require("missing"), std::runtime_error);
   reader.finish();
 }

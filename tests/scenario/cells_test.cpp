@@ -16,11 +16,8 @@
 namespace {
 
 using htpb::json::Value;
-using htpb::scenario::AdaptationSpec;
 using htpb::scenario::CellPlan;
 using htpb::scenario::ClusterSpec;
-using htpb::scenario::DetectorSpec;
-using htpb::scenario::ResponseSpec;
 using htpb::scenario::RunOptions;
 using htpb::scenario::ScenarioBuilder;
 using htpb::scenario::ScenarioKind;
@@ -147,9 +144,9 @@ TEST(CellsTest, DefenseClosedLoopMergesBitIdentical) {
       .toggle_period(2)
       .warmup_epochs(1)
       .measure_epochs(3)
-      .detector(DetectorSpec{})
-      .response(ResponseSpec{})
-      .adaptation(AdaptationSpec{});
+      .detector(htpb::power::DetectorConfig{})
+      .response(htpb::power::ResponseConfig{})
+      .adaptation(htpb::core::TrojanAdaptation{});
   b.axes().placements = {{ClusterSpec::At::kGm, 8},
                          {ClusterSpec::At::kQuarter, 8}};
   b.axes().responses = {power::ResponseKind::kQuarantine,

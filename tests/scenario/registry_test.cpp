@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace htpb::scenario {
@@ -62,6 +65,32 @@ TEST(ScenarioRegistry, QuickOverlaysApplyAndValidate) {
                                   << ": quick overlay changed nothing";
     }
   }
+}
+
+// Fleet run dirs fingerprint exactly this text, so the spec JSON of every
+// registry scenario (full and quick) and of a checked-in example spec is
+// pinned byte for byte (FNV-1a-64 over the dumps). A change here changes
+// every recorded fingerprint: make it on purpose, then re-pin.
+TEST(ScenarioRegistry, SpecJsonTextIsPinned) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](const ScenarioSpec& spec) {
+    for (const char c : json::dump(spec.to_json(), 2)) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001B3ULL;
+    }
+  };
+  std::vector<ScenarioSpec> specs = registry();
+  specs.push_back(load_spec_file(
+      std::string(HTPB_REPO_ROOT) +
+      "/examples/specs/quarantine-vs-adaptive.json"));
+  for (const ScenarioSpec& spec : specs) {
+    mix(spec);
+    mix(spec.with_quick());
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h));
+  EXPECT_EQ(std::string(hex), "9cf618ac6a3987ae");
 }
 
 TEST(ScenarioRegistry, LookupByName) {

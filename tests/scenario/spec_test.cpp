@@ -33,7 +33,7 @@ ScenarioSpec full_spec() {
       .seed(987654321)
       .threads(3)
       .quick(R"({"epochs": {"measure": 2}})");
-  DetectorSpec det;
+  power::DetectorConfig det;
   det.kind = power::DetectorKind::kCohortMedian;
   det.low_ratio = 0.5;
   det.high_ratio = 1.9;
@@ -41,13 +41,14 @@ ScenarioSpec full_spec() {
   det.warmup_epochs = 1;
   det.confirm_epochs = 3;
   b.detector(det);
-  ResponseSpec resp;
+  power::ResponseConfig resp;
   resp.kind = power::ResponseKind::kThrottle;
   resp.trigger = power::ResponseTrigger::kBoth;
   resp.sanction_epochs = 5;
   resp.recovery_threshold = 0.8;
   b.response(resp);
-  AdaptationSpec adapt;  // parameters without the switch: enabled stays off
+  // Parameters without the switch: enabled stays off.
+  core::TrojanAdaptation adapt;
   adapt.alpha = 0.25;
   adapt.backoff_ratio = 0.5;
   adapt.max_on_epochs = 2;
@@ -161,17 +162,6 @@ TEST(ScenarioSpec, EnumStringMapsAreCompleteAndInvertible) {
                std::invalid_argument);
   EXPECT_THROW((void)power::response_trigger_from_string("medium"),
                std::invalid_argument);
-}
-
-TEST(ScenarioSpec, DetectorSpecBridgesDetectorConfigExactly) {
-  DetectorSpec spec;
-  spec.kind = power::DetectorKind::kCohortMedian;
-  spec.low_ratio = 0.31;
-  spec.high_ratio = 2.7;
-  spec.history_alpha = 0.4;
-  spec.warmup_epochs = 5;
-  spec.confirm_epochs = 1;
-  EXPECT_EQ(DetectorSpec::from_config(spec.to_config()), spec);
 }
 
 TEST(ScenarioSpec, QuickOverlayMergesObjectsAndReplacesArrays) {
@@ -329,6 +319,16 @@ TEST(ScenarioSpec, ResponseMutationCorpusIsCleanlyRejected) {
   // Bad enum strings.
   rejected(mutate("response.kind", json::Value("exile")), "bad kind");
   rejected(mutate("response.trigger", json::Value("medium")), "bad trigger");
+
+  // Integers that do not fit their member's type (from_json must throw,
+  // not wrap: -5 cycles used to become ~1.8e19 and silently disarm the
+  // Trojan, and 2^32 + 8 used to become an 8-wide mesh).
+  rejected(mutate("system.first_epoch_cycle", json::Value(-5)),
+           "negative first_epoch_cycle");
+  rejected(mutate("system.width", json::Value(4294967304LL)),
+           "width beyond int");
+  rejected(mutate("axes.roc.epoch0_first_epoch_cycle", json::Value(-1)),
+           "negative epoch0_first_epoch_cycle");
 
   // Out-of-range values (parse fine, validate must throw).
   rejected(mutate("response.sanction_epochs", json::Value(0)),

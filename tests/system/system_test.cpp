@@ -242,5 +242,24 @@ TEST(ManyCoreSystem, LoadStateRejectsMismatchedConstruction) {
   EXPECT_THROW(other.load_state(snap), std::invalid_argument);
 }
 
+// A snapshot missing a component is rejected with an error naming the
+// key, never a null dereference.
+TEST(ManyCoreSystem, LoadStateRejectsSnapshotMissingAKey) {
+  ManyCoreSystem sys(small_cfg(), small_apps(64));
+  sys.run_epochs(1);
+  const json::Value snap = sys.save_state();
+  json::Object pruned;
+  for (const auto& [key, value] : snap.as_object()) {
+    if (key != "gm") pruned[key] = value;
+  }
+  ManyCoreSystem fresh(small_cfg(), small_apps(64));
+  try {
+    fresh.load_state(json::Value(std::move(pruned)));
+    FAIL() << "load_state should have thrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"gm\""), std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace htpb::system

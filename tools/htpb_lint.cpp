@@ -4,7 +4,7 @@
 //
 // Whole-program pass: scans C++ sources (default: src/ tools/ bench/
 // tests/ examples/ under --root, minus the lint fixtures) into one
-// ProjectModel -- include graph, class registry with cross-TU serializer
+// ProjectModel -- include graph, class registry with cross-TU snapshot
 // bodies -- and runs the determinism contract over it: results must be
 // bit-identical across thread counts, fleet split/merge, and snapshot
 // round-trips. See tools/lint/rules.hpp for the rule table and the
@@ -24,12 +24,6 @@
 //                           keyed by content hash; a warm run replays
 //                           the exact summaries a cold run builds, so
 //                           reports are byte-identical either way
-//   --baseline FILE         a previous --json report; findings listed
-//                           there are silenced (counted separately) and
-//                           only NEW findings fail the run
-//   --fix                   insert suppression scaffolds (json-exempt /
-//                           snapshot-exempt / allow) with FIXME reasons
-//                           for a human to fill in; idempotent
 //   --list-rules            print the rule table and exit
 //
 // Exit status: 0 = clean, 1 = unsuppressed violations, 2 = bad usage,
@@ -39,14 +33,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
-#include "lint/fix.hpp"
 #include "lint/graph.hpp"
 #include "lint/project_model.hpp"
 #include "lint/rules.hpp"
@@ -61,8 +52,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--root DIR] [--json PATH|-] [--suppressions FILE ...]\n"
       "           [--no-default-suppressions] [--layers FILE]\n"
-      "           [--cache-dir DIR] [--baseline FILE] [--fix]\n"
-      "           [--list-rules] [paths...]\n",
+      "           [--cache-dir DIR] [--list-rules] [paths...]\n",
       argv0);
   return 2;
 }
@@ -108,8 +98,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string layers_path;
   std::string cache_dir;
-  std::string baseline_path;
-  bool fix_mode = false;
   std::vector<std::string> suppression_files;
   bool default_suppressions = true;
   std::vector<std::string> paths;
@@ -136,10 +124,6 @@ int main(int argc, char** argv) {
       layers_path = next_arg(i, arg);
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       cache_dir = next_arg(i, arg);
-    } else if (std::strcmp(arg, "--baseline") == 0) {
-      baseline_path = next_arg(i, arg);
-    } else if (std::strcmp(arg, "--fix") == 0) {
-      fix_mode = true;
     } else if (std::strcmp(arg, "--list-rules") == 0) {
       for (const htpb::lint::RuleInfo& r : htpb::lint::rules()) {
         std::printf("%-22s %s\n", r.id, r.summary);
@@ -285,66 +269,6 @@ int main(int argc, char** argv) {
   result.errors.insert(result.errors.end(), errors.begin(), errors.end());
   std::sort(result.errors.begin(), result.errors.end());
 
-  // Baseline: silence findings already present in a previous report;
-  // only new ones remain. Matching is by (file, rule, message) -- line
-  // numbers shift too easily under unrelated edits.
-  int baseline_matched = 0;
-  if (!baseline_path.empty()) {
-    std::map<std::string, int> known;
-    try {
-      const Value base = htpb::json::parse_file(baseline_path);
-      const Value* viols = base.as_object().find("violations");
-      if (viols == nullptr) {
-        throw std::runtime_error("no \"violations\" array");
-      }
-      for (const Value& v : viols->as_array()) {
-        const auto& o = v.as_object();
-        const auto field = [&](const char* key) -> const std::string& {
-          const Value* f = o.find(key);
-          if (f == nullptr) {
-            throw std::runtime_error(std::string("violation without \"") +
-                                     key + "\"");
-          }
-          return f->as_string();
-        };
-        known[field("file") + "\x1f" + field("rule") + "\x1f" +
-              field("message")] += 1;
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: cannot parse baseline %s: %s\n", argv[0],
-                   baseline_path.c_str(), e.what());
-      return 2;
-    }
-    std::vector<htpb::lint::Violation> fresh;
-    for (htpb::lint::Violation& v : result.violations) {
-      int& n = known[v.file + "\x1f" + v.rule + "\x1f" + v.message];
-      if (n > 0) {
-        --n;
-        ++baseline_matched;
-      } else {
-        fresh.push_back(std::move(v));
-      }
-    }
-    result.violations = std::move(fresh);
-  }
-
-  if (fix_mode) {
-    const htpb::lint::FixResult fixed =
-        htpb::lint::apply_fixes(root, result.violations);
-    for (const std::string& e : fixed.errors) {
-      std::fprintf(stderr, "%s: error: %s\n", argv[0], e.c_str());
-    }
-    for (const std::string& e : result.errors) {
-      std::fprintf(stderr, "%s: error: %s\n", argv[0], e.c_str());
-    }
-    std::fprintf(stderr,
-                 "%s: --fix inserted %d suppression scaffold%s in %d "
-                 "file%s; fill in the FIXME reasons\n",
-                 argv[0], fixed.insertions, fixed.insertions == 1 ? "" : "s",
-                 fixed.files_changed, fixed.files_changed == 1 ? "" : "s");
-    return !result.errors.empty() || !fixed.errors.empty() ? 2 : 0;
-  }
-
   for (const htpb::lint::Violation& v : result.violations) {
     std::printf("%s:%d: [%s] %s\n  hint: %s\n", v.file.c_str(), v.line,
                 v.rule.c_str(), v.message.c_str(), v.hint.c_str());
@@ -353,13 +277,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: error: %s\n", argv[0], e.c_str());
   }
   std::fprintf(stderr,
-               "%s: %d file%s scanned, %zu violation%s, %d suppressed, "
-               "%d baseline\n",
+               "%s: %d file%s scanned, %zu violation%s, %d suppressed\n",
                argv[0], result.files_scanned,
                result.files_scanned == 1 ? "" : "s",
                result.violations.size(),
-               result.violations.size() == 1 ? "" : "s", result.suppressed,
-               baseline_matched);
+               result.violations.size() == 1 ? "" : "s", result.suppressed);
   if (!cache_dir.empty()) {
     std::fprintf(stderr, "%s: cache: %d hit%s, %d miss%s\n", argv[0],
                  cache_hits, cache_hits == 1 ? "" : "s", cache_misses,
@@ -371,7 +293,6 @@ int main(int argc, char** argv) {
     report["files_scanned"] =
         Value(static_cast<long long>(result.files_scanned));
     report["suppressed"] = Value(static_cast<long long>(result.suppressed));
-    report["baseline_matched"] = Value(baseline_matched);
     htpb::json::Array viols;
     for (const htpb::lint::Violation& v : result.violations) {
       htpb::json::Object o;

@@ -1,7 +1,6 @@
 #include "lint/model.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 namespace htpb::lint {
 
@@ -16,12 +15,6 @@ const std::set<std::string>& unordered_keywords() {
 
 bool is_ident(const Token& t, const char* text) {
   return t.kind == TokKind::kIdent && t.text == text;
-}
-
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::string suf(suffix);
-  return s.size() >= suf.size() &&
-         s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
 }
 
 /// Names declared with an unordered container type: members, locals,
@@ -291,16 +284,13 @@ std::vector<ReduceSite> collect_reduce_sites(
 }
 
 // ---------------------------------------------------------------------
-// Scope scan: classes, members, serializer-function bodies.
-
-enum class Family { kSnapshot, kToJson, kFromJson };
+// Scope scan: classes, members, save_state/load_state bodies.
 
 struct Scope {
   enum Kind { kOther, kClass, kSink };
   Kind kind = kOther;
   int class_idx = -1;      // kClass: index into model.classes
-  Family family = Family::kSnapshot;  // kSink
-  std::string sink_class;             // kSink: class the body belongs to
+  std::string sink_class;  // kSink: class the snapshot body belongs to
 };
 
 bool stmt_has_fn_name(const std::vector<Token>& stmt, const char* name) {
@@ -310,91 +300,19 @@ bool stmt_has_fn_name(const std::vector<Token>& stmt, const char* name) {
   return false;
 }
 
-/// True when `stmt` (a block head) is `... X::<fn> ( ...` for one of the
-/// serializer names; sets `cls` to X and `family` to the matching family.
-bool is_out_of_class_serializer_head(const std::vector<Token>& stmt,
-                                     std::string& cls, Family& family) {
+/// True when `stmt` (a block head) is `... X::save_state (` or
+/// `... X::load_state (`; sets `cls` to X.
+bool is_out_of_class_snapshot_head(const std::vector<Token>& stmt,
+                                   std::string& cls) {
   for (std::size_t i = 2; i + 1 < stmt.size(); ++i) {
     if (stmt[i + 1].text != "(") continue;
-    Family f;
-    if (is_ident(stmt[i], "save_state") || is_ident(stmt[i], "load_state")) {
-      f = Family::kSnapshot;
-    } else if (is_ident(stmt[i], "to_json")) {
-      f = Family::kToJson;
-    } else if (is_ident(stmt[i], "from_json")) {
-      f = Family::kFromJson;
-    } else {
+    if (!is_ident(stmt[i], "save_state") && !is_ident(stmt[i], "load_state")) {
       continue;
     }
     if (stmt[i - 1].text == "::" && stmt[i - 2].kind == TokKind::kIdent) {
       cls = stmt[i - 2].text;
-      family = f;
       return true;
     }
-  }
-  return false;
-}
-
-/// Class-type candidates the free-function serializer idiom should never
-/// bind to: the JSON plumbing types and fundamental-ish names.
-bool serializer_class_candidate(const std::string& name) {
-  static const std::set<std::string> excluded = {
-      "json",   "Value",  "Object", "Array", "ObjectReader", "string",
-      "string_view", "void", "bool", "int",  "auto",         "std"};
-  return !excluded.count(name) && !name.empty() &&
-         std::isupper(static_cast<unsigned char>(name[0]));
-}
-
-/// Free-function serializer head: a function whose name ends in
-/// "to_json" / "from_json". The subject class is recovered from the
-/// signature: to_json takes `const X&`; from_json returns X or mutates an
-/// `X&` out-parameter. Sets `cls`/`family`; false when no plausible class
-/// is found (the body is then an ordinary block).
-bool is_free_serializer_head(const std::vector<Token>& stmt, std::string& cls,
-                             Family& family) {
-  std::size_t fn = 0;
-  bool found = false;
-  for (std::size_t i = 0; i + 1 < stmt.size(); ++i) {
-    if (stmt[i].kind != TokKind::kIdent || stmt[i + 1].text != "(") continue;
-    if (ends_with(stmt[i].text, "to_json")) {
-      family = Family::kToJson;
-      fn = i;
-      found = true;
-      break;
-    }
-    if (ends_with(stmt[i].text, "from_json")) {
-      family = Family::kFromJson;
-      fn = i;
-      found = true;
-      break;
-    }
-  }
-  if (!found) return false;
-  if (fn >= 1 && stmt[fn - 1].text == "::") return false;  // qualified form
-
-  // Return-type class for from_json: `SystemSpec system_from_json(...)`.
-  if (family == Family::kFromJson && fn >= 1 &&
-      stmt[fn - 1].kind == TokKind::kIdent &&
-      serializer_class_candidate(stmt[fn - 1].text)) {
-    cls = stmt[fn - 1].text;
-    return true;
-  }
-  // Parameter class: first `[const] X &` whose X is a plausible class
-  // (to_json's subject, or from_json's out-parameter).
-  int paren = 0;
-  std::string last_ident;
-  for (std::size_t i = fn + 1; i < stmt.size(); ++i) {
-    const Token& t = stmt[i];
-    if (t.text == "(") ++paren;
-    if (t.text == ")" && --paren == 0) break;
-    if (t.kind == TokKind::kIdent && !is_ident(t, "const")) {
-      last_ident = t.text;
-    }
-    if (t.text == "&" && serializer_class_candidate(last_ident)) {
-      cls = last_ident;
-      return true;
-    }
-    if (t.text == ",") last_ident.clear();
   }
   return false;
 }
@@ -581,24 +499,9 @@ FileModel build_model(std::string path, LexedFile lexed) {
   std::vector<Scope> stack{Scope{}};  // file scope
   std::vector<Token> stmt;
 
-  const auto sink_of = [&m](Family family,
-                            const std::string& cls) -> std::set<std::string>& {
-    switch (family) {
-      case Family::kToJson:
-        return m.bodies.to_json[cls];
-      case Family::kFromJson:
-        return m.bodies.from_json[cls];
-      case Family::kSnapshot:
-      default:
-        return m.bodies.snapshot[cls];
-    }
-  };
-
   const auto active_sink = [&]() -> std::set<std::string>* {
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      if (it->kind == Scope::kSink) {
-        return &sink_of(it->family, it->sink_class);
-      }
+      if (it->kind == Scope::kSink) return &m.snapshot_bodies[it->sink_class];
     }
     return nullptr;
   };
@@ -621,7 +524,6 @@ FileModel build_model(std::string path, LexedFile lexed) {
           m);
       std::string head_class = class_head_name(stmt);
       std::string impl_class;
-      Family family = Family::kSnapshot;
       if (parent.kind == Scope::kSink) {
         // Nested block / lambda inside a serializer body: keep collecting.
         s = parent;
@@ -632,9 +534,8 @@ FileModel build_model(std::string path, LexedFile lexed) {
         c.name = head_class;
         c.line = t.line;
         m.classes.push_back(std::move(c));
-      } else if (is_out_of_class_serializer_head(stmt, impl_class, family)) {
+      } else if (is_out_of_class_snapshot_head(stmt, impl_class)) {
         s.kind = Scope::kSink;
-        s.family = family;
         s.sink_class = impl_class;
       } else if (parent.kind == Scope::kClass) {
         ClassInfo& c = m.classes[static_cast<std::size_t>(parent.class_idx)];
@@ -643,17 +544,9 @@ FileModel build_model(std::string path, LexedFile lexed) {
         if (save || load) {
           // Inline save_state/load_state definition.
           s.kind = Scope::kSink;
-          s.family = Family::kSnapshot;
           s.sink_class = c.name;
           c.declares_save |= save;
           c.declares_load |= load;
-        } else if (stmt_has_fn_name(stmt, "to_json") ||
-                   stmt_has_fn_name(stmt, "from_json")) {
-          // Inline to_json/from_json member definition.
-          s.kind = Scope::kSink;
-          s.family = stmt_has_fn_name(stmt, "to_json") ? Family::kToJson
-                                                       : Family::kFromJson;
-          s.sink_class = c.name;
         } else if (is_member_brace_init_head(stmt)) {
           // Default member initializer: `int x_{0};` -- record the member
           // now, treat the braces as an inert block.
@@ -665,10 +558,6 @@ FileModel build_model(std::string path, LexedFile lexed) {
             c.members.push_back(std::move(mem));
           }
         }
-      } else if (is_free_serializer_head(stmt, impl_class, family)) {
-        s.kind = Scope::kSink;
-        s.family = family;
-        s.sink_class = impl_class;
       }
       stack.push_back(s);
       stmt.clear();
@@ -688,8 +577,7 @@ FileModel build_model(std::string path, LexedFile lexed) {
         if (save || load) {
           c.declares_save |= save;
           c.declares_load |= load;
-        } else if (!stmt_has_fn_name(stmt, "to_json") &&
-                   !stmt_has_fn_name(stmt, "from_json")) {
+        } else {
           Member mem;
           if (parse_member(stmt, mem)) c.members.push_back(std::move(mem));
         }

@@ -1,13 +1,12 @@
 // Structural model of one source file, extracted from the token stream.
 // This is the "parser" half of htpb_lint: a brace/paren-tracking scan
 // that recognizes exactly the shapes the determinism rules need --
-// class bodies and their data members, serializer bodies (save_state/
-// load_state and to_json/from_json, inline, out-of-class and the repo's
-// `x_to_json(const X&)` / `X x_from_json(...)` free-function idiom),
-// declarations of unordered containers, range-for statements, Rng
-// construction sites and accumulation sites -- without a real C++ front
-// end. Anything it cannot classify it skips; the failure mode is a
-// missed finding, never a crash or a spurious parse error.
+// class bodies and their data members, save_state/load_state bodies
+// (inline and out-of-class), declarations of unordered containers,
+// range-for statements, Rng construction sites and accumulation sites --
+// without a real C++ front end. Anything it cannot classify it skips;
+// the failure mode is a missed finding, never a crash or a spurious parse
+// error.
 #pragma once
 
 #include <map>
@@ -69,21 +68,13 @@ struct ReduceSite {
   bool float_evidence = false;
 };
 
-/// Identifier sets of serializer implementations, keyed by class name.
-/// "snapshot" merges save_state+load_state (completeness is checked over
-/// the union); to_json/from_json stay separate so the parity rule can say
-/// which side dropped the member.
-struct SerializerBodies {
-  std::map<std::string, std::set<std::string>> snapshot;
-  std::map<std::string, std::set<std::string>> to_json;
-  std::map<std::string, std::set<std::string>> from_json;
-};
-
 struct FileModel {
   std::string path;  // repo-relative, '/'-separated
   LexedFile lexed;
   std::vector<ClassInfo> classes;
-  SerializerBodies bodies;
+  /// Identifiers in each class's save_state/load_state implementations,
+  /// merged (snapshot-complete checks members against the union).
+  std::map<std::string, std::set<std::string>> snapshot_bodies;
   /// Members initialized in a constructor mem-init-list, keyed by class
   /// name. The uninit-pod-member rule treats these as initialized.
   std::map<std::string, std::set<std::string>> ctor_inits;

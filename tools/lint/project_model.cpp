@@ -14,7 +14,7 @@ using json::Value;
 /// Bumped whenever FileSummary's shape or any summarize() heuristic
 /// changes; stale cache shards then miss on the key instead of feeding
 /// the engine summaries produced by older extraction code.
-constexpr int kFormatVersion = 1;
+constexpr int kFormatVersion = 2;
 
 bool is_ident(const Token& t, const char* text) {
   return t.kind == TokKind::kIdent && t.text == text;
@@ -73,14 +73,6 @@ MarkerSet scan_markers(const std::string& path, const LexedFile& lexed) {
         out.errors.push_back(where + ": snapshot-exempt requires a reason");
       } else {
         out.snapshot_exempt.insert(line);
-      }
-    }
-    if (const std::size_t at = text.find("json-exempt:");
-        at != std::string::npos) {
-      if (trim(text.substr(at + 12)).empty()) {
-        out.errors.push_back(where + ": json-exempt requires a reason");
-      } else {
-        out.json_exempt.insert(line);
       }
     }
   }
@@ -232,14 +224,6 @@ std::set<int> lines_from_json(const Value& v) {
   return out;
 }
 
-/// find() that throws on a missing key, so a truncated shard degrades to
-/// the catch-all cache miss instead of a null dereference.
-const Value& req(const json::Object& o, const char* key) {
-  const Value* v = o.find(key);
-  if (v == nullptr) throw std::runtime_error(std::string("missing ") + key);
-  return *v;
-}
-
 }  // namespace
 
 FileSummary summarize(const std::string& path, const std::string& content) {
@@ -248,7 +232,7 @@ FileSummary summarize(const std::string& path, const std::string& content) {
   s.path = path;
   s.includes = std::move(m.lexed.includes);
   s.classes = std::move(m.classes);
-  s.bodies = std::move(m.bodies);
+  s.snapshot_bodies = std::move(m.snapshot_bodies);
   s.ctor_inits = std::move(m.ctor_inits);
   s.unordered_names = std::move(m.unordered_names);
   s.float_names = collect_float_names(m.lexed.tokens);
@@ -298,11 +282,7 @@ std::string summary_to_json(const FileSummary& s) {
   }
   root["classes"] = Value(std::move(classes));
 
-  json::Object bodies;
-  bodies["snapshot"] = ident_map_to_json(s.bodies.snapshot);
-  bodies["to_json"] = ident_map_to_json(s.bodies.to_json);
-  bodies["from_json"] = ident_map_to_json(s.bodies.from_json);
-  root["bodies"] = Value(std::move(bodies));
+  root["snapshot_bodies"] = ident_map_to_json(s.snapshot_bodies);
   root["ctor_inits"] = ident_map_to_json(s.ctor_inits);
   root["unordered_names"] = strings_to_json(s.unordered_names);
   root["float_names"] = strings_to_json(s.float_names);
@@ -345,7 +325,6 @@ std::string summary_to_json(const FileSummary& s) {
   }
   markers["allows"] = Value(std::move(allows));
   markers["snapshot_exempt"] = lines_to_json(s.markers.snapshot_exempt);
-  markers["json_exempt"] = lines_to_json(s.markers.json_exempt);
   json::Array merrs;
   for (const std::string& e : s.markers.errors) merrs.push_back(Value(e));
   markers["errors"] = Value(std::move(merrs));
@@ -377,76 +356,72 @@ bool summary_from_json(const std::string& body, const std::string& path,
     }
     FileSummary s;
     s.path = path;
-    for (const Value& v : req(o, "includes").as_array()) {
+    for (const Value& v : o.at("includes").as_array()) {
       const json::Object& io = v.as_object();
-      s.includes.push_back({static_cast<int>(req(io, "line").as_int()),
-                            req(io, "target").as_string()});
+      s.includes.push_back({static_cast<int>(io.at("line").as_int()),
+                            io.at("target").as_string()});
     }
-    for (const Value& v : req(o, "classes").as_array()) {
+    for (const Value& v : o.at("classes").as_array()) {
       const json::Object& co = v.as_object();
       ClassInfo c;
-      c.name = req(co, "name").as_string();
-      c.line = static_cast<int>(req(co, "line").as_int());
-      c.declares_save = req(co, "declares_save").as_bool();
-      c.declares_load = req(co, "declares_load").as_bool();
-      for (const Value& mv : req(co, "members").as_array()) {
+      c.name = co.at("name").as_string();
+      c.line = static_cast<int>(co.at("line").as_int());
+      c.declares_save = co.at("declares_save").as_bool();
+      c.declares_load = co.at("declares_load").as_bool();
+      for (const Value& mv : co.at("members").as_array()) {
         const json::Object& mo = mv.as_object();
         Member mem;
-        mem.name = req(mo, "name").as_string();
-        mem.line = static_cast<int>(req(mo, "line").as_int());
-        mem.has_init = req(mo, "has_init").as_bool();
-        for (const Value& t : req(mo, "type").as_array()) {
+        mem.name = mo.at("name").as_string();
+        mem.line = static_cast<int>(mo.at("line").as_int());
+        mem.has_init = mo.at("has_init").as_bool();
+        for (const Value& t : mo.at("type").as_array()) {
           mem.type_tokens.push_back(t.as_string());
         }
         c.members.push_back(std::move(mem));
       }
       s.classes.push_back(std::move(c));
     }
-    const json::Object& bodies = req(o, "bodies").as_object();
-    s.bodies.snapshot = ident_map_from_json(req(bodies, "snapshot"));
-    s.bodies.to_json = ident_map_from_json(req(bodies, "to_json"));
-    s.bodies.from_json = ident_map_from_json(req(bodies, "from_json"));
-    s.ctor_inits = ident_map_from_json(req(o, "ctor_inits"));
-    s.unordered_names = strings_from_json(req(o, "unordered_names"));
-    s.float_names = strings_from_json(req(o, "float_names"));
-    for (const Value& v : req(o, "range_fors").as_array()) {
+    s.snapshot_bodies = ident_map_from_json(o.at("snapshot_bodies"));
+    s.ctor_inits = ident_map_from_json(o.at("ctor_inits"));
+    s.unordered_names = strings_from_json(o.at("unordered_names"));
+    s.float_names = strings_from_json(o.at("float_names"));
+    for (const Value& v : o.at("range_fors").as_array()) {
       const json::Object& fo = v.as_object();
-      s.range_fors.push_back({static_cast<int>(req(fo, "line").as_int()),
-                              req(fo, "target").as_string()});
+      s.range_fors.push_back({static_cast<int>(fo.at("line").as_int()),
+                              fo.at("target").as_string()});
     }
-    for (const Value& v : req(o, "rng_sites").as_array()) {
+    for (const Value& v : o.at("rng_sites").as_array()) {
       const json::Object& ro = v.as_object();
       RngSite site;
-      site.line = static_cast<int>(req(ro, "line").as_int());
-      site.seed_derived = req(ro, "seed_derived").as_bool();
-      site.args = req(ro, "args").as_string();
+      site.line = static_cast<int>(ro.at("line").as_int());
+      site.seed_derived = ro.at("seed_derived").as_bool();
+      site.args = ro.at("args").as_string();
       s.rng_sites.push_back(std::move(site));
     }
-    for (const Value& v : req(o, "reduce_sites").as_array()) {
+    for (const Value& v : o.at("reduce_sites").as_array()) {
       const json::Object& ro = v.as_object();
       ReduceSite site;
-      site.line = static_cast<int>(req(ro, "line").as_int());
-      site.target = req(ro, "target").as_string();
-      site.op = req(ro, "op").as_string();
-      site.acc = req(ro, "acc").as_string();
-      site.float_evidence = req(ro, "float_evidence").as_bool();
+      site.line = static_cast<int>(ro.at("line").as_int());
+      site.target = ro.at("target").as_string();
+      site.op = ro.at("op").as_string();
+      site.acc = ro.at("acc").as_string();
+      site.float_evidence = ro.at("float_evidence").as_bool();
       s.reduce_sites.push_back(std::move(site));
     }
-    const json::Object& markers = req(o, "markers").as_object();
-    for (const auto& [line, ids] : req(markers, "allows").as_object()) {
+    const json::Object& markers = o.at("markers").as_object();
+    for (const auto& [line, ids] : markers.at("allows").as_object()) {
       s.markers.allows[std::stoi(line)] = strings_from_json(ids);
     }
     s.markers.snapshot_exempt =
-        lines_from_json(req(markers, "snapshot_exempt"));
-    s.markers.json_exempt = lines_from_json(req(markers, "json_exempt"));
-    for (const Value& e : req(markers, "errors").as_array()) {
+        lines_from_json(markers.at("snapshot_exempt"));
+    for (const Value& e : markers.at("errors").as_array()) {
       s.markers.errors.push_back(e.as_string());
     }
-    for (const Value& v : req(o, "token_findings").as_array()) {
+    for (const Value& v : o.at("token_findings").as_array()) {
       const json::Object& fo = v.as_object();
-      s.token_findings.push_back({static_cast<int>(req(fo, "line").as_int()),
-                                  req(fo, "rule").as_string(),
-                                  req(fo, "message").as_string()});
+      s.token_findings.push_back({static_cast<int>(fo.at("line").as_int()),
+                                  fo.at("rule").as_string(),
+                                  fo.at("message").as_string()});
     }
     out = std::move(s);
     return true;

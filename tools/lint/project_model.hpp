@@ -11,7 +11,7 @@
 // findings and marker tables.
 //
 // A ProjectModel is just the ordered list of summaries; the cross-file
-// joins (serializer bodies by class, include graph, header/source
+// joins (snapshot bodies by class, include graph, header/source
 // unordered-name union) are built where they are consumed, in
 // rules.cpp / graph.cpp.
 #pragma once
@@ -42,7 +42,6 @@ struct MarkerSet {
   /// line -> rule ids from an inline allow(...) marker.
   std::map<int, std::set<std::string>> allows;
   std::set<int> snapshot_exempt;  // `// snapshot-exempt: reason` lines
-  std::set<int> json_exempt;      // `// json-exempt: reason` lines
   std::vector<std::string> errors;
 };
 
@@ -50,7 +49,7 @@ struct FileSummary {
   std::string path;  // repo-relative, '/'-separated
   std::vector<Include> includes;
   std::vector<ClassInfo> classes;
-  SerializerBodies bodies;
+  std::map<std::string, std::set<std::string>> snapshot_bodies;
   std::map<std::string, std::set<std::string>> ctor_inits;
   std::set<std::string> unordered_names;
   /// Names declared with float/double type; the float-unordered-reduce

@@ -170,10 +170,6 @@ const std::vector<RuleInfo>& rules() {
        "data member missing from save_state/load_state",
        "serialize the member, or mark the declaration "
        "\"// snapshot-exempt: <reason>\" if it is derived or transient"},
-      {"spec-field-parity",
-       "data member missing from to_json/from_json of its class",
-       "serialize the member on both sides, or mark the declaration "
-       "\"// json-exempt: <reason>\" if it is runtime-only plumbing"},
       {"seed-provenance",
        "Rng/std::mt19937 seeded from a literal or non-seed expression",
        "derive the constructor argument from spec.seed (directly or via "
@@ -253,9 +249,7 @@ LintResult run_lint(const ProjectModel& pm,
             into[cls].insert(idents.begin(), idents.end());
           }
         };
-    merge(join.snapshot_bodies, f.bodies.snapshot);
-    merge(join.to_json_bodies, f.bodies.to_json);
-    merge(join.from_json_bodies, f.bodies.from_json);
+    merge(join.snapshot_bodies, f.snapshot_bodies);
     merge(join.ctor_inits, f.ctor_inits);
   }
 
@@ -277,7 +271,6 @@ LintResult run_lint(const ProjectModel& pm,
     }
     check_unordered_iter(f, unordered, raw);
     check_members(f, join, raw);
-    check_spec_field_parity(f, join, raw);
     check_seed_provenance(f, raw);
     check_float_unordered_reduce(f, join, raw);
   }
@@ -298,9 +291,7 @@ LintResult run_lint(const ProjectModel& pm,
     if (mk != nullptr) {
       drop = inline_allowed(*mk, v.line, v.rule) ||
              (v.rule == kSnapshotComplete &&
-              line_marked(mk->snapshot_exempt, v.line)) ||
-             (v.rule == "spec-field-parity" &&
-              line_marked(mk->json_exempt, v.line));
+              line_marked(mk->snapshot_exempt, v.line));
     }
     if (drop || file_suppressed(suppressions, v)) {
       ++result.suppressed;

@@ -13,10 +13,6 @@
 //   snapshot-complete  data member of a class declaring save_state/
 //                      load_state that is never referenced in either
 //                      implementation and not marked snapshot-exempt
-//   spec-field-parity  data member of a class with both to_json and
-//                      from_json that is missing from either body and
-//                      not marked json-exempt -- the field silently
-//                      resets on a serialize/parse round-trip
 //   seed-provenance    Rng/std::mt19937 constructed from an expression
 //                      not visibly derived from a seed -- breaks the
 //                      "every stochastic entry point derives from
@@ -37,8 +33,6 @@
 //   member exemption for snapshot-complete, on the declaration line or
 //   the line above:
 //     // snapshot-exempt: <reason>
-//   member exemption for spec-field-parity, same placement:
-//     // json-exempt: <reason>
 //   repo suppression file (tools/htpb_lint_suppressions.txt), one per
 //   line; `path` is repo-relative, a trailing '/' makes it a prefix:
 //     rule-id  path  <reason>
@@ -96,8 +90,6 @@ std::vector<FileSuppression> parse_suppression_file(
 /// production serializer).
 struct ProjectJoin {
   std::map<std::string, std::set<std::string>> snapshot_bodies;
-  std::map<std::string, std::set<std::string>> to_json_bodies;
-  std::map<std::string, std::set<std::string>> from_json_bodies;
   std::map<std::string, std::set<std::string>> ctor_inits;
   /// Header summary by path stem, so X.cpp sees the unordered/float
   /// names X.hpp declares.
@@ -105,10 +97,8 @@ struct ProjectJoin {
 };
 
 /// The per-family passes (one translation unit each; see
-/// rules_parity.cpp, rules_seed.cpp, rules_reduce.cpp and graph.cpp for
-/// layering). They emit raw findings; run_lint applies suppressions.
-void check_spec_field_parity(const FileSummary& f, const ProjectJoin& join,
-                             std::vector<Violation>& out);
+/// rules_seed.cpp, rules_reduce.cpp and graph.cpp for layering). They
+/// emit raw findings; run_lint applies suppressions.
 void check_seed_provenance(const FileSummary& f, std::vector<Violation>& out);
 void check_float_unordered_reduce(const FileSummary& f,
                                   const ProjectJoin& join,
