@@ -30,6 +30,5 @@ int main() {
       std::printf("\n");
     }
   }
-  std::printf("\n(see EXPERIMENTS.md for the paper-vs-measured discussion)\n");
   return 0;
 }

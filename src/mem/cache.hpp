@@ -1,10 +1,17 @@
 // Generic set-associative cache with LRU replacement, parameterized on the
 // per-line metadata. Addresses are cache-line identifiers (the coherence
 // unit); byte offsets never appear in the simulator.
+//
+// Each set's lines are allocated by the first `allocate` into it. A short
+// run touches a few sets of each bank, so a large chip builds and tears
+// down only the lines it uses. Lookups on an untouched set miss without
+// allocating, and because a new line takes the first invalid way, slot
+// positions match a dense layout's exactly.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -20,42 +27,37 @@ class SetAssocCache {
     LineData data{};
   };
 
-  SetAssocCache(std::size_t sets, int ways)
-      : sets_(sets), ways_(ways),
-        lines_(sets * static_cast<std::size_t>(ways)) {
+  SetAssocCache(std::size_t sets, int ways) : ways_(ways), sets_(sets) {
     if (sets == 0 || (sets & (sets - 1)) != 0) {
       throw std::invalid_argument("SetAssocCache: sets must be a power of 2");
     }
     if (ways <= 0) throw std::invalid_argument("SetAssocCache: ways must be > 0");
   }
 
-  [[nodiscard]] std::size_t sets() const noexcept { return sets_; }
+  [[nodiscard]] std::size_t sets() const noexcept { return sets_.size(); }
   [[nodiscard]] int ways() const noexcept { return ways_; }
   [[nodiscard]] std::size_t capacity_lines() const noexcept {
-    return lines_.size();
+    return sets_.size() * static_cast<std::size_t>(ways_);
+  }
+  /// Sets whose lines have been allocated.
+  [[nodiscard]] std::size_t allocated_sets() const noexcept {
+    std::size_t n = 0;
+    for (const auto& set : sets_) {
+      if (set) ++n;
+    }
+    return n;
   }
 
   /// Finds a line and touches its LRU stamp. Returns nullptr on miss.
   [[nodiscard]] Line* find(std::uint64_t addr) {
-    const std::size_t base = set_base(addr);
-    for (int w = 0; w < ways_; ++w) {
-      Line& line = lines_[base + static_cast<std::size_t>(w)];
-      if (line.valid && line.addr == addr) {
-        line.lru = ++clock_;
-        return &line;
-      }
-    }
-    return nullptr;
+    Line* line = match(sets_[set_index(addr)].get(), addr);
+    if (line != nullptr) line->lru = ++clock_;
+    return line;
   }
 
   /// Peeks without updating LRU (for statistics and assertions).
   [[nodiscard]] const Line* peek(std::uint64_t addr) const {
-    const std::size_t base = set_base(addr);
-    for (int w = 0; w < ways_; ++w) {
-      const Line& line = lines_[base + static_cast<std::size_t>(w)];
-      if (line.valid && line.addr == addr) return &line;
-    }
-    return nullptr;
+    return match(sets_[set_index(addr)].get(), addr);
   }
 
   /// Allocates a line for `addr`, evicting the LRU way if necessary.
@@ -66,17 +68,14 @@ class SetAssocCache {
   Line& allocate(std::uint64_t addr, Line* evicted, bool* did_evict,
                  const std::function<bool(const Line&)>& evictable = {}) {
     if (did_evict) *did_evict = false;
-    const std::size_t base = set_base(addr);
+    Line* set = materialise(set_index(addr));
     // Prefer an existing or invalid slot.
-    for (int w = 0; w < ways_; ++w) {
-      Line& line = lines_[base + static_cast<std::size_t>(w)];
-      if (line.valid && line.addr == addr) {
-        line.lru = ++clock_;
-        return line;
-      }
+    if (Line* line = match(set, addr)) {
+      line->lru = ++clock_;
+      return *line;
     }
     for (int w = 0; w < ways_; ++w) {
-      Line& line = lines_[base + static_cast<std::size_t>(w)];
+      Line& line = set[w];
       if (!line.valid) {
         line = Line{};
         line.addr = addr;
@@ -89,7 +88,7 @@ class SetAssocCache {
     Line* victim = nullptr;
     for (int pass = 0; pass < 2 && victim == nullptr; ++pass) {
       for (int w = 0; w < ways_; ++w) {
-        Line& line = lines_[base + static_cast<std::size_t>(w)];
+        Line& line = set[w];
         if (pass == 0 && evictable && !evictable(line)) continue;
         if (victim == nullptr || line.lru < victim->lru) victim = &line;
       }
@@ -105,42 +104,74 @@ class SetAssocCache {
 
   /// Drops a line if present. Returns true when something was removed.
   bool invalidate(std::uint64_t addr) {
-    const std::size_t base = set_base(addr);
-    for (int w = 0; w < ways_; ++w) {
-      Line& line = lines_[base + static_cast<std::size_t>(w)];
-      if (line.valid && line.addr == addr) {
-        line = Line{};
-        return true;
-      }
-    }
-    return false;
+    Line* line = match(sets_[set_index(addr)].get(), addr);
+    if (line == nullptr) return false;
+    *line = Line{};
+    return true;
   }
 
   [[nodiscard]] std::size_t occupancy() const noexcept {
     std::size_t n = 0;
-    for (const Line& line : lines_) {
-      if (line.valid) ++n;
+    for (const auto& set : sets_) {
+      if (!set) continue;
+      for (int w = 0; w < ways_; ++w) {
+        if (set[w].valid) ++n;
+      }
     }
     return n;
   }
 
-  /// Checkpointing: raw slot access in storage order plus the LRU clock.
-  /// A restored cache must reproduce identical victim choices, so slot
-  /// positions and lru stamps are captured verbatim.
-  [[nodiscard]] const Line& line_at(std::size_t i) const { return lines_[i]; }
-  [[nodiscard]] Line& line_at(std::size_t i) { return lines_[i]; }
+  /// Drops every line (and its set's storage). The LRU clock is kept; a
+  /// restore sets it with `set_lru_clock`.
+  void clear() noexcept {
+    for (auto& set : sets_) set.reset();
+  }
+
+  /// Checkpointing: raw slot access in storage order (slot i is way
+  /// i % ways of set i / ways) plus the LRU clock. A restored cache must
+  /// reproduce identical victim choices, so slot positions and lru stamps
+  /// are captured verbatim. The const overload reads an unallocated set as
+  /// invalid lines; the mutable one allocates the slot's set and throws
+  /// std::out_of_range past capacity_lines() (a restored slot index).
+  [[nodiscard]] const Line& line_at(std::size_t i) const {
+    static const Line kEmpty{};
+    const Line* set = sets_[i / static_cast<std::size_t>(ways_)].get();
+    return set == nullptr ? kEmpty : set[i % static_cast<std::size_t>(ways_)];
+  }
+  [[nodiscard]] Line& line_at(std::size_t i) {
+    if (i >= capacity_lines()) {
+      throw std::out_of_range("SetAssocCache: slot out of range");
+    }
+    return materialise(i / static_cast<std::size_t>(ways_))
+        [i % static_cast<std::size_t>(ways_)];
+  }
   [[nodiscard]] std::uint64_t lru_clock() const noexcept { return clock_; }
   void set_lru_clock(std::uint64_t c) noexcept { clock_ = c; }
 
  private:
-  [[nodiscard]] std::size_t set_base(std::uint64_t addr) const noexcept {
-    return static_cast<std::size_t>(addr & (sets_ - 1)) *
-           static_cast<std::size_t>(ways_);
+  [[nodiscard]] std::size_t set_index(std::uint64_t addr) const noexcept {
+    return static_cast<std::size_t>(addr & (sets_.size() - 1));
   }
 
-  std::size_t sets_;
+  /// The valid way of `set` holding `addr`, or nullptr (also when the set
+  /// is unallocated).
+  [[nodiscard]] Line* match(Line* set, std::uint64_t addr) const noexcept {
+    if (set == nullptr) return nullptr;
+    for (int w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].addr == addr) return &set[w];
+    }
+    return nullptr;
+  }
+
+  [[nodiscard]] Line* materialise(std::size_t set) {
+    auto& lines = sets_[set];
+    if (!lines) lines = std::make_unique<Line[]>(static_cast<std::size_t>(ways_));
+    return lines.get();
+  }
+
   int ways_;
-  std::vector<Line> lines_;
+  /// One entry per set; null until the set is first allocated into.
+  std::vector<std::unique_ptr<Line[]>> sets_;
   std::uint64_t clock_ = 0;
 };
 

@@ -166,9 +166,7 @@ json::Value L1Cache::save_state() const {
 
 void L1Cache::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
-  for (std::size_t i = 0; i < cache_.capacity_lines(); ++i) {
-    cache_.line_at(i) = SetAssocCache<LineData>::Line{};
-  }
+  cache_.clear();
   for (const json::Value& lv : o.at("lines").as_array()) {
     const json::Array& a = lv.as_array();
     auto& line = cache_.line_at(static_cast<std::size_t>(common::pu64(a.at(0))));

@@ -275,9 +275,7 @@ json::Value L2Bank::save_state() const {
 
 void L2Bank::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
-  for (std::size_t i = 0; i < cache_.capacity_lines(); ++i) {
-    cache_.line_at(i) = SetAssocCache<DirEntry>::Line{};
-  }
+  cache_.clear();
   for (const json::Value& lv : o.at("lines").as_array()) {
     const json::Object& lo = lv.as_object();
     auto& line = cache_.line_at(

@@ -11,6 +11,12 @@
 //
 //   kInfectionVsHtCount       cell per (arm, ht)   Rng(seed + s*77 + ht)
 //   kInfectionVsDistribution  cell per (div, size) Rng(seed + s*13 + size)
+//                             Inside a cell the runner fans the legs
+//                             (gm x seed; center, corner, random seeds)
+//                             flat across its pool. Each leg's stream is
+//                             value-keyed and the fleet still splits per
+//                             (arm, ht) / (div, size), so split/merge
+//                             stays bit-identical.
 //   kAttackEffect             cell per mix         serial Rng(seed) per mix
 //   kPerformanceChange        cell per mix         (same sweep)
 //   kPlacementStudy           cell per mix         Rng(seed + mix_i): the

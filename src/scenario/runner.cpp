@@ -124,29 +124,58 @@ namespace {
 /// Fig. 3. Stochastic contract (= the legacy bench): random placements
 /// for cell (seed index s, #HTs h) draw from Rng(seed + s*77 + h); the
 /// default seed 1000 reproduces the pre-registry bench bit for bit.
-json::Value run_infection_vs_ht_count(const ScenarioSpec& spec) {
+/// Every arm x ht x gm x seed leg runs in one flat fan-out, each on its
+/// own campaign; the per-cell means add the legs in seed order.
+json::Value run_infection_vs_ht_count(const ScenarioSpec& spec,
+                                      const core::ParallelSweepRunner& runner) {
+  struct Leg {
+    int nodes;
+    int hts;
+    system::GmPlacement gm;
+    int s;
+  };
+  std::vector<Leg> legs;
+  for (const InfectionArm& arm : spec.axes.arms) {
+    for (const int hts : arm.ht_counts) {
+      for (const system::GmPlacement gm : spec.axes.gm_placements) {
+        for (int s = 0; s < spec.axes.seeds; ++s) {
+          legs.push_back({arm.nodes, hts, gm, s});
+        }
+      }
+    }
+  }
+  struct Rates {
+    double simulated = 0.0;
+    double analytic = 0.0;
+  };
+  const auto rates = runner.map(legs.size(), [&](std::size_t i) {
+    const Leg& leg = legs[i];
+    ScenarioSpec cell_spec = spec;
+    cell_spec.system = system_with_size(spec.system, leg.nodes);
+    cell_spec.system.gm_placement = leg.gm;
+    core::AttackCampaign campaign(campaign_config(cell_spec, ""));
+    const MeshGeometry geom(cell_spec.system.width, cell_spec.system.height);
+    Rng rng(spec.seed + static_cast<std::uint64_t>(leg.s) * 77 +
+            static_cast<std::uint64_t>(leg.hts));
+    const auto nodes =
+        core::random_placement(geom, leg.hts, rng, campaign.gm_node());
+    return Rates{campaign.run_infection_only(nodes),
+                 core::InfectionAnalyzer(geom, campaign.gm_node())
+                     .predicted_rate(nodes)};
+  });
+
+  std::size_t i = 0;
   json::Array arms;
   for (const InfectionArm& arm : spec.axes.arms) {
     json::Array rows;
     for (const int hts : arm.ht_counts) {
       json::Array cells;
       for (const system::GmPlacement gm : spec.axes.gm_placements) {
-        SystemSpec sys = system_with_size(spec.system, arm.nodes);
-        sys.gm_placement = gm;
-        ScenarioSpec cell_spec = spec;
-        cell_spec.system = sys;
-        core::AttackCampaign campaign(campaign_config(cell_spec, ""));
-        const MeshGeometry geom(sys.width, sys.height);
-        const core::InfectionAnalyzer analyzer(geom, campaign.gm_node());
         double simulated = 0.0;
         double analytic = 0.0;
-        for (int s = 0; s < spec.axes.seeds; ++s) {
-          Rng rng(spec.seed + static_cast<std::uint64_t>(s) * 77 +
-                  static_cast<std::uint64_t>(hts));
-          const auto nodes =
-              core::random_placement(geom, hts, rng, campaign.gm_node());
-          simulated += campaign.run_infection_only(nodes);
-          analytic += analyzer.predicted_rate(nodes);
+        for (int s = 0; s < spec.axes.seeds; ++s, ++i) {
+          simulated += rates[i].simulated;
+          analytic += rates[i].analytic;
         }
         json::Object cell;
         cell["gm"] = json::Value(to_string(gm));
@@ -170,37 +199,51 @@ json::Value run_infection_vs_ht_count(const ScenarioSpec& spec) {
 }
 
 /// Fig. 4. Random-placement cells draw from Rng(seed + s*13 + size);
-/// seed 500 reproduces the legacy bench.
-json::Value run_infection_vs_distribution(const ScenarioSpec& spec) {
+/// seed 500 reproduces the legacy bench. Every divisor x size cell's
+/// center, corner and random-seed legs run in one flat fan-out.
+json::Value run_infection_vs_distribution(
+    const ScenarioSpec& spec, const core::ParallelSweepRunner& runner) {
+  // Per (divisor, size) cell: leg 0 = center cluster, 1 = corner cluster,
+  // 2 + s = random placement s.
+  const std::size_t per_cell = 2 + static_cast<std::size_t>(spec.axes.seeds);
+  const std::size_t sizes = spec.axes.sizes.size();
+  const auto leg_rate = [&](std::size_t i) {
+    const std::size_t cell = i / per_cell;
+    const std::size_t leg = i % per_cell;
+    const int size = spec.axes.sizes[cell % sizes];
+    const int hts = size / spec.axes.ht_divisors[cell / sizes];
+    ScenarioSpec cell_spec = spec;
+    cell_spec.system = system_with_size(spec.system, size);
+    core::AttackCampaign campaign(campaign_config(cell_spec, ""));
+    const MeshGeometry geom(cell_spec.system.width, cell_spec.system.height);
+    if (leg < 2) {
+      return campaign.run_infection_only(core::clustered_placement(
+          geom, hts, leg == 0 ? geom.center() : MeshGeometry::corner(),
+          campaign.gm_node()));
+    }
+    Rng rng(spec.seed + static_cast<std::uint64_t>(leg - 2) * 13 +
+            static_cast<std::uint64_t>(size));
+    return campaign.run_infection_only(
+        core::random_placement(geom, hts, rng, campaign.gm_node()));
+  };
+  const auto rates =
+      runner.map(spec.axes.ht_divisors.size() * sizes * per_cell, leg_rate);
+
+  std::size_t i = 0;
   json::Array divisors;
   for (const int divisor : spec.axes.ht_divisors) {
     json::Array rows;
     for (const int size : spec.axes.sizes) {
-      const int hts = size / divisor;
-      ScenarioSpec cell_spec = spec;
-      cell_spec.system = system_with_size(spec.system, size);
-      core::AttackCampaign campaign(campaign_config(cell_spec, ""));
-      const MeshGeometry geom(cell_spec.system.width,
-                              cell_spec.system.height);
-
-      const auto center_nodes = core::clustered_placement(
-          geom, hts, geom.center(), campaign.gm_node());
-      const auto corner_nodes = core::clustered_placement(
-          geom, hts, MeshGeometry::corner(), campaign.gm_node());
-      const double rate_center = campaign.run_infection_only(center_nodes);
-      const double rate_corner = campaign.run_infection_only(corner_nodes);
+      const double rate_center = rates[i];
+      const double rate_corner = rates[i + 1];
       double rate_random = 0.0;
-      for (int s = 0; s < spec.axes.seeds; ++s) {
-        Rng rng(spec.seed + static_cast<std::uint64_t>(s) * 13 +
-                static_cast<std::uint64_t>(size));
-        rate_random += campaign.run_infection_only(
-            core::random_placement(geom, hts, rng, campaign.gm_node()));
-      }
+      for (std::size_t s = 2; s < per_cell; ++s) rate_random += rates[i + s];
       rate_random /= spec.axes.seeds;
+      i += per_cell;
 
       json::Object row;
       row["size"] = json::Value(size);
-      row["hts"] = json::Value(hts);
+      row["hts"] = json::Value(size / divisor);
       row["center"] = json::Value(rate_center);
       row["random"] = json::Value(rate_random);
       row["corner"] = json::Value(rate_corner);
@@ -1119,10 +1162,10 @@ json::Value run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   json::Value payload;
   switch (s.kind) {
     case ScenarioKind::kInfectionVsHtCount:
-      payload = run_infection_vs_ht_count(s);
+      payload = run_infection_vs_ht_count(s, runner);
       break;
     case ScenarioKind::kInfectionVsDistribution:
-      payload = run_infection_vs_distribution(s);
+      payload = run_infection_vs_distribution(s, runner);
       break;
     case ScenarioKind::kAttackEffect:
     case ScenarioKind::kPerformanceChange:

@@ -380,7 +380,7 @@ double ManyCoreSystem::core_sensitivity(NodeId node) const {
   // per-cycle IPC: a literal per-cycle reading would rank memory-bound
   // threads as the most sensitive (their IPC *falls* fastest with f),
   // inverting the paper's own statement that instruction-bound
-  // applications are hit hardest (Sec. IV). EXPERIMENTS.md discusses this.
+  // applications are hit hardest (Sec. IV).
   double phi = 0.0;
   for (int lvl = 0; lvl + 1 < cfg_.freqs.num_levels(); ++lvl) {
     const double perf_lo = c->ipc_at_level(lvl) * cfg_.freqs.ghz(lvl);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 namespace htpb::mem {
 namespace {
 
@@ -108,6 +111,89 @@ TEST(SetAssocCache, PeekDoesNotTouchLru) {
   IntCache::Line victim;
   cache.allocate(3, &victim, &evicted);
   EXPECT_EQ(victim.addr, 1U);  // 1 was still LRU despite the peek
+}
+
+TEST(SetAssocCache, MissOnUntouchedSetAllocatesNothing) {
+  IntCache cache(16, 4);
+  EXPECT_EQ(cache.allocated_sets(), 0U);
+  EXPECT_EQ(cache.find(3), nullptr);
+  EXPECT_EQ(cache.peek(3), nullptr);
+  EXPECT_FALSE(cache.invalidate(3));
+  EXPECT_EQ(cache.occupancy(), 0U);
+  EXPECT_EQ(cache.allocated_sets(), 0U);
+  bool evicted = false;
+  cache.allocate(3, nullptr, &evicted);
+  EXPECT_EQ(cache.allocated_sets(), 1U);
+  EXPECT_EQ(cache.find(4), nullptr);  // a different, untouched set
+  EXPECT_EQ(cache.allocated_sets(), 1U);
+}
+
+TEST(SetAssocCache, ConstLineAtOnUnallocatedSetIsInvalid) {
+  const IntCache cache(16, 4);
+  for (std::size_t i = 0; i < cache.capacity_lines(); ++i) {
+    EXPECT_FALSE(cache.line_at(i).valid) << i;
+  }
+  EXPECT_EQ(cache.allocated_sets(), 0U);
+}
+
+TEST(SetAssocCache, MutableLineAtRejectsSlotPastCapacity) {
+  IntCache cache(4, 2);
+  EXPECT_THROW((void)cache.line_at(8), std::out_of_range);
+  EXPECT_EQ(cache.allocated_sets(), 0U);
+}
+
+TEST(SetAssocCache, ClearEmptiesTheCache) {
+  IntCache cache(4, 2);
+  bool evicted = false;
+  for (std::uint64_t a = 0; a < 8; ++a) cache.allocate(a, nullptr, &evicted);
+  EXPECT_EQ(cache.occupancy(), 8U);
+  const std::uint64_t clock = cache.lru_clock();
+  cache.clear();
+  EXPECT_EQ(cache.occupancy(), 0U);
+  EXPECT_EQ(cache.allocated_sets(), 0U);
+  EXPECT_EQ(cache.find(5), nullptr);
+  EXPECT_EQ(cache.lru_clock(), clock);  // a restore sets the clock itself
+}
+
+// Slot i is way i % ways of set i / ways, and a new line takes the first
+// invalid way -- the layout a dense array of every line gave, which is what
+// snapshot "slot" indices record.
+TEST(SetAssocCache, SlotIndicesMatchTheDenseLayout) {
+  IntCache cache(4, 4);
+  bool evicted = false;
+  // Set 1 holds addresses 1, 5, 9, 13 in ways 0..3 (slots 4..7).
+  cache.allocate(1, nullptr, &evicted).data = 10;
+  cache.allocate(5, nullptr, &evicted).data = 50;
+  cache.allocate(9, nullptr, &evicted).data = 90;
+  EXPECT_TRUE(cache.invalidate(5));  // frees way 1 (slot 5)
+  cache.allocate(13, nullptr, &evicted).data = 130;  // takes way 1
+  cache.allocate(17, nullptr, &evicted).data = 170;  // takes way 3
+  EXPECT_FALSE(evicted);
+  EXPECT_EQ(cache.allocated_sets(), 1U);
+  const IntCache& view = cache;
+  EXPECT_EQ(view.line_at(4).addr, 1U);
+  EXPECT_EQ(view.line_at(5).addr, 13U);
+  EXPECT_EQ(view.line_at(6).addr, 9U);
+  EXPECT_EQ(view.line_at(7).addr, 17U);
+  EXPECT_EQ(view.line_at(5).data, 130);
+  for (std::size_t i = 4; i < 8; ++i) EXPECT_TRUE(view.line_at(i).valid) << i;
+  EXPECT_FALSE(view.line_at(0).valid);
+  EXPECT_FALSE(view.line_at(8).valid);
+
+  // A restore through the mutable accessor lands in the same slots.
+  IntCache restored(4, 4);
+  for (std::size_t i = 0; i < view.capacity_lines(); ++i) {
+    if (view.line_at(i).valid) restored.line_at(i) = view.line_at(i);
+  }
+  restored.set_lru_clock(cache.lru_clock());
+  EXPECT_EQ(restored.allocated_sets(), 1U);
+  IntCache::Line a;
+  IntCache::Line b;
+  cache.allocate(21, &a, &evicted);
+  restored.allocate(21, &b, &evicted);
+  EXPECT_TRUE(evicted);
+  EXPECT_EQ(a.addr, b.addr);  // same LRU victim
+  EXPECT_EQ(a.addr, 1U);
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ json::Value without_timing(json::Value v) {
 // ---------------------------------------------------------------- fig3
 
 TEST(ScenarioRunner, Fig3QuickBitIdenticalToLegacyBenchPath) {
-  const json::Value result = run_quick("fig3");
+  const json::Value result = run_quick("fig3", 1);
   const json::Array& arms = result.as_object().find("arms")->as_array();
 
   // The pre-port bench_fig3 main, verbatim (HTPB_QUICK=1 constants:
@@ -304,6 +304,31 @@ TEST(ScenarioRunner, ResultIsThreadCountInvariant) {
   ASSERT_EQ(mixes.size(), 2U);
   EXPECT_EQ(json::dump(mixes[1], 0),
             json::dump(alone.as_object().find("mixes")->as_array()[0], 0));
+}
+
+/// `spec` at 1 and 3 threads must dump identically (timing aside).
+void expect_thread_count_invariant(const ScenarioSpec& spec) {
+  RunOptions one;
+  one.threads = 1;
+  RunOptions three;
+  three.threads = 3;
+  EXPECT_EQ(json::dump(without_timing(run_scenario(spec, one)), 0),
+            json::dump(without_timing(run_scenario(spec, three)), 0));
+}
+
+TEST(ScenarioRunner, Fig3IsThreadCountInvariant) {
+  // 2 HT counts x 2 GM placements x 2 seeds = 8 flat legs over 3 threads.
+  ScenarioSpec spec = scenario_or_throw("fig3").with_quick();
+  spec.axes.arms = {{64, {5, 10}}};
+  spec.axes.seeds = 2;
+  expect_thread_count_invariant(spec);
+}
+
+TEST(ScenarioRunner, Fig4IsThreadCountInvariant) {
+  // 2 divisors x 2 sizes x (center, corner, 2 random seeds) = 16 legs.
+  ScenarioSpec spec = scenario_or_throw("fig4").with_quick();
+  spec.axes.sizes = {64, 128};
+  expect_thread_count_invariant(spec);
 }
 
 // ------------------------------------------------- defense-closed-loop
