@@ -7,12 +7,13 @@
 
 namespace htpb::cpu {
 
-void CoreModel::tick(Cycle /*now*/) {
-  const double throughput = duty_ * ipc_.throughput(freqs_->ghz(level_));
-  instructions_ += throughput;  // 1 cycle == 1 ns
-  if (apki_ <= 0.0 || !mem_access_) return;
-  access_accumulator_ += throughput * apki_ / 1000.0;
-  // Issue all whole accesses accumulated this cycle (normally 0 or 1).
+void CoreModel::refresh_rate() {
+  rate_ = duty_ * ipc_.throughput(freqs_->ghz(level_));
+  access_step_ =
+      apki_ <= 0.0 || !mem_access_ ? kNoAccesses : rate_ * apki_ / 1000.0;
+}
+
+void CoreModel::issue_accesses() {
   while (access_accumulator_ >= 1.0) {
     access_accumulator_ -= 1.0;
     const bool write = rng_.chance(write_fraction_);
@@ -66,6 +67,7 @@ void CoreModel::load_state(const json::Value& v) {
   rng_.set_state(st);
   ipc_.set_mpi(o.at("mpi").as_double());
   ipc_.set_mem_latency_ns(o.at("mem_latency_ns").as_double());
+  refresh_rate();
 }
 
 }  // namespace htpb::cpu

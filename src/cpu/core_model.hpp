@@ -23,12 +23,17 @@ class CoreModel {
  public:
   CoreModel(NodeId node, AppId app, IpcModel ipc, const FrequencyTable* freqs,
             std::uint64_t seed)
-      : node_(node), app_(app), ipc_(ipc), freqs_(freqs), rng_(seed) {}
+      : node_(node), app_(app), ipc_(ipc), freqs_(freqs), rng_(seed) {
+    refresh_rate();
+  }
 
   [[nodiscard]] NodeId node() const noexcept { return node_; }
   [[nodiscard]] AppId app() const noexcept { return app_; }
 
-  void set_mem_access_fn(MemAccessFn fn) { mem_access_ = std::move(fn); }
+  void set_mem_access_fn(MemAccessFn fn) {
+    mem_access_ = std::move(fn);
+    refresh_rate();
+  }
 
   /// Address-stream parameters (installed by the workload layer).
   void set_address_stream(std::uint64_t base, std::uint64_t lines,
@@ -42,17 +47,22 @@ class CoreModel {
     shared_fraction_ = shared_fraction;
     write_fraction_ = write_fraction;
     apki_ = accesses_per_kilo_instr;
+    refresh_rate();
   }
 
-  void set_level(int level) noexcept { level_ = level; }
+  void set_level(int level) {
+    level_ = level;
+    refresh_rate();
+  }
   [[nodiscard]] int level() const noexcept { return level_; }
   [[nodiscard]] double ghz() const { return freqs_->ghz(level_); }
 
   /// Duty-cycle factor in (0, 1]: when the granted budget is below even
   /// the lowest V/F point, the core is clock-throttled proportionally
   /// (dark-silicon style sprint-and-rest). 1.0 = no throttling.
-  void set_duty(double duty) noexcept {
+  void set_duty(double duty) {
     duty_ = duty < 0.05 ? 0.05 : (duty > 1.0 ? 1.0 : duty);
+    refresh_rate();
   }
   [[nodiscard]] double duty() const noexcept { return duty_; }
 
@@ -68,11 +78,26 @@ class CoreModel {
     return ipc_.throughput(ghz());
   }
 
-  IpcModel& ipc_model() noexcept { return ipc_; }
   [[nodiscard]] const IpcModel& ipc_model() const noexcept { return ipc_; }
 
+  /// Feeds an observed miss round trip (ns) to the IPC model.
+  void observe_latency(double round_trip_ns) {
+    ipc_.observe_latency(round_trip_ns);
+    refresh_rate();
+  }
+  /// Feeds the epoch's measured NoC-bound miss rate to the IPC model.
+  void update_mpi(double measured_mpi) {
+    ipc_.update_mpi(measured_mpi);
+    refresh_rate();
+  }
+
   /// Advances the core by one NoC cycle (1 ns).
-  void tick(Cycle now);
+  void tick(Cycle /*now*/) {
+    instructions_ += rate_;  // 1 cycle == 1 ns
+    if (access_step_ < 0.0) return;
+    access_accumulator_ += access_step_;
+    if (access_accumulator_ >= 1.0) issue_accesses();
+  }
 
   [[nodiscard]] double instructions_retired() const noexcept {
     return instructions_;
@@ -91,6 +116,12 @@ class CoreModel {
   void load_state(const json::Value& v);
 
  private:
+  /// Recomputes the cached per-cycle rates from their inputs (level,
+  /// duty, IPC model, address stream, callback). Every setter of one of
+  /// those inputs calls it, so `tick` never re-derives them.
+  void refresh_rate();
+  /// Issues every whole access in the accumulator (normally one).
+  void issue_accesses();
   [[nodiscard]] std::uint64_t next_address();
 
   NodeId node_;  // snapshot-exempt: construction wiring (tile identity)
@@ -105,6 +136,11 @@ class CoreModel {
   double instructions_ = 0.0;
   double access_accumulator_ = 0.0;
   std::uint64_t accesses_issued_ = 0;
+  // Cached duty * IPC(f) * f: instructions retired per cycle.
+  double rate_ = 0.0;  // snapshot-exempt: derived; recomputed by load_state
+  // Cached rate_ * apki_ / 1000, or kNoAccesses when the core issues none.
+  double access_step_ = 0.0;  // snapshot-exempt: derived; recomputed by load_state
+  static constexpr double kNoAccesses = -1.0;
 
   // Address stream: mostly-sequential walk over a private region with a
   // fraction of accesses to the application's shared region.

@@ -66,7 +66,7 @@ void L1Cache::handle_reply(const noc::Packet& pkt) {
   if (it != mshrs_.end()) {
     const double round_trip_ns =
         static_cast<double>(net_->engine().now() - it->second.issued);
-    if (core_ != nullptr) core_->ipc_model().observe_latency(round_trip_ns);
+    if (core_ != nullptr) core_->observe_latency(round_trip_ns);
     poisoned = it->second.inval_pending && it->second.inval_gen >= gen;
     mshrs_.erase(it);
   }

@@ -23,7 +23,9 @@ namespace htpb::sim {
 
 /// A component evaluated once per simulated cycle, in registration order.
 /// Registration order is part of the deterministic contract: the mesh
-/// registers routers in node-id order, then network interfaces, then cores.
+/// registers itself as one tickable (its routers and network interfaces
+/// tick inside it), then the system registers the cores, then attack
+/// extras such as `FloodingAttacker` follow.
 class Tickable {
  public:
   virtual ~Tickable() = default;

@@ -48,6 +48,9 @@ ManyCoreSystem::ManyCoreSystem(SystemConfig cfg,
   }
 
   build_tiles();
+  for (Tile& t : tiles_) {
+    if (t.has_core()) cores_.push_back(t.core.get());
+  }
 
   // Chip budget: fraction of the all-cores-at-max demand; floor: the
   // lowest operating point (cores are never power-gated by budgeting).
@@ -240,7 +243,7 @@ void ManyCoreSystem::refresh_miss_rates() {
     const double d_miss =
         static_cast<double>(misses - tile.last_misses);
     if (d_instr > 100.0) {
-      tile.core->ipc_model().update_mpi(d_miss / d_instr);
+      tile.core->update_mpi(d_miss / d_instr);
     }
     tile.last_instructions = instr;
     tile.last_misses = misses;
@@ -248,9 +251,7 @@ void ManyCoreSystem::refresh_miss_rates() {
 }
 
 void ManyCoreSystem::tick(Cycle now) {
-  for (Tile& tile : tiles_) {
-    if (tile.has_core()) tile.core->tick(now);
-  }
+  for (cpu::CoreModel* core : cores_) core->tick(now);
 }
 
 void ManyCoreSystem::run_epochs(int epochs) {

@@ -122,6 +122,9 @@ class ManyCoreSystem : public sim::Tickable {
   std::unique_ptr<noc::MeshNetwork> net_;
   std::vector<workload::Application> apps_;  // snapshot-exempt: workload spec, fixed for the run
   std::vector<Tile> tiles_;
+  // The tiles' cores in ascending node order, so tick() keeps the L1
+  // access and NI injection order of a scan over tiles_.
+  std::vector<cpu::CoreModel*> cores_;  // snapshot-exempt: construction wiring into tiles_
   std::unique_ptr<power::GlobalManager> gm_;
   NodeId gm_node_ = kInvalidNode;   // snapshot-exempt: derived from cfg_ at construction
   std::uint64_t budget_mw_ = 0;     // snapshot-exempt: derived from cfg_ at construction

@@ -81,9 +81,11 @@ TEST(Subprocess, TermIgnoringChildIsKilledAfterGrace) {
   opts.timeout_seconds = 0.2;
   opts.term_grace_seconds = 0.3;
   // The hang fault's worst case: SIGTERM is ignored, only the KILL
-  // escalation ends the child.
+  // escalation ends the child. `exec` keeps the TERM-ignoring child a
+  // single process (an ignored signal stays ignored across exec), so no
+  // orphaned `sleep` outlives the KILL holding the test's output open.
   const SubprocessResult r =
-      run_subprocess({"/bin/sh", "-c", "trap '' TERM; sleep 30"}, opts);
+      run_subprocess({"/bin/sh", "-c", "trap '' TERM; exec sleep 30"}, opts);
   EXPECT_TRUE(r.timed_out);
   EXPECT_LT(r.seconds, 10.0);
 }

@@ -131,5 +131,64 @@ TEST(CoreModel, ResetInstructionCount) {
   EXPECT_DOUBLE_EQ(f.core.instructions_retired(), 0.0);
 }
 
+// The core caches its per-cycle rates; this replays every input change
+// against a reference that re-derives the rates each cycle, the way the
+// per-cycle formula of paper Def. 1 reads, and demands bit-exact counts.
+TEST(CoreModel, CachedRateTracksEveryInput) {
+  CoreFixture f;
+  double apki = 10.0;
+  double ref_instr = 0.0;
+  double ref_acc = 0.0;
+  std::uint64_t ref_accesses = 0;
+  const auto run = [&](int cycles) {
+    for (int i = 0; i < cycles; ++i) {
+      const double rate = f.core.duty() * f.core.ipc_model().throughput(
+                                              f.freqs.ghz(f.core.level()));
+      ref_instr += rate;
+      ref_acc += rate * apki / 1000.0;
+      while (ref_acc >= 1.0) {
+        ref_acc -= 1.0;
+        ++ref_accesses;
+      }
+      f.core.tick(static_cast<Cycle>(i));
+    }
+    EXPECT_EQ(f.core.instructions_retired(), ref_instr);
+    EXPECT_EQ(f.core.accesses_issued(), ref_accesses);
+  };
+
+  // The callback goes in last, so its setter alone enables the accesses.
+  f.core.set_address_stream(0, 1024, 1 << 20, 64, 0.1, 0.2, apki);
+  f.core.set_mem_access_fn([](std::uint64_t, bool) {});
+  run(2000);
+  const json::Value saved = f.core.save_state();
+  const double saved_instr = ref_instr;
+  const double saved_acc = ref_acc;
+  const std::uint64_t saved_accesses = ref_accesses;
+
+  f.core.set_level(7);
+  run(2000);
+  f.core.set_duty(0.4);
+  run(2000);
+  f.core.observe_latency(300.0);
+  run(2000);
+  f.core.update_mpi(0.05);
+  run(2000);
+  apki = 25.0;
+  f.core.set_address_stream(0, 1024, 1 << 20, 64, 0.1, 0.2, apki);
+  run(2000);
+
+  // Back to the first batch's level, duty, mpi and latency.
+  apki = 10.0;
+  f.core.set_address_stream(0, 1024, 1 << 20, 64, 0.1, 0.2, apki);
+  f.core.set_level(3);
+  f.core.load_state(saved);
+  ASSERT_EQ(f.core.level(), 0);
+  ref_instr = saved_instr;
+  ref_acc = saved_acc;
+  ref_accesses = saved_accesses;
+  run(2000);
+  EXPECT_GT(f.core.accesses_issued(), 0U);
+}
+
 }  // namespace
 }  // namespace htpb::cpu
