@@ -1,17 +1,20 @@
 #include "common/subprocess.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 namespace htpb::common {
 
@@ -32,6 +35,14 @@ void redirect_or_die(const std::string& path, int target_fd) {
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0 || ::dup2(fd, target_fd) < 0) _exit(127);
   ::close(fd);
+}
+
+/// Ends a child the parent can no longer supervise, so it neither runs
+/// on unsupervised nor stays a zombie.
+void kill_and_reap(pid_t pid) {
+  ::kill(pid, SIGKILL);
+  while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+  }
 }
 
 }  // namespace
@@ -67,20 +78,23 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
     _exit(127);
   }
 
-  // Parent: poll with WNOHANG so the timeout clock keeps running, then
-  // escalate SIGTERM -> SIGKILL. After SIGKILL the final wait is
-  // unconditional -- SIGKILL cannot be ignored, so it terminates.
+  // Parent: block in poll() on a pidfd, which turns readable when the
+  // child exits, with the time left to the next deadline (SIGTERM, then
+  // SIGKILL) as the poll timeout. After SIGKILL the wait has no deadline --
+  // SIGKILL cannot be ignored, so the child terminates.
+  //
+  // pidfd_open goes through syscall(): glibc 2.36's <sys/pidfd.h> lacks
+  // extern "C", so its wrapper does not link from C++.
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (pidfd < 0) {
+    kill_and_reap(pid);
+    throw std::runtime_error("run_subprocess: pidfd_open failed");
+  }
   SubprocessResult result;
   bool sent_term = false;
   bool sent_kill = false;
   double kill_deadline = 0.0;
-  int status = 0;
   for (;;) {
-    const pid_t r = ::waitpid(pid, &status, WNOHANG);
-    if (r == pid) break;
-    if (r < 0 && errno != EINTR) {
-      throw std::runtime_error("run_subprocess: waitpid failed");
-    }
     const double elapsed = seconds_since(t0);
     if (opts.timeout_seconds > 0.0 && !sent_term &&
         elapsed >= opts.timeout_seconds) {
@@ -92,7 +106,28 @@ SubprocessResult run_subprocess(const std::vector<std::string>& argv,
       ::kill(pid, SIGKILL);
       sent_kill = true;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    int wait_ms = -1;
+    if (!sent_kill && (sent_term || opts.timeout_seconds > 0.0)) {
+      const double deadline = sent_term ? kill_deadline : opts.timeout_seconds;
+      // Round up so the wake-up is never early, which would spin.
+      wait_ms = static_cast<int>(std::min(
+          std::ceil(std::max(deadline - elapsed, 0.0) * 1000.0), 1.0e9));
+    }
+    pollfd pfd{pidfd, POLLIN, 0};
+    const int r = ::poll(&pfd, 1, wait_ms);
+    if (r > 0) break;
+    if (r < 0 && errno != EINTR) {
+      ::close(pidfd);
+      kill_and_reap(pid);
+      throw std::runtime_error("run_subprocess: poll failed");
+    }
+  }
+  ::close(pidfd);
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) {
+      throw std::runtime_error("run_subprocess: waitpid failed");
+    }
   }
 
   result.seconds = seconds_since(t0);

@@ -2,15 +2,22 @@
 // per-line metadata. Addresses are cache-line identifiers (the coherence
 // unit); byte offsets never appear in the simulator.
 //
-// Each set's lines are allocated by the first `allocate` into it. A short
-// run touches a few sets of each bank, so a large chip builds and tears
-// down only the lines it uses. Lookups on an untouched set miss without
-// allocating, and because a new line takes the first invalid way, slot
-// positions match a dense layout's exactly.
+// Each set's lines are allocated by the first `allocate` into it, as one
+// block of `ways` lines. A 2-byte per-set index numbers the set's block
+// (0 = untouched), so an untouched set costs 2 bytes where a pointer per
+// set cost 8. A short run touches a few sets of each cache, so a Table I
+// tile's 384 sets (L1 256, L2 128) cost 768 B of index at build, and a
+// 512-core chip builds in 5.3 KB/tile rather than 7.5 KB/tile. Lookups on
+// an untouched set miss without allocating, and because a new line takes
+// the first invalid way, slot positions match a dense layout's exactly.
+// Blocks never move once allocated, so a Line& stays valid across later
+// allocations.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -26,38 +33,44 @@ class SetAssocCache {
     std::uint64_t lru = 0;
     LineData data{};
   };
+  using BlockId = std::uint16_t;
 
-  SetAssocCache(std::size_t sets, int ways) : ways_(ways), sets_(sets) {
+  /// The most sets the index can number: block numbers 1..65535 fit in
+  /// its 2 bytes next to 0 (untouched), so every set can be touched.
+  static constexpr std::size_t kMaxSets =
+      std::numeric_limits<BlockId>::max();
+
+  SetAssocCache(std::size_t sets, int ways) : ways_(ways) {
     if (sets == 0 || (sets & (sets - 1)) != 0) {
       throw std::invalid_argument("SetAssocCache: sets must be a power of 2");
     }
+    if (sets > kMaxSets) {
+      throw std::invalid_argument("SetAssocCache: more sets than the index holds");
+    }
     if (ways <= 0) throw std::invalid_argument("SetAssocCache: ways must be > 0");
+    index_.assign(sets, 0);
   }
 
-  [[nodiscard]] std::size_t sets() const noexcept { return sets_.size(); }
+  [[nodiscard]] std::size_t sets() const noexcept { return index_.size(); }
   [[nodiscard]] int ways() const noexcept { return ways_; }
   [[nodiscard]] std::size_t capacity_lines() const noexcept {
-    return sets_.size() * static_cast<std::size_t>(ways_);
+    return index_.size() * static_cast<std::size_t>(ways_);
   }
   /// Sets whose lines have been allocated.
   [[nodiscard]] std::size_t allocated_sets() const noexcept {
-    std::size_t n = 0;
-    for (const auto& set : sets_) {
-      if (set) ++n;
-    }
-    return n;
+    return blocks_.size();
   }
 
   /// Finds a line and touches its LRU stamp. Returns nullptr on miss.
   [[nodiscard]] Line* find(std::uint64_t addr) {
-    Line* line = match(sets_[set_index(addr)].get(), addr);
+    Line* line = match(set_lines(set_index(addr)), addr);
     if (line != nullptr) line->lru = ++clock_;
     return line;
   }
 
   /// Peeks without updating LRU (for statistics and assertions).
   [[nodiscard]] const Line* peek(std::uint64_t addr) const {
-    return match(sets_[set_index(addr)].get(), addr);
+    return match(set_lines(set_index(addr)), addr);
   }
 
   /// Allocates a line for `addr`, evicting the LRU way if necessary.
@@ -104,7 +117,7 @@ class SetAssocCache {
 
   /// Drops a line if present. Returns true when something was removed.
   bool invalidate(std::uint64_t addr) {
-    Line* line = match(sets_[set_index(addr)].get(), addr);
+    Line* line = match(set_lines(set_index(addr)), addr);
     if (line == nullptr) return false;
     *line = Line{};
     return true;
@@ -112,10 +125,9 @@ class SetAssocCache {
 
   [[nodiscard]] std::size_t occupancy() const noexcept {
     std::size_t n = 0;
-    for (const auto& set : sets_) {
-      if (!set) continue;
+    for (const auto& block : blocks_) {
       for (int w = 0; w < ways_; ++w) {
-        if (set[w].valid) ++n;
+        if (block[w].valid) ++n;
       }
     }
     return n;
@@ -124,7 +136,8 @@ class SetAssocCache {
   /// Drops every line (and its set's storage). The LRU clock is kept; a
   /// restore sets it with `set_lru_clock`.
   void clear() noexcept {
-    for (auto& set : sets_) set.reset();
+    std::fill(index_.begin(), index_.end(), BlockId{0});
+    blocks_.clear();
   }
 
   /// Checkpointing: raw slot access in storage order (slot i is way
@@ -135,7 +148,7 @@ class SetAssocCache {
   /// std::out_of_range past capacity_lines() (a restored slot index).
   [[nodiscard]] const Line& line_at(std::size_t i) const {
     static const Line kEmpty{};
-    const Line* set = sets_[i / static_cast<std::size_t>(ways_)].get();
+    const Line* set = set_lines(i / static_cast<std::size_t>(ways_));
     return set == nullptr ? kEmpty : set[i % static_cast<std::size_t>(ways_)];
   }
   [[nodiscard]] Line& line_at(std::size_t i) {
@@ -150,7 +163,13 @@ class SetAssocCache {
 
  private:
   [[nodiscard]] std::size_t set_index(std::uint64_t addr) const noexcept {
-    return static_cast<std::size_t>(addr & (sets_.size() - 1));
+    return static_cast<std::size_t>(addr & (index_.size() - 1));
+  }
+
+  /// The lines of `set`, or nullptr while it is untouched.
+  [[nodiscard]] Line* set_lines(std::size_t set) const noexcept {
+    const BlockId b = index_[set];
+    return b == 0 ? nullptr : blocks_[b - 1].get();
   }
 
   /// The valid way of `set` holding `addr`, or nullptr (also when the set
@@ -164,14 +183,22 @@ class SetAssocCache {
   }
 
   [[nodiscard]] Line* materialise(std::size_t set) {
-    auto& lines = sets_[set];
-    if (!lines) lines = std::make_unique<Line[]>(static_cast<std::size_t>(ways_));
-    return lines.get();
+    BlockId& b = index_[set];
+    if (b == 0) {
+      blocks_.push_back(
+          std::make_unique<Line[]>(static_cast<std::size_t>(ways_)));
+      b = static_cast<BlockId>(blocks_.size());
+    }
+    return blocks_[b - 1].get();
   }
 
   int ways_;
-  /// One entry per set; null until the set is first allocated into.
-  std::vector<std::unique_ptr<Line[]>> sets_;
+  /// One entry per set: 0 while untouched, else its block's number in
+  /// `blocks_` plus one.
+  std::vector<BlockId> index_;
+  /// The touched sets' lines, one block of `ways_` per set, in first-touch
+  /// order.
+  std::vector<std::unique_ptr<Line[]>> blocks_;
   std::uint64_t clock_ = 0;
 };
 

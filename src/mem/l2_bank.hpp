@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -106,7 +105,8 @@ class L2Bank {
     Request current;
     int acks_needed = 0;
     bool fetching = false;
-    std::deque<Request> waiting;
+    /// Arrival order; only appended to and moved whole.
+    std::vector<Request> waiting;
   };
 
   void handle_request(std::uint64_t addr, const Request& req);

@@ -131,7 +131,7 @@ TEST(FleetScheduler, HangingWorkerTimesOutAndRetries) {
   const TempDir dir;
   FleetConfig cfg = config_with_script(
       dir,
-      "if [ \"$HTPB_FLEET_ATTEMPT\" -lt 2 ]; then sleep 30; fi; "
+      "if [ \"$HTPB_FLEET_ATTEMPT\" -lt 2 ]; then exec sleep 30; fi; "
       "cp \"$1\" \"$2\"");
   cfg.timeout_seconds = 0.3;
   cfg.term_grace_seconds = 0.2;
