@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/infection.hpp"
@@ -166,7 +165,7 @@ bench::PerfResult bm_target_placement_search(std::uint64_t ops, int reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = htpb::bench::quick_mode();
+  bool quick = false;
   std::string json_path;
   std::string baseline_path;
   double max_regression = 0.25;

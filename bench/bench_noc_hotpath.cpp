@@ -1,8 +1,8 @@
 // Hot-path microbenchmark for the cycle-level NoC core: measures raw
 // simulated cycles/sec of MeshNetwork::tick under synthetic traffic, the
 // quantity every campaign sweep is bottlenecked on. Emits a flat JSON
-// (BENCH_noc_hotpath.json) so the perf trajectory is recorded next to the
-// figure benches, and can gate CI against a checked-in baseline.
+// (BENCH_noc_hotpath.json) so the perf trajectory is checked in, and can
+// gate CI against a checked-in baseline.
 //
 //   bench_noc_hotpath [--quick] [--json <path>] [--baseline <path>]
 //                     [--max-regression <frac>]
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "noc/network.hpp"
 #include "perf_harness.hpp"
@@ -151,7 +150,7 @@ bench::PerfResult run_workload(const std::string& name, int width, int height,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = htpb::bench::quick_mode();
+  bool quick = false;
   std::string json_path = "BENCH_noc_hotpath.json";
   std::string baseline_path;
   double max_regression = 0.25;

@@ -1,8 +1,9 @@
 // Stealth accounting (paper Sec. III-D): area and power of the Trojan
 // circuit versus one router and versus the whole chip's NoC. The absolute
 // constants are the paper's Synopsys DC / DSENT 45nm-TSMC synthesis
-// results; every ratio is derived, not hard-coded, so the bench
-// regenerating the Sec. III-D "table" exercises real arithmetic.
+// results; every ratio is derived, not hard-coded, so the
+// secIIID-area-power scenario regenerating the Sec. III-D "table"
+// exercises real arithmetic.
 #pragma once
 
 #include "noc/router_power.hpp"

@@ -1,6 +1,6 @@
 // Baseline attack from the paper's related-work taxonomy (Sec. II-B,
 // class 1): a flooding DoS Trojan that saturates a victim node -- here the
-// global manager -- with junk packets. Implemented so the benches can
+// global manager -- with junk packets. Implemented so the scenarios can
 // contrast it with the paper's false-data attack on two axes:
 //   damage   : how much victim performance it destroys, and
 //   stealth  : how much *extra traffic* it injects (a flooding Trojan is

@@ -13,7 +13,8 @@ int ParallelSweepRunner::default_threads() {
     // non-numeric, overflowing) means a serial run, not silent fallback
     // to all cores. strtol saturates instead of the UB atoi has.
     const long n = std::strtol(env, nullptr, 10);
-    return static_cast<int>(std::clamp(n, 1L, 4096L));
+    return static_cast<int>(
+        std::clamp(n, 1L, static_cast<long>(kMaxThreads)));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -25,6 +25,10 @@ namespace htpb::core {
 
 class ParallelSweepRunner {
  public:
+  /// The pool-size ceiling: HTPB_THREADS is clamped to [1, kMaxThreads]
+  /// and htpb_run/htpb_fleet reject a larger --threads.
+  static constexpr int kMaxThreads = 4096;
+
   /// `threads` <= 0 selects `default_threads()`.
   explicit ParallelSweepRunner(int threads = 0);
 

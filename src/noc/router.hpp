@@ -34,7 +34,7 @@ namespace htpb::noc {
 /// Per-router utilization counters -- what an on-chip traffic diagnostic
 /// would see. The paper's false-data attack leaves every one of these
 /// unchanged relative to a clean run (it rewrites payloads in flight),
-/// which is why the comparison benches print them.
+/// which is why the attack-comparison scenario reports them.
 struct RouterStats {
   std::uint64_t flits_forwarded = 0;      ///< flits sent out any non-local port
   std::uint64_t packets_routed = 0;       ///< head flits that completed RC

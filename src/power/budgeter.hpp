@@ -135,9 +135,9 @@ class MarketBudgeter final : public Budgeter {
   [[nodiscard]] const char* name() const noexcept override { return "market"; }
 };
 
-/// Factory over every allocator above (the ablation bench sweeps it).
+/// Factory over every allocator above (budgeter-ablation sweeps it).
 [[nodiscard]] std::unique_ptr<Budgeter> make_budgeter(BudgeterKind kind);
-/// Stable short name for reports and bench tables (matches `name()`).
+/// Stable short name for reports and result trees (matches `name()`).
 [[nodiscard]] const char* to_string(BudgeterKind kind) noexcept;
 
 }  // namespace htpb::power

@@ -50,9 +50,8 @@ ScenarioSpec make_fig4() {
   return b.build();
 }
 
-/// Shared shape of the Figs. 5-6 attack campaigns (the old
-/// bench_util::mix_campaign_config): 256 cores, Table III mixes, 50%
-/// budget, victim x0.10 / attacker x8.
+/// Shared shape of the Figs. 5-6 attack campaigns: 256 cores, Table III
+/// mixes, 50% budget, victim x0.10 / attacker x8.
 void attack_campaign_base(ScenarioBuilder& b) {
   b.size(256)
       .epoch_cycles(2000)

@@ -1,7 +1,7 @@
 // The checked-in scenario registry: every paper experiment (Figs. 3-6,
 // Tables I-III, Sec. III-D, Sec. V-C) and the defense extensions, each as
-// a named, serializable ScenarioSpec. `htpb_run --scenario <name>` and
-// the thin bench formatters both start here; `htpb_run --list` prints it.
+// a named, serializable ScenarioSpec. `htpb_run --scenario <name>`
+// starts here; `htpb_run --list` prints it.
 //
 // Registered names (tests/scenario/registry_test.cpp asserts the set):
 //   fig3, fig4, fig5, fig6, table1, table2, secIIID-area-power,

@@ -614,7 +614,7 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
-/// Detection & mitigation arms per mix (the defense-evaluation bench).
+/// Detection & mitigation arms per mix (the defense-evaluation scenario).
 /// The detection/clean arms use the spec's trojan schedule (mid-run
 /// activation) and axes.detection_measure_epochs; the damage arms pin
 /// the Trojan always-on so plain and guarded Q are directly comparable.

@@ -22,7 +22,7 @@
 namespace htpb::scenario {
 
 struct RunOptions {
-  /// Apply the spec's quick overlay (the benches' HTPB_QUICK trims).
+  /// Apply the spec's quick overlay (`htpb_run --quick`).
   bool quick = false;
   /// Overrides spec.threads when > 0 (0 = spec, then HTPB_THREADS/cores).
   int threads = 0;

@@ -5,10 +5,10 @@
 //
 // Every paper experiment (Figs. 3-6, Tables I-III, the Sec. V placement
 // study, the defense extensions) is a ScenarioSpec in the registry
-// (scenario/registry.hpp); the single `htpb_run` driver and the thin
-// bench formatters both execute specs through scenario/runner.hpp. New
-// scenarios -- new Trojan kinds, detector grids, response policies -- are
-// new specs (or spec files), not new binaries.
+// (scenario/registry.hpp); the single `htpb_run` front end executes specs
+// through scenario/runner.hpp. New scenarios -- new Trojan kinds,
+// detector grids, response policies -- are new specs (or spec files),
+// not new binaries.
 //
 // Serialization contract (locked by tests/scenario/spec_test.cpp):
 //  - Every section lists its members once, in a static `fields` template
@@ -350,8 +350,8 @@ struct ScenarioSpec {
   std::int64_t schema_version = kSchemaVersion;
   std::string name;
   ScenarioKind kind = ScenarioKind::kConfigReport;
-  /// Header strings benches print (experiment line, paper reference and
-  /// the expected qualitative shape).
+  /// Descriptive strings (experiment line, paper reference and the
+  /// expected qualitative shape); `htpb_run --list` prints the title.
   std::string title;
   std::string paper_ref;
   std::string expectation;
@@ -379,8 +379,8 @@ struct ScenarioSpec {
   /// ParallelSweepRunner pool cap; 0 = default (HTPB_THREADS or cores).
   int threads = 0;
 
-  /// Sparse JSON overlay merged over the spec by with_quick() -- the
-  /// declarative form of the benches' HTPB_QUICK trims. Objects merge
+  /// Sparse JSON overlay merged over the spec by with_quick() -- what
+  /// `htpb_run --quick` applies (CI-size sweeps). Objects merge
   /// recursively, everything else (arrays included) replaces. kNull =
   /// no quick variant.
   json::Value quick;

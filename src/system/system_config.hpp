@@ -34,8 +34,8 @@ struct SystemConfig {
 
   power::BudgeterKind budgeter = power::BudgeterKind::kProportional;
   /// Wraps the budgeter in the request-clamping mitigation
-  /// (power::GuardedBudgeter) -- the defense evaluated in
-  /// bench_defense_evaluation.
+  /// (power::GuardedBudgeter) -- the defense evaluated by the
+  /// defense-evaluation scenario.
   bool guard_requests = false;
   power::DetectorConfig guard_config;
   /// Chip power budget as a fraction of the all-cores-at-max demand.

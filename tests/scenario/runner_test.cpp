@@ -50,7 +50,7 @@ TEST(ScenarioRunner, Fig3QuickBitIdenticalToLegacyBenchPath) {
   const json::Value result = run_quick("fig3", 1);
   const json::Array& arms = result.as_object().find("arms")->as_array();
 
-  // The pre-port bench_fig3 main, verbatim (HTPB_QUICK=1 constants:
+  // The pre-port bench_fig3 main, verbatim (its quick-mode constants:
   // 2 seeds, 1 warmup + 2 measure epochs, Rng(1000 + s*77 + hts)).
   const int seeds = 2;
   struct Arm {
@@ -110,7 +110,7 @@ TEST(ScenarioRunner, DefenseRocQuickBitIdenticalToLegacyBenchPath) {
   const json::Value result = run_quick("defense-roc");
   const json::Object& root = result.as_object();
 
-  // The pre-port bench_defense_sweep main, verbatim (HTPB_QUICK=1
+  // The pre-port bench_defense_sweep main, verbatim (its quick-mode
   // constants: 2 bands, 2 placements, measure 4, ROC periods {2},
   // factors {0.10, 0.60}, 1 ROC placement).
   core::DefenseSweepConfig sweep_cfg;

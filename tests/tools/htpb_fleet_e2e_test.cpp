@@ -255,6 +255,49 @@ TEST(HtpbFleetE2e, MalformedFaultSpecFailsLoudly) {
   EXPECT_NE(r.err.find("HTPB_FLEET_FAULT"), std::string::npos) << r.err;
 }
 
+TEST(HtpbFleetE2e, MalformedNumericFlagsFailBeforeAnyWork) {
+  const TempDir dir("badnum");
+  const std::string rd = (dir.path() / "rd").string();
+  // Counts past int must not wrap (2^32 + 2 shards -> 2), and seconds
+  // must be finite: a nan grace or an inf timeout would disable the
+  // TERM -> KILL deadline.
+  for (const char* flag : {"--shards 4294967298", "--term-grace nan",
+                           "--timeout inf", "--backoff nan",
+                           "--max-attempts 4294967297"}) {
+    const RunResult r =
+        run_fleet(dir, "", "--run-dir \"" + rd + "\" " + flag);
+    const std::string name(flag, std::string(flag).find(' '));
+    EXPECT_EQ(r.exit_code, 2) << flag << r.err;
+    EXPECT_NE(r.err.find(name), std::string::npos) << flag << r.err;
+    EXPECT_FALSE(fs::exists(rd)) << flag;
+  }
+}
+
+TEST(HtpbFleetE2e, DiffRejectsMalformedTolerances) {
+  const TempDir dir("difftol");
+  const std::string a = (dir.path() / "a.json").string();
+  const std::string b = (dir.path() / "b.json").string();
+  std::ofstream(a) << "{\"q\": 1.0}\n";
+  std::ofstream(b) << "{\"q\": 1.5}\n";
+
+  // A tolerance is read in full or not at all: a strtod prefix would
+  // turn "5%" into a 500% tolerance and pass this diff. A bad number is
+  // a usage error that names its flag.
+  for (const char* flag : {"--rel-tol 5%", "--tol q=1x", "--abs-tol nan",
+                           "--max-print 10x"}) {
+    const RunResult r = run_cmd(dir, "", HTPB_DIFF_BINARY,
+                                "\"" + a + "\" \"" + b + "\" " + flag);
+    const std::string name(flag, std::string(flag).find(' '));
+    EXPECT_EQ(r.exit_code, 2) << flag << r.err;
+    EXPECT_NE(r.err.find(name), std::string::npos) << flag << r.err;
+  }
+  // The well-formed spelling of the same tolerance still admits the drift.
+  EXPECT_EQ(run_cmd(dir, "", HTPB_DIFF_BINARY,
+                    "\"" + a + "\" \"" + b + "\" --rel-tol 0.5")
+                .exit_code,
+            0);
+}
+
 TEST(HtpbFleetE2e, DiffReportsTolerancesAndIgnores) {
   const TempDir dir("diff");
   const std::string a = (dir.path() / "a.json").string();

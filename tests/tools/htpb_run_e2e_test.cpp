@@ -160,6 +160,19 @@ TEST(HtpbRunE2e, BadSetOverridesFailLoudly) {
       << range.err;
 }
 
+TEST(HtpbRunE2e, OutOfRangeThreadsFailNamingTheFlag) {
+  const TempDir dir;
+  // A count past int must not wrap to a small pool through a narrowing
+  // cast (2^32 + 1 -> 1), and the pool is capped at 4096.
+  for (const char* threads : {"4294967297", "5000", "3000000000", "-1"}) {
+    const RunResult r =
+        run_tool(dir, std::string("--scenario table1 --threads ") + threads);
+    EXPECT_EQ(r.exit_code, 2) << threads << r.err;
+    EXPECT_NE(r.err.find("--threads"), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "") << threads;
+  }
+}
+
 TEST(HtpbRunE2e, UnknownArgumentPrintsUsage) {
   const TempDir dir;
   for (const char* args : {"--scenarios defense-closed-loop",

@@ -15,7 +15,8 @@
 //   --ignore KEY     also skip members named KEY, at any depth
 //                    (repeatable; adds to the default set)
 //   --rel-tol R      global relative tolerance for numeric leaves
-//                    (default 0 = exact)
+//                    (default 0 = exact; a plain fraction -- "5%" is
+//                    rejected, write 0.05)
 //   --abs-tol A      global absolute tolerance (default 0)
 //   --tol KEY=R      per-metric relative tolerance: applies to numeric
 //                    members named KEY (repeatable, wins over --rel-tol)
@@ -24,7 +25,7 @@
 //                    the exit status always reflect the full count)
 //
 // Exit status: 0 = identical under the tolerances, 1 = differences,
-// 2 = usage or unreadable input.
+// 2 = usage (a malformed number included) or unreadable input.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "common/json.hpp"
 
 namespace {
@@ -170,9 +172,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--ignore") == 0) {
       cfg.ignore.emplace_back(next_arg(i, arg));
     } else if (std::strcmp(arg, "--rel-tol") == 0) {
-      cfg.rel_tol = std::strtod(next_arg(i, arg), nullptr);
+      cfg.rel_tol = htpb::cli::parse_double(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--abs-tol") == 0) {
-      cfg.abs_tol = std::strtod(next_arg(i, arg), nullptr);
+      cfg.abs_tol = htpb::cli::parse_double(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--tol") == 0) {
       const std::string kv = next_arg(i, arg);
       const std::size_t eq = kv.find('=');
@@ -181,12 +183,13 @@ int main(int argc, char** argv) {
                      kv.c_str());
         return 2;
       }
-      cfg.key_tols.emplace_back(kv.substr(0, eq),
-                                std::strtod(kv.c_str() + eq + 1, nullptr));
+      cfg.key_tols.emplace_back(
+          kv.substr(0, eq),
+          htpb::cli::parse_double(kv.c_str() + eq + 1, argv[0], arg));
     } else if (std::strcmp(arg, "--json") == 0) {
       report_path = next_arg(i, arg);
     } else if (std::strcmp(arg, "--max-print") == 0) {
-      max_print = std::atoi(next_arg(i, arg));
+      max_print = htpb::cli::parse_int(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--help") == 0 ||
                std::strcmp(arg, "-h") == 0) {
       usage(argv[0]);

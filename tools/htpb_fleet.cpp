@@ -22,11 +22,13 @@
 //   --set key=value       dotted-path override (repeatable, after quick)
 //   --seed N              reseed the experiment
 //   --threads N           ParallelSweepRunner cap inside each worker
+//                         (0..4096)
 //   --shards N            concurrent worker subprocesses (default 2)
 //   --max-attempts N      tries per cell, first included (default 3)
 //   --timeout S           per-cell wall clock; SIGTERM then SIGKILL (0 = off)
 //   --term-grace S        TERM -> KILL escalation grace (default 2)
 //   --backoff S           retry backoff base seconds (default 0.05)
+//                         (every S above: finite and >= 0)
 //   --backoff-seed N      jitter stream seed (default 1)
 //   --htpb-run PATH       worker binary (default: htpb_run next to this
 //                         binary; env HTPB_RUN overrides the default)
@@ -46,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "common/json.hpp"
 #include "core/fleet_scheduler.hpp"
 #include "core/parallel_sweep.hpp"
@@ -85,31 +88,6 @@ ScenarioSpec load_scenario(const std::string& arg) {
     return htpb::scenario::load_spec_file(arg);
   }
   return htpb::scenario::scenario_or_throw(arg);
-}
-
-std::uint64_t parse_uint(const char* text, const char* argv0,
-                         const char* flag) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: %s expects a non-negative integer, got"
-                 " \"%s\"\n", argv0, flag, text);
-    std::exit(2);
-  }
-  return v;
-}
-
-double parse_seconds(const char* text, const char* argv0, const char* flag) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0' || v < 0.0) {
-    std::fprintf(stderr, "%s: %s expects seconds >= 0, got \"%s\"\n", argv0,
-                 flag, text);
-    std::exit(2);
-  }
-  return v;
 }
 
 /// The worker binary: --htpb-run flag, else $HTPB_RUN, else htpb_run in
@@ -171,28 +149,28 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      opts.seed = parse_uint(next_arg(i, arg), argv[0], "--seed");
+      opts.seed = htpb::cli::parse_uint(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      opts.threads = static_cast<int>(
-          parse_uint(next_arg(i, arg), argv[0], "--threads"));
+      opts.threads = htpb::cli::parse_int(
+          next_arg(i, arg), argv[0], arg,
+          htpb::core::ParallelSweepRunner::kMaxThreads);
     } else if (std::strcmp(arg, "--shards") == 0) {
-      fleet.shards = static_cast<int>(
-          parse_uint(next_arg(i, arg), argv[0], "--shards"));
+      fleet.shards = htpb::cli::parse_int(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--max-attempts") == 0) {
-      fleet.max_attempts = static_cast<int>(
-          parse_uint(next_arg(i, arg), argv[0], "--max-attempts"));
+      fleet.max_attempts =
+          htpb::cli::parse_int(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--timeout") == 0) {
       fleet.timeout_seconds =
-          parse_seconds(next_arg(i, arg), argv[0], "--timeout");
+          htpb::cli::parse_double(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--term-grace") == 0) {
       fleet.term_grace_seconds =
-          parse_seconds(next_arg(i, arg), argv[0], "--term-grace");
+          htpb::cli::parse_double(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--backoff") == 0) {
       fleet.backoff_base_seconds =
-          parse_seconds(next_arg(i, arg), argv[0], "--backoff");
+          htpb::cli::parse_double(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--backoff-seed") == 0) {
-      fleet.backoff_seed = parse_uint(next_arg(i, arg), argv[0],
-                                      "--backoff-seed");
+      fleet.backoff_seed =
+          htpb::cli::parse_uint(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--htpb-run") == 0) {
       htpb_run_flag = next_arg(i, arg);
     } else if (std::strcmp(arg, "--merged") == 0) {

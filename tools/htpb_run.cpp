@@ -16,7 +16,8 @@
 //   --quick                apply the spec's quick overlay (CI-size sweeps)
 //   --seed <n>             reseed the whole experiment (spec seed + the
 //                          per-node workload streams)
-//   --threads <n>          cap the ParallelSweepRunner pool
+//   --threads <n>          cap the ParallelSweepRunner pool (0..4096;
+//                          0 = the spec's, then HTPB_THREADS/cores)
 //   --json <path|->        write the result JSON to a file (or stdout);
 //                          default: pretty-print to stdout
 //   --dump-spec [path|-]   print the fully resolved spec JSON and exit
@@ -28,8 +29,6 @@
 //
 // Results are bit-identical across thread counts and runs for a fixed
 // (scenario, seed, quick) triple, except the "timing" object.
-#include <cerrno>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,8 +37,10 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "common/fault_inject.hpp"
 #include "common/json.hpp"
+#include "core/parallel_sweep.hpp"
 #include "power/request_trace.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -83,21 +84,6 @@ void emit(const Value& v, const std::string& path) {
   }
 }
 
-/// Full-consumption base-10 parse; a typo'd seed must fail loudly, not
-/// silently reseed the experiment with whatever strtoull salvages.
-std::uint64_t parse_uint(const char* text, const char* argv0,
-                         const char* flag) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: %s expects a non-negative integer, got"
-                 " \"%s\"\n", argv0, flag, text);
-    std::exit(2);
-  }
-  return v;
-}
-
 int list_registry() {
   for (const ScenarioSpec& spec : htpb::scenario::registry()) {
     std::printf("%-20s %-26s %s\n", spec.name.c_str(),
@@ -139,10 +125,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      opts.seed = parse_uint(next_arg(i, arg), argv[0], "--seed");
+      opts.seed = htpb::cli::parse_uint(next_arg(i, arg), argv[0], arg);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      opts.threads = static_cast<int>(
-          parse_uint(next_arg(i, arg), argv[0], "--threads"));
+      opts.threads = htpb::cli::parse_int(
+          next_arg(i, arg), argv[0], arg,
+          htpb::core::ParallelSweepRunner::kMaxThreads);
     } else if (std::strcmp(arg, "--json") == 0) {
       json_path = next_arg(i, arg);
     } else if (std::strcmp(arg, "--dump-spec") == 0) {
