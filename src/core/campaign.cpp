@@ -135,8 +135,7 @@ AttackCampaign::RunResult AttackCampaign::run_system(
   // legs -- migration must not wipe the defender's accumulated evidence.
   std::unique_ptr<power::RequestAnomalyDetector> detector;
   if (cfg_.detector.has_value() && !ht_nodes.empty()) {
-    detector = cfg_.detector_factory ? cfg_.detector_factory(*cfg_.detector)
-                                     : power::make_detector(*cfg_.detector);
+    detector = power::make_detector(*cfg_.detector);
   }
   std::unique_ptr<power::ResponseEngine> response;
   if (cfg_.response.has_value() && detector != nullptr) {

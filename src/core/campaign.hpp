@@ -61,9 +61,6 @@ struct CampaignConfig {
   /// defense sweeps parallelizable and placement-order independent: no
   /// EWMA history or flags ever leak from one placement into the next.
   std::optional<power::DetectorConfig> detector;
-  /// Pluggable detector constructor for future detector types; empty =
-  /// power::make_detector (the request-anomaly detector).
-  power::DetectorFactory detector_factory;
   /// Closed-loop response policy (power/response.hpp) acting on the
   /// detector's per-epoch verdicts. Requires `detector`; engaged under
   /// the same rule (attacked runs only). Quarantine and throttle filter

@@ -68,16 +68,16 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
     if (cfg_.placements[i % p_count].empty()) {
       return std::optional<power::DetectorReport>{};
     }
-    return std::optional{power::replay_detector(
-        traced[i % p_count].trace, cfg_.detectors[i / p_count],
-        cfg_.base.detector_factory)};
+    return std::optional{power::replay_detector(traced[i % p_count].trace,
+                                                cfg_.detectors[i / p_count])};
   });
 
   // Clean arm (false positives): Trojans implanted but dormant, so the
   // manager sees honest traffic -- identical dynamics for every operating
-  // point. One dormant recording, replayed through the whole grid.
-  std::vector<std::optional<power::DetectorReport>> clean;
-  if (cfg_.measure_false_positives && !cfg_.placements.front().empty()) {
+  // point. One dormant recording, replayed through the whole grid. With
+  // no Trojans implanted no detector engages, so there are no reports.
+  std::vector<std::optional<power::DetectorReport>> clean(d_count);
+  if (!cfg_.placements.front().empty()) {
     CampaignConfig clean_cfg = cfg_.base;
     clean_cfg.detector.reset();
     clean_cfg.response.reset();
@@ -87,53 +87,28 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
     const power::RequestTrace clean_trace =
         clean_campaign.record_trace(cfg_.placements.front());
     clean = runner.map(d_count, [&](std::size_t d) {
-      return std::optional{power::replay_detector(
-          clean_trace, cfg_.detectors[d], cfg_.base.detector_factory)};
+      return std::optional{
+          power::replay_detector(clean_trace, cfg_.detectors[d])};
     });
-  } else if (cfg_.measure_false_positives) {
-    clean.resize(d_count);  // no Trojans implanted -> no reports
   }
 
   // Guard arm: the GuardedBudgeter changes the dynamics (and therefore
   // the baseline), so each operating point primes its own master -- in
   // parallel -- before its placements fan out.
-  std::vector<CampaignOutcome> guarded;
-  if (cfg_.evaluate_guard) {
-    const auto guard_masters =
-        runner.map(d_count, [&](std::size_t d) {
-          CampaignConfig guard_cfg = cfg_.base;
-          guard_cfg.detector.reset();
-          guard_cfg.response.reset();
-          guard_cfg.system.guard_requests = true;
-          guard_cfg.system.guard_config = cfg_.detectors[d];
-          auto m = std::make_shared<AttackCampaign>(guard_cfg);
-          m->prime_baseline();
-          return m;
-        });
-    guarded = runner.map(d_count * p_count, [&](std::size_t i) {
-      AttackCampaign clone(*guard_masters[i / p_count]);
-      return clone.run(cfg_.placements[i % p_count]);
-    });
-  }
-
-  // Response arm: closed-loop policies act on the grant stream, so --
-  // like the guard, unlike passive detection -- every (detector,
-  // response, placement) cell is its own simulation. The policy only
-  // engages on attacked runs, so the baseline is the detection master's:
-  // each cell clones it and swaps in its detector and policy.
-  const std::size_t r_count = cfg_.responses.size();
-  std::vector<CampaignOutcome> responded;
-  if (r_count > 0) {
-    responded = runner.map(d_count * r_count * p_count, [&](std::size_t i) {
-      const std::size_t dr = i / p_count;
-      power::ResponseConfig response = cfg_.response_base;
-      response.kind = cfg_.responses[dr % r_count];
-      AttackCampaign clone(master);
-      clone.set_attack(cfg_.base.trojan, cfg_.base.toggle_period_epochs,
-                       cfg_.detectors[dr / r_count], response);
-      return clone.run(cfg_.placements[i % p_count]);
-    });
-  }
+  const auto guard_masters = runner.map(d_count, [&](std::size_t d) {
+    CampaignConfig guard_cfg = cfg_.base;
+    guard_cfg.detector.reset();
+    guard_cfg.response.reset();
+    guard_cfg.system.guard_requests = true;
+    guard_cfg.system.guard_config = cfg_.detectors[d];
+    auto m = std::make_shared<AttackCampaign>(guard_cfg);
+    m->prime_baseline();
+    return m;
+  });
+  const auto guarded = runner.map(d_count * p_count, [&](std::size_t i) {
+    AttackCampaign clone(*guard_masters[i / p_count]);
+    return clone.run(cfg_.placements[i % p_count]);
+  });
 
   std::vector<DefenseCurvePoint> curve(d_count);
   for (std::size_t d = 0; d < d_count; ++d) {
@@ -185,60 +160,21 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
     if (latency_n > 0) pt.mean_detection_latency = latency_sum / latency_n;
     if (q_n > 0) pt.mean_q_plain = q_sum / q_n;
 
-    if (cfg_.measure_false_positives && clean[d].has_value() &&
-        cores.total() > 0) {
+    if (clean[d].has_value() && cores.total() > 0) {
       const power::DetectorReport& rep = *clean[d];
       pt.false_positive_rate =
           static_cast<double>(rep.unique_flagged()) / cores.total();
     }
-    if (cfg_.evaluate_guard) {
-      double gq_sum = 0.0;
-      int gq_n = 0;
-      for (std::size_t p = 0; p < p_count; ++p) {
-        const CampaignOutcome& g = guarded[d * p_count + p];
-        if (g.q_valid) {
-          gq_sum += g.q;
-          ++gq_n;
-        }
-      }
-      if (gq_n > 0) pt.mean_q_guarded = gq_sum / gq_n;
-    }
-    if (r_count > 0) {
-      pt.responses.resize(r_count);
-      for (std::size_t r = 0; r < r_count; ++r) {
-        ResponseCurvePoint& rp = pt.responses[r];
-        rp.kind = cfg_.responses[r];
-        double rq_sum = 0.0;
-        int rq_n = 0;
-        double rec_sum = 0.0;
-        int rec_n = 0;
-        for (std::size_t p = 0; p < p_count; ++p) {
-          const CampaignOutcome& o =
-              responded[(d * r_count + r) * p_count + p];
-          if (o.q_valid) {
-            rq_sum += o.q;
-            ++rq_n;
-          }
-          if (o.response.has_value()) {
-            const ResponseOutcome& ro = *o.response;
-            rp.mean_sanctioned += ro.sanctioned_cores.size();
-            rp.mean_collateral += ro.collateral;
-            rp.mean_victim_grant_recovery += ro.victim_grant_recovery;
-            rp.mean_migrations += ro.migrations;
-            if (ro.epochs_to_recovery >= 0) {
-              rec_sum += ro.epochs_to_recovery;
-              ++rec_n;
-            }
-          }
-        }
-        if (rq_n > 0) rp.mean_q = rq_sum / rq_n;
-        rp.mean_sanctioned /= denom;
-        rp.mean_collateral /= denom;
-        rp.mean_victim_grant_recovery /= denom;
-        rp.mean_migrations /= denom;
-        if (rec_n > 0) rp.mean_epochs_to_recovery = rec_sum / rec_n;
+    double gq_sum = 0.0;
+    int gq_n = 0;
+    for (std::size_t p = 0; p < p_count; ++p) {
+      const CampaignOutcome& g = guarded[d * p_count + p];
+      if (g.q_valid) {
+        gq_sum += g.q;
+        ++gq_n;
       }
     }
+    if (gq_n > 0) pt.mean_q_guarded = gq_sum / gq_n;
   }
   return curve;
 }

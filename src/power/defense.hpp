@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -245,17 +244,10 @@ class CohortMedianDetector final : public RequestAnomalyDetector {
   std::unordered_map<NodeId, FlagState> state_;
 };
 
-/// Factory signature for manager-side detectors: campaigns construct one
-/// fresh instance per attacked run from the campaign's DetectorConfig,
-/// and trace replays (power/request_trace.hpp) one per replay. Exotic
-/// detector types plug in by overriding observe_epoch/reset and
-/// supplying a factory; the stock zoo is reachable without a factory via
-/// DetectorConfig::kind.
-using DetectorFactory =
-    std::function<std::unique_ptr<RequestAnomalyDetector>(
-        const DetectorConfig&)>;
-
-/// The default factory: dispatches on cfg.kind over the stock detectors.
+/// The one construction path for manager-side detectors: dispatches on
+/// cfg.kind over the stock detectors. Campaigns construct one fresh
+/// instance per attacked run from the campaign's DetectorConfig, and
+/// trace replays (power/request_trace.hpp) one per replay.
 [[nodiscard]] std::unique_ptr<RequestAnomalyDetector> make_detector(
     const DetectorConfig& cfg);
 

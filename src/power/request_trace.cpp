@@ -10,10 +10,8 @@
 namespace htpb::power {
 
 DetectorReport replay_detector(const RequestTrace& trace,
-                               const DetectorConfig& cfg,
-                               const DetectorFactory& factory) {
-  const std::unique_ptr<RequestAnomalyDetector> detector =
-      factory ? factory(cfg) : make_detector(cfg);
+                               const DetectorConfig& cfg) {
+  const std::unique_ptr<RequestAnomalyDetector> detector = make_detector(cfg);
   for (const TraceEpoch& epoch : trace.epochs) {
     (void)detector->observe_epoch(epoch.requests);
   }

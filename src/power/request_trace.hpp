@@ -20,9 +20,9 @@
 //    the returned trace is a value and is never mutated afterwards --
 //    every consumer takes `const RequestTrace&`.
 //  - replay_detector() feeds the trace through a fresh detector and
-//    returns its cumulative report. For any DetectorConfig/DetectorFactory
-//    the replayed report is bit-identical to the report an in-simulation
-//    detector attached to the recording run would have produced
+//    returns its cumulative report. For any DetectorConfig the replayed
+//    report is bit-identical to the report an in-simulation detector
+//    attached to the recording run would have produced
 //    (tests/core/trace_replay_test.cpp locks this equivalence).
 #pragma once
 
@@ -79,12 +79,11 @@ struct RequestTrace {
   friend bool operator==(const RequestTrace&, const RequestTrace&) = default;
 };
 
-/// Replays `trace` through a fresh detector built from `cfg` (via
-/// `factory` when provided, `make_detector` otherwise) and returns the
-/// cumulative report -- bit-identical to the in-simulation report of the
-/// recording run. Pure function of (trace, cfg, factory); no simulation.
+/// Replays `trace` through a fresh detector built by `make_detector(cfg)`
+/// and returns the cumulative report -- bit-identical to the
+/// in-simulation report of the recording run. Pure function of
+/// (trace, cfg); no simulation.
 [[nodiscard]] DetectorReport replay_detector(const RequestTrace& trace,
-                                             const DetectorConfig& cfg,
-                                             const DetectorFactory& factory = {});
+                                             const DetectorConfig& cfg);
 
 }  // namespace htpb::power

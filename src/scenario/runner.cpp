@@ -424,11 +424,6 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   sweep_cfg.base = campaign_config(spec, spec.workload.mix);
   sweep_cfg.base.detector.reset();
   sweep_cfg.base.response.reset();
-  sweep_cfg.responses.assign(spec.axes.responses.begin(),
-                             spec.axes.responses.end());
-  if (spec.response.has_value()) {
-    sweep_cfg.response_base = *spec.response;
-  }
   for (const BandSpec& band : spec.axes.bands) {
     power::DetectorConfig d;
     d.low_ratio = band.low;

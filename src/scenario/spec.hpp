@@ -299,8 +299,7 @@ struct AxesSpec {
   int cluster_hts = 8;
   int detection_measure_epochs = 6;
   RocSpec roc;
-  /// kDefenseClosedLoop: the response-policy axis (each kind is one arm;
-  /// also accepted by kDefenseSweep as DefenseSweep's response axis).
+  /// kDefenseClosedLoop: the response-policy axis (each kind is one arm).
   std::vector<power::ResponseKind> responses;
   // kAttackComparison
   std::vector<NodeId> flood_sources;

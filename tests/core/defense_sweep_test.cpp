@@ -220,7 +220,6 @@ TEST(DefenseSweep, MatchesPerCellResimulation) {
   sweep_cfg.detectors = {tight, cohort};
   sweep_cfg.placements = test_placements(sweep_cfg.base);
   sweep_cfg.placements.pop_back();
-  sweep_cfg.evaluate_guard = false;  // unchanged by the refactor
   const ParallelSweepRunner runner(4);
 
   const auto curve = DefenseSweep(sweep_cfg).run(runner);
@@ -274,7 +273,6 @@ TEST(DefenseSweep, DetectionRateIsAFractionOfDistinctCores) {
   paranoid.confirm_epochs = 1;
   sweep_cfg.detectors = {paranoid};
   sweep_cfg.placements = {test_placements(sweep_cfg.base).front()};
-  sweep_cfg.evaluate_guard = false;
   const auto curve = DefenseSweep(sweep_cfg).run(ParallelSweepRunner(2));
 
   ASSERT_EQ(curve.size(), 1U);
@@ -292,91 +290,6 @@ TEST(DefenseSweep, DetectionRateIsAFractionOfDistinctCores) {
             rep.flagged_low.size() + rep.flagged_high.size());
   EXPECT_LE(curve[0].detection_rate, 1.0);
   EXPECT_GT(curve[0].detection_rate, 0.0);
-}
-
-// -------------------------------------------------------- response axis
-
-// The axis is opt-in: a sweep that never asked for responses must keep
-// the locked O(placements) simulation shape and an empty tradeoff list.
-TEST(DefenseSweep, ResponseAxisOffByDefault) {
-  DefenseSweepConfig sweep_cfg;
-  sweep_cfg.base = defended_config();
-  sweep_cfg.base.detector.reset();
-  sweep_cfg.detectors = {power::DetectorConfig{}};
-  sweep_cfg.placements = {test_placements(sweep_cfg.base).front()};
-  sweep_cfg.evaluate_guard = false;
-  const auto curve = DefenseSweep(sweep_cfg).run(ParallelSweepRunner(2));
-  ASSERT_EQ(curve.size(), 1U);
-  EXPECT_TRUE(curve[0].responses.empty());
-}
-
-TEST(DefenseSweep, ResponseAxisReportsRecoveryTradeoffs) {
-  DefenseSweepConfig sweep_cfg;
-  sweep_cfg.base = defended_config();
-  sweep_cfg.base.detector.reset();
-  power::DetectorConfig tight;
-  tight.low_ratio = 0.6;
-  tight.high_ratio = 1.6;
-  sweep_cfg.detectors = {tight};
-  sweep_cfg.placements = {test_placements(sweep_cfg.base).front()};
-  sweep_cfg.evaluate_guard = false;
-  sweep_cfg.responses = {power::ResponseKind::kQuarantine,
-                         power::ResponseKind::kThrottle,
-                         power::ResponseKind::kMigrate};
-  const auto curve = DefenseSweep(sweep_cfg).run(ParallelSweepRunner(4));
-
-  ASSERT_EQ(curve.size(), 1U);
-  ASSERT_EQ(curve[0].responses.size(), 3U);
-  for (std::size_t r = 0; r < 3; ++r) {
-    const ResponseCurvePoint& rp = curve[0].responses[r];
-    EXPECT_EQ(rp.kind, sweep_cfg.responses[r]);
-    // The tight band flags the GM-adjacent cluster, so every policy
-    // engages and restores a measurable share of the victims' grants.
-    EXPECT_GT(rp.mean_sanctioned, 0.0) << r;
-    EXPECT_GE(rp.mean_collateral, 0.0) << r;
-    EXPECT_GT(rp.mean_victim_grant_recovery, 0.0) << r;
-  }
-  // Quarantine starves the flagged accomplices outright: residual Q must
-  // come down from the undefended attack effect.
-  EXPECT_LT(curve[0].responses[0].mean_q, curve[0].mean_q_plain);
-  // Migrate re-places once per triggered run; the in-place policies never
-  // migrate.
-  EXPECT_EQ(curve[0].responses[0].mean_migrations, 0.0);
-  EXPECT_EQ(curve[0].responses[1].mean_migrations, 0.0);
-  EXPECT_EQ(curve[0].responses[2].mean_migrations, 1.0);
-}
-
-TEST(DefenseSweep, ResponseAxisIsThreadCountInvariant) {
-  DefenseSweepConfig sweep_cfg;
-  sweep_cfg.base = defended_config();
-  sweep_cfg.base.detector.reset();
-  sweep_cfg.detectors = {power::DetectorConfig{}};
-  sweep_cfg.placements = test_placements(sweep_cfg.base);
-  sweep_cfg.placements.pop_back();
-  sweep_cfg.evaluate_guard = false;
-  sweep_cfg.responses = {power::ResponseKind::kQuarantine,
-                         power::ResponseKind::kThrottle};
-  const DefenseSweep sweep(sweep_cfg);
-
-  const auto serial = sweep.run(ParallelSweepRunner(1));
-  const auto parallel = sweep.run(ParallelSweepRunner(8));
-
-  ASSERT_EQ(serial.size(), 1U);
-  ASSERT_EQ(parallel.size(), 1U);
-  ASSERT_EQ(serial[0].responses.size(), 2U);
-  ASSERT_EQ(parallel[0].responses.size(), 2U);
-  for (std::size_t r = 0; r < 2; ++r) {
-    const ResponseCurvePoint& a = serial[0].responses[r];
-    const ResponseCurvePoint& b = parallel[0].responses[r];
-    EXPECT_EQ(a.kind, b.kind) << r;
-    EXPECT_EQ(a.mean_q, b.mean_q) << r;
-    EXPECT_EQ(a.mean_sanctioned, b.mean_sanctioned) << r;
-    EXPECT_EQ(a.mean_collateral, b.mean_collateral) << r;
-    EXPECT_EQ(a.mean_victim_grant_recovery, b.mean_victim_grant_recovery)
-        << r;
-    EXPECT_EQ(a.mean_epochs_to_recovery, b.mean_epochs_to_recovery) << r;
-    EXPECT_EQ(a.mean_migrations, b.mean_migrations) << r;
-  }
 }
 
 TEST(DefenseSweep, RejectsEmptyAxes) {

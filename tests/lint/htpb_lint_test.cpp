@@ -7,10 +7,8 @@
 
 #include <array>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -85,31 +83,6 @@ int suppressed(const LintRun& r) {
 std::string fixture_args(const std::string& file) {
   return std::string("--root ") + HTPB_LINT_FIXTURE_DIR +
          " --no-default-suppressions " + file;
-}
-
-/// Runs htpb_lint capturing raw stdout bytes (human lines + `--json -`
-/// report); stderr goes to `stderr_path` so cache statistics can be
-/// asserted without perturbing the report bytes.
-std::string run_raw(const std::string& args, const std::string& stderr_path) {
-  const std::string cmd = std::string(HTPB_LINT_BINARY) + " --json - " + args +
-                          " 2>" + stderr_path;
-  FILE* pipe = popen(cmd.c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << cmd;
-  std::string out;
-  std::array<char, 4096> buf{};
-  std::size_t n = 0;
-  while ((n = fread(buf.data(), 1, buf.size(), pipe)) > 0) {
-    out.append(buf.data(), n);
-  }
-  pclose(pipe);
-  return out;
-}
-
-std::string read_file(const std::filesystem::path& p) {
-  std::ifstream f(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
 }
 
 TEST(HtpbLint, UnorderedIterFiresAndInlineAllowSilences) {
@@ -232,50 +205,6 @@ TEST(HtpbLint, LayeringBackEdgeAndCycleFire) {
             (std::set<std::tuple<std::string, int, std::string>>{
                 {"src/common/bad.hpp", 4, "layer-violation"},
                 {"src/noc/ring_b.hpp", 4, "layer-cycle"}}));
-}
-
-TEST(HtpbLint, CacheDirWarmRunIsByteIdentical) {
-  namespace fs = std::filesystem;
-  const fs::path tmp(HTPB_LINT_TEST_TMPDIR);
-  const fs::path cache = tmp / "lint_cache";
-  fs::remove_all(cache);
-  const std::string args = fixture_args("snapshot_complete.cpp") +
-                           " seed_provenance.cpp --cache-dir " +
-                           cache.string();
-  const std::string cold = run_raw(args, (tmp / "cache_err1.txt").string());
-  const std::string warm = run_raw(args, (tmp / "cache_err2.txt").string());
-  EXPECT_FALSE(cold.empty());
-  EXPECT_EQ(cold, warm);  // warm report is byte-identical to the cold one
-  EXPECT_NE(read_file(tmp / "cache_err1.txt").find("0 hits, 2 misses"),
-            std::string::npos);
-  EXPECT_NE(read_file(tmp / "cache_err2.txt").find("2 hits, 0 misses"),
-            std::string::npos);
-}
-
-TEST(HtpbLint, CacheShardOfAnOlderFormatIsRescanned) {
-  namespace fs = std::filesystem;
-  const fs::path tmp(HTPB_LINT_TEST_TMPDIR);
-  const fs::path cache = tmp / "lint_cache_old";
-  fs::remove_all(cache);
-  const std::string args = fixture_args("snapshot_complete.cpp") +
-                           " --cache-dir " + cache.string();
-  const std::string cold = run_raw(args, (tmp / "cache_old1.txt").string());
-  // Rewrite the shard as an older format whose summary would drop the
-  // finding if it were replayed: version 1 and no classes.
-  std::vector<fs::path> shards;
-  for (const auto& e : fs::directory_iterator(cache)) shards.push_back(e);
-  ASSERT_EQ(shards.size(), 1U);
-  Value shard = htpb::json::parse(read_file(shards[0]));
-  shard.as_object()["version"] = Value(1);
-  shard.as_object()["classes"] = Value(htpb::json::Array{});
-  {
-    std::ofstream f(shards[0], std::ios::binary | std::ios::trunc);
-    f << htpb::json::dump(shard, 0) << '\n';
-  }
-  const std::string warm = run_raw(args, (tmp / "cache_old2.txt").string());
-  EXPECT_EQ(cold, warm);  // rescanned: the finding is still reported
-  EXPECT_NE(read_file(tmp / "cache_old2.txt").find("0 hits, 1 miss"),
-            std::string::npos);
 }
 
 /// The gate CI enforces: the real tree, with the checked-in suppression

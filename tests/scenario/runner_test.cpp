@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -244,6 +245,21 @@ TEST(ScenarioRunner, DefenseRocQuickBitIdenticalToLegacyBenchPath) {
   }
 }
 
+// defense-roc reads no response axis: response arms live only in
+// defense-closed-loop, so listing policies on a defense-roc spec must
+// neither change its tree nor add a single simulation.
+TEST(ScenarioRunner, DefenseRocIgnoresResponseAxis) {
+  const ScenarioSpec& registered = scenario_or_throw("defense-roc");
+  ScenarioSpec with_responses = registered;
+  with_responses.axes.responses = {power::ResponseKind::kQuarantine,
+                                   power::ResponseKind::kMigrate};
+  RunOptions quick;
+  quick.quick = true;
+  EXPECT_EQ(json::dump(without_timing(run_scenario(registered, quick)), 0),
+            json::dump(without_timing(run_scenario(with_responses, quick)),
+                       0));
+}
+
 // ----------------------------------------------- seeds, threads, traces
 
 /// A deliberately small stochastic scenario (one mix, one coverage
@@ -388,6 +404,40 @@ TEST(ScenarioRunner, ClosedLoopAdaptiveTrojanEvadesAtEqualMeanDuty) {
   }
   EXPECT_EQ(with_response, 6);
   EXPECT_EQ(adaptive_arms, 4);
+
+  // Each policy's effect on the static Trojan at the gm placement: every
+  // policy sanctions cores (with non-negative collateral) and restores
+  // part of the victims' grant, quarantine starves the flagged
+  // accomplices so residual Q falls below the undefended arm's, and only
+  // migrate re-places (once).
+  const json::Object* none = nullptr;
+  std::map<std::string, const json::Object*> responded;
+  for (const auto& v : arms) {
+    const json::Object& row = v.as_object();
+    if (row.find("placement")->as_string() != "gm" ||
+        row.find("trojan")->as_string() != "static") {
+      continue;
+    }
+    const std::string& response = row.find("response")->as_string();
+    if (response == "none") {
+      none = &row;
+    } else {
+      responded[response] = &row;
+    }
+  }
+  ASSERT_NE(none, nullptr);
+  ASSERT_EQ(responded.size(), 3U);
+  for (const auto& [response, row] : responded) {
+    EXPECT_GT(row->find("sanctioned_cores")->as_int(), 0) << response;
+    EXPECT_GT(row->find("victim_grant_recovery")->as_double(), 0.0)
+        << response;
+    EXPECT_GE(row->find("collateral")->as_int(), 0) << response;
+  }
+  EXPECT_LT(responded.at("quarantine")->find("q")->as_double(),
+            none->find("q")->as_double());
+  EXPECT_EQ(responded.at("quarantine")->find("migrations")->as_int(), 0);
+  EXPECT_EQ(responded.at("throttle")->find("migrations")->as_int(), 0);
+  EXPECT_EQ(responded.at("migrate")->find("migrations")->as_int(), 1);
 }
 
 TEST(ScenarioRunner, TraceRecordReplayAgreesThroughDisk) {

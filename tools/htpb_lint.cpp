@@ -20,10 +20,6 @@
 //   --layers FILE           layer DAG for layer-violation/layer-cycle
 //                           (default: tools/lint_layers.txt under --root
 //                           when present; absent = layering skipped)
-//   --cache-dir DIR         incremental cache: per-file summary shards
-//                           keyed by content hash; a warm run replays
-//                           the exact summaries a cold run builds, so
-//                           reports are byte-identical either way
 //   --list-rules            print the rule table and exit
 //
 // Exit status: 0 = clean, 1 = unsuppressed violations, 2 = bad usage,
@@ -52,7 +48,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--root DIR] [--json PATH|-] [--suppressions FILE ...]\n"
       "           [--no-default-suppressions] [--layers FILE]\n"
-      "           [--cache-dir DIR] [--list-rules] [paths...]\n",
+      "           [--list-rules] [paths...]\n",
       argv0);
   return 2;
 }
@@ -78,13 +74,6 @@ std::string rel_path(const fs::path& root, const fs::path& p) {
   return (ec ? p : rel).generic_string();
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// The lint fixture files are deliberate rule violations; scanning them
 /// as part of the tree would defeat their purpose.
 bool fixture_path(const std::string& rel) {
@@ -97,7 +86,6 @@ int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   std::string json_path;
   std::string layers_path;
-  std::string cache_dir;
   std::vector<std::string> suppression_files;
   bool default_suppressions = true;
   std::vector<std::string> paths;
@@ -122,8 +110,6 @@ int main(int argc, char** argv) {
       default_suppressions = false;
     } else if (std::strcmp(arg, "--layers") == 0) {
       layers_path = next_arg(i, arg);
-    } else if (std::strcmp(arg, "--cache-dir") == 0) {
-      cache_dir = next_arg(i, arg);
     } else if (std::strcmp(arg, "--list-rules") == 0) {
       for (const htpb::lint::RuleInfo& r : htpb::lint::rules()) {
         std::printf("%-22s %s\n", r.id, r.summary);
@@ -216,20 +202,8 @@ int main(int argc, char** argv) {
     layers = htpb::lint::parse_layers(layers_path, body, errors);
   }
 
-  // Build the project model, through the cache when one is configured.
-  if (!cache_dir.empty()) {
-    std::error_code ec;
-    fs::create_directories(cache_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "%s: cannot create cache dir %s: %s\n", argv[0],
-                   cache_dir.c_str(), ec.message().c_str());
-      return 2;
-    }
-  }
   htpb::lint::ProjectModel pm;
   pm.files.reserve(files.size());
-  int cache_hits = 0;
-  int cache_misses = 0;
   for (const fs::path& f : files) {
     bool ok = false;
     const std::string body = slurp(f, ok);
@@ -238,28 +212,7 @@ int main(int argc, char** argv) {
                    f.string().c_str());
       return 2;
     }
-    const std::string rel = rel_path(root, f);
-    fs::path shard;
-    if (!cache_dir.empty()) {
-      shard = fs::path(cache_dir) /
-              (hex16(htpb::lint::summary_cache_key(rel, body)) + ".json");
-      bool shard_ok = false;
-      const std::string shard_body = slurp(shard, shard_ok);
-      htpb::lint::FileSummary cached;
-      if (shard_ok &&
-          htpb::lint::summary_from_json(shard_body, rel, cached)) {
-        pm.files.push_back(std::move(cached));
-        ++cache_hits;
-        continue;
-      }
-      ++cache_misses;
-    }
-    htpb::lint::FileSummary s = htpb::lint::summarize(rel, body);
-    if (!cache_dir.empty()) {
-      std::ofstream out(shard, std::ios::binary | std::ios::trunc);
-      if (out.good()) out << htpb::lint::summary_to_json(s) << '\n';
-    }
-    pm.files.push_back(std::move(s));
+    pm.files.push_back(htpb::lint::summarize(rel_path(root, f), body));
   }
 
   htpb::lint::LintOptions opts;
@@ -282,11 +235,6 @@ int main(int argc, char** argv) {
                result.files_scanned == 1 ? "" : "s",
                result.violations.size(),
                result.violations.size() == 1 ? "" : "s", result.suppressed);
-  if (!cache_dir.empty()) {
-    std::fprintf(stderr, "%s: cache: %d hit%s, %d miss%s\n", argv[0],
-                 cache_hits, cache_hits == 1 ? "" : "s", cache_misses,
-                 cache_misses == 1 ? "" : "es");
-  }
 
   if (!json_path.empty()) {
     htpb::json::Object report;

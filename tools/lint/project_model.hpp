@@ -2,10 +2,7 @@
 //
 // A FileSummary is everything the rule engine needs to know about one
 // source file, and nothing else: no token stream, no comment text. It is
-// a pure function of (path, content) with a versioned JSON round-trip,
-// which makes the incremental cache correct by construction -- a warm
-// run replays the exact summaries a cold run would have built, so the
-// two produce byte-identical reports. Anything token-level (the
+// a pure function of (path, content). Anything token-level (the
 // nondet-call / ptr-key-container matchers, the suppression-marker scan)
 // runs at summarize() time and lands in the summary as precomputed
 // findings and marker tables.
@@ -16,7 +13,6 @@
 // rules.cpp / graph.cpp.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,10 +21,9 @@
 namespace htpb::lint {
 
 /// A per-file finding precomputed by summarize(): the token-level rules
-/// whose evidence would otherwise require shipping the token stream
-/// through the cache. Suppression is NOT applied here -- the engine
-/// filters against markers/suppressions like any other finding, so
-/// cached summaries stay valid when a suppression file changes.
+/// whose evidence would otherwise require keeping the token stream.
+/// Suppression is NOT applied here -- the engine filters against
+/// markers/suppressions like any other finding.
 struct TokenFinding {
   int line = 0;
   std::string rule;
@@ -69,18 +64,5 @@ struct ProjectModel {
 /// Builds the summary of one file from its content. Pure: same
 /// (path, content) -> same summary, always.
 FileSummary summarize(const std::string& path, const std::string& content);
-
-/// Versioned JSON round-trip. `summary_from_json` returns false (and
-/// leaves `out` untouched) for malformed input or a format-version /
-/// path mismatch -- the cache treats that as a miss, never an error.
-std::string summary_to_json(const FileSummary& s);
-bool summary_from_json(const std::string& body, const std::string& path,
-                       FileSummary& out);
-
-/// Cache shard key: FNV-1a64 over the summary format version, the path
-/// and the file content. Any change to the summary schema bumps the
-/// version and orphans old shards instead of misreading them.
-std::uint64_t summary_cache_key(const std::string& path,
-                                const std::string& content);
 
 }  // namespace htpb::lint
