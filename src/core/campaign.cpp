@@ -113,18 +113,6 @@ AttackCampaign::AttackCampaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
       cfg_.system.gm_placement == system::GmPlacement::kCenter
           ? geom.id_of(geom.center())
           : geom.id_of(MeshGeometry::corner()));
-
-  if (cfg_.attacker_agent.has_value()) {
-    agent_node_ = *cfg_.attacker_agent;
-  } else {
-    agent_node_ = 0;
-    for (const auto& app : apps_) {
-      if (app.is_attacker() && !app.cores.empty()) {
-        agent_node_ = app.cores.front();
-        break;
-      }
-    }
-  }
 }
 
 AttackCampaign::RunResult AttackCampaign::run_system(
@@ -344,11 +332,6 @@ void AttackCampaign::ensure_baseline() {
   baseline_ = std::make_shared<const RunResult>(run_system({}));
 }
 
-const std::vector<double>& AttackCampaign::baseline_phi() {
-  ensure_baseline();
-  return baseline_->phi;
-}
-
 double AttackCampaign::run_infection_only(std::span<const NodeId> ht_nodes) {
   return run_system(ht_nodes).infection;
 }
@@ -408,12 +391,11 @@ void AttackCampaign::install_attack(
     tc.attacker_agents.insert(tc.attacker_agents.end(), app.cores.begin(),
                               app.cores.end());
   }
-  // Derived from this leg's mapping so a migrated agent broadcasts from
-  // its new core (leg 1 reproduces agent_node_ exactly).
-  NodeId agent_node = agent_node_;
-  if (!cfg_.attacker_agent.has_value() && !tc.attacker_agents.empty()) {
-    agent_node = tc.attacker_agents.front();
-  }
+  // The attacker application's first core broadcasts (node 0 when the
+  // mix has no attacker). Derived from this leg's mapping, so a migrated
+  // agent broadcasts from its new core.
+  const NodeId agent_node =
+      tc.attacker_agents.empty() ? NodeId{0} : tc.attacker_agents.front();
   if (tc.attacker_agents.empty()) tc.attacker_agents.push_back(agent_node);
   frame.tc = tc;
   frame.agent_node = agent_node;

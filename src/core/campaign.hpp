@@ -45,9 +45,6 @@ struct CampaignConfig {
   TrojanConfig trojan;
   int warmup_epochs = 2;
   int measure_epochs = 5;
-  /// Node that broadcasts the configuration; default: the attacker
-  /// application's first core (or node 0 when there is none).
-  std::optional<NodeId> attacker_agent;
   /// Duty-cycled activation (Sec. III-B: "a series of configuration
   /// packets can be sent with activation signals alternated to be ON and
   /// OFF"): every `toggle_period_epochs` epochs the agent re-broadcasts
@@ -198,9 +195,6 @@ class AttackCampaign {
   [[nodiscard]] power::RequestTrace record_trace(
       std::span<const NodeId> ht_nodes);
 
-  /// Baseline per-app sensitivities Phi (computed with the baseline run).
-  [[nodiscard]] const std::vector<double>& baseline_phi();
-
   /// Runs (or reuses) the Trojan-free baseline now. Campaigns are
   /// copyable; priming before cloning one per sweep worker means every
   /// clone *shares* the immutable cached baseline (shared_ptr, no
@@ -268,7 +262,6 @@ class AttackCampaign {
   CampaignConfig cfg_;
   std::vector<workload::Application> apps_;
   NodeId gm_node_ = kInvalidNode;
-  NodeId agent_node_ = 0;
   std::shared_ptr<const RunResult> baseline_;  // set once; shared by clones
 };
 

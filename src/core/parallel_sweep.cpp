@@ -29,23 +29,10 @@ Rng ParallelSweepRunner::stream_rng(std::uint64_t seed, std::size_t index) {
 }
 
 std::vector<CampaignOutcome> ParallelSweepRunner::run_placements(
-    const CampaignConfig& cfg, std::span<const Placement> placements) const {
-  AttackCampaign master(cfg);
-  return run_placements(master, placements);
-}
-
-std::vector<CampaignOutcome> ParallelSweepRunner::run_placements(
     AttackCampaign& master, std::span<const Placement> placements) const {
   std::vector<std::vector<NodeId>> node_sets;
   node_sets.reserve(placements.size());
   for (const Placement& p : placements) node_sets.push_back(p.nodes);
-  return run_node_sets(master, node_sets);
-}
-
-std::vector<CampaignOutcome> ParallelSweepRunner::run_node_sets(
-    const CampaignConfig& cfg,
-    std::span<const std::vector<NodeId>> node_sets) const {
-  AttackCampaign master(cfg);
   return run_node_sets(master, node_sets);
 }
 

@@ -57,27 +57,19 @@ class ParallelSweepRunner {
   auto map_streams(std::size_t count, std::uint64_t seed, Fn&& fn) const
       -> std::vector<std::invoke_result_t<Fn&, std::size_t, Rng&>>;
 
-  /// Full campaign outcome for every placement, fanned across the pool.
-  /// The Trojan-free baseline is run once on a master campaign and shared
-  /// by every worker's clone. Detector-equipped (defense) sweeps go
-  /// through the same pool: each attacked run owns a fresh detector built
-  /// from `cfg.detector`, so outcomes -- detection reports included --
-  /// are bit-identical at 1 and N threads.
-  [[nodiscard]] std::vector<CampaignOutcome> run_placements(
-      const CampaignConfig& cfg, std::span<const Placement> placements) const;
-
-  /// Same, cloning from a caller-owned campaign instead of building one
-  /// per call: `master` is primed (its baseline runs now if it has not
-  /// already), so consecutive sweeps over the same campaign pay for the
-  /// baseline once.
+  /// Full campaign outcome for every placement, fanned across the pool,
+  /// each task running a clone of the caller-owned `master`. `master` is
+  /// primed first (its Trojan-free baseline runs now if it has not
+  /// already), so every clone shares that one baseline and consecutive
+  /// sweeps over the same campaign pay for it once. Detector-equipped
+  /// (defense) sweeps go through the same pool: each attacked run owns a
+  /// fresh detector built from the campaign's detector config, so
+  /// outcomes -- detection reports included -- are bit-identical at 1 and
+  /// N threads.
   [[nodiscard]] std::vector<CampaignOutcome> run_placements(
       AttackCampaign& master, std::span<const Placement> placements) const;
 
   /// Same, for raw HT node sets (e.g. random-placement trials).
-  [[nodiscard]] std::vector<CampaignOutcome> run_node_sets(
-      const CampaignConfig& cfg,
-      std::span<const std::vector<NodeId>> node_sets) const;
-
   [[nodiscard]] std::vector<CampaignOutcome> run_node_sets(
       AttackCampaign& master,
       std::span<const std::vector<NodeId>> node_sets) const;

@@ -1,8 +1,6 @@
 #include "power/response.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "common/snapshot.hpp"
@@ -18,15 +16,6 @@ const char* to_string(ResponseKind kind) {
   return "?";
 }
 
-ResponseKind response_kind_from_string(std::string_view s) {
-  for (const auto kind : {ResponseKind::kQuarantine, ResponseKind::kThrottle,
-                          ResponseKind::kMigrate}) {
-    if (s == to_string(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown response kind \"" + std::string(s) +
-                              "\" (quarantine, throttle, migrate)");
-}
-
 const char* to_string(ResponseTrigger trigger) {
   switch (trigger) {
     case ResponseTrigger::kHigh: return "high";
@@ -34,15 +23,6 @@ const char* to_string(ResponseTrigger trigger) {
     case ResponseTrigger::kBoth: return "both";
   }
   return "?";
-}
-
-ResponseTrigger response_trigger_from_string(std::string_view s) {
-  for (const auto trigger : {ResponseTrigger::kHigh, ResponseTrigger::kLow,
-                             ResponseTrigger::kBoth}) {
-    if (s == to_string(trigger)) return trigger;
-  }
-  throw std::invalid_argument("unknown response trigger \"" + std::string(s) +
-                              "\" (high, low, both)");
 }
 
 void ResponseEngine::begin_epoch(const DetectorReport& newly) {

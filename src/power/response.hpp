@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -51,7 +50,6 @@ enum class ResponseKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(ResponseKind kind);
-[[nodiscard]] ResponseKind response_kind_from_string(std::string_view s);
 
 /// Which detector verdict list triggers a sanction. Boosted accomplices
 /// land in flagged_high; starved victims land in flagged_low. Sanctioning
@@ -65,7 +63,6 @@ enum class ResponseTrigger : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(ResponseTrigger trigger);
-[[nodiscard]] ResponseTrigger response_trigger_from_string(std::string_view s);
 
 struct ResponseConfig {
   ResponseKind kind = ResponseKind::kQuarantine;

@@ -8,7 +8,7 @@
 
 namespace htpb::scenario {
 
-// ----------------------------------------------------- enum string maps
+// ------------------------------------------------------------ enum names
 
 const char* to_string(ScenarioKind kind) noexcept {
   switch (kind) {
@@ -30,41 +30,12 @@ const char* to_string(ScenarioKind kind) noexcept {
   return "?";
 }
 
-ScenarioKind scenario_kind_from_string(std::string_view name) {
-  for (int i = 0; i < kScenarioKindCount; ++i) {
-    const auto kind = static_cast<ScenarioKind>(i);
-    if (name == to_string(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown scenario kind \"" + std::string(name) +
-                              "\"");
-}
-
 const char* to_string(system::GmPlacement placement) noexcept {
   switch (placement) {
     case system::GmPlacement::kCenter: return "center";
     case system::GmPlacement::kCorner: return "corner";
   }
   return "?";
-}
-
-system::GmPlacement gm_placement_from_string(std::string_view name) {
-  if (name == "center") return system::GmPlacement::kCenter;
-  if (name == "corner") return system::GmPlacement::kCorner;
-  throw std::invalid_argument("unknown gm placement \"" + std::string(name) +
-                              "\" (center|corner)");
-}
-
-power::BudgeterKind budgeter_kind_from_string(std::string_view name) {
-  // Names match power::to_string (and Budgeter::name()).
-  static constexpr power::BudgeterKind kKinds[] = {
-      power::BudgeterKind::kUniform, power::BudgeterKind::kGreedy,
-      power::BudgeterKind::kProportional,
-      power::BudgeterKind::kDynamicProgramming, power::BudgeterKind::kMarket};
-  for (const auto kind : kKinds) {
-    if (name == power::to_string(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown budgeter \"" + std::string(name) +
-                              "\" (uniform|greedy|proportional|dp|market)");
 }
 
 const char* to_string(power::DetectorKind kind) noexcept {
@@ -75,13 +46,6 @@ const char* to_string(power::DetectorKind kind) noexcept {
   return "?";
 }
 
-power::DetectorKind detector_kind_from_string(std::string_view name) {
-  if (name == "ewma") return power::DetectorKind::kSelfEwma;
-  if (name == "cohort") return power::DetectorKind::kCohortMedian;
-  throw std::invalid_argument("unknown detector kind \"" + std::string(name) +
-                              "\" (ewma|cohort)");
-}
-
 const char* to_string(ClusterSpec::At at) noexcept {
   switch (at) {
     case ClusterSpec::At::kGm: return "gm";
@@ -90,16 +54,6 @@ const char* to_string(ClusterSpec::At at) noexcept {
     case ClusterSpec::At::kQuarter: return "quarter";
   }
   return "?";
-}
-
-ClusterSpec::At cluster_at_from_string(std::string_view name) {
-  for (int i = 0; i < ClusterSpec::kAtCount; ++i) {
-    const auto at = static_cast<ClusterSpec::At>(i);
-    if (name == to_string(at)) return at;
-  }
-  throw std::invalid_argument("unknown cluster anchor \"" +
-                              std::string(name) +
-                              "\" (gm|center|corner|quarter)");
 }
 
 std::pair<int, int> mesh_for_size(int nodes) {
@@ -324,6 +278,9 @@ void ScenarioSpec::validate() const {
     case ScenarioKind::kDefenseSweep:
       require_bands();
       require_placements();
+      if (axes.roc.placements < 0) {
+        invalid(name, "axes.roc.placements must be >= 0");
+      }
       if (axes.roc.enabled()) {
         if (axes.roc.placements >
             static_cast<int>(axes.placements.size())) {
@@ -363,6 +320,9 @@ void ScenarioSpec::validate() const {
       }
       if (axes.toggle_periods.empty()) {
         invalid(name, "axes.toggle_periods must not be empty");
+      }
+      for (const int p : axes.toggle_periods) {
+        if (p < 0) invalid(name, "axes.toggle_periods must be >= 0");
       }
       if (axes.duty_warmup_epochs < 0 || axes.duty_measure_epochs < 1) {
         invalid(name, "duty epochs need warmup >= 0 and measure >= 1");
@@ -407,6 +367,16 @@ void ScenarioSpec::validate() const {
                 "duty-cycled arm)");
       }
       break;
+  }
+
+  // The quick variant must be valid too. with_quick() validates the
+  // overlaid spec, which carries no overlay unless this one nests one.
+  if (!quick.is_null()) {
+    try {
+      (void)with_quick();
+    } catch (const std::exception& e) {
+      invalid(name, std::string("quick overlay: ") + e.what());
+    }
   }
 }
 
@@ -467,130 +437,6 @@ void apply_override(json::Value& spec_json, std::string_view dotted_key,
     if (node->is_null()) *node = json::Value(json::Object{});
     rest = rest.substr(dot + 1);
   }
-}
-
-// ---------------------------------------------------------------- builder
-
-ScenarioBuilder::ScenarioBuilder(std::string name, ScenarioKind kind) {
-  spec_.name = std::move(name);
-  spec_.kind = kind;
-}
-
-ScenarioBuilder& ScenarioBuilder::title(std::string text) {
-  spec_.title = std::move(text);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::paper_ref(std::string text) {
-  spec_.paper_ref = std::move(text);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::expectation(std::string text) {
-  spec_.expectation = std::move(text);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::mesh(int width, int height) {
-  spec_.system.width = width;
-  spec_.system.height = height;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::size(int nodes) {
-  const auto [w, h] = mesh_for_size(nodes);
-  return mesh(w, h);
-}
-ScenarioBuilder& ScenarioBuilder::epoch_cycles(Cycle cycles) {
-  spec_.system.epoch_cycles = cycles;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::first_epoch_cycle(Cycle cycle) {
-  spec_.system.first_epoch_cycle = cycle;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::budget_fraction(double fraction) {
-  spec_.system.budget_fraction = fraction;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::budgeter(power::BudgeterKind kind) {
-  spec_.system.budgeter = kind;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::guard_requests(bool on) {
-  spec_.system.guard_requests = on;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::gm_placement(system::GmPlacement placement) {
-  spec_.system.gm_placement = placement;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::mix(std::string name) {
-  spec_.workload.mix = std::move(name);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::standard_mixes() {
-  spec_.workload.mixes.clear();
-  for (const auto& m : workload::standard_mixes()) {
-    spec_.workload.mixes.push_back(m.name);
-  }
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::threads_per_app(int threads) {
-  spec_.workload.threads_per_app = threads;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::trojan_active(bool active) {
-  spec_.trojan.active = active;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::victim_scale(double scale) {
-  spec_.trojan.victim_scale = scale;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::attacker_boost(double boost) {
-  spec_.trojan.attacker_boost = boost;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::toggle_period(int epochs) {
-  spec_.trojan.toggle_period_epochs = epochs;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::warmup_epochs(int epochs) {
-  spec_.epochs.warmup = epochs;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::measure_epochs(int epochs) {
-  spec_.epochs.measure = epochs;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::detector(power::DetectorConfig cfg) {
-  spec_.detector = cfg;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::response(power::ResponseConfig cfg) {
-  spec_.response = cfg;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::adaptation(core::TrojanAdaptation adapt) {
-  spec_.trojan.adaptation = adapt;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t value) {
-  spec_.seed = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::threads(int count) {
-  spec_.threads = count;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::quick(std::string_view overlay_json) {
-  spec_.quick = json::parse(overlay_json);
-  return *this;
-}
-
-ScenarioSpec ScenarioBuilder::build() const {
-  spec_.validate();
-  // The quick variant must be valid too; surface overlay typos at build
-  // (i.e. registry construction) time, not at --quick use time.
-  (void)spec_.with_quick();
-  return spec_;
 }
 
 }  // namespace htpb::scenario

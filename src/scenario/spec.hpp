@@ -8,7 +8,8 @@
 // (scenario/registry.hpp); the single `htpb_run` front end executes specs
 // through scenario/runner.hpp. New scenarios -- new Trojan kinds,
 // detector grids, response policies -- are new specs (or spec files),
-// not new binaries.
+// not new binaries. C++ callers write a spec by assigning its members
+// and calling validate().
 //
 // Serialization contract (locked by tests/scenario/spec_test.cpp):
 //  - Every section lists its members once, in a static `fields` template
@@ -69,22 +70,14 @@ enum class ScenarioKind : std::uint8_t {
   kAreaPowerReport,          ///< Sec. III-D: HT area/power stealth numbers
   kDefenseClosedLoop,        ///< Response policies x {static, adaptive} Trojan
 };
-inline constexpr int kScenarioKindCount = 13;
 
-/// Enum <-> string maps used by the JSON schema. Every to_string is an
-/// exhaustive switch and every from_string throws std::invalid_argument
-/// on unknown names; tests/scenario/spec_test.cpp walks all enumerators
-/// through both directions.
+/// Enum names used by the JSON schema. Every to_string is an exhaustive
+/// switch that answers "?" past the last enumerator; the spec codec
+/// (scenario/spec_codec.hpp, enum_from_name) parses names by walking
+/// the enumerators through it, so the two directions cannot drift.
 [[nodiscard]] const char* to_string(ScenarioKind kind) noexcept;
-[[nodiscard]] ScenarioKind scenario_kind_from_string(std::string_view name);
 [[nodiscard]] const char* to_string(system::GmPlacement placement) noexcept;
-[[nodiscard]] system::GmPlacement gm_placement_from_string(
-    std::string_view name);
-[[nodiscard]] power::BudgeterKind budgeter_kind_from_string(
-    std::string_view name);
 [[nodiscard]] const char* to_string(power::DetectorKind kind) noexcept;
-[[nodiscard]] power::DetectorKind detector_kind_from_string(
-    std::string_view name);
 
 /// Paper mesh shape for a node count (64/128/256/512, Table I's sweep);
 /// throws std::invalid_argument otherwise. The spec stores width x height
@@ -227,7 +220,6 @@ struct ClusterSpec {
     kCorner,   ///< in the (0,0) corner
     kQuarter,  ///< at (width/4, height/4) -- the mid-mesh defense arm
   };
-  static constexpr int kAtCount = 4;
 
   At at = At::kGm;
   int hts = 8;
@@ -242,7 +234,6 @@ struct ClusterSpec {
 };
 
 [[nodiscard]] const char* to_string(ClusterSpec::At at) noexcept;
-[[nodiscard]] ClusterSpec::At cluster_at_from_string(std::string_view name);
 
 /// The stealthy-Trojan ROC grid riding on the defense sweep: dynamics
 /// axes (duty-cycle period x modification factor) are simulated once per
@@ -388,7 +379,9 @@ struct ScenarioSpec {
   [[nodiscard]] static ScenarioSpec from_json(const json::Value& v);
 
   /// Schema-level sanity: kind-required axes populated, ranges legal,
-  /// mix names known, mesh shape usable. Throws std::invalid_argument.
+  /// mix names known, mesh shape usable -- and the quick overlay, if
+  /// any, applies and yields a valid spec, so a typo'd overlay fails at
+  /// load, not only under --quick. Throws std::invalid_argument.
   void validate() const;
 
   /// The spec with its quick overlay applied (and re-validated); returns
@@ -437,58 +430,5 @@ struct ScenarioSpec {
 /// members; throws std::runtime_error when the path crosses a non-object.
 void apply_override(json::Value& spec_json, std::string_view dotted_key,
                     std::string_view value_text);
-
-/// Fluent builder for C++ callers (the registry is written with it).
-/// Chainable setters cover the common scalar fields; axes() hands out the
-/// axes section for kind-specific sweeps; build() validates.
-class ScenarioBuilder {
- public:
-  ScenarioBuilder(std::string name, ScenarioKind kind);
-
-  ScenarioBuilder& title(std::string text);
-  ScenarioBuilder& paper_ref(std::string text);
-  ScenarioBuilder& expectation(std::string text);
-
-  ScenarioBuilder& mesh(int width, int height);
-  /// Paper preset shapes (64/128/256/512).
-  ScenarioBuilder& size(int nodes);
-  ScenarioBuilder& epoch_cycles(Cycle cycles);
-  ScenarioBuilder& first_epoch_cycle(Cycle cycle);
-  ScenarioBuilder& budget_fraction(double fraction);
-  ScenarioBuilder& budgeter(power::BudgeterKind kind);
-  ScenarioBuilder& guard_requests(bool on);
-  ScenarioBuilder& gm_placement(system::GmPlacement placement);
-
-  ScenarioBuilder& mix(std::string name);
-  /// All four Table III mixes, in order.
-  ScenarioBuilder& standard_mixes();
-  ScenarioBuilder& threads_per_app(int threads);
-
-  ScenarioBuilder& trojan_active(bool active);
-  ScenarioBuilder& victim_scale(double scale);
-  ScenarioBuilder& attacker_boost(double boost);
-  ScenarioBuilder& toggle_period(int epochs);
-
-  ScenarioBuilder& warmup_epochs(int epochs);
-  ScenarioBuilder& measure_epochs(int epochs);
-  ScenarioBuilder& detector(power::DetectorConfig cfg);
-  ScenarioBuilder& response(power::ResponseConfig cfg);
-  ScenarioBuilder& adaptation(core::TrojanAdaptation adapt);
-  ScenarioBuilder& seed(std::uint64_t value);
-  ScenarioBuilder& threads(int count);
-
-  /// Quick overlay, written as JSON text for readability at call sites.
-  ScenarioBuilder& quick(std::string_view overlay_json);
-
-  [[nodiscard]] AxesSpec& axes() noexcept { return spec_.axes; }
-  [[nodiscard]] SystemSpec& system() noexcept { return spec_.system; }
-  [[nodiscard]] WorkloadSpec& workload() noexcept { return spec_.workload; }
-
-  /// Validates and returns the spec (by value; the builder stays usable).
-  [[nodiscard]] ScenarioSpec build() const;
-
- private:
-  ScenarioSpec spec_;
-};
 
 }  // namespace htpb::scenario

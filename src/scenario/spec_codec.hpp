@@ -9,7 +9,8 @@
 //    element (bands, placements, arms) so each element reads on its own.
 //  - std::optional members are written iff set, even when every field of
 //    the value is at its default.
-//  - Enums are written by name, integers as JSON ints (a u64 beyond the
+//  - Enums are written by name (to_string) and read back through
+//    enum_from_name, integers as JSON ints (a u64 beyond the
 //    int64 range is an error), nested structs as objects.
 //
 // Reading is strict, through json::ObjectReader: unknown keys throw,
@@ -34,6 +35,26 @@
 
 namespace htpb::scenario {
 
+/// The enumerator of E whose to_string() is `name`. The enumerators are
+/// walked from 0 until to_string() answers "?" (every spec enum's does
+/// past its last enumerator), so names and the choice list in the error
+/// come from the one switch. Throws std::invalid_argument naming `name`
+/// and every valid choice.
+template <class E>
+[[nodiscard]] E enum_from_name(std::string_view name) {
+  std::string choices;
+  for (int i = 0;; ++i) {
+    const auto e = static_cast<E>(i);
+    const std::string_view known = to_string(e);
+    if (known == "?") break;
+    if (known == name) return e;
+    if (!choices.empty()) choices += '|';
+    choices += known;
+  }
+  throw std::invalid_argument("unknown name \"" + std::string(name) +
+                              "\" (" + choices + ")");
+}
+
 namespace codec_detail {
 
 using common::kIsOptional;
@@ -41,28 +62,6 @@ using common::kIsVector;
 
 template <class... Marks>
 inline constexpr bool kRequiredMark = (std::is_same_v<Marks, Required> || ...);
-
-inline void parse_name(std::string_view s, ScenarioKind& e) {
-  e = scenario_kind_from_string(s);
-}
-inline void parse_name(std::string_view s, system::GmPlacement& e) {
-  e = gm_placement_from_string(s);
-}
-inline void parse_name(std::string_view s, power::BudgeterKind& e) {
-  e = budgeter_kind_from_string(s);
-}
-inline void parse_name(std::string_view s, power::DetectorKind& e) {
-  e = detector_kind_from_string(s);
-}
-inline void parse_name(std::string_view s, power::ResponseKind& e) {
-  e = power::response_kind_from_string(s);
-}
-inline void parse_name(std::string_view s, power::ResponseTrigger& e) {
-  e = power::response_trigger_from_string(s);
-}
-inline void parse_name(std::string_view s, ClusterSpec::At& e) {
-  e = cluster_at_from_string(s);
-}
 
 template <class S>
 json::Value write_struct(const S& s, bool dense, const std::string& path);
@@ -156,7 +155,12 @@ void read_value(const json::Value& j, const json::ObjectReader& r,
     }
     out = std::move(items);
   } else if constexpr (std::is_enum_v<T>) {
-    parse_name(j.as_string(), out);
+    const std::string& name = j.as_string();
+    try {
+      out = enum_from_name<T>(name);
+    } catch (const std::invalid_argument& e) {
+      r.fail(std::string(key) + ": " + e.what());
+    }
   } else if constexpr (std::is_same_v<T, bool>) {
     out = j.as_bool();
   } else if constexpr (std::is_same_v<T, double>) {

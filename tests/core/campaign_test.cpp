@@ -137,10 +137,11 @@ TEST(AttackCampaign, CornerManagerSeesHigherInfectionThanCenter) {
 
 TEST(AttackCampaign, BaselinePhiExposesSensitivitySpread) {
   AttackCampaign campaign(fast_config());
-  const auto& phis = campaign.baseline_phi();
-  ASSERT_EQ(phis.size(), 4U);
+  // Every outcome carries the baseline run's per-app Phi.
+  const CampaignOutcome out = campaign.run({});
+  ASSERT_EQ(out.apps.size(), 4U);
   // mix-1: blackscholes (victim index 2) must dominate canneal (index 1).
-  EXPECT_GT(phis[2], phis[1]);
+  EXPECT_GT(out.apps[2].phi, out.apps[1].phi);
 }
 
 TEST(AttackCampaign, MoreAppsThanCoresRejected) {

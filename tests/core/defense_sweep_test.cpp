@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -72,10 +73,14 @@ void expect_outcomes_identical(const CampaignOutcome& a,
 TEST(DefenseSweepDeterminism, BitIdenticalAtOneTwoEightThreads) {
   const CampaignConfig cfg = defended_config();
   const auto placements = test_placements(cfg);
+  const auto sweep = [&](int threads) {
+    AttackCampaign master(cfg);
+    return ParallelSweepRunner(threads).run_node_sets(master, placements);
+  };
 
-  const auto one = ParallelSweepRunner(1).run_node_sets(cfg, placements);
-  const auto two = ParallelSweepRunner(2).run_node_sets(cfg, placements);
-  const auto eight = ParallelSweepRunner(8).run_node_sets(cfg, placements);
+  const auto one = sweep(1);
+  const auto two = sweep(2);
+  const auto eight = sweep(8);
 
   ASSERT_EQ(one.size(), placements.size());
   ASSERT_EQ(two.size(), placements.size());
@@ -102,14 +107,18 @@ TEST(DefenseSweepDeterminism, BitIdenticalAtOneTwoEightThreads) {
 TEST(DefenseSweepDeterminism, DetectionIndependentOfBatchAndOrder) {
   const CampaignConfig cfg = defended_config();
   const auto placements = test_placements(cfg);
-  const ParallelSweepRunner runner(2);
+  // A fresh campaign per batch: nothing carries over between batches.
+  const auto sweep = [&](std::span<const std::vector<NodeId>> sets) {
+    AttackCampaign master(cfg);
+    return ParallelSweepRunner(2).run_node_sets(master, sets);
+  };
 
-  const auto batch = runner.run_node_sets(cfg, placements);
+  const auto batch = sweep(placements);
 
   // Each placement alone.
   for (std::size_t i = 0; i < placements.size(); ++i) {
     const std::vector<std::vector<NodeId>> solo = {placements[i]};
-    const auto alone = runner.run_node_sets(cfg, solo);
+    const auto alone = sweep(solo);
     ASSERT_EQ(alone.size(), 1U);
     expect_outcomes_identical(batch[i], alone[0],
                               "placement " + std::to_string(i) +
@@ -119,7 +128,7 @@ TEST(DefenseSweepDeterminism, DetectionIndependentOfBatchAndOrder) {
   // Reversed batch order.
   std::vector<std::vector<NodeId>> reversed(placements.rbegin(),
                                             placements.rend());
-  const auto rev = runner.run_node_sets(cfg, reversed);
+  const auto rev = sweep(reversed);
   ASSERT_EQ(rev.size(), placements.size());
   for (std::size_t i = 0; i < placements.size(); ++i) {
     expect_outcomes_identical(batch[i], rev[placements.size() - 1 - i],

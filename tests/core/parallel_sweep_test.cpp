@@ -80,8 +80,11 @@ TEST(ParallelSweepRunner, PlacementSweepBitIdenticalAcrossThreadCounts) {
     placements.insert(placements.end(), cands.begin(), cands.end());
   }
 
-  const auto one = ParallelSweepRunner(1).run_placements(cfg, placements);
-  const auto many = ParallelSweepRunner(4).run_placements(cfg, placements);
+  AttackCampaign serial(cfg);
+  AttackCampaign parallel(cfg);
+  const auto one = ParallelSweepRunner(1).run_placements(serial, placements);
+  const auto many =
+      ParallelSweepRunner(4).run_placements(parallel, placements);
 
   ASSERT_EQ(one.size(), placements.size());
   ASSERT_EQ(one.size(), many.size());

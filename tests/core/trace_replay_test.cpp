@@ -291,19 +291,18 @@ TEST(TraceReplay, EpochZeroAttackMissedByEwmaCaughtByCohort) {
 // boundaries would silently mean different things. The runner refuses
 // with both geometries named.
 TEST(TraceReplay, ScenarioReplayRejectsMismatchedTraceGeometry) {
-  scenario::ScenarioBuilder b("geom-check",
-                              scenario::ScenarioKind::kAttackEffect);
-  b.title("t").paper_ref("p").expectation("e");
-  b.size(64)
-      .epoch_cycles(1500)
-      .victim_scale(0.10)
-      .attacker_boost(8.0)
-      .warmup_epochs(1)
-      .measure_epochs(2);
-  b.workload().mixes = {"mix-1"};
-  b.axes().infection_targets = {0.5};
-  b.axes().placement_max_hts = 16;
-  const scenario::ScenarioSpec spec = b.build();
+  scenario::ScenarioSpec spec;
+  spec.name = "geom-check";
+  spec.kind = scenario::ScenarioKind::kAttackEffect;
+  spec.system.width = 8;
+  spec.system.height = 8;
+  spec.system.epoch_cycles = 1500;
+  spec.trojan.victim_scale = 0.10;
+  spec.trojan.attacker_boost = 8.0;
+  spec.epochs = {1, 2};
+  spec.workload.mixes = {"mix-1"};
+  spec.axes.infection_targets = {0.5};
+  spec.axes.placement_max_hts = 16;
 
   const power::RequestTrace trace = scenario::record_scenario_trace(spec);
   ASSERT_FALSE(trace.empty());

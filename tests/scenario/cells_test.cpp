@@ -19,7 +19,6 @@ using htpb::json::Value;
 using htpb::scenario::CellPlan;
 using htpb::scenario::ClusterSpec;
 using htpb::scenario::RunOptions;
-using htpb::scenario::ScenarioBuilder;
 using htpb::scenario::ScenarioKind;
 using htpb::scenario::ScenarioSpec;
 
@@ -40,6 +39,17 @@ Value without_timing(const Value& v) {
     if (key != "timing") out[key] = value;
   }
   return Value(std::move(out));
+}
+
+/// A 64-core spec of `kind` at the default epochs; each test sets the
+/// axes its kind reads.
+ScenarioSpec small_spec(const char* name, ScenarioKind kind) {
+  ScenarioSpec s;
+  s.name = name;
+  s.kind = kind;
+  s.system.width = 8;
+  s.system.height = 8;
+  return s;
 }
 
 /// The claim under test: run whole, then run sliced + merged, compare.
@@ -65,11 +75,12 @@ void expect_merge_bit_identical(const ScenarioSpec& spec,
 }
 
 TEST(CellsTest, CellIdsAreUniqueAndOrderStable) {
-  ScenarioBuilder b("cells-ablation", ScenarioKind::kBudgeterAblation);
-  b.size(64).mix("mix-1").warmup_epochs(1).measure_epochs(2);
-  b.axes().budgeters = {power::BudgeterKind::kUniform,
-                        power::BudgeterKind::kGreedy};
-  const ScenarioSpec spec = b.build();
+  ScenarioSpec spec =
+      small_spec("cells-ablation", ScenarioKind::kBudgeterAblation);
+  spec.workload.mix = "mix-1";
+  spec.epochs = {1, 2};
+  spec.axes.budgeters = {power::BudgeterKind::kUniform,
+                         power::BudgeterKind::kGreedy};
   const auto plan = htpb::scenario::expand_cells(spec);
   ASSERT_EQ(plan.size(), 2U);
   EXPECT_EQ(plan[0].id, "c000-uniform");
@@ -83,92 +94,96 @@ TEST(CellsTest, CellIdsAreUniqueAndOrderStable) {
 }
 
 TEST(CellsTest, BudgeterAblationMergesBitIdentical) {
-  ScenarioBuilder b("cells-ablation", ScenarioKind::kBudgeterAblation);
-  b.size(64).mix("mix-1").warmup_epochs(1).measure_epochs(2);
-  b.axes().budgeters = {power::BudgeterKind::kUniform,
-                        power::BudgeterKind::kGreedy,
-                        power::BudgeterKind::kProportional};
-  expect_merge_bit_identical(b.build(), 3);
+  ScenarioSpec spec =
+      small_spec("cells-ablation", ScenarioKind::kBudgeterAblation);
+  spec.workload.mix = "mix-1";
+  spec.epochs = {1, 2};
+  spec.axes.budgeters = {power::BudgeterKind::kUniform,
+                         power::BudgeterKind::kGreedy,
+                         power::BudgeterKind::kProportional};
+  expect_merge_bit_identical(spec, 3);
 }
 
 TEST(CellsTest, InfectionVsHtCountMergesBitIdentical) {
-  ScenarioBuilder b("cells-fig3", ScenarioKind::kInfectionVsHtCount);
-  b.size(64).warmup_epochs(0).measure_epochs(1);
-  b.axes().arms = {{64, {2, 4}}, {128, {2}}};
-  b.axes().gm_placements = {htpb::system::GmPlacement::kCenter,
-                            htpb::system::GmPlacement::kCorner};
-  b.axes().seeds = 2;
-  expect_merge_bit_identical(b.build(), 3);
+  ScenarioSpec spec =
+      small_spec("cells-fig3", ScenarioKind::kInfectionVsHtCount);
+  spec.epochs = {0, 1};
+  spec.axes.arms = {{64, {2, 4}}, {128, {2}}};
+  spec.axes.gm_placements = {htpb::system::GmPlacement::kCenter,
+                             htpb::system::GmPlacement::kCorner};
+  spec.axes.seeds = 2;
+  expect_merge_bit_identical(spec, 3);
 }
 
 TEST(CellsTest, InfectionVsDistributionMergesBitIdentical) {
-  ScenarioBuilder b("cells-fig4", ScenarioKind::kInfectionVsDistribution);
-  b.size(64).warmup_epochs(0).measure_epochs(1);
-  b.axes().sizes = {64, 128};
-  b.axes().ht_divisors = {16, 8};
-  b.axes().seeds = 2;
-  expect_merge_bit_identical(b.build(), 4);
+  ScenarioSpec spec =
+      small_spec("cells-fig4", ScenarioKind::kInfectionVsDistribution);
+  spec.epochs = {0, 1};
+  spec.axes.sizes = {64, 128};
+  spec.axes.ht_divisors = {16, 8};
+  spec.axes.seeds = 2;
+  expect_merge_bit_identical(spec, 4);
 }
 
 TEST(CellsTest, AttackEffectMergesBitIdentical) {
-  ScenarioBuilder b("cells-fig5", ScenarioKind::kAttackEffect);
-  b.size(64).warmup_epochs(1).measure_epochs(2);
-  b.workload().mixes = {"mix-1", "mix-2"};
-  b.axes().infection_targets = {0.2, 0.6};
-  b.axes().placement_max_hts = 16;
-  expect_merge_bit_identical(b.build(), 2);
+  ScenarioSpec spec = small_spec("cells-fig5", ScenarioKind::kAttackEffect);
+  spec.epochs = {1, 2};
+  spec.workload.mixes = {"mix-1", "mix-2"};
+  spec.axes.infection_targets = {0.2, 0.6};
+  spec.axes.placement_max_hts = 16;
+  expect_merge_bit_identical(spec, 2);
 }
 
 TEST(CellsTest, PlacementStudySeedRebasingMergesBitIdentical) {
   // The one split that REBASES the cell seed (stream = seed + mix index):
   // a non-default seed catches any off-by-one in the rebase.
-  ScenarioBuilder b("cells-secvc", ScenarioKind::kPlacementStudy);
-  b.size(64).warmup_epochs(1).measure_epochs(2).seed(7);
-  b.workload().mixes = {"mix-1", "mix-3"};
-  b.axes().nodes = 64;
-  b.axes().max_hts = 4;
-  b.axes().train_samples = 10;  // must cover the effect model's coefficients
-  b.axes().random_trials = 2;
-  b.axes().candidates_per_m = 6;
-  b.axes().shortlist = 2;
-  expect_merge_bit_identical(b.build(), 2);
+  ScenarioSpec spec =
+      small_spec("cells-secvc", ScenarioKind::kPlacementStudy);
+  spec.epochs = {1, 2};
+  spec.seed = 7;
+  spec.workload.mixes = {"mix-1", "mix-3"};
+  spec.axes.nodes = 64;
+  spec.axes.max_hts = 4;
+  spec.axes.train_samples = 10;  // must cover the effect model's coefficients
+  spec.axes.random_trials = 2;
+  spec.axes.candidates_per_m = 6;
+  spec.axes.shortlist = 2;
+  expect_merge_bit_identical(spec, 2);
 }
 
 TEST(CellsTest, DefenseClosedLoopMergesBitIdentical) {
-  ScenarioBuilder b("cells-loop", ScenarioKind::kDefenseClosedLoop);
-  b.size(64)
-      .mix("mix-1")
-      .victim_scale(0.10)
-      .attacker_boost(8.0)
-      .trojan_active(false)
-      .toggle_period(2)
-      .warmup_epochs(1)
-      .measure_epochs(3)
-      .detector(htpb::power::DetectorConfig{})
-      .response(htpb::power::ResponseConfig{})
-      .adaptation(htpb::core::TrojanAdaptation{});
-  b.axes().placements = {{ClusterSpec::At::kGm, 8},
-                         {ClusterSpec::At::kQuarter, 8}};
-  b.axes().responses = {power::ResponseKind::kQuarantine,
-                        power::ResponseKind::kThrottle};
+  ScenarioSpec spec =
+      small_spec("cells-loop", ScenarioKind::kDefenseClosedLoop);
+  spec.workload.mix = "mix-1";
+  spec.trojan.victim_scale = 0.10;
+  spec.trojan.attacker_boost = 8.0;
+  spec.trojan.active = false;
+  spec.trojan.toggle_period_epochs = 2;
+  spec.epochs = {1, 3};
+  spec.detector = power::DetectorConfig{};
+  spec.response = power::ResponseConfig{};
+  spec.axes.placements = {{ClusterSpec::At::kGm, 8},
+                          {ClusterSpec::At::kQuarter, 8}};
+  spec.axes.responses = {power::ResponseKind::kQuarantine,
+                         power::ResponseKind::kThrottle};
   // Cell 0 carries placement 0, so the merged duty_comparison (defined
   // on the first placement's response-free arms) comes from it verbatim.
-  expect_merge_bit_identical(b.build(), 2);
+  expect_merge_bit_identical(spec, 2);
 }
 
 TEST(CellsTest, SingleCellKindsPassThrough) {
-  ScenarioBuilder b("cells-table1", ScenarioKind::kConfigReport);
-  b.size(64);
-  expect_merge_bit_identical(b.build(), 1);
+  expect_merge_bit_identical(
+      small_spec("cells-table1", ScenarioKind::kConfigReport), 1);
 }
 
 TEST(CellsTest, FailedCellsLeaveHolesNotInvalidTrees) {
-  ScenarioBuilder b("cells-ablation", ScenarioKind::kBudgeterAblation);
-  b.size(64).mix("mix-1").warmup_epochs(1).measure_epochs(2);
-  b.axes().budgeters = {power::BudgeterKind::kUniform,
-                        power::BudgeterKind::kGreedy,
-                        power::BudgeterKind::kProportional};
-  const ScenarioSpec spec = b.build();
+  ScenarioSpec spec =
+      small_spec("cells-ablation", ScenarioKind::kBudgeterAblation);
+  spec.workload.mix = "mix-1";
+  spec.epochs = {1, 2};
+  spec.axes.budgeters = {power::BudgeterKind::kUniform,
+                         power::BudgeterKind::kGreedy,
+                         power::BudgeterKind::kProportional};
   const auto plan = htpb::scenario::expand_cells(spec);
 
   std::vector<Value> results(plan.size());  // all null = all failed
@@ -184,11 +199,11 @@ TEST(CellsTest, FailedCellsLeaveHolesNotInvalidTrees) {
 }
 
 TEST(CellsTest, MergeRejectsCellCountMismatch) {
-  ScenarioBuilder b("cells-ablation", ScenarioKind::kBudgeterAblation);
-  b.size(64).mix("mix-1");
-  b.axes().budgeters = {power::BudgeterKind::kUniform,
-                        power::BudgeterKind::kGreedy};
-  const ScenarioSpec spec = b.build();
+  ScenarioSpec spec =
+      small_spec("cells-ablation", ScenarioKind::kBudgeterAblation);
+  spec.workload.mix = "mix-1";
+  spec.axes.budgeters = {power::BudgeterKind::kUniform,
+                         power::BudgeterKind::kGreedy};
   const std::vector<Value> wrong(3);
   EXPECT_THROW(
       (void)htpb::scenario::merge_cell_results(spec, false, 2, wrong),

@@ -265,18 +265,20 @@ TEST(ScenarioRunner, DefenseRocIgnoresResponseAxis) {
 /// A deliberately small stochastic scenario (one mix, one coverage
 /// target) so the determinism properties are cheap to assert.
 ScenarioSpec small_attack_spec() {
-  ScenarioBuilder b("small-attack", ScenarioKind::kAttackEffect);
-  b.title("t").paper_ref("p").expectation("e");
-  b.size(64)
-      .epoch_cycles(1500)
-      .victim_scale(0.10)
-      .attacker_boost(8.0)
-      .warmup_epochs(1)
-      .measure_epochs(2);
-  b.workload().mixes = {"mix-1"};
-  b.axes().infection_targets = {0.5};
-  b.axes().placement_max_hts = 16;
-  return b.build();
+  ScenarioSpec s;
+  s.name = "small-attack";
+  s.kind = ScenarioKind::kAttackEffect;
+  s.system.width = 8;
+  s.system.height = 8;
+  s.system.epoch_cycles = 1500;
+  s.trojan.victim_scale = 0.10;
+  s.trojan.attacker_boost = 8.0;
+  s.epochs = {1, 2};
+  s.workload.mixes = {"mix-1"};
+  s.axes.infection_targets = {0.5};
+  s.axes.placement_max_hts = 16;
+  s.validate();
+  return s;
 }
 
 TEST(ScenarioRunner, SameSeedSameResultDifferentSeedDiffers) {

@@ -1,11 +1,12 @@
 // The ScenarioSpec serialization contract: exact JSON round trips,
 // unknown-key rejection, schema versioning, exhaustive enum <-> string
-// maps, the quick overlay, the --set override grammar and the builder.
+// maps, the quick overlay, the --set override grammar and validate().
 #include "scenario/spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include "scenario/registry.hpp"
+#include "scenario/spec_codec.hpp"
 
 namespace htpb::scenario {
 namespace {
@@ -13,26 +14,36 @@ namespace {
 /// A spec exercising every section and most axis fields with non-default
 /// values (the round trip must preserve each one).
 ScenarioSpec full_spec() {
-  ScenarioBuilder b("kitchen-sink", ScenarioKind::kDefenseSweep);
-  b.title("t").paper_ref("p").expectation("e");
-  b.mesh(10, 6)
-      .epoch_cycles(1234)
-      .first_epoch_cycle(77)
-      .budget_fraction(0.37)
-      .budgeter(power::BudgeterKind::kMarket)
-      .guard_requests(true)
-      .gm_placement(system::GmPlacement::kCorner)
-      .mix("mix-2")
-      .threads_per_app(4)
-      .trojan_active(false)
-      .victim_scale(0.21)
-      .attacker_boost(5.5)
-      .toggle_period(3)
-      .warmup_epochs(1)
-      .measure_epochs(4)
-      .seed(987654321)
-      .threads(3)
-      .quick(R"({"epochs": {"measure": 2}})");
+  ScenarioSpec s;
+  s.name = "kitchen-sink";
+  s.kind = ScenarioKind::kDefenseSweep;
+  s.title = "t";
+  s.paper_ref = "p";
+  s.expectation = "e";
+  s.system.width = 10;
+  s.system.height = 6;
+  s.system.epoch_cycles = 1234;
+  s.system.first_epoch_cycle = 77;
+  s.system.budget_fraction = 0.37;
+  s.system.budgeter = power::BudgeterKind::kMarket;
+  s.system.guard_requests = true;
+  s.system.gm_placement = system::GmPlacement::kCorner;
+  s.system.seed = 17;
+  s.workload.mix = "mix-2";
+  s.workload.threads_per_app = 4;
+  s.trojan.active = false;
+  s.trojan.victim_scale = 0.21;
+  s.trojan.attacker_boost = 5.5;
+  s.trojan.toggle_period_epochs = 3;
+  // Parameters without the switch: enabled stays off.
+  s.trojan.adaptation.alpha = 0.25;
+  s.trojan.adaptation.backoff_ratio = 0.5;
+  s.trojan.adaptation.max_on_epochs = 2;
+  s.trojan.adaptation.hold_off_epochs = 3;
+  s.epochs = {1, 4};
+  s.seed = 987654321;
+  s.threads = 3;
+  s.quick = json::parse(R"({"epochs": {"measure": 2}})");
   power::DetectorConfig det;
   det.kind = power::DetectorKind::kCohortMedian;
   det.low_ratio = 0.5;
@@ -40,31 +51,24 @@ ScenarioSpec full_spec() {
   det.history_alpha = 0.3;
   det.warmup_epochs = 1;
   det.confirm_epochs = 3;
-  b.detector(det);
+  s.detector = det;
   power::ResponseConfig resp;
   resp.kind = power::ResponseKind::kThrottle;
   resp.trigger = power::ResponseTrigger::kBoth;
   resp.sanction_epochs = 5;
   resp.recovery_threshold = 0.8;
-  b.response(resp);
-  // Parameters without the switch: enabled stays off.
-  core::TrojanAdaptation adapt;
-  adapt.alpha = 0.25;
-  adapt.backoff_ratio = 0.5;
-  adapt.max_on_epochs = 2;
-  adapt.hold_off_epochs = 3;
-  b.adaptation(adapt);
-  b.system().seed = 17;
-  b.axes().responses = {power::ResponseKind::kThrottle,
-                        power::ResponseKind::kMigrate};
-  b.axes().bands = {{0.7, 1.4}, {0.33, 2.9}};
-  b.axes().placements = {{ClusterSpec::At::kQuarter, 6},
-                         {ClusterSpec::At::kCorner, 4}};
-  b.axes().roc.periods = {0, 2};
-  b.axes().roc.factors = {0.25, 0.75};
-  b.axes().roc.placements = 1;
-  b.axes().roc.epoch0_first_epoch_cycle = 555;
-  return b.build();
+  s.response = resp;
+  s.axes.responses = {power::ResponseKind::kThrottle,
+                      power::ResponseKind::kMigrate};
+  s.axes.bands = {{0.7, 1.4}, {0.33, 2.9}};
+  s.axes.placements = {{ClusterSpec::At::kQuarter, 6},
+                       {ClusterSpec::At::kCorner, 4}};
+  s.axes.roc.periods = {0, 2};
+  s.axes.roc.factors = {0.25, 0.75};
+  s.axes.roc.placements = 1;
+  s.axes.roc.epoch0_first_epoch_cycle = 555;
+  s.validate();
+  return s;
 }
 
 TEST(ScenarioSpec, RoundTripIsExact) {
@@ -113,55 +117,54 @@ TEST(ScenarioSpec, RejectsWrongSchemaVersion) {
   EXPECT_THROW((void)ScenarioSpec::from_json(j), std::runtime_error);
 }
 
+/// Walks E's `count` enumerators (pinned here, so an enumerator added
+/// without a name fails) through the codec and back, checks the codec's
+/// walk stops after them, and that a bad name is rejected with the name
+/// and every valid choice in the message.
+template <class E>
+void expect_enum_codec(int count, std::string_view bad) {
+  std::string choices;
+  for (int i = 0; i < count; ++i) {
+    const auto e = static_cast<E>(i);
+    const std::string name = to_string(e);
+    EXPECT_NE(name, "?") << i;
+    EXPECT_EQ(enum_from_name<E>(name), e) << name;
+    choices += (i == 0 ? "" : "|") + name;
+  }
+  EXPECT_STREQ(to_string(static_cast<E>(count)), "?");
+  try {
+    (void)enum_from_name<E>(bad);
+    ADD_FAILURE() << "accepted " << bad;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::string(bad)), std::string::npos) << what;
+    EXPECT_NE(what.find("(" + choices + ")"), std::string::npos) << what;
+  }
+}
+
 TEST(ScenarioSpec, EnumStringMapsAreCompleteAndInvertible) {
-  for (int i = 0; i < kScenarioKindCount; ++i) {
-    const auto kind = static_cast<ScenarioKind>(i);
-    EXPECT_STRNE(to_string(kind), "?");
-    EXPECT_EQ(scenario_kind_from_string(to_string(kind)), kind);
+  expect_enum_codec<ScenarioKind>(13, "fig99");
+  expect_enum_codec<system::GmPlacement>(2, "middle");
+  expect_enum_codec<power::DetectorKind>(2, "oracle");
+  expect_enum_codec<ClusterSpec::At>(4, "edge");
+  expect_enum_codec<power::BudgeterKind>(5, "fair");
+  expect_enum_codec<power::ResponseKind>(3, "exile");
+  expect_enum_codec<power::ResponseTrigger>(3, "medium");
+
+  // Through the reader, the error also names the member.
+  json::Value j = full_spec().to_json();
+  j.as_object().find("system")->as_object()["budgeter"] = json::Value("fair");
+  try {
+    (void)ScenarioSpec::from_json(j);
+    ADD_FAILURE() << "accepted budgeter \"fair\"";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("scenario.system: budgeter"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("uniform|greedy|proportional|dp|market"),
+              std::string::npos)
+        << what;
   }
-  for (const auto p : {system::GmPlacement::kCenter,
-                       system::GmPlacement::kCorner}) {
-    EXPECT_EQ(gm_placement_from_string(to_string(p)), p);
-  }
-  for (const auto k : {power::DetectorKind::kSelfEwma,
-                       power::DetectorKind::kCohortMedian}) {
-    EXPECT_EQ(detector_kind_from_string(to_string(k)), k);
-  }
-  for (int i = 0; i < ClusterSpec::kAtCount; ++i) {
-    const auto at = static_cast<ClusterSpec::At>(i);
-    EXPECT_STRNE(to_string(at), "?");
-    EXPECT_EQ(cluster_at_from_string(to_string(at)), at);
-  }
-  for (const auto b :
-       {power::BudgeterKind::kUniform, power::BudgeterKind::kGreedy,
-        power::BudgeterKind::kProportional,
-        power::BudgeterKind::kDynamicProgramming,
-        power::BudgeterKind::kMarket}) {
-    EXPECT_EQ(budgeter_kind_from_string(power::to_string(b)), b);
-  }
-  for (const auto k :
-       {power::ResponseKind::kQuarantine, power::ResponseKind::kThrottle,
-        power::ResponseKind::kMigrate}) {
-    EXPECT_EQ(power::response_kind_from_string(power::to_string(k)), k);
-  }
-  for (const auto t :
-       {power::ResponseTrigger::kHigh, power::ResponseTrigger::kLow,
-        power::ResponseTrigger::kBoth}) {
-    EXPECT_EQ(power::response_trigger_from_string(power::to_string(t)), t);
-  }
-  EXPECT_THROW((void)scenario_kind_from_string("fig99"),
-               std::invalid_argument);
-  EXPECT_THROW((void)gm_placement_from_string("middle"),
-               std::invalid_argument);
-  EXPECT_THROW((void)detector_kind_from_string("oracle"),
-               std::invalid_argument);
-  EXPECT_THROW((void)budgeter_kind_from_string("fair"),
-               std::invalid_argument);
-  EXPECT_THROW((void)cluster_at_from_string("edge"), std::invalid_argument);
-  EXPECT_THROW((void)power::response_kind_from_string("exile"),
-               std::invalid_argument);
-  EXPECT_THROW((void)power::response_trigger_from_string("medium"),
-               std::invalid_argument);
 }
 
 TEST(ScenarioSpec, QuickOverlayMergesObjectsAndReplacesArrays) {
@@ -230,19 +233,42 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 
   spec = full_spec();
+  spec.axes.roc.placements = -1;  // used to drop the roc section silently
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  spec = full_spec();
   spec.system.width = 1;  // below the 2x2 mesh floor
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  // A negative period used to run as the static arm, reported as -2.
+  spec = scenario_or_throw("attack-comparison");
+  spec.axes.toggle_periods = {0, -2};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
-TEST(ScenarioSpec, BuilderValidatesAtBuildTime) {
-  ScenarioBuilder b("bad", ScenarioKind::kDefenseSweep);
-  EXPECT_THROW((void)b.build(), std::invalid_argument);  // no bands
+TEST(ScenarioSpec, ValidateChecksTheQuickOverlay) {
+  ScenarioSpec empty;
+  empty.name = "bad";
+  empty.kind = ScenarioKind::kDefenseSweep;
+  EXPECT_THROW(empty.validate(), std::invalid_argument);  // no bands
 
-  ScenarioBuilder typo("typo", ScenarioKind::kBudgeterAblation);
-  typo.mix("mix-1");
-  typo.axes().budgeters = {power::BudgeterKind::kGreedy};
-  typo.quick(R"({"epoch": {"measure": 2}})");  // typo'd section
-  EXPECT_THROW((void)typo.build(), std::runtime_error);
+  // A typo'd overlay section fails validate() itself, not only the
+  // --quick run that applies it.
+  ScenarioSpec typo = full_spec();
+  typo.quick = json::parse(R"({"epoch": {"measure": 2}})");
+  try {
+    typo.validate();
+    ADD_FAILURE() << "typo'd quick overlay accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("quick overlay"), std::string::npos) << what;
+    EXPECT_NE(what.find("epoch"), std::string::npos) << what;
+  }
+
+  // So does an overlay that parses but leaves an invalid spec.
+  ScenarioSpec range = full_spec();
+  range.quick = json::parse(R"({"epochs": {"measure": 0}})");
+  EXPECT_THROW(range.validate(), std::invalid_argument);
 }
 
 // Robustness property: every mutation of the closed-loop spec's JSON --

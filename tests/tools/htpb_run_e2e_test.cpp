@@ -133,6 +133,43 @@ TEST(HtpbRunE2e, MalformedSpecFileReportsPathAndParsePosition) {
   EXPECT_NE(r.err.find("at offset"), std::string::npos) << r.err;
 }
 
+TEST(HtpbRunE2e, MistypedQuickOverlayFailsAtLoadNamingTheFile) {
+  const TempDir dir;
+  const fs::path spec = dir.path() / "typo_quick.json";
+  std::ofstream(spec) << R"({"schema_version": 1, "name": "typo",
+                             "kind": "config_report",
+                             "quick": {"epoch": {"measure": 2}}})";
+  // No --quick: the overlay is checked when the file loads, not only
+  // when a --quick run applies it.
+  const RunResult r = run_tool(dir, "--scenario \"" + spec.string() + "\"");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("typo_quick.json"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("quick overlay"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("\"epoch\""), std::string::npos) << r.err;
+  EXPECT_EQ(r.out, "");
+}
+
+TEST(HtpbRunE2e, NegativeAxisValuesFailNamingTheField) {
+  const TempDir dir;
+  // A negative toggle period used to run as the static arm, reported as
+  // "period": -2; a negative roc.placements dropped the roc section.
+  const struct {
+    const char* args;
+    const char* field;
+  } cases[] = {
+      {"--scenario attack-comparison --set 'axes.toggle_periods=[0,-2]'",
+       "axes.toggle_periods"},
+      {"--scenario defense-roc --set axes.roc.placements=-1",
+       "axes.roc.placements"},
+  };
+  for (const auto& c : cases) {
+    const RunResult r = run_tool(dir, c.args);
+    EXPECT_EQ(r.exit_code, 1) << c.args << r.err;
+    EXPECT_NE(r.err.find(c.field), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "") << c.args;
+  }
+}
+
 TEST(HtpbRunE2e, BadSetOverridesFailLoudly) {
   const TempDir dir;
   // A typo'd key parses as JSON surgery but is rejected by the strict

@@ -3,7 +3,7 @@
 //   htpb_lint [options] [paths...]
 //
 // Whole-program pass: scans C++ sources (default: src/ tools/ bench/
-// tests/ examples/ under --root, minus the lint fixtures) into one
+// tests/ under --root, minus the lint fixtures) into one
 // ProjectModel -- include graph, class registry with cross-TU snapshot
 // bodies -- and runs the determinism contract over it: results must be
 // bit-identical across thread counts, fleet split/merge, and snapshot
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     }
   }
   const bool default_paths = paths.empty();
-  if (default_paths) paths = {"src", "tools", "bench", "tests", "examples"};
+  if (default_paths) paths = {"src", "tools", "bench", "tests"};
 
   // Collect the file set, sorted so reports and exit codes never depend
   // on directory-walk order.
@@ -149,8 +149,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (default_paths && p != "src") {
-      // A default scan root that does not exist (a tree without bench/
-      // or examples/) is fine; an explicit argument that does not is not.
+      // A default scan root that does not exist (a tree without bench/)
+      // is fine; an explicit argument that does not is not.
       continue;
     } else {
       std::fprintf(stderr, "%s: no such file or directory: %s\n", argv[0],

@@ -87,7 +87,6 @@ std::string module_of(const std::string& path) {
   if (path.rfind("tools/", 0) == 0) return "tools";
   if (path.rfind("bench/", 0) == 0) return "bench";
   if (path.rfind("tests/", 0) == 0) return "tests";
-  if (path.rfind("examples/", 0) == 0) return "examples";
   return "";
 }
 

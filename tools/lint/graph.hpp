@@ -9,7 +9,7 @@
 // reported with the offending #include chain.
 //
 // Modules are directory-derived: src/<m>/... -> m, tools/lint/... ->
-// lint, tools/... -> tools, bench/ tests/ examples/ -> themselves.
+// lint, tools/... -> tools, bench/ tests/ -> themselves.
 // Files outside those roots (lint fixtures run with --root pointing at
 // the fixture dir) have no module and never participate in layering --
 // they still participate in cycle detection when their includes resolve.
