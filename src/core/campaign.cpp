@@ -46,21 +46,6 @@ workload::Mix uniform_mix() {
   return mix;
 }
 
-/// The attack-side rules shared by the constructor and set_attack.
-void validate_attack(const TrojanConfig& trojan, int toggle_period_epochs,
-                     const std::optional<power::DetectorConfig>& detector,
-                     const std::optional<power::ResponseConfig>& response) {
-  if (response.has_value() && !detector.has_value()) {
-    throw std::invalid_argument(
-        "AttackCampaign: a response policy requires a detector to act on");
-  }
-  if (trojan.adapt.enabled && toggle_period_epochs > 0) {
-    throw std::invalid_argument(
-        "AttackCampaign: adaptation and toggle_period_epochs are rival "
-        "duty-cycle controllers; enable one");
-  }
-}
-
 }  // namespace
 
 /// One leg's attack wiring, owned by the leg frame: the implanted Trojans
@@ -92,8 +77,15 @@ struct AttackFrame {
 
 AttackCampaign::AttackCampaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.system.validate();
-  validate_attack(cfg_.trojan, cfg_.toggle_period_epochs, cfg_.detector,
-                  cfg_.response);
+  if (cfg_.response.has_value() && !cfg_.detector.has_value()) {
+    throw std::invalid_argument(
+        "AttackCampaign: a response policy requires a detector to act on");
+  }
+  if (cfg_.trojan.adapt.enabled && cfg_.toggle_period_epochs > 0) {
+    throw std::invalid_argument(
+        "AttackCampaign: adaptation and toggle_period_epochs are rival "
+        "duty-cycle controllers; enable one");
+  }
   const workload::Mix mix = cfg_.mix.value_or(uniform_mix());
   const int nodes = cfg_.system.node_count();
   int threads = cfg_.threads_per_app;
@@ -115,8 +107,13 @@ AttackCampaign::AttackCampaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
           : geom.id_of(MeshGeometry::corner()));
 }
 
-AttackCampaign::RunResult AttackCampaign::run_system(
-    std::span<const NodeId> ht_nodes, power::RequestTrace* trace) {
+ChipSide AttackCampaign::chip_side() const {
+  return ChipSide{cfg_.system, cfg_.mix, cfg_.threads_per_app,
+                  cfg_.warmup_epochs, cfg_.measure_epochs};
+}
+
+RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
+                                   power::RequestTrace* trace) const {
   // The detector lives exactly as long as this run: constructed fresh
   // from the config (never shared across runs or placements) and reduced
   // to a report before the run ends. For a migrating run it spans BOTH
@@ -140,6 +137,7 @@ AttackCampaign::RunResult AttackCampaign::run_system(
   }
 
   RunResult result;
+  result.chip = chip_side();
   std::vector<double> instr(apps_.size(), 0.0);
   double infection_epoch_sum = 0.0;
   int measured_total = 0;
@@ -316,52 +314,6 @@ AttackCampaign::RunResult AttackCampaign::run_system(
   return result;
 }
 
-void AttackCampaign::set_attack(
-    TrojanConfig trojan, int toggle_period_epochs,
-    std::optional<power::DetectorConfig> detector,
-    std::optional<power::ResponseConfig> response) {
-  validate_attack(trojan, toggle_period_epochs, detector, response);
-  cfg_.trojan = std::move(trojan);
-  cfg_.toggle_period_epochs = toggle_period_epochs;
-  cfg_.detector = std::move(detector);
-  cfg_.response = std::move(response);
-}
-
-void AttackCampaign::ensure_baseline() {
-  if (baseline_ != nullptr) return;
-  baseline_ = std::make_shared<const RunResult>(run_system({}));
-}
-
-double AttackCampaign::run_infection_only(std::span<const NodeId> ht_nodes) {
-  return run_system(ht_nodes).infection;
-}
-
-std::optional<power::DetectorReport> AttackCampaign::run_detection_only(
-    std::span<const NodeId> ht_nodes) {
-  return run_system(ht_nodes).detection;
-}
-
-power::RequestTrace AttackCampaign::record_trace(
-    std::span<const NodeId> ht_nodes) {
-  power::RequestTrace trace;
-  (void)run_system(ht_nodes, &trace);
-  return trace;
-}
-
-AttackCampaign::TracedRun AttackCampaign::run_traced(
-    std::span<const NodeId> ht_nodes) {
-  ensure_baseline();
-  TracedRun traced;
-  traced.outcome = reduce_outcome(run_system(ht_nodes, &traced.trace),
-                                  ht_nodes);
-  return traced;
-}
-
-CampaignOutcome AttackCampaign::run(std::span<const NodeId> ht_nodes) {
-  ensure_baseline();
-  return reduce_outcome(run_system(ht_nodes), ht_nodes);
-}
-
 std::uint64_t AttackCampaign::systems_simulated() noexcept {
   return g_systems_simulated.load(std::memory_order_relaxed);
 }
@@ -489,8 +441,14 @@ void AttackCampaign::install_attack(
   }
 }
 
-CampaignOutcome AttackCampaign::reduce_outcome(
-    const RunResult& attacked, std::span<const NodeId> ht_nodes) const {
+CampaignOutcome AttackCampaign::reduce(const RunResult& attacked,
+                                       const RunResult& baseline,
+                                       std::span<const NodeId> ht_nodes) const {
+  if (baseline.chip != chip_side()) {
+    throw std::invalid_argument(
+        "AttackCampaign::reduce: the baseline was simulated on a different "
+        "chip side (system, mix, threads_per_app or warmup/measure epochs)");
+  }
   CampaignOutcome out;
   out.infection_measured = attacked.infection;
   out.trojan_totals = attacked.trojan_totals;
@@ -521,10 +479,10 @@ CampaignOutcome AttackCampaign::reduce_outcome(
     ao.id = apps_[i].id;
     ao.name = apps_[i].profile.name;
     ao.attacker = apps_[i].is_attacker();
-    ao.theta_baseline = baseline_->theta[i];
+    ao.theta_baseline = baseline.theta[i];
     ao.theta_attacked = attacked.theta[i];
     ao.change = performance_change(ao.theta_attacked, ao.theta_baseline);
-    ao.phi = baseline_->phi[i];
+    ao.phi = baseline.phi[i];
     (ao.attacker ? change_attackers : change_victims).push_back(ao.change);
   }
   if (!change_attackers.empty() && !change_victims.empty()) {
@@ -558,7 +516,7 @@ CampaignOutcome AttackCampaign::reduce_outcome(
     // Recovery, measured against the un-attacked baseline's mean victim
     // grant: the fraction regained over the window, and the first
     // post-sanction measured epoch back above threshold x baseline.
-    const double base = baseline_->mean_victim_grant_mw;
+    const double base = baseline.mean_victim_grant_mw;
     if (base > 0.0 && !attacked.victim_grants.empty()) {
       ro.victim_grant_recovery = attacked.mean_victim_grant_mw / base;
       if (ro.first_sanction_epoch >= 0) {

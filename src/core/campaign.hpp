@@ -2,15 +2,17 @@
 // the router-inspector hook, broadcasts the attacker's configuration
 // packets, runs warmup + measurement epochs, and reduces the raw
 // simulator output to the paper's metrics (infection rate, Theta per
-// application, Q). The baseline (Trojan-free) run is cached and depends
-// only on the chip side of the config (system, mix, threads_per_app,
-// warmup/measure epochs): clones of a primed campaign share it, and
-// set_attack swaps the attack side (Trojan, toggle, detector, response)
-// without invalidating it -- so a sweep pays for each distinct baseline
-// once, whatever its placement or attack axes.
+// application, Q). The run API is two steps: simulate() turns one
+// placement into a RunResult, and reduce() divides an attacked RunResult
+// by a Trojan-free one (simulate({})). A baseline is a plain value: it
+// depends only on the chip side of the config (system, mix,
+// threads_per_app, warmup/measure epochs), so every campaign with that
+// chip side -- whatever its Trojan, toggle, detector or response -- may
+// reduce against it, and reduce() rejects one from any other chip side.
+// Callers list every simulation they need, baselines included, fan them
+// out in one pool, and reduce once the pool drains.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -63,7 +65,7 @@ struct CampaignConfig {
   /// the same rule (attacked runs only). Quarantine and throttle filter
   /// the manager's allocation; migrate re-places every application
   /// through the mesh's center mirror at the first confirmed flag's epoch
-  /// boundary (modeled as a rebuild-and-resume, see run_system).
+  /// boundary (modeled as a rebuild-and-resume, see simulate).
   std::optional<power::ResponseConfig> response;
 };
 
@@ -78,7 +80,7 @@ struct AppOutcome {
 };
 
 /// What the closed loop bought (and cost) the defender, reduced from the
-/// run's ResponseStats plus app attribution and the cached baseline.
+/// run's ResponseStats plus app attribution and the baseline.
 struct ResponseOutcome {
   power::ResponseKind kind = power::ResponseKind::kQuarantine;
   power::ResponseTrigger trigger = power::ResponseTrigger::kHigh;
@@ -145,6 +147,36 @@ struct CampaignOutcome {
   std::optional<AdaptationOutcome> adaptation;
 };
 
+/// The half of a CampaignConfig a Trojan-free baseline depends on: two
+/// campaigns with equal chip sides simulate bit-identical baselines.
+struct ChipSide {
+  system::SystemConfig system;
+  std::optional<workload::Mix> mix;
+  int threads_per_app = 0;
+  int warmup_epochs = 0;
+  int measure_epochs = 0;
+
+  friend bool operator==(const ChipSide&, const ChipSide&) = default;
+};
+
+/// One simulation's raw output (AttackCampaign::simulate), before it is
+/// reduced against a baseline.
+struct RunResult {
+  ChipSide chip;  ///< the chip side it was simulated on
+  std::vector<double> theta;  ///< per app
+  std::vector<double> phi;    ///< per app
+  double infection = 0.0;
+  TrojanStats trojan_totals;
+  std::optional<power::DetectorReport> detection;
+  /// Victims' granted power per measured epoch (recovery trajectory)
+  /// and its mean (the baseline's mean is the recovery reference).
+  std::vector<double> victim_grants;
+  double mean_victim_grant_mw = 0.0;
+  std::optional<power::ResponseStats> response_stats;
+  std::optional<AdaptationOutcome> adaptation;
+  int migrations = 0;
+};
+
 /// One leg's Trojans and duty-cycle controller state (campaign.cpp).
 struct AttackFrame;
 
@@ -158,61 +190,24 @@ class AttackCampaign {
   [[nodiscard]] const CampaignConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] NodeId gm_node() const noexcept { return gm_node_; }
 
-  /// Full outcome for one placement (runs / reuses the cached baseline).
-  [[nodiscard]] CampaignOutcome run(std::span<const NodeId> ht_nodes);
+  /// Runs one simulation of `ht_nodes` (empty: the Trojan-free
+  /// baseline). When `trace` is non-null the GM records its per-epoch
+  /// request stream into it; recording never perturbs the run, in-sim
+  /// detection included, and replaying the trace through any
+  /// DetectorConfig (power/request_trace.hpp) reproduces, bit for bit, the
+  /// report an in-simulation detector with that config would have filed.
+  /// Const and free of shared state: one campaign may simulate from many
+  /// pool threads at once.
+  [[nodiscard]] RunResult simulate(std::span<const NodeId> ht_nodes,
+                                   power::RequestTrace* trace = nullptr) const;
 
-  /// Infection rate only -- skips the baseline (Figs. 3-4).
-  [[nodiscard]] double run_infection_only(std::span<const NodeId> ht_nodes);
-
-  /// Detection outcome only -- skips the baseline. Used by defense
-  /// sweeps' false-positive arms (dormant Trojans, clean traffic), where
-  /// Q is irrelevant and the baseline would be wasted work. Engaged iff
-  /// a detector is configured and `ht_nodes` is non-empty.
-  [[nodiscard]] std::optional<power::DetectorReport> run_detection_only(
-      std::span<const NodeId> ht_nodes);
-
-  /// One attacked simulation, its per-epoch request stream captured.
-  /// Replaying `trace` through any DetectorConfig (power/request_trace.hpp)
-  /// reproduces, bit for bit, the report an in-simulation detector with
-  /// that config would have filed for this placement -- detectors are
-  /// observational, so one recording serves every operating point.
-  struct TracedRun {
-    /// Same as run()'s outcome -- detection engaged under the same rule
-    /// (a configured detector and a non-empty placement); recording never
-    /// perturbs the run, in-sim detection included.
-    CampaignOutcome outcome;
-    power::RequestTrace trace;
-  };
-
-  /// Full outcome for one placement plus the recorded request trace
-  /// (runs / reuses the cached baseline). This is the record-once half of
-  /// DefenseSweep's record-once/replay-many detection arm.
-  [[nodiscard]] TracedRun run_traced(std::span<const NodeId> ht_nodes);
-
-  /// Request trace only -- skips the baseline and the metric reduction.
-  /// Cheapest way to feed a detector grid (e.g. the clean false-positive
-  /// arm records one dormant-Trojan trace and replays every detector).
-  [[nodiscard]] power::RequestTrace record_trace(
-      std::span<const NodeId> ht_nodes);
-
-  /// Runs (or reuses) the Trojan-free baseline now. Campaigns are
-  /// copyable; priming before cloning one per sweep worker means every
-  /// clone *shares* the immutable cached baseline (shared_ptr, no
-  /// per-clone copy of the theta/phi vectors -- ParallelSweepRunner
-  /// clones one campaign per task, so this keeps clones O(1) in the
-  /// baseline size).
-  void prime_baseline() { ensure_baseline(); }
-
-  /// Swaps the attack side of subsequent runs: the Trojan configuration,
-  /// the duty-cycle toggle period, the detector and the response policy.
-  /// None of them reaches the baseline (it implants nothing and arms no
-  /// detector), so the cached baseline stays valid -- sweeps clone one
-  /// primed campaign and vary these per clone without re-running it.
-  /// Throws std::invalid_argument under the constructor's rules: a
-  /// response needs a detector, and adaptation and toggle are rivals.
-  void set_attack(TrojanConfig trojan, int toggle_period_epochs,
-                  std::optional<power::DetectorConfig> detector,
-                  std::optional<power::ResponseConfig> response);
+  /// The paper's metrics for `attacked` (a simulate(ht_nodes) result),
+  /// measured against `baseline` (a simulate({}) result). Throws
+  /// std::invalid_argument when `baseline` was simulated on a different
+  /// chip side than this campaign's.
+  [[nodiscard]] CampaignOutcome reduce(const RunResult& attacked,
+                                       const RunResult& baseline,
+                                       std::span<const NodeId> ht_nodes) const;
 
   /// Process-wide count of full ManyCoreSystem simulations run by any
   /// campaign (baselines included). Monotonic, thread-safe. The trace
@@ -226,29 +221,7 @@ class AttackCampaign {
   [[nodiscard]] static std::uint64_t warmup_epochs_simulated() noexcept;
 
  private:
-  struct RunResult {
-    std::vector<double> theta;  // per app
-    std::vector<double> phi;    // per app
-    double infection = 0.0;
-    TrojanStats trojan_totals;
-    std::optional<power::DetectorReport> detection;
-    /// Victims' granted power per measured epoch (recovery trajectory)
-    /// and its mean (the baseline's mean is the recovery reference).
-    std::vector<double> victim_grants;
-    double mean_victim_grant_mw = 0.0;
-    std::optional<power::ResponseStats> response_stats;
-    std::optional<AdaptationOutcome> adaptation;
-    int migrations = 0;
-  };
-
-  /// Runs one simulation; when `trace` is non-null the GM records its
-  /// per-epoch request stream into it (recording never perturbs the run).
-  RunResult run_system(std::span<const NodeId> ht_nodes,
-                       power::RequestTrace* trace = nullptr);
-  /// Reduces an attacked RunResult against the cached baseline.
-  [[nodiscard]] CampaignOutcome reduce_outcome(
-      const RunResult& attacked, std::span<const NodeId> ht_nodes) const;
-  void ensure_baseline();
+  [[nodiscard]] ChipSide chip_side() const;
 
   /// Implants the Trojans into `sys`, broadcasts the attacker's
   /// configuration and arms the duty-cycle controllers (serializable
@@ -262,7 +235,6 @@ class AttackCampaign {
   CampaignConfig cfg_;
   std::vector<workload::Application> apps_;
   NodeId gm_node_ = kInvalidNode;
-  std::shared_ptr<const RunResult> baseline_;  // set once; shared by clones
 };
 
 }  // namespace htpb::core

@@ -1,6 +1,5 @@
 #include "core/defense_sweep.hpp"
 
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -45,69 +44,70 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
 
   // Detection arm, record-once/replay-many: detectors are observational,
   // so every operating point shares both the baseline and each
-  // placement's dynamics. One master campaign (shared baseline), one
-  // *recorded* simulation per placement, then every detector replays the
-  // placement's request trace offline -- O(placements) simulations plus
-  // O(placements x detectors) cheap replays, where the old arm
-  // re-simulated every (detector, placement) cell. Replayed reports are
-  // bit-identical to what an in-simulation detector would have filed
-  // (the request_trace contract), so the curve is unchanged.
+  // placement's dynamics. One *recorded* simulation per placement, then
+  // every detector replays the placement's request trace offline --
+  // O(placements) simulations plus O(placements x detectors) cheap
+  // replays. Replayed reports are bit-identical to what an in-simulation
+  // detector would have filed (the request_trace contract).
   CampaignConfig detect_cfg = cfg_.base;
   detect_cfg.detector.reset();
   detect_cfg.response.reset();
-  AttackCampaign master(detect_cfg);
-  master.prime_baseline();
-  const MonitoredCores cores = count_cores(master);
-
-  const auto traced = runner.map(p_count, [&](std::size_t p) {
-    AttackCampaign clone(master);
-    return clone.run_traced(cfg_.placements[p]);
-  });
-  const auto replayed = runner.map(d_count * p_count, [&](std::size_t i) {
-    // Mirror the in-sim engagement rule: no Trojans implanted, no report.
-    if (cfg_.placements[i % p_count].empty()) {
-      return std::optional<power::DetectorReport>{};
-    }
-    return std::optional{power::replay_detector(traced[i % p_count].trace,
-                                                cfg_.detectors[i / p_count])};
-  });
+  const AttackCampaign detect(detect_cfg);
+  const MonitoredCores cores = count_cores(detect);
 
   // Clean arm (false positives): Trojans implanted but dormant, so the
   // manager sees honest traffic -- identical dynamics for every operating
   // point. One dormant recording, replayed through the whole grid. With
   // no Trojans implanted no detector engages, so there are no reports.
-  std::vector<std::optional<power::DetectorReport>> clean(d_count);
-  if (!cfg_.placements.front().empty()) {
-    CampaignConfig clean_cfg = cfg_.base;
-    clean_cfg.detector.reset();
-    clean_cfg.response.reset();
-    clean_cfg.trojan.active = false;
-    clean_cfg.toggle_period_epochs = 0;  // never wakes up
-    AttackCampaign clean_campaign(clean_cfg);
-    const power::RequestTrace clean_trace =
-        clean_campaign.record_trace(cfg_.placements.front());
-    clean = runner.map(d_count, [&](std::size_t d) {
-      return std::optional{
-          power::replay_detector(clean_trace, cfg_.detectors[d])};
-    });
-  }
+  CampaignConfig clean_cfg = detect_cfg;
+  clean_cfg.trojan.active = false;
+  clean_cfg.toggle_period_epochs = 0;  // never wakes up
+  const AttackCampaign clean_campaign(clean_cfg);
 
   // Guard arm: the GuardedBudgeter changes the dynamics (and therefore
-  // the baseline), so each operating point primes its own master -- in
-  // parallel -- before its placements fan out.
-  const auto guard_masters = runner.map(d_count, [&](std::size_t d) {
-    CampaignConfig guard_cfg = cfg_.base;
-    guard_cfg.detector.reset();
-    guard_cfg.response.reset();
+  // the baseline), so each operating point has its own chip side.
+  std::vector<AttackCampaign> guards;
+  for (const power::DetectorConfig& d : cfg_.detectors) {
+    CampaignConfig guard_cfg = detect_cfg;
     guard_cfg.system.guard_requests = true;
-    guard_cfg.system.guard_config = cfg_.detectors[d];
-    auto m = std::make_shared<AttackCampaign>(guard_cfg);
-    m->prime_baseline();
-    return m;
+    guard_cfg.system.guard_config = d;
+    guards.emplace_back(std::move(guard_cfg));
+  }
+
+  // Every simulation in one fan-out: the detection baseline and traced
+  // placements, the clean recording (skipped when the first placement
+  // implants nothing), then per operating point the guard baseline and
+  // its placements.
+  std::vector<power::RequestTrace> traces(p_count + 1);  // clean last
+  const std::size_t clean_at = 1 + p_count;
+  const std::size_t guard_at =
+      clean_at + (cfg_.placements.front().empty() ? 0 : 1);
+  const std::size_t per_point = 1 + p_count;
+  const auto runs = runner.map(guard_at + d_count * per_point,
+                               [&](std::size_t i) {
+    if (i == 0) return detect.simulate({});
+    if (i < clean_at) {
+      return detect.simulate(cfg_.placements[i - 1], &traces[i - 1]);
+    }
+    if (i < guard_at) {
+      return clean_campaign.simulate(cfg_.placements.front(),
+                                     &traces[p_count]);
+    }
+    const AttackCampaign& guard = guards[(i - guard_at) / per_point];
+    const std::size_t p = (i - guard_at) % per_point;
+    return p == 0 ? guard.simulate({}) : guard.simulate(cfg_.placements[p - 1]);
   });
-  const auto guarded = runner.map(d_count * p_count, [&](std::size_t i) {
-    AttackCampaign clone(*guard_masters[i / p_count]);
-    return clone.run(cfg_.placements[i % p_count]);
+
+  // Every operating point replays each placement's trace, then the clean
+  // one (trace p_count, recorded on the first placement).
+  const auto replayed = runner.map(d_count * per_point, [&](std::size_t i) {
+    const std::size_t t = i % per_point;
+    // Mirror the in-sim engagement rule: no Trojans implanted, no report.
+    if (cfg_.placements[t == p_count ? 0 : t].empty()) {
+      return std::optional<power::DetectorReport>{};
+    }
+    return std::optional{
+        power::replay_detector(traces[t], cfg_.detectors[i / per_point])};
   });
 
   std::vector<DefenseCurvePoint> curve(d_count);
@@ -123,8 +123,8 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
       DefenseCell& cell = pt.cells[p];
       cell.detector_index = d;
       cell.placement_index = p;
-      cell.outcome = traced[p].outcome;
-      cell.outcome.detection = replayed[d * p_count + p];
+      cell.outcome = detect.reduce(runs[1 + p], runs[0], cfg_.placements[p]);
+      cell.outcome.detection = replayed[d * per_point + p];
       if (cell.outcome.detection.has_value()) {
         const power::DetectorReport& rep = *cell.outcome.detection;
         if (cores.victims > 0) {
@@ -160,15 +160,18 @@ std::vector<DefenseCurvePoint> DefenseSweep::run(
     if (latency_n > 0) pt.mean_detection_latency = latency_sum / latency_n;
     if (q_n > 0) pt.mean_q_plain = q_sum / q_n;
 
-    if (clean[d].has_value() && cores.total() > 0) {
-      const power::DetectorReport& rep = *clean[d];
+    const auto& clean = replayed[d * per_point + p_count];
+    if (clean.has_value() && cores.total() > 0) {
+      const power::DetectorReport& rep = *clean;
       pt.false_positive_rate =
           static_cast<double>(rep.unique_flagged()) / cores.total();
     }
     double gq_sum = 0.0;
     int gq_n = 0;
+    const std::size_t g_at = guard_at + d * per_point;
     for (std::size_t p = 0; p < p_count; ++p) {
-      const CampaignOutcome& g = guarded[d * p_count + p];
+      const CampaignOutcome g =
+          guards[d].reduce(runs[g_at + 1 + p], runs[g_at], cfg_.placements[p]);
       if (g.q_valid) {
         gq_sum += g.q;
         ++gq_n;

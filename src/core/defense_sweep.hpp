@@ -24,8 +24,9 @@
 // trace and replays the grid. Only the guard arm, which genuinely
 // changes the dynamics, simulates per operating point. For D operating
 // points and P placements the sweep simulates 1 + P + 1 + D x (1 + P)
-// systems: the baseline, the traced placements, the clean recording,
-// then per operating point a primed guard master and its placements.
+// systems, all in one pool pass: the baseline, the traced placements,
+// the clean recording, then per operating point a guard baseline and its
+// placements.
 // Replayed reports are bit-identical to in-simulation detection, the
 // sweep is bit-identical at 1 and N threads, and each cell's report is
 // the same whether the cell is evaluated alone or inside a batch

@@ -28,22 +28,4 @@ Rng ParallelSweepRunner::stream_rng(std::uint64_t seed, std::size_t index) {
                                0x9E3779B97F4A7C15ULL));
 }
 
-std::vector<CampaignOutcome> ParallelSweepRunner::run_placements(
-    AttackCampaign& master, std::span<const Placement> placements) const {
-  std::vector<std::vector<NodeId>> node_sets;
-  node_sets.reserve(placements.size());
-  for (const Placement& p : placements) node_sets.push_back(p.nodes);
-  return run_node_sets(master, node_sets);
-}
-
-std::vector<CampaignOutcome> ParallelSweepRunner::run_node_sets(
-    AttackCampaign& master,
-    std::span<const std::vector<NodeId>> node_sets) const {
-  master.prime_baseline();
-  return map(node_sets.size(), [&](std::size_t i) {
-    AttackCampaign clone(master);
-    return clone.run(node_sets[i]);
-  });
-}
-
 }  // namespace htpb::core

@@ -11,15 +11,11 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/types.hpp"
-#include "core/campaign.hpp"
-#include "core/placement.hpp"
 
 namespace htpb::core {
 
@@ -56,23 +52,6 @@ class ParallelSweepRunner {
   template <typename Fn>
   auto map_streams(std::size_t count, std::uint64_t seed, Fn&& fn) const
       -> std::vector<std::invoke_result_t<Fn&, std::size_t, Rng&>>;
-
-  /// Full campaign outcome for every placement, fanned across the pool,
-  /// each task running a clone of the caller-owned `master`. `master` is
-  /// primed first (its Trojan-free baseline runs now if it has not
-  /// already), so every clone shares that one baseline and consecutive
-  /// sweeps over the same campaign pay for it once. Detector-equipped
-  /// (defense) sweeps go through the same pool: each attacked run owns a
-  /// fresh detector built from the campaign's detector config, so
-  /// outcomes -- detection reports included -- are bit-identical at 1 and
-  /// N threads.
-  [[nodiscard]] std::vector<CampaignOutcome> run_placements(
-      AttackCampaign& master, std::span<const Placement> placements) const;
-
-  /// Same, for raw HT node sets (e.g. random-placement trials).
-  [[nodiscard]] std::vector<CampaignOutcome> run_node_sets(
-      AttackCampaign& master,
-      std::span<const std::vector<NodeId>> node_sets) const;
 
  private:
   int threads_ = 1;
@@ -113,9 +92,11 @@ auto ParallelSweepRunner::map(std::size_t count, Fn&& fn) const
       }
     }
   };
+  // The calling thread is the first worker, not an idle joiner.
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int t = 0; t < workers; ++t) pool.emplace_back(work);
+  pool.reserve(static_cast<std::size_t>(workers - 1));
+  for (int t = 1; t < workers; ++t) pool.emplace_back(work);
+  work();
   for (auto& th : pool) th.join();
   if (error) std::rethrow_exception(error);
   return results;

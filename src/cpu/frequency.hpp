@@ -14,6 +14,8 @@ namespace htpb::cpu {
 struct FreqLevel {
   double ghz = 1.0;
   double volts = 0.8;
+
+  friend bool operator==(const FreqLevel&, const FreqLevel&) = default;
 };
 
 class FrequencyTable {
@@ -56,6 +58,9 @@ class FrequencyTable {
     }
     return levels;
   }
+
+  friend bool operator==(const FrequencyTable&,
+                         const FrequencyTable&) = default;
 
  private:
   std::vector<FreqLevel> levels_;

@@ -19,6 +19,8 @@ struct L1Config {
   std::size_t sets = 256;
   int ways = 2;
   int mshrs = 8;
+
+  friend bool operator==(const L1Config&, const L1Config&) = default;
 };
 
 struct L1Stats {

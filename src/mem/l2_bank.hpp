@@ -22,6 +22,8 @@ struct L2Config {
   int ways = 8;
   /// Main-memory access latency in cycles (Table I: 200).
   Cycle mem_latency = 200;
+
+  friend bool operator==(const L2Config&, const L2Config&) = default;
 };
 
 struct L2Stats {

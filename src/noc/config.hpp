@@ -5,14 +5,6 @@
 
 namespace htpb::noc {
 
-enum class RoutingKind {
-  /// Deterministic dimension-order routing (Table I).
-  kXY,
-  /// West-first minimal adaptive routing (the paper's "adaptive routing"
-  /// on the 16x16 mesh); deadlock-free by the turn model.
-  kWestFirstAdaptive,
-};
-
 /// Cap on `vcs` backing the router's inline per-VC state (output-VC
 /// registers, one-word masks over all input VCs). Generous vs. Table I's
 /// 4 VCs. Input buffers are sized from `vcs` x `vc_depth` at construction.
@@ -35,13 +27,14 @@ struct NocConfig {
   int router_latency = 2;
   /// Link traversal latency in cycles (Table I: 1).
   int link_latency = 1;
-  RoutingKind routing = RoutingKind::kXY;
 
   [[nodiscard]] int vcs_per_class() const noexcept { return vcs / 2; }
   /// First VC of a class; class 0 -> [0, vcs/2), class 1 -> [vcs/2, vcs).
   [[nodiscard]] int class_base(int vc_class) const noexcept {
     return vc_class == 0 ? 0 : vcs / 2;
   }
+
+  friend bool operator==(const NocConfig&, const NocConfig&) = default;
 };
 
 }  // namespace htpb::noc

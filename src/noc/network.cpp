@@ -11,15 +11,13 @@
 namespace htpb::noc {
 
 MeshNetwork::MeshNetwork(sim::Engine& engine, MeshGeometry geom, NocConfig cfg)
-    : engine_(engine), geom_(geom), cfg_(cfg),
-      routing_(make_routing(cfg.routing)) {
+    : engine_(engine), geom_(geom), cfg_(cfg) {
   const int n = geom_.node_count();
   routers_.reserve(static_cast<std::size_t>(n));
   nis_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto id = static_cast<NodeId>(i);
-    routers_.push_back(
-        std::make_unique<Router>(id, geom_, cfg_, routing_.get()));
+    routers_.push_back(std::make_unique<Router>(id, geom_, cfg_));
     nis_.push_back(std::make_unique<NetworkInterface>(id, cfg_));
   }
   // Wire up mesh connectivity and the neighbour table: a port is connected

@@ -26,7 +26,6 @@
 #include "noc/network_interface.hpp"
 #include "noc/packet.hpp"
 #include "noc/router.hpp"
-#include "noc/routing.hpp"
 #include "sim/engine.hpp"
 
 namespace htpb::noc {
@@ -124,7 +123,6 @@ class MeshNetwork : public sim::Tickable {
   MeshGeometry geom_;    // snapshot-exempt: construction config, immutable
   NocConfig cfg_;        // snapshot-exempt: construction config, immutable
   PacketPool pool_;
-  std::unique_ptr<RoutingAlgorithm> routing_;  // snapshot-exempt: stateless algorithm chosen by config
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
   /// neighbour_[node * kNumPorts + port]: adjacent router id, -1 if edge.

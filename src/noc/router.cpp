@@ -8,14 +8,12 @@
 #include <utility>
 
 #include "common/snapshot.hpp"
+#include "noc/routing.hpp"
 
 namespace htpb::noc {
 
-Router::Router(NodeId id, const MeshGeometry& geom, const NocConfig& cfg,
-               const RoutingAlgorithm* routing)
-    : id_(id), geom_(geom), coord_(geom.coord_of(id)), cfg_(cfg),
-      routing_(routing),
-      routing_uses_credits_(routing != nullptr && routing->uses_credits()) {
+Router::Router(NodeId id, const MeshGeometry& geom, const NocConfig& cfg)
+    : id_(id), geom_(geom), coord_(geom.coord_of(id)), cfg_(cfg) {
   if (cfg_.vcs < 2 || cfg_.vcs % 2 != 0) {
     throw std::invalid_argument("Router: vcs must be even and >= 2");
   }
@@ -59,17 +57,6 @@ void Router::accept_flit(Direction in_port, Flit&& flit, Cycle arrival) {
   slot.arrival = arrival;
   ++ivc.size;
   ++buffered_flits_;
-}
-
-int Router::free_credits_for_class(Direction p, int vc_class) const noexcept {
-  const OutputPort& port = out_[port_index(p)];
-  if (!port.connected) return -1;
-  int sum = 0;
-  const int base = cfg_.class_base(vc_class);
-  for (int v = base; v < base + cfg_.vcs_per_class(); ++v) {
-    sum += port.vcs[static_cast<std::size_t>(v)].credits;
-  }
-  return sum;
 }
 
 void Router::tick_sa_st(Cycle now, std::vector<LinkTransfer>& transfers,
@@ -280,23 +267,13 @@ void Router::tick_rc_va(Cycle now) {
       }
     }
 
-    RouteQuery q;
-    q.here = coord_;
-    q.dst = geom_.coord_of(pkt.dst);
-    q.vc_class = vc_class_of(pkt.type);
-    if (routing_uses_credits_) {
-      for (int p = 0; p < kNumPorts; ++p) {
-        q.free_credits[p] =
-            free_credits_for_class(static_cast<Direction>(p), q.vc_class);
-      }
-    }
-
-    const Direction out_dir = routing_->select(q);
+    const Direction out_dir = xy_route(coord_, geom_.coord_of(pkt.dst));
+    const int vc_class = vc_class_of(pkt.type);
     OutputPort& oport = out_[port_index(out_dir)];
     assert(oport.connected && "routing selected a disconnected port");
 
     // VC allocation: round-robin over the free VCs of the packet's class.
-    const int base = cfg_.class_base(q.vc_class);
+    const int base = cfg_.class_base(vc_class);
     const int span = cfg_.vcs_per_class();
     int granted = -1;
     for (int k = 0; k < span; ++k) {

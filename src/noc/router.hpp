@@ -27,7 +27,6 @@
 #include "noc/direction.hpp"
 #include "noc/inspector.hpp"
 #include "noc/packet.hpp"
-#include "noc/routing.hpp"
 
 namespace htpb::noc {
 
@@ -77,8 +76,7 @@ struct CreditReturn {
 /// update, so the result is independent of router order.
 class Router {
  public:
-  Router(NodeId id, const MeshGeometry& geom, const NocConfig& cfg,
-         const RoutingAlgorithm* routing);
+  Router(NodeId id, const MeshGeometry& geom, const NocConfig& cfg);
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] Coord coord() const noexcept { return coord_; }
@@ -117,8 +115,6 @@ class Router {
   [[nodiscard]] int output_credits(Direction p, int vc) const noexcept {
     return out_[port_index(p)].vcs[static_cast<std::size_t>(vc)].credits;
   }
-  /// Sum of free credits over the VCs of a class (adaptive routing input).
-  [[nodiscard]] int free_credits_for_class(Direction p, int vc_class) const noexcept;
 
   [[nodiscard]] int input_occupancy(Direction p, int vc) const noexcept {
     return in_vcs_[static_cast<std::size_t>(port_index(p) * cfg_.vcs + vc)]
@@ -144,9 +140,9 @@ class Router {
 
   /// Checkpointing: everything that changes while flits move -- input-VC
   /// buffer contents, routing/allocation registers, output credits,
-  /// round-robin pointers, stats. Wiring (connected ports, the routing
-  /// algorithm, inspectors) is construction state and is not captured;
-  /// ring positions and the RC/SA candidate masks are derived on load.
+  /// round-robin pointers, stats. Wiring (connected ports, inspectors) is
+  /// construction state and is not captured; ring positions and the RC/SA
+  /// candidate masks are derived on load.
   [[nodiscard]] json::Value save_state() const;
   void load_state(const json::Value& v, const PacketResolver& resolve);
 
@@ -200,8 +196,6 @@ class Router {
   MeshGeometry geom_;  // snapshot-exempt: construction config, immutable
   Coord coord_;        // snapshot-exempt: derived from id_ and geometry
   NocConfig cfg_;
-  const RoutingAlgorithm* routing_;  // snapshot-exempt: non-owning wiring, re-attached by construction
-  bool routing_uses_credits_ = false;  // snapshot-exempt: derived from the routing algorithm's capabilities
   std::vector<BufferedFlit> slots_;
   std::array<InputVc, kNumPorts * kMaxVcs> in_vcs_{};
   std::array<OutputPort, kNumPorts> out_;

@@ -1,41 +1,13 @@
 #include "noc/routing.hpp"
 
-#include <stdexcept>
-
 namespace htpb::noc {
 
-Direction XyRouting::select(const RouteQuery& q) const {
-  if (q.dst.x > q.here.x) return Direction::kEast;
-  if (q.dst.x < q.here.x) return Direction::kWest;
-  if (q.dst.y > q.here.y) return Direction::kSouth;
-  if (q.dst.y < q.here.y) return Direction::kNorth;
+Direction xy_route(Coord here, Coord dst) noexcept {
+  if (dst.x > here.x) return Direction::kEast;
+  if (dst.x < here.x) return Direction::kWest;
+  if (dst.y > here.y) return Direction::kSouth;
+  if (dst.y < here.y) return Direction::kNorth;
   return Direction::kLocal;
-}
-
-Direction WestFirstAdaptiveRouting::select(const RouteQuery& q) const {
-  const int dx = q.dst.x - q.here.x;
-  const int dy = q.dst.y - q.here.y;
-  if (dx == 0 && dy == 0) return Direction::kLocal;
-  // West-first: any westward component must be consumed first and is
-  // non-adaptive (the turn model forbids turning into west).
-  if (dx < 0) return Direction::kWest;
-  if (dx == 0) return dy > 0 ? Direction::kSouth : Direction::kNorth;
-  if (dy == 0) return Direction::kEast;
-  // Both east and one of north/south are productive: adapt on credits.
-  const Direction vertical = dy > 0 ? Direction::kSouth : Direction::kNorth;
-  const int credits_east = q.free_credits[port_index(Direction::kEast)];
-  const int credits_vert = q.free_credits[port_index(vertical)];
-  return credits_east >= credits_vert ? Direction::kEast : vertical;
-}
-
-std::unique_ptr<RoutingAlgorithm> make_routing(RoutingKind kind) {
-  switch (kind) {
-    case RoutingKind::kXY:
-      return std::make_unique<XyRouting>();
-    case RoutingKind::kWestFirstAdaptive:
-      return std::make_unique<WestFirstAdaptiveRouting>();
-  }
-  throw std::invalid_argument("make_routing: unknown RoutingKind");
 }
 
 bool xy_route_passes_through(Coord src, Coord dst, Coord via) {

@@ -1,58 +1,16 @@
-// Routing algorithms. The router asks the algorithm for an output port for
-// each head flit; adaptive algorithms also see downstream credit
-// availability per candidate port.
+// Deterministic XY dimension-order routing (Table I): the router asks for
+// an output port for each head flit, and the analytic infection-rate
+// estimator asks which routers a route crosses.
 #pragma once
 
-#include <array>
-#include <memory>
-
 #include "common/geometry.hpp"
-#include "noc/config.hpp"
 #include "noc/direction.hpp"
 
 namespace htpb::noc {
 
-struct RouteQuery {
-  Coord here;
-  Coord dst;
-  /// Free downstream credits per output port for the packet's VC class
-  /// (sum over the class's VCs); used by adaptive algorithms only.
-  std::array<int, kNumPorts> free_credits{};
-  int vc_class = 0;
-};
-
-class RoutingAlgorithm {
- public:
-  virtual ~RoutingAlgorithm() = default;
-  /// Returns the output port; kLocal when here == dst.
-  [[nodiscard]] virtual Direction select(const RouteQuery& q) const = 0;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-  /// True when select() reads RouteQuery::free_credits; deterministic
-  /// algorithms return false so the router can skip gathering them.
-  [[nodiscard]] virtual bool uses_credits() const noexcept { return false; }
-};
-
-/// Deterministic XY dimension-order routing: exhaust X first, then Y.
-class XyRouting final : public RoutingAlgorithm {
- public:
-  [[nodiscard]] Direction select(const RouteQuery& q) const override;
-  [[nodiscard]] const char* name() const noexcept override { return "XY"; }
-};
-
-/// West-first minimal adaptive routing (turn model): if the destination is
-/// to the west, the packet must go fully west first (deterministic); all
-/// other quadrants may adapt between the productive ports, picking the one
-/// with more free credits (ties broken toward X to mimic XY).
-class WestFirstAdaptiveRouting final : public RoutingAlgorithm {
- public:
-  [[nodiscard]] Direction select(const RouteQuery& q) const override;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "WestFirstAdaptive";
-  }
-  [[nodiscard]] bool uses_credits() const noexcept override { return true; }
-};
-
-[[nodiscard]] std::unique_ptr<RoutingAlgorithm> make_routing(RoutingKind kind);
+/// The XY output port at `here` for a packet bound to `dst`: exhaust X
+/// first, then Y; kLocal when here == dst.
+[[nodiscard]] Direction xy_route(Coord here, Coord dst) noexcept;
 
 /// True iff the XY route from src to dst passes through `via` (inclusive
 /// of endpoints). Used by the analytic infection-rate estimator.

@@ -45,6 +45,9 @@ class CorePowerModel {
     return best;
   }
 
+  friend bool operator==(const CorePowerModel&,
+                         const CorePowerModel&) = default;
+
  private:
   // Defaults give roughly 0.9 W at (1.0 GHz, 0.70 V) and 3.2 W at
   // (2.75 GHz, 0.98 V) -- a plausible many-core tile power range.

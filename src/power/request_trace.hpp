@@ -16,9 +16,9 @@
 //    close, before allocation), with the exact vector the detector would
 //    see. Empty epochs are recorded too: a detector's epoch counter must
 //    advance identically in replay.
-//  - AttackCampaign::record_trace() / run_traced() own the recording run;
-//    the returned trace is a value and is never mutated afterwards --
-//    every consumer takes `const RequestTrace&`.
+//  - AttackCampaign::simulate(ht_nodes, &trace) owns the recording run;
+//    the trace is a value and is never mutated afterwards -- every
+//    consumer takes `const RequestTrace&`.
 //  - replay_detector() feeds the trace through a fresh detector and
 //    returns its cumulative report. For any DetectorConfig the replayed
 //    report is bit-identical to the report an in-simulation detector

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -88,6 +89,14 @@ namespace {
   return core::clustered_placement(geom, c.hts, at, gm);
 }
 
+/// axes.cluster_hts Trojans clustered around the manager node `gm`.
+[[nodiscard]] std::vector<NodeId> gm_cluster(const ScenarioSpec& spec,
+                                             NodeId gm) {
+  return resolve_cluster(
+      ClusterSpec{ClusterSpec::At::kGm, spec.axes.cluster_hts},
+      MeshGeometry(spec.system.width, spec.system.height), gm);
+}
+
 /// The {ewma, cohort} x axes.bands detector grid shared by the defense
 /// sweep's ROC replay and the --replay-trace surface -- one builder so
 /// the two can never diverge in grid order or membership.
@@ -159,7 +168,7 @@ json::Value run_infection_vs_ht_count(const ScenarioSpec& spec,
             static_cast<std::uint64_t>(leg.hts));
     const auto nodes =
         core::random_placement(geom, leg.hts, rng, campaign.gm_node());
-    return Rates{campaign.run_infection_only(nodes),
+    return Rates{campaign.simulate(nodes).infection,
                  core::InfectionAnalyzer(geom, campaign.gm_node())
                      .predicted_rate(nodes)};
   });
@@ -217,14 +226,17 @@ json::Value run_infection_vs_distribution(
     core::AttackCampaign campaign(campaign_config(cell_spec, ""));
     const MeshGeometry geom(cell_spec.system.width, cell_spec.system.height);
     if (leg < 2) {
-      return campaign.run_infection_only(core::clustered_placement(
-          geom, hts, leg == 0 ? geom.center() : MeshGeometry::corner(),
-          campaign.gm_node()));
+      return campaign
+          .simulate(core::clustered_placement(
+              geom, hts, leg == 0 ? geom.center() : MeshGeometry::corner(),
+              campaign.gm_node()))
+          .infection;
     }
     Rng rng(spec.seed + static_cast<std::uint64_t>(leg - 2) * 13 +
             static_cast<std::uint64_t>(size));
-    return campaign.run_infection_only(
-        core::random_placement(geom, hts, rng, campaign.gm_node()));
+    return campaign
+        .simulate(core::random_placement(geom, hts, rng, campaign.gm_node()))
+        .infection;
   };
   const auto rates =
       runner.map(spec.axes.ht_divisors.size() * sizes * per_cell, leg_rate);
@@ -261,42 +273,40 @@ json::Value run_infection_vs_distribution(
 
 /// Figs. 5 and 6 share one sweep: per mix, greedy target-coverage
 /// placements off one serial Rng(seed) stream (legacy constant: 42).
-/// Every mix's baseline primes in one fan-out, then every mix x target
-/// leg runs in a second one -- no per-mix barrier idles the pool. The
-/// result carries both the Q reduction (Fig. 5) and the per-app Theta
-/// detail (Fig. 6).
+/// Every mix's baseline and every mix x target leg run in one flat
+/// fan-out. The result carries both the Q reduction (Fig. 5) and the
+/// per-app Theta detail (Fig. 6).
 json::Value run_attack_sweep(const ScenarioSpec& spec,
                              const core::ParallelSweepRunner& runner) {
   const std::vector<std::string>& mixes = spec.workload.mixes;
   const std::vector<double>& targets = spec.axes.infection_targets;
-  const auto masters = runner.map(mixes.size(), [&](std::size_t m) {
-    auto master =
-        std::make_shared<core::AttackCampaign>(campaign_config(spec, mixes[m]));
-    master->prime_baseline();
-    return master;
-  });
-
   const MeshGeometry geom(spec.system.width, spec.system.height);
-  std::vector<std::vector<NodeId>> node_sets;  // mix-major
-  node_sets.reserve(mixes.size() * targets.size());
-  for (const auto& master : masters) {
-    const core::InfectionAnalyzer analyzer(geom, master->gm_node());
+  std::vector<core::AttackCampaign> campaigns;
+  // Per mix: the baseline (an empty set), then one set per target.
+  std::vector<std::vector<NodeId>> node_sets;
+  const std::size_t per_mix = 1 + targets.size();
+  node_sets.reserve(mixes.size() * per_mix);
+  for (const std::string& mix : mixes) {
+    const auto& campaign = campaigns.emplace_back(campaign_config(spec, mix));
+    const core::InfectionAnalyzer analyzer(geom, campaign.gm_node());
     Rng rng(spec.seed);
+    node_sets.emplace_back();
     for (const double target : targets) {
       node_sets.push_back(analyzer.placement_for_target(
           target, spec.axes.placement_max_hts, rng));
     }
   }
-  const auto outs = runner.map(node_sets.size(), [&](std::size_t i) {
-    core::AttackCampaign clone(*masters[i / targets.size()]);
-    return clone.run(node_sets[i]);
+  const auto runs = runner.map(node_sets.size(), [&](std::size_t i) {
+    return campaigns[i / per_mix].simulate(node_sets[i]);
   });
 
   json::Array mixes_out;
   for (std::size_t m = 0; m < mixes.size(); ++m) {
     json::Array rows;
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      const core::CampaignOutcome& out = outs[m * targets.size() + t];
+      const std::size_t i = m * per_mix + 1 + t;
+      const core::CampaignOutcome out =
+          campaigns[m].reduce(runs[i], runs[m * per_mix], node_sets[i]);
       json::Object row;
       row["target"] = json::Value(targets[t]);
       row["infection"] = json::Value(out.infection_measured);
@@ -310,7 +320,7 @@ json::Value run_attack_sweep(const ScenarioSpec& spec,
     }
     json::Object mix_out;
     mix_out["mix"] = json::Value(mixes[m]);
-    mix_out["apps"] = app_list(*masters[m]);
+    mix_out["apps"] = app_list(campaigns[m]);
     mix_out["rows"] = json::Value(std::move(rows));
     mixes_out.push_back(json::Value(std::move(mix_out)));
   }
@@ -328,30 +338,39 @@ json::Value run_placement_study(const ScenarioSpec& spec,
   for (std::size_t mix_i = 0; mix_i < spec.workload.mixes.size(); ++mix_i) {
     ScenarioSpec study = spec;
     study.system = system_with_size(spec.system, spec.axes.nodes);
-    core::CampaignConfig cfg =
-        campaign_config(study, spec.workload.mixes[mix_i]);
-    core::AttackCampaign campaign(cfg);
+    const core::AttackCampaign campaign(
+        campaign_config(study, spec.workload.mixes[mix_i]));
     const MeshGeometry geom(study.system.width, study.system.height);
     Rng rng(spec.seed + static_cast<std::uint64_t>(mix_i));
+    const auto simulate_all = [&](const std::vector<std::vector<NodeId>>& sets) {
+      return runner.map(sets.size(), [&](std::size_t i) {
+        return campaign.simulate(sets[i]);
+      });
+    };
 
     // Phase 1: sample diverse placements (serially, from one stream) and
-    // evaluate them across the pool to record (rho, eta, m, Q).
-    std::vector<core::Placement> train;
-    train.reserve(static_cast<std::size_t>(spec.axes.train_samples));
+    // simulate them, with the mix's baseline, across the pool to record
+    // (rho, eta, m, Q).
+    std::vector<std::vector<NodeId>> train(1);  // [0] = {}: the baseline
+    train.reserve(1 + static_cast<std::size_t>(spec.axes.train_samples));
     for (int i = 0; i < spec.axes.train_samples; ++i) {
       const int m =
           1 + static_cast<int>(rng.below(
                   static_cast<std::uint64_t>(spec.axes.max_hts)));
       train.push_back(core::candidate_placements(geom, campaign.gm_node(), m,
                                                  1, rng)
-                          .front());
+                          .front()
+                          .nodes);
     }
-    const auto train_outs = runner.run_placements(campaign, train);
+    const auto train_runs = simulate_all(train);
+    const core::RunResult& baseline = train_runs[0];
 
     std::vector<core::AttackSample> samples;
     std::vector<double> phi_victims;
     std::vector<double> phi_attackers;
-    for (const auto& out : train_outs) {
+    for (std::size_t i = 1; i < train.size(); ++i) {
+      const core::CampaignOutcome out =
+          campaign.reduce(train_runs[i], baseline, train[i]);
       core::AttackSample s;
       s.rho = out.geometry.rho;
       s.eta = out.geometry.eta;
@@ -368,7 +387,8 @@ json::Value run_placement_study(const ScenarioSpec& spec,
     }
 
     // Phase 2: fit Eq. 9 and enumerate (Eq. 10-11) across the pool; the
-    // attacker validates the short list in simulation before committing.
+    // attacker validates the short list in simulation before committing,
+    // in one fan-out with the random-placement trials it is judged by.
     core::AttackEffectModel model;
     model.fit(samples);
     core::PlacementOptimizer optimizer(geom, campaign.gm_node(), &model,
@@ -376,24 +396,26 @@ json::Value run_placement_study(const ScenarioSpec& spec,
     const auto shortlist = optimizer.optimize_top_k(
         spec.axes.max_hts, spec.axes.candidates_per_m, spec.axes.shortlist,
         rng(), runner);
-    std::vector<core::Placement> short_placements;
-    short_placements.reserve(shortlist.size());
-    for (const auto& r : shortlist) short_placements.push_back(r.placement);
-    const auto realized = runner.run_placements(campaign, short_placements);
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < realized.size(); ++c) {
-      if (realized[c].q > realized[best].q) best = c;
-    }
-
-    std::vector<std::vector<NodeId>> random_sets;
-    random_sets.reserve(static_cast<std::size_t>(spec.axes.random_trials));
+    std::vector<std::vector<NodeId>> trials;  // shortlist, then random
+    trials.reserve(shortlist.size() +
+                   static_cast<std::size_t>(spec.axes.random_trials));
+    for (const auto& r : shortlist) trials.push_back(r.placement.nodes);
     for (int t = 0; t < spec.axes.random_trials; ++t) {
-      random_sets.push_back(core::random_placement(geom, spec.axes.max_hts,
-                                                   rng, campaign.gm_node()));
+      trials.push_back(core::random_placement(geom, spec.axes.max_hts, rng,
+                                              campaign.gm_node()));
+    }
+    const auto trial_runs = simulate_all(trials);
+    std::vector<double> q(trials.size());
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      q[i] = campaign.reduce(trial_runs[i], baseline, trials[i]).q;
+    }
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < shortlist.size(); ++c) {
+      if (q[c] > q[best]) best = c;
     }
     double q_random = 0.0;
-    for (const auto& out : runner.run_node_sets(campaign, random_sets)) {
-      q_random += out.q;
+    for (std::size_t i = shortlist.size(); i < trials.size(); ++i) {
+      q_random += q[i];
     }
     q_random /= spec.axes.random_trials;
 
@@ -402,9 +424,9 @@ json::Value run_placement_study(const ScenarioSpec& spec,
     row["q_random"] = json::Value(q_random);
     // Realized Q of the model's top-scored candidate vs the deployed
     // (best-validated) one.
-    row["q_model_top"] = json::Value(realized[0].q);
-    row["q_deployed"] = json::Value(realized[best].q);
-    row["gain"] = json::Value(realized[best].q / q_random - 1.0);
+    row["q_model_top"] = json::Value(q[0]);
+    row["q_deployed"] = json::Value(q[best]);
+    row["gain"] = json::Value(q[best] / q_random - 1.0);
     row["model_r2"] = json::Value(model.r2());
     row["predicted_q"] = json::Value(shortlist[best].predicted_q);
     mixes_out.push_back(json::Value(std::move(row)));
@@ -515,34 +537,35 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   const std::uint64_t sims_before_roc =
       core::AttackCampaign::systems_simulated();
   const double t_rec0 = now_seconds();
-  const auto traces = runner.map(rec_count, [&](std::size_t i) {
-    const std::size_t dyn = i / roc_placements.size();
-    const std::size_t p = i % roc_placements.size();
-    core::AttackCampaign campaign(
-        roc_config(roc.periods[dyn / roc.factors.size()],
-                   roc.factors[dyn % roc.factors.size()]));
-    return campaign.record_trace(roc_placements[p]);
-  });
   // Clean recordings: dormant Trojans mean identical dynamics across
   // factors and duty-cycle periods -- but NOT across system timing, so
   // the period=0 cells (which shift first_epoch_cycle) need their own
-  // clean trace for an apples-to-apples detect/fp pair.
-  const auto record_clean = [&](Cycle first_epoch_cycle) {
-    core::CampaignConfig clean_cfg = sweep_cfg.base;
-    clean_cfg.detector.reset();
-    clean_cfg.trojan.active = false;
-    clean_cfg.toggle_period_epochs = 0;
-    clean_cfg.system.first_epoch_cycle = first_epoch_cycle;
-    core::AttackCampaign clean_campaign(clean_cfg);
-    return clean_campaign.record_trace(roc_placements.front());
-  };
+  // clean trace for an apples-to-apples detect/fp pair. They ride in the
+  // same fan-out as the dynamics cells, after them.
   const bool has_period0 = std::find(roc.periods.begin(), roc.periods.end(),
                                      0) != roc.periods.end();
-  const power::RequestTrace clean_trace =
-      record_clean(sweep_cfg.base.system.first_epoch_cycle);
-  const power::RequestTrace clean_trace_epoch0 =
-      has_period0 ? record_clean(roc.epoch0_first_epoch_cycle)
-                  : power::RequestTrace{};
+  const auto traces = runner.map(
+      rec_count + (has_period0 ? 2 : 1), [&](std::size_t i) {
+        power::RequestTrace trace;
+        if (i < rec_count) {
+          const std::size_t dyn = i / roc_placements.size();
+          const core::AttackCampaign campaign(
+              roc_config(roc.periods[dyn / roc.factors.size()],
+                         roc.factors[dyn % roc.factors.size()]));
+          (void)campaign.simulate(roc_placements[i % roc_placements.size()],
+                                  &trace);
+        } else {
+          core::CampaignConfig clean = sweep_cfg.base;
+          clean.trojan.active = false;
+          clean.toggle_period_epochs = 0;
+          if (i > rec_count) {
+            clean.system.first_epoch_cycle = roc.epoch0_first_epoch_cycle;
+          }
+          (void)core::AttackCampaign(clean).simulate(roc_placements.front(),
+                                                     &trace);
+        }
+        return trace;
+      });
   timing["record_seconds"] = json::Value(now_seconds() - t_rec0);
   const std::uint64_t roc_sims =
       core::AttackCampaign::systems_simulated() - sims_before_roc;
@@ -552,11 +575,12 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   std::vector<double> clean_fp(roc_detectors.size(), 0.0);
   std::vector<double> clean_fp_epoch0(roc_detectors.size(), 0.0);
   for (std::size_t d = 0; d < roc_detectors.size(); ++d) {
-    const auto rep = power::replay_detector(clean_trace, roc_detectors[d]);
+    const auto rep =
+        power::replay_detector(traces[rec_count], roc_detectors[d]);
     clean_fp[d] = static_cast<double>(rep.unique_flagged()) / monitored;
     if (has_period0) {
       const auto rep0 =
-          power::replay_detector(clean_trace_epoch0, roc_detectors[d]);
+          power::replay_detector(traces[rec_count + 1], roc_detectors[d]);
       clean_fp_epoch0[d] =
           static_cast<double>(rep0.unique_flagged()) / monitored;
     }
@@ -613,8 +637,13 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
 /// The detection/clean arms use the spec's trojan schedule (mid-run
 /// activation) and axes.detection_measure_epochs; the damage arms pin
 /// the Trojan always-on so plain and guarded Q are directly comparable.
-json::Value run_defense_evaluation(const ScenarioSpec& spec) {
-  json::Array rows;
+/// Every mix's simulations run in one fan-out.
+json::Value run_defense_evaluation(const ScenarioSpec& spec,
+                                   const core::ParallelSweepRunner& runner) {
+  // Per mix, four arms on campaigns of their own: detect, plain, clean,
+  // guarded (arms[4 * mix + arm]), all attacking the same GM cluster.
+  std::vector<core::AttackCampaign> arms;
+  std::vector<std::vector<NodeId>> hts;
   for (const std::string& mix_name : spec.workload.mixes) {
     // Detection arm (mid-run activation); the run owns its detector.
     ScenarioSpec detect_spec = spec;
@@ -622,58 +651,71 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec) {
     if (!detect_spec.detector.has_value()) {
       detect_spec.detector = power::DetectorConfig{};
     }
-    core::CampaignConfig cfg = campaign_config(detect_spec, mix_name);
-    core::AttackCampaign campaign(cfg);
-    const MeshGeometry geom(spec.system.width, spec.system.height);
-    const auto hts =
-        resolve_cluster(ClusterSpec{ClusterSpec::At::kGm,
-                                    spec.axes.cluster_hts},
-                        geom, campaign.gm_node());
-    const auto detected = campaign.run(hts);
-    const power::DetectorReport report =
-        detected.detection.value_or(power::DetectorReport{});
-
     // Damage arms: attack always on, no detector (and so no response).
     ScenarioSpec damage_spec = spec;
     damage_spec.trojan.active = true;
     damage_spec.trojan.toggle_period_epochs = 0;
     damage_spec.detector.reset();
     damage_spec.response.reset();
-    core::AttackCampaign plain_campaign(
-        campaign_config(damage_spec, mix_name));
-    const auto plain = plain_campaign.run(hts);
-
-    int victims = 0;
-    int attackers = 0;
-    for (const auto& app : campaign.apps()) {
-      (app.is_attacker() ? attackers : victims) +=
-          static_cast<int>(app.cores.size());
-    }
-
-    // False positives: same chip, Trojans never activated (detection-only
-    // run; the clean arm has no use for a baseline). Forced dormant: the
-    // arm must stay clean even for a spec whose trojan starts active.
+    // False positives: same chip, Trojans never activated. Forced
+    // dormant: the arm must stay clean even for a spec whose trojan
+    // starts active.
     ScenarioSpec clean_spec = detect_spec;
     clean_spec.trojan.active = false;
     clean_spec.trojan.toggle_period_epochs = 0;
-    core::AttackCampaign clean(campaign_config(clean_spec, mix_name));
-    const auto clean_report =
-        clean.run_detection_only(hts).value_or(power::DetectorReport{});
-    const auto false_pos =
-        clean_report.flagged_low.size() + clean_report.flagged_high.size();
-
     // Mitigation arm: the GuardedBudgeter clamps requests in-band.
     ScenarioSpec guard_spec = damage_spec;
     guard_spec.system.guard_requests = true;
-    core::AttackCampaign guarded(campaign_config(guard_spec, mix_name));
-    const auto mitigated = guarded.run(hts);
+    for (const ScenarioSpec* arm :
+         {&detect_spec, &damage_spec, &clean_spec, &guard_spec}) {
+      arms.emplace_back(campaign_config(*arm, mix_name));
+    }
+    hts.push_back(gm_cluster(spec, arms.back().gm_node()));
+  }
+
+  // Per mix, seven simulations: every arm's attacked run, and the
+  // baselines of every arm but the clean one, which reads only its
+  // detector report.
+  struct Sim {
+    std::size_t arm;
+    bool baseline;
+  };
+  constexpr Sim kSims[] = {{0, true},  {0, false}, {1, true}, {1, false},
+                           {2, false}, {3, true},  {3, false}};
+  constexpr std::size_t kPerMix = std::size(kSims);
+  const auto runs = runner.map(hts.size() * kPerMix, [&](std::size_t i) {
+    const Sim& sim = kSims[i % kPerMix];
+    const core::AttackCampaign& arm = arms[4 * (i / kPerMix) + sim.arm];
+    return sim.baseline ? arm.simulate({}) : arm.simulate(hts[i / kPerMix]);
+  });
+
+  json::Array rows;
+  for (std::size_t k = 0; k < hts.size(); ++k) {
+    const core::AttackCampaign* arm = &arms[4 * k];
+    const core::RunResult* r = &runs[k * kPerMix];
+    const power::DetectorReport report =
+        arm[0].reduce(r[1], r[0], hts[k])
+            .detection.value_or(power::DetectorReport{});
+    const auto plain = arm[1].reduce(r[3], r[2], hts[k]);
+    const auto clean_report =
+        r[4].detection.value_or(power::DetectorReport{});
+    const auto false_pos =
+        clean_report.flagged_low.size() + clean_report.flagged_high.size();
+    const auto mitigated = arm[3].reduce(r[6], r[5], hts[k]);
+
+    int victims = 0;
+    int attackers = 0;
+    for (const auto& app : arm[0].apps()) {
+      (app.is_attacker() ? attackers : victims) +=
+          static_cast<int>(app.cores.size());
+    }
     double worst = 1.0;
     for (const auto& app : mitigated.apps) {
       if (!app.attacker) worst = std::min(worst, app.change);
     }
 
     json::Object row;
-    row["mix"] = json::Value(mix_name);
+    row["mix"] = json::Value(spec.workload.mixes[k]);
     row["q_plain"] = json::Value(plain.q);
     row["q_guarded"] = json::Value(mitigated.q);
     row["victims_flagged"] =
@@ -724,14 +766,31 @@ json::Value run_attack_comparison(const ScenarioSpec& spec,
         sys.network().router(sys.gm_node()).stats().flits_forwarded;
   }
 
-  // ---- arm 2: the paper's false-data attack ---------------------------
-  core::AttackCampaign campaign(campaign_config(spec, spec.workload.mix));
-  const MeshGeometry geom(spec.system.width, spec.system.height);
-  const auto hts =
-      resolve_cluster(ClusterSpec{ClusterSpec::At::kGm,
-                                  spec.axes.cluster_hts},
-                      geom, campaign.gm_node());
-  const auto fd = campaign.run(hts);
+  // ---- arms 2 and 4: the paper's false-data attack and its duty-cycled
+  // activation sweep. Every period shares the duty warmup/measure window
+  // and so one baseline; the false-data arm has its own. All of their
+  // simulations run in one fan-out.
+  const core::AttackCampaign campaign(
+      campaign_config(spec, spec.workload.mix));
+  const auto hts = gm_cluster(spec, campaign.gm_node());
+  ScenarioSpec duty_spec = spec;
+  duty_spec.epochs.warmup = spec.axes.duty_warmup_epochs;
+  duty_spec.epochs.measure = spec.axes.duty_measure_epochs;
+  std::vector<core::AttackCampaign> duty;
+  for (const int period : spec.axes.toggle_periods) {
+    duty_spec.trojan.toggle_period_epochs = period;
+    duty.emplace_back(campaign_config(duty_spec, spec.workload.mix));
+  }
+  // [0, 1]: false-data baseline and attack; then, when there are
+  // periods, the duty baseline and one attacked run per period.
+  const auto runs = runner.map(
+      duty.empty() ? 2 : 3 + duty.size(), [&](std::size_t i) {
+        if (i == 0) return campaign.simulate({});
+        if (i == 1) return campaign.simulate(hts);
+        if (i == 2) return duty.front().simulate({});
+        return duty[i - 3].simulate(hts);
+      });
+  const auto fd = campaign.reduce(runs[1], runs[0], hts);
   double victim_theta_fd = 0.0;
   for (const auto& app : fd.apps) {
     if (!app.attacker) victim_theta_fd += app.theta_attacked;
@@ -759,26 +818,6 @@ json::Value run_attack_comparison(const ScenarioSpec& spec,
     for (const auto& f : flooders) flood_packets += f->packets_injected();
   }
 
-  // ---- arm 4: duty-cycled activation sweep ----------------------------
-  // Every period shares the duty warmup/measure window and so one
-  // baseline: a primed master, cloned per period with its toggle swapped
-  // in, fanned across the pool.
-  ScenarioSpec duty_spec = spec;
-  duty_spec.epochs.warmup = spec.axes.duty_warmup_epochs;
-  duty_spec.epochs.measure = spec.axes.duty_measure_epochs;
-  core::AttackCampaign duty_master(
-      campaign_config(duty_spec, spec.workload.mix));
-  if (!spec.axes.toggle_periods.empty()) duty_master.prime_baseline();
-  const auto duty_outs =
-      runner.map(spec.axes.toggle_periods.size(), [&](std::size_t i) {
-        const core::CampaignConfig& cfg = duty_master.config();
-        core::AttackCampaign duty(duty_master);
-        duty.set_attack(cfg.trojan, spec.axes.toggle_periods[i], cfg.detector,
-                        cfg.response);
-        const auto out = duty.run(hts);
-        return std::pair<double, double>(out.infection_measured, out.q);
-      });
-
   json::Object payload;
   {
     json::Object clean;
@@ -805,31 +844,40 @@ json::Value run_attack_comparison(const ScenarioSpec& spec,
         json::Value(static_cast<long long>(gm_flits_flood));
     payload["flooding"] = json::Value(std::move(flooding));
   }
-  json::Array duty;
-  for (std::size_t i = 0; i < spec.axes.toggle_periods.size(); ++i) {
+  json::Array duty_rows;
+  for (std::size_t i = 0; i < duty.size(); ++i) {
+    const auto out = duty[i].reduce(runs[3 + i], runs[2], hts);
     json::Object row;
     row["period"] = json::Value(spec.axes.toggle_periods[i]);
-    row["infection"] = json::Value(duty_outs[i].first);
-    row["q"] = json::Value(duty_outs[i].second);
-    duty.push_back(json::Value(std::move(row)));
+    row["infection"] = json::Value(out.infection_measured);
+    row["q"] = json::Value(out.q);
+    duty_rows.push_back(json::Value(std::move(row)));
   }
-  payload["duty_cycle"] = json::Value(std::move(duty));
+  payload["duty_cycle"] = json::Value(std::move(duty_rows));
   return json::Value(std::move(payload));
 }
 
-/// The same mix-1 attack under every implemented allocation policy.
-json::Value run_budgeter_ablation(const ScenarioSpec& spec) {
-  json::Array rows;
+/// The same mix-1 attack under every implemented allocation policy. Each
+/// policy's baseline and attacked run go in one fan-out.
+json::Value run_budgeter_ablation(const ScenarioSpec& spec,
+                                  const core::ParallelSweepRunner& runner) {
+  std::vector<core::AttackCampaign> campaigns;
   for (const power::BudgeterKind kind : spec.axes.budgeters) {
     ScenarioSpec arm = spec;
     arm.system.budgeter = kind;
-    core::AttackCampaign campaign(campaign_config(arm, spec.workload.mix));
-    const MeshGeometry geom(spec.system.width, spec.system.height);
-    const auto hts =
-        resolve_cluster(ClusterSpec{ClusterSpec::At::kGm,
-                                    spec.axes.cluster_hts},
-                        geom, campaign.gm_node());
-    const auto out = campaign.run(hts);
+    campaigns.emplace_back(campaign_config(arm, spec.workload.mix));
+  }
+  // The policy does not move the manager: one cluster serves every arm.
+  const auto hts = gm_cluster(spec, campaigns.front().gm_node());
+  // Per policy: [0] the baseline, [1] the attacked run.
+  const auto runs = runner.map(2 * campaigns.size(), [&](std::size_t i) {
+    const core::AttackCampaign& campaign = campaigns[i / 2];
+    return i % 2 == 0 ? campaign.simulate({}) : campaign.simulate(hts);
+  });
+
+  json::Array rows;
+  for (std::size_t b = 0; b < campaigns.size(); ++b) {
+    const auto out = campaigns[b].reduce(runs[2 * b + 1], runs[2 * b], hts);
     double worst_victim = 1e9;
     double best_attacker = 0.0;
     for (const auto& app : out.apps) {
@@ -840,7 +888,7 @@ json::Value run_budgeter_ablation(const ScenarioSpec& spec) {
       }
     }
     json::Object row;
-    row["budgeter"] = json::Value(power::to_string(kind));
+    row["budgeter"] = json::Value(power::to_string(spec.axes.budgeters[b]));
     row["q"] = json::Value(out.q);
     row["infection"] = json::Value(out.infection_measured);
     row["worst_victim"] = json::Value(worst_victim);
@@ -855,9 +903,9 @@ json::Value run_budgeter_ablation(const ScenarioSpec& spec) {
 /// Closed-loop defense tradeoff grid: placements x {static, adaptive}
 /// Trojan x {none + axes.responses} response policy. Every arm simulates
 /// its own attacked run (responses perturb the dynamics, so nothing here
-/// can ride on trace replays), but all arms share one Trojan-free
-/// baseline: the probe is primed once and each arm clones it with its
-/// attack side swapped in; arms fan out across the pool. The
+/// can ride on trace replays), but all arms share one chip side and so
+/// one Trojan-free baseline; the baseline and every arm run in one
+/// fan-out, each arm on a campaign built from its own config. The
 /// static and adaptive arms are tuned to equal mean duty cycle
 /// (toggle_period_epochs vs max_on/hold_off), so the duty_comparison
 /// block isolates what grant-feedback adaptation buys the attacker.
@@ -869,7 +917,7 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
     int response = -1;  // -1 = no response policy, else axes.responses index
   };
 
-  core::AttackCampaign probe(campaign_config(spec, spec.workload.mix));
+  const core::AttackCampaign probe(campaign_config(spec, spec.workload.mix));
   const MeshGeometry geom(spec.system.width, spec.system.height);
   std::vector<std::vector<NodeId>> placements;
   for (const ClusterSpec& cluster : spec.axes.placements) {
@@ -881,41 +929,38 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
   }
 
   std::vector<Arm> arms;
+  std::vector<core::AttackCampaign> campaigns;  // campaigns[i]: arm i's
   for (std::size_t p = 0; p < placements.size(); ++p) {
     for (const bool adaptive : {false, true}) {
       for (int r = -1; r < static_cast<int>(spec.axes.responses.size()); ++r) {
         arms.push_back(Arm{p, adaptive, r});
+        core::CampaignConfig cfg = probe.config();
+        // Grant-feedback duty cycling replaces the open-loop toggle; the
+        // Trojans start live, the agent decides epoch by epoch.
+        cfg.trojan.adapt.enabled = adaptive;
+        if (adaptive) {
+          cfg.trojan.active = true;
+          cfg.toggle_period_epochs = 0;
+        }
+        if (r < 0) {
+          cfg.response.reset();
+        } else {
+          cfg.response->kind = spec.axes.responses[static_cast<std::size_t>(r)];
+        }
+        campaigns.emplace_back(std::move(cfg));
       }
     }
   }
-
-  probe.prime_baseline();
-  const auto outs = runner.map(arms.size(), [&](std::size_t i) {
-    const Arm& arm = arms[i];
-    const core::CampaignConfig& base = probe.config();
-    core::TrojanConfig trojan = base.trojan;
-    int toggle_period_epochs = base.toggle_period_epochs;
-    if (arm.adaptive) {
-      // Grant-feedback duty cycling replaces the open-loop toggle; the
-      // Trojans start live, the agent decides epoch by epoch.
-      trojan.active = true;
-      toggle_period_epochs = 0;
-      trojan.adapt.enabled = true;
-    } else {
-      trojan.adapt.enabled = false;
-    }
-    std::optional<power::ResponseConfig> response = base.response;
-    if (arm.response < 0) {
-      response.reset();
-    } else {
-      response->kind =
-          spec.axes.responses[static_cast<std::size_t>(arm.response)];
-    }
-    core::AttackCampaign campaign(probe);
-    campaign.set_attack(std::move(trojan), toggle_period_epochs,
-                        base.detector, std::move(response));
-    return campaign.run(placements[arm.placement]);
+  // [0]: the shared baseline; [1 + i]: arm i.
+  const auto runs = runner.map(1 + arms.size(), [&](std::size_t i) {
+    if (i == 0) return probe.simulate({});
+    return campaigns[i - 1].simulate(placements[arms[i - 1].placement]);
   });
+  std::vector<core::CampaignOutcome> outs(arms.size());
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    outs[i] = campaigns[i].reduce(runs[1 + i], runs[0],
+                                  placements[arms[i].placement]);
+  }
 
   const auto detection_rate = [&](const core::CampaignOutcome& out) {
     if (!out.detection.has_value() || attacker_cores == 0) return 0.0;
@@ -1173,13 +1218,13 @@ json::Value run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
       payload = run_defense_sweep(s, runner, timing);
       break;
     case ScenarioKind::kDefenseEvaluation:
-      payload = run_defense_evaluation(s);
+      payload = run_defense_evaluation(s, runner);
       break;
     case ScenarioKind::kAttackComparison:
       payload = run_attack_comparison(s, runner);
       break;
     case ScenarioKind::kBudgeterAblation:
-      payload = run_budgeter_ablation(s);
+      payload = run_budgeter_ablation(s, runner);
       break;
     case ScenarioKind::kConfigReport:
       payload = run_config_report(s);
@@ -1218,7 +1263,9 @@ power::RequestTrace record_scenario_trace(const ScenarioSpec& spec,
                                                 s.axes.cluster_hts}
                                   : s.axes.placements.front();
   const auto placement = resolve_cluster(cluster, geom, campaign.gm_node());
-  return campaign.record_trace(placement);
+  power::RequestTrace trace;
+  (void)campaign.simulate(placement, &trace);
+  return trace;
 }
 
 json::Value replay_scenario_detectors(const ScenarioSpec& spec,

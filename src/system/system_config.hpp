@@ -83,6 +83,8 @@ struct SystemConfig {
   /// Convenience presets for the paper's system-size sweep (64..512);
   /// delegates to with_mesh with the paper's shapes.
   [[nodiscard]] static SystemConfig with_size(int nodes);
+
+  friend bool operator==(const SystemConfig&, const SystemConfig&) = default;
 };
 
 }  // namespace htpb::system

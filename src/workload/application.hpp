@@ -36,6 +36,8 @@ struct Mix {
   [[nodiscard]] int app_count() const noexcept {
     return static_cast<int>(attackers.size() + victims.size());
   }
+
+  friend bool operator==(const Mix&, const Mix&) = default;
 };
 
 /// The four combinations of Table III (mix-1 .. mix-4).

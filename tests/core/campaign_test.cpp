@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -25,9 +26,15 @@ CampaignConfig fast_config(int mix_index = 0) {
   return cfg;
 }
 
+/// The attacked run of `hts` reduced against the campaign's own baseline.
+CampaignOutcome run(const AttackCampaign& campaign,
+                    std::span<const NodeId> hts) {
+  return campaign.reduce(campaign.simulate(hts), campaign.simulate({}), hts);
+}
+
 TEST(AttackCampaign, NoTrojansMeansNoEffect) {
   AttackCampaign campaign(fast_config());
-  const auto out = campaign.run({});
+  const auto out = run(campaign, {});
   EXPECT_DOUBLE_EQ(out.infection_measured, 0.0);
   ASSERT_TRUE(out.q_valid);
   // Identical seed and no tampering: attacked run == baseline run exactly.
@@ -40,7 +47,7 @@ TEST(AttackCampaign, TrojansNearManagerFlipTheAllocation) {
   const MeshGeometry geom(8, 8);
   const auto hts = clustered_placement(
       geom, 8, geom.coord_of(campaign.gm_node()), campaign.gm_node());
-  const auto out = campaign.run(hts);
+  const auto out = run(campaign, hts);
 
   EXPECT_GT(out.infection_measured, 0.9);
   EXPECT_NEAR(out.infection_measured, out.infection_predicted, 0.1);
@@ -67,7 +74,7 @@ TEST(AttackCampaign, QGrowsWithInfectionRate) {
   double prev_infection = -1.0;
   for (const double target : {0.25, 0.55, 0.95}) {
     const auto hts = analyzer.placement_for_target(target, 32, rng);
-    const auto out = campaign.run(hts);
+    const auto out = run(campaign, hts);
     EXPECT_GT(out.infection_measured, prev_infection);
     EXPECT_GT(out.q, prev_q * 0.98) << "Q not (weakly) increasing";
     prev_q = out.q;
@@ -83,7 +90,7 @@ TEST(AttackCampaign, DeactivatedTrojansAreHarmless) {
   const MeshGeometry geom(8, 8);
   const auto hts = clustered_placement(
       geom, 8, geom.coord_of(campaign.gm_node()), campaign.gm_node());
-  const auto out = campaign.run(hts);
+  const auto out = run(campaign, hts);
   EXPECT_DOUBLE_EQ(out.infection_measured, 0.0);
   // The configuration broadcast itself perturbs packet interleaving a
   // little, so the run is not bit-identical to the baseline -- but a
@@ -103,9 +110,9 @@ TEST(AttackCampaign, InfectionOnlyModeCoversFigThreeSetup) {
   const MeshGeometry geom(8, 8);
   const auto near_gm = clustered_placement(
       geom, 6, geom.coord_of(campaign.gm_node()), campaign.gm_node());
-  const double infected = campaign.run_infection_only(near_gm);
+  const double infected = campaign.simulate(near_gm).infection;
   EXPECT_GT(infected, 0.5);
-  const double clean = campaign.run_infection_only({});
+  const double clean = campaign.simulate({}).infection;
   EXPECT_DOUBLE_EQ(clean, 0.0);
 }
 
@@ -126,7 +133,7 @@ TEST(AttackCampaign, CornerManagerSeesHigherInfectionThanCenter) {
     for (std::uint64_t seed = 0; seed < 3; ++seed) {
       Rng r(seed + 100);
       const auto hts = random_placement(geom, 12, r, campaign.gm_node());
-      sum += campaign.run_infection_only(hts);
+      sum += campaign.simulate(hts).infection;
     }
     return sum / 3.0;
   };
@@ -138,7 +145,7 @@ TEST(AttackCampaign, CornerManagerSeesHigherInfectionThanCenter) {
 TEST(AttackCampaign, BaselinePhiExposesSensitivitySpread) {
   AttackCampaign campaign(fast_config());
   // Every outcome carries the baseline run's per-app Phi.
-  const CampaignOutcome out = campaign.run({});
+  const CampaignOutcome out = run(campaign, {});
   ASSERT_EQ(out.apps.size(), 4U);
   // mix-1: blackscholes (victim index 2) must dominate canneal (index 1).
   EXPECT_GT(out.apps[2].phi, out.apps[1].phi);
@@ -162,44 +169,70 @@ std::string rejection(Fn&& fn) {
   return "";
 }
 
-// set_attack enforces the constructor's attack-side rules, word for word,
-// and a rejected call leaves the campaign's attack side untouched.
-TEST(AttackCampaign, SetAttackRejectsWhatTheConstructorRejects) {
-  const CampaignConfig ok = fast_config();
-
-  CampaignConfig headless = ok;
+// The constructor rejects an illegal attack side: a response needs a
+// detector to act on, and adaptation and toggle are rival controllers.
+TEST(AttackCampaign, ConstructorRejectsIllegalAttackSide) {
+  CampaignConfig headless = fast_config();
   headless.response = power::ResponseConfig{};
   const std::string no_detector =
       rejection([&] { AttackCampaign{headless}; });
   EXPECT_NE(no_detector.find("requires a detector"), std::string::npos)
       << no_detector;
 
-  CampaignConfig rivals = ok;
+  CampaignConfig rivals = fast_config();
   rivals.trojan.adapt.enabled = true;
   rivals.toggle_period_epochs = 2;
   const std::string rival = rejection([&] { AttackCampaign{rivals}; });
   EXPECT_NE(rival.find("rival"), std::string::npos) << rival;
 
-  AttackCampaign campaign(ok);
-  EXPECT_EQ(rejection([&] {
-              campaign.set_attack(ok.trojan, 0, std::nullopt,
-                                  power::ResponseConfig{});
-            }),
-            no_detector);
-  EXPECT_EQ(rejection([&] {
-              campaign.set_attack(rivals.trojan, 2, std::nullopt,
-                                  std::nullopt);
-            }),
-            rival);
-  EXPECT_FALSE(campaign.config().trojan.adapt.enabled);
-  EXPECT_EQ(campaign.config().toggle_period_epochs, 0);
-  EXPECT_FALSE(campaign.config().response.has_value());
+  // Each rule alone is legal.
+  CampaignConfig responsive = headless;
+  responsive.detector = power::DetectorConfig{};
+  EXPECT_EQ(rejection([&] { AttackCampaign{responsive}; }), "");
+  rivals.toggle_period_epochs = 0;
+  EXPECT_EQ(rejection([&] { AttackCampaign{rivals}; }), "");
+}
 
-  // A legal attack side is taken as given.
-  campaign.set_attack(rivals.trojan, 0, power::DetectorConfig{},
-                      power::ResponseConfig{});
-  EXPECT_TRUE(campaign.config().trojan.adapt.enabled);
-  EXPECT_TRUE(campaign.config().response.has_value());
+// A baseline is a value any campaign on the same chip side may reduce
+// against, whatever its attack side; reduce() rejects one simulated on a
+// different system or epoch window.
+TEST(AttackCampaign, ReduceRejectsABaselineFromAnotherChipSide) {
+  const CampaignConfig cfg = fast_config();
+  const AttackCampaign campaign(cfg);
+  const MeshGeometry geom(8, 8);
+  const auto hts = clustered_placement(
+      geom, 4, geom.coord_of(campaign.gm_node()), campaign.gm_node());
+  const RunResult attacked = campaign.simulate(hts);
+  const CampaignOutcome own = run(campaign, hts);
+
+  CampaignConfig other_attack = cfg;
+  other_attack.trojan.victim_scale = 0.5;
+  other_attack.toggle_period_epochs = 2;
+  other_attack.detector = power::DetectorConfig{};
+  const RunResult shared = AttackCampaign(other_attack).simulate({});
+  EXPECT_EQ(campaign.reduce(attacked, shared, hts).q, own.q);
+
+  CampaignConfig guarded = cfg;
+  guarded.system.guard_requests = true;
+  const std::string system = rejection([&] {
+    (void)campaign.reduce(attacked, AttackCampaign(guarded).simulate({}), hts);
+  });
+  EXPECT_NE(system.find("different chip side"), std::string::npos) << system;
+
+  CampaignConfig shorter = cfg;
+  shorter.measure_epochs = cfg.measure_epochs - 1;
+  EXPECT_NE(rejection([&] {
+              (void)campaign.reduce(attacked,
+                                    AttackCampaign(shorter).simulate({}), hts);
+            }),
+            "");
+  CampaignConfig longer_warmup = cfg;
+  longer_warmup.warmup_epochs = cfg.warmup_epochs + 1;
+  EXPECT_NE(rejection([&] {
+              (void)campaign.reduce(
+                  attacked, AttackCampaign(longer_warmup).simulate({}), hts);
+            }),
+            "");
 }
 
 }  // namespace

@@ -34,6 +34,12 @@ std::vector<NodeId> gm_cluster(const AttackCampaign& campaign, int m) {
                              campaign.gm_node());
 }
 
+/// Attack `m` GM-adjacent nodes and reduce against the campaign's baseline.
+CampaignOutcome run_gm_cluster(const AttackCampaign& campaign, int m) {
+  const auto hts = gm_cluster(campaign, m);
+  return campaign.reduce(campaign.simulate(hts), campaign.simulate({}), hts);
+}
+
 TEST(DefenseIntegration, DetectorFlagsVictimsAndAccomplices) {
   CampaignConfig cfg = base_config();
   // The Trojans are active from power-on, so a detector would never see
@@ -44,7 +50,7 @@ TEST(DefenseIntegration, DetectorFlagsVictimsAndAccomplices) {
   cfg.toggle_period_epochs = 3;    // flips ON after 3 epochs
   cfg.measure_epochs = 6;
   AttackCampaign campaign(cfg);
-  const auto out = campaign.run(gm_cluster(campaign, 8));
+  const auto out = campaign.simulate(gm_cluster(campaign, 8));
   ASSERT_TRUE(out.detection.has_value());
   // Victims' requests collapsed 10x after the flip: flagged.
   EXPECT_GT(out.detection->flagged_low.size(), 10U);
@@ -62,7 +68,7 @@ TEST(DefenseIntegration, DetectorQuietWithoutAttack) {
   // on attacked runs only), but the OFF signal keeps it harmless.
   cfg.trojan.active = false;
   AttackCampaign clean(cfg);
-  const auto out = clean.run(gm_cluster(clean, 2));
+  const auto out = clean.simulate(gm_cluster(clean, 2));
   ASSERT_TRUE(out.detection.has_value());
   EXPECT_TRUE(out.detection->flagged_low.empty())
       << "false positives on clean traffic";
@@ -73,19 +79,19 @@ TEST(DefenseIntegration, DetectorQuietWithoutAttack) {
 TEST(DefenseIntegration, NoDetectorMeansNoReport) {
   CampaignConfig cfg = base_config();
   AttackCampaign campaign(cfg);
-  const auto out = campaign.run(gm_cluster(campaign, 4));
+  const auto out = campaign.simulate(gm_cluster(campaign, 4));
   EXPECT_FALSE(out.detection.has_value());
 }
 
 TEST(DefenseIntegration, GuardedBudgeterBluntsTheAttack) {
   CampaignConfig cfg = base_config();
   AttackCampaign undefended(cfg);
-  const auto attacked = undefended.run(gm_cluster(undefended, 8));
+  const auto attacked = run_gm_cluster(undefended, 8);
 
   CampaignConfig guarded_cfg = base_config();
   guarded_cfg.system.guard_requests = true;
   AttackCampaign defended(guarded_cfg);
-  const auto mitigated = defended.run(gm_cluster(defended, 8));
+  const auto mitigated = run_gm_cluster(defended, 8);
 
   ASSERT_TRUE(attacked.q_valid);
   ASSERT_TRUE(mitigated.q_valid);
@@ -110,13 +116,13 @@ TEST(DefenseIntegration, DutyCycledAttackScalesWithDuty) {
   cfg.warmup_epochs = 0;
   cfg.measure_epochs = 8;
   AttackCampaign duty(cfg);
-  const auto duty_out = duty.run(gm_cluster(duty, 8));
+  const auto duty_out = run_gm_cluster(duty, 8);
 
   CampaignConfig full_cfg = base_config();
   full_cfg.warmup_epochs = 0;
   full_cfg.measure_epochs = 8;
   AttackCampaign full(full_cfg);
-  const auto full_out = full.run(gm_cluster(full, 8));
+  const auto full_out = run_gm_cluster(full, 8);
 
   EXPECT_LT(duty_out.infection_measured, full_out.infection_measured * 0.8);
   EXPECT_GT(duty_out.infection_measured, 0.2);

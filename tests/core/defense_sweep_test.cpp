@@ -47,6 +47,24 @@ std::vector<std::vector<NodeId>> test_placements(const CampaignConfig& cfg) {
   };
 }
 
+/// Every set's outcome: the sets and one shared baseline simulated across
+/// a `threads`-wide pool, then reduced.
+std::vector<CampaignOutcome> sweep_outcomes(
+    const CampaignConfig& cfg, std::span<const std::vector<NodeId>> sets,
+    int threads) {
+  const AttackCampaign campaign(cfg);
+  const auto runs =
+      ParallelSweepRunner(threads).map(1 + sets.size(), [&](std::size_t i) {
+        if (i == 0) return campaign.simulate({});
+        return campaign.simulate(sets[i - 1]);
+      });
+  std::vector<CampaignOutcome> outs;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    outs.push_back(campaign.reduce(runs[1 + i], runs[0], sets[i]));
+  }
+  return outs;
+}
+
 void expect_outcomes_identical(const CampaignOutcome& a,
                                const CampaignOutcome& b,
                                const std::string& context) {
@@ -74,8 +92,7 @@ TEST(DefenseSweepDeterminism, BitIdenticalAtOneTwoEightThreads) {
   const CampaignConfig cfg = defended_config();
   const auto placements = test_placements(cfg);
   const auto sweep = [&](int threads) {
-    AttackCampaign master(cfg);
-    return ParallelSweepRunner(threads).run_node_sets(master, placements);
+    return sweep_outcomes(cfg, placements, threads);
   };
 
   const auto one = sweep(1);
@@ -109,8 +126,7 @@ TEST(DefenseSweepDeterminism, DetectionIndependentOfBatchAndOrder) {
   const auto placements = test_placements(cfg);
   // A fresh campaign per batch: nothing carries over between batches.
   const auto sweep = [&](std::span<const std::vector<NodeId>> sets) {
-    AttackCampaign master(cfg);
-    return ParallelSweepRunner(2).run_node_sets(master, sets);
+    return sweep_outcomes(cfg, sets, 2);
   };
 
   const auto batch = sweep(placements);
@@ -237,14 +253,16 @@ TEST(DefenseSweep, MatchesPerCellResimulation) {
   // Pre-refactor detection arm: one re-simulation per cell.
   CampaignConfig detect_cfg = sweep_cfg.base;
   detect_cfg.detector.reset();
-  AttackCampaign master(detect_cfg);
-  master.prime_baseline();
+  const AttackCampaign master(detect_cfg);
+  const RunResult baseline = master.simulate({});
   for (std::size_t d = 0; d < sweep_cfg.detectors.size(); ++d) {
+    CampaignConfig cell_cfg = detect_cfg;
+    cell_cfg.detector = sweep_cfg.detectors[d];
+    const AttackCampaign cell(cell_cfg);
     for (std::size_t p = 0; p < sweep_cfg.placements.size(); ++p) {
-      AttackCampaign clone(master);
-      clone.set_attack(detect_cfg.trojan, detect_cfg.toggle_period_epochs,
-                       sweep_cfg.detectors[d], std::nullopt);
-      const CampaignOutcome reference = clone.run(sweep_cfg.placements[p]);
+      const auto& placement = sweep_cfg.placements[p];
+      const CampaignOutcome reference =
+          cell.reduce(cell.simulate(placement), baseline, placement);
       expect_outcomes_identical(curve[d].cells[p].outcome, reference,
                                 "cell " + std::to_string(d) + "," +
                                     std::to_string(p));
@@ -254,9 +272,9 @@ TEST(DefenseSweep, MatchesPerCellResimulation) {
     clean_cfg.detector = sweep_cfg.detectors[d];
     clean_cfg.trojan.active = false;
     clean_cfg.toggle_period_epochs = 0;
-    AttackCampaign clean(clean_cfg);
     const auto clean_report =
-        clean.run_detection_only(sweep_cfg.placements.front());
+        AttackCampaign(clean_cfg).simulate(sweep_cfg.placements.front())
+            .detection;
     ASSERT_TRUE(clean_report.has_value());
     int monitored = 0;
     for (const auto& app : master.apps()) {

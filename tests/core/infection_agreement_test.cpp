@@ -55,7 +55,7 @@ TEST_P(InfectionAgreementTest, AnalyticMatchesSimulated) {
   }
 
   const double analytic = analyzer.predicted_rate(hts);
-  const double simulated = campaign.run_infection_only(hts);
+  const double simulated = campaign.simulate(hts).infection;
   // The simulated rate includes warm-up effects (configuration packets
   // still propagating during the first measured epoch on big meshes), so
   // allow a modest tolerance.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/attack_model.hpp"
+#include "core/campaign.hpp"
 #include "core/optimizer.hpp"
 #include "core/placement.hpp"
 
@@ -80,11 +81,21 @@ TEST(ParallelSweepRunner, PlacementSweepBitIdenticalAcrossThreadCounts) {
     placements.insert(placements.end(), cands.begin(), cands.end());
   }
 
-  AttackCampaign serial(cfg);
-  AttackCampaign parallel(cfg);
-  const auto one = ParallelSweepRunner(1).run_placements(serial, placements);
-  const auto many =
-      ParallelSweepRunner(4).run_placements(parallel, placements);
+  // The baseline and every placement in one fan-out, then reduced.
+  const auto sweep = [&](int threads) {
+    const auto runs = ParallelSweepRunner(threads).map(
+        1 + placements.size(), [&](std::size_t i) {
+          if (i == 0) return probe.simulate({});
+          return probe.simulate(placements[i - 1].nodes);
+        });
+    std::vector<CampaignOutcome> outs;
+    for (std::size_t i = 0; i < placements.size(); ++i) {
+      outs.push_back(probe.reduce(runs[1 + i], runs[0], placements[i].nodes));
+    }
+    return outs;
+  };
+  const auto one = sweep(1);
+  const auto many = sweep(4);
 
   ASSERT_EQ(one.size(), placements.size());
   ASSERT_EQ(one.size(), many.size());

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,14 @@ CampaignConfig base_config() {
   cfg.measure_epochs = 4;
   cfg.detector = power::DetectorConfig{};
   return cfg;
+}
+
+/// One simulation of `placement` with its request stream recorded.
+power::RequestTrace record(const AttackCampaign& campaign,
+                           std::span<const NodeId> placement) {
+  power::RequestTrace trace;
+  (void)campaign.simulate(placement, &trace);
+  return trace;
 }
 
 std::vector<std::vector<NodeId>> placements_for(const CampaignConfig& cfg) {
@@ -81,7 +90,7 @@ TEST(TraceReplay, ReplayBitIdenticalToInSimulationDetection) {
     CampaignConfig record_cfg = cfg;
     record_cfg.detector.reset();
     AttackCampaign recorder(record_cfg);
-    const power::RequestTrace trace = recorder.record_trace(placement);
+    const power::RequestTrace trace = record(recorder, placement);
     ASSERT_FALSE(trace.empty());
     EXPECT_EQ(trace.node_count, 64);
     EXPECT_EQ(trace.epoch_cycles, 1000U);
@@ -93,7 +102,7 @@ TEST(TraceReplay, ReplayBitIdenticalToInSimulationDetection) {
       CampaignConfig in_sim_cfg = cfg;
       in_sim_cfg.detector = d;
       AttackCampaign in_sim(in_sim_cfg);
-      const auto reference = in_sim.run_detection_only(placement);
+      const auto reference = in_sim.simulate(placement).detection;
       ASSERT_TRUE(reference.has_value());
 
       const power::DetectorReport replayed = power::replay_detector(trace, d);
@@ -105,40 +114,41 @@ TEST(TraceReplay, ReplayBitIdenticalToInSimulationDetection) {
   }
 }
 
-TEST(TraceReplay, TracedRunMatchesPlainRunAndRecordTrace) {
+TEST(TraceReplay, RecordingNeverPerturbsTheRun) {
   const CampaignConfig cfg = base_config();
   const auto placement = placements_for(cfg).front();
 
-  AttackCampaign a(cfg);
-  AttackCampaign b(cfg);
-  const auto traced = a.run_traced(placement);
-  const CampaignOutcome plain = b.run(placement);
+  const AttackCampaign campaign(cfg);
+  const RunResult baseline = campaign.simulate({});
+  power::RequestTrace trace;
+  const CampaignOutcome traced =
+      campaign.reduce(campaign.simulate(placement, &trace), baseline,
+                      placement);
+  const CampaignOutcome plain =
+      campaign.reduce(campaign.simulate(placement), baseline, placement);
 
   // Recording is observational: the traced outcome matches a plain run
-  // in every metric. run_traced engages the configured in-sim detector
-  // under the same rule as run(), so detection matches too (asserted
-  // below) -- the trace is an additional output, not a replacement.
-  EXPECT_EQ(traced.outcome.infection_measured, plain.infection_measured);
-  EXPECT_EQ(traced.outcome.q_valid, plain.q_valid);
-  EXPECT_EQ(traced.outcome.q, plain.q);
-  ASSERT_EQ(traced.outcome.apps.size(), plain.apps.size());
+  // in every metric, in-sim detection included -- the trace is an
+  // additional output, not a replacement.
+  EXPECT_EQ(traced.infection_measured, plain.infection_measured);
+  EXPECT_EQ(traced.q_valid, plain.q_valid);
+  EXPECT_EQ(traced.q, plain.q);
+  ASSERT_EQ(traced.apps.size(), plain.apps.size());
   for (std::size_t i = 0; i < plain.apps.size(); ++i) {
-    EXPECT_EQ(traced.outcome.apps[i].theta_attacked,
-              plain.apps[i].theta_attacked);
-    EXPECT_EQ(traced.outcome.apps[i].change, plain.apps[i].change);
+    EXPECT_EQ(traced.apps[i].theta_attacked, plain.apps[i].theta_attacked);
+    EXPECT_EQ(traced.apps[i].change, plain.apps[i].change);
   }
-  // The configured detector engages in both runs identically, and the
-  // trace replayed through the same config reproduces that report bit
-  // for bit -- recording perturbs nothing, in-sim detection included.
-  ASSERT_TRUE(traced.outcome.detection.has_value());
+  // The trace replayed through the configured detector reproduces the
+  // in-sim report bit for bit.
+  ASSERT_TRUE(traced.detection.has_value());
   ASSERT_TRUE(plain.detection.has_value());
-  EXPECT_EQ(*traced.outcome.detection, *plain.detection);
-  EXPECT_EQ(power::replay_detector(traced.trace, *cfg.detector),
-            *plain.detection);
+  EXPECT_EQ(*traced.detection, *plain.detection);
+  EXPECT_EQ(power::replay_detector(trace, *cfg.detector), *plain.detection);
 
-  // record_trace (baseline-free) captures the identical stream.
-  AttackCampaign c(cfg);
-  EXPECT_EQ(c.record_trace(placement), traced.trace);
+  // A detector-free campaign records the identical stream.
+  CampaignConfig bare = cfg;
+  bare.detector.reset();
+  EXPECT_EQ(record(AttackCampaign(bare), placement), trace);
 }
 
 TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
@@ -173,7 +183,7 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
   // The detection and clean arms cost 1 shared baseline + |placements|
   // recorded runs + 1 clean recording, whatever the detector-grid size;
   // only the guard arm, which perturbs the dynamics, grows with the grid
-  // (one primed master plus its placements per operating point).
+  // (one baseline plus its placements per operating point).
   const auto expected = [&](std::uint64_t grid) {
     return 1 + placements + 1 + grid * (1 + placements);
   };
@@ -190,11 +200,13 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
   migrate.kind = power::ResponseKind::kMigrate;
   migrate.trigger = power::ResponseTrigger::kBoth;
   migrate_cfg.response = migrate;
-  AttackCampaign campaign(migrate_cfg);
-  campaign.prime_baseline();
+  const AttackCampaign campaign(migrate_cfg);
+  const RunResult baseline = campaign.simulate({});
   const std::uint64_t systems_before = AttackCampaign::systems_simulated();
   const std::uint64_t warmup_before = AttackCampaign::warmup_epochs_simulated();
-  const CampaignOutcome out = campaign.run(sweep_cfg.placements.front());
+  const CampaignOutcome out =
+      campaign.reduce(campaign.simulate(sweep_cfg.placements.front()),
+                      baseline, sweep_cfg.placements.front());
   ASSERT_TRUE(out.response.has_value());
   ASSERT_EQ(out.response->migrations, 1);
   EXPECT_EQ(AttackCampaign::systems_simulated() - systems_before, 2U);
@@ -253,8 +265,7 @@ TEST(TraceReplay, EpochZeroAttackMissedByEwmaCaughtByCohort) {
   const auto placement = clustered_placement(
       geom, 8, geom.coord_of(probe.gm_node()), probe.gm_node());
 
-  AttackCampaign campaign(cfg);
-  const power::RequestTrace trace = campaign.record_trace(placement);
+  const power::RequestTrace trace = record(AttackCampaign(cfg), placement);
   ASSERT_FALSE(trace.empty());
 
   power::DetectorConfig ewma;  // kSelfEwma defaults
@@ -281,7 +292,7 @@ TEST(TraceReplay, EpochZeroAttackMissedByEwmaCaughtByCohort) {
   CampaignConfig in_sim_cfg = cfg;
   in_sim_cfg.detector = cohort;
   AttackCampaign in_sim(in_sim_cfg);
-  const auto live = in_sim.run_detection_only(placement);
+  const auto live = in_sim.simulate(placement).detection;
   ASSERT_TRUE(live.has_value());
   EXPECT_EQ(*live, cohort_report);
 }
@@ -342,8 +353,8 @@ TEST(TraceIo, SaveLoadRoundTripsExactly) {
   const auto placement = placements_for(cfg).front();
   CampaignConfig record_cfg = cfg;
   record_cfg.detector.reset();
-  AttackCampaign campaign(record_cfg);
-  const power::RequestTrace trace = campaign.record_trace(placement);
+  const power::RequestTrace trace =
+      record(AttackCampaign(record_cfg), placement);
   ASSERT_FALSE(trace.empty());
 
   const TempFile file("trace_io_roundtrip.htpbtrc");
@@ -413,8 +424,8 @@ TEST(TraceIo, RejectsCorruptAndForeignFiles) {
   const auto placement = placements_for(cfg).front();
   CampaignConfig record_cfg = cfg;
   record_cfg.detector.reset();
-  AttackCampaign campaign(record_cfg);
-  const power::RequestTrace trace = campaign.record_trace(placement);
+  const power::RequestTrace trace =
+      record(AttackCampaign(record_cfg), placement);
   const TempFile whole("trace_io_whole.htpbtrc");
   trace.save(whole.path());
 

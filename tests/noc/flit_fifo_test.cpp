@@ -14,7 +14,6 @@
 #include "common/json.hpp"
 #include "noc/network.hpp"
 #include "noc/router.hpp"
-#include "noc/routing.hpp"
 #include "sim/engine.hpp"
 
 namespace htpb::noc {
@@ -32,7 +31,6 @@ NocConfig sized(int vcs, int depth) {
 struct Rig {
   MeshGeometry geom{2, 1};
   NocConfig cfg;
-  XyRouting xy;
   Router router;
   PacketPool pool;
   std::map<PacketId, PacketPtr> by_id;  // resolver for load_state
@@ -43,7 +41,7 @@ struct Rig {
   PacketId next_id = 1;
 
   Rig(int vcs, int depth)
-      : cfg(sized(vcs, depth)), router(0, geom, cfg, &xy) {
+      : cfg(sized(vcs, depth)), router(0, geom, cfg) {
     router.set_port_connected(Direction::kEast, true);
   }
 

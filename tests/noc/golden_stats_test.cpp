@@ -30,17 +30,14 @@ namespace {
 
 // --- captured on the pre-refactor core (seed commit 115225c) ------------
 constexpr std::uint64_t kGoldenXy = 0x34ded9a10a5a07dfULL;
-constexpr std::uint64_t kGoldenAdaptive = 0x2fc41bd560f49a92ULL;
 constexpr std::uint64_t kGoldenCampaign = 0xb3007d5274eab1a9ULL;
 constexpr std::uint64_t kGoldenXyDelivered = 1500;
-constexpr std::uint64_t kGoldenAdaptiveDelivered = 1500;
 // ------------------------------------------------------------------------
 
 // --- 10x13 = 130 nodes: the active-node sets span three 64-bit words, the
 // last one partial. Captured before the bitset active sets replaced the
 // sorted id lists. ------------------------------------------------------
 constexpr std::uint64_t kGoldenXyWide = 0xcdfbcfee2ac50109ULL;
-constexpr std::uint64_t kGoldenAdaptiveWide = 0x36083b41d0a4c655ULL;
 // ------------------------------------------------------------------------
 
 class Fingerprint {
@@ -81,13 +78,10 @@ struct NocGoldenRun {
   std::uint64_t delivered = 0;
 };
 
-NocGoldenRun run_noc_golden(RoutingKind routing, int width = 8,
-                            int height = 8) {
+NocGoldenRun run_noc_golden(int width = 8, int height = 8) {
   sim::Engine engine;
   MeshGeometry geom(width, height);
-  NocConfig cfg;
-  cfg.routing = routing;
-  MeshNetwork net(engine, geom, cfg);
+  MeshNetwork net(engine, geom, NocConfig{});
 
   Fingerprint fp;
   Histogram latency_hist(0.0, 120.0, 40);
@@ -158,7 +152,7 @@ NocGoldenRun run_noc_golden(RoutingKind routing, int width = 8,
 }
 
 TEST(GoldenStats, XyRoutingBitIdentical) {
-  const NocGoldenRun run = run_noc_golden(RoutingKind::kXY);
+  const NocGoldenRun run = run_noc_golden();
   if (dump_mode()) {
     std::printf("kGoldenXy = 0x%llxULL; delivered = %llu\n",
                 static_cast<unsigned long long>(run.fingerprint),
@@ -169,22 +163,8 @@ TEST(GoldenStats, XyRoutingBitIdentical) {
   EXPECT_EQ(run.fingerprint, kGoldenXy);
 }
 
-TEST(GoldenStats, WestFirstAdaptiveBitIdentical) {
-  // Adaptive routing reads per-port free credits during RC, so it is the
-  // most sensitive consumer of credit-update ordering.
-  const NocGoldenRun run = run_noc_golden(RoutingKind::kWestFirstAdaptive);
-  if (dump_mode()) {
-    std::printf("kGoldenAdaptive = 0x%llxULL; delivered = %llu\n",
-                static_cast<unsigned long long>(run.fingerprint),
-                static_cast<unsigned long long>(run.delivered));
-    return;
-  }
-  EXPECT_EQ(run.delivered, kGoldenAdaptiveDelivered);
-  EXPECT_EQ(run.fingerprint, kGoldenAdaptive);
-}
-
 TEST(GoldenStats, XyRoutingAcrossWordBoundaries) {
-  const NocGoldenRun run = run_noc_golden(RoutingKind::kXY, 10, 13);
+  const NocGoldenRun run = run_noc_golden(10, 13);
   if (dump_mode()) {
     std::printf("kGoldenXyWide = 0x%llxULL; delivered = %llu\n",
                 static_cast<unsigned long long>(run.fingerprint),
@@ -193,19 +173,6 @@ TEST(GoldenStats, XyRoutingAcrossWordBoundaries) {
   }
   EXPECT_EQ(run.delivered, 1500U);
   EXPECT_EQ(run.fingerprint, kGoldenXyWide);
-}
-
-TEST(GoldenStats, WestFirstAdaptiveAcrossWordBoundaries) {
-  const NocGoldenRun run =
-      run_noc_golden(RoutingKind::kWestFirstAdaptive, 10, 13);
-  if (dump_mode()) {
-    std::printf("kGoldenAdaptiveWide = 0x%llxULL; delivered = %llu\n",
-                static_cast<unsigned long long>(run.fingerprint),
-                static_cast<unsigned long long>(run.delivered));
-    return;
-  }
-  EXPECT_EQ(run.delivered, 1500U);
-  EXPECT_EQ(run.fingerprint, kGoldenAdaptiveWide);
 }
 
 TEST(GoldenStats, FullCampaignOutcomeBitIdentical) {
@@ -225,7 +192,8 @@ TEST(GoldenStats, FullCampaignOutcomeBitIdentical) {
   core::AttackCampaign campaign(cfg);
 
   const std::vector<NodeId> hts = {9, 18, 27, 36};
-  const core::CampaignOutcome out = campaign.run(hts);
+  const core::CampaignOutcome out =
+      campaign.reduce(campaign.simulate(hts), campaign.simulate({}), hts);
 
   Fingerprint fp;
   fp.add_double(out.infection_measured);

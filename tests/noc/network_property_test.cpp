@@ -1,10 +1,9 @@
-// Property-style sweeps: across mesh sizes, routing algorithms and seeds,
+// Property-style sweeps: across mesh sizes and seeds,
 // uniform-random traffic must be fully delivered, in bounded time, with no
 // buffer-overflow (asserted in Router) and conserved packet counts.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <tuple>
 
 #include "common/rng.hpp"
 #include "noc/network.hpp"
@@ -16,7 +15,6 @@ namespace {
 struct PropertyParam {
   int width;
   int height;
-  RoutingKind routing;
   std::uint64_t seed;
   int packets;
 };
@@ -27,9 +25,7 @@ TEST_P(NetworkPropertyTest, UniformRandomTrafficFullyDelivered) {
   const auto p = GetParam();
   sim::Engine engine;
   MeshGeometry geom(p.width, p.height);
-  NocConfig cfg;
-  cfg.routing = p.routing;
-  MeshNetwork net(engine, geom, cfg);
+  MeshNetwork net(engine, geom, NocConfig{});
 
   std::map<PacketId, int> outstanding;
   int delivered = 0;
@@ -69,31 +65,25 @@ TEST_P(NetworkPropertyTest, UniformRandomTrafficFullyDelivered) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, NetworkPropertyTest,
     ::testing::Values(
-        PropertyParam{2, 2, RoutingKind::kXY, 1, 60},
-        PropertyParam{4, 4, RoutingKind::kXY, 2, 200},
-        PropertyParam{4, 4, RoutingKind::kXY, 3, 200},
-        PropertyParam{8, 8, RoutingKind::kXY, 4, 400},
-        PropertyParam{8, 4, RoutingKind::kXY, 5, 250},
-        PropertyParam{1, 8, RoutingKind::kXY, 6, 100},
-        PropertyParam{8, 1, RoutingKind::kXY, 7, 100},
-        PropertyParam{4, 4, RoutingKind::kWestFirstAdaptive, 8, 200},
-        PropertyParam{8, 8, RoutingKind::kWestFirstAdaptive, 9, 400},
-        PropertyParam{6, 3, RoutingKind::kWestFirstAdaptive, 10, 200},
-        PropertyParam{16, 16, RoutingKind::kXY, 11, 600},
-        PropertyParam{16, 16, RoutingKind::kWestFirstAdaptive, 12, 600}));
+        PropertyParam{2, 2, 1, 60},
+        PropertyParam{4, 4, 2, 200},
+        PropertyParam{4, 4, 3, 200},
+        PropertyParam{8, 8, 4, 400},
+        PropertyParam{8, 4, 5, 250},
+        PropertyParam{1, 8, 6, 100},
+        PropertyParam{8, 1, 7, 100},
+        PropertyParam{16, 16, 11, 600}));
 
-class LatencyBoundTest
-    : public ::testing::TestWithParam<std::tuple<int, RoutingKind>> {};
+class LatencyBoundTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LatencyBoundTest, ZeroLoadLatencyMatchesAnalyticalModel) {
   // Unloaded network: latency of a single packet must equal
   // hops * (router_latency + link_latency) + router+link at source/sink
   // + serialization (flits - 1).
-  const auto [size, routing] = GetParam();
+  const int size = GetParam();
   sim::Engine engine;
   MeshGeometry geom(size, size);
-  NocConfig cfg;
-  cfg.routing = routing;
+  const NocConfig cfg;
   MeshNetwork net(engine, geom, cfg);
 
   const NodeId src = 0;
@@ -114,10 +104,7 @@ TEST_P(LatencyBoundTest, ZeroLoadLatencyMatchesAnalyticalModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sizes, LatencyBoundTest,
-    ::testing::Combine(::testing::Values(2, 4, 8, 16),
-                       ::testing::Values(RoutingKind::kXY,
-                                         RoutingKind::kWestFirstAdaptive)));
+    Sizes, LatencyBoundTest, ::testing::Values(2, 4, 8, 16));
 
 }  // namespace
 }  // namespace htpb::noc

@@ -17,15 +17,8 @@ struct NetFixture {
   NocConfig cfg;
   MeshNetwork net;
 
-  explicit NetFixture(int w = 4, int h = 4,
-                      RoutingKind routing = RoutingKind::kXY)
-      : geom(w, h), cfg{}, net(engine, geom, make_cfg(routing)) {}
-
-  static NocConfig make_cfg(RoutingKind routing) {
-    NocConfig c;
-    c.routing = routing;
-    return c;
-  }
+  explicit NetFixture(int w = 4, int h = 4)
+      : geom(w, h), cfg{}, net(engine, geom, cfg) {}
 };
 
 TEST(Network, DeliversAcrossDiagonal) {

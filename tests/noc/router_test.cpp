@@ -167,19 +167,17 @@ TEST(Router, RejectsOddVcCount) {
   MeshGeometry geom(2, 1);
   NocConfig cfg;
   cfg.vcs = 3;
-  XyRouting xy;
-  EXPECT_THROW(Router(0, geom, cfg, &xy), std::invalid_argument);
+  EXPECT_THROW(Router(0, geom, cfg), std::invalid_argument);
 }
 
 TEST(Router, RejectsVcDepthBelowOne) {
   // Depth 0 used to build a network whose NIs never got a credit: every
   // packet sat queued forever without an error.
   MeshGeometry geom(2, 1);
-  XyRouting xy;
   for (const int depth : {0, -1}) {
     NocConfig cfg;
     cfg.vc_depth = depth;
-    EXPECT_THROW(Router(0, geom, cfg, &xy), std::invalid_argument);
+    EXPECT_THROW(Router(0, geom, cfg), std::invalid_argument);
     sim::Engine engine;
     EXPECT_THROW(MeshNetwork(engine, geom, cfg), std::invalid_argument);
   }
@@ -189,17 +187,16 @@ TEST(Router, RejectsSizesBeyondTheVcRegisters) {
   // Ring head/size registers are one byte; per-VC state is sized by
   // kMaxVcs.
   MeshGeometry geom(2, 1);
-  XyRouting xy;
   NocConfig cfg;
   cfg.vc_depth = 255;
-  EXPECT_NO_THROW(Router(0, geom, cfg, &xy));
+  EXPECT_NO_THROW(Router(0, geom, cfg));
   cfg.vc_depth = 256;
-  EXPECT_THROW(Router(0, geom, cfg, &xy), std::invalid_argument);
+  EXPECT_THROW(Router(0, geom, cfg), std::invalid_argument);
   cfg.vc_depth = 5;
   cfg.vcs = kMaxVcs;
-  EXPECT_NO_THROW(Router(0, geom, cfg, &xy));
+  EXPECT_NO_THROW(Router(0, geom, cfg));
   cfg.vcs = kMaxVcs + 2;
-  EXPECT_THROW(Router(0, geom, cfg, &xy), std::invalid_argument);
+  EXPECT_THROW(Router(0, geom, cfg), std::invalid_argument);
 }
 
 }  // namespace

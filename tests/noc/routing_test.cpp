@@ -7,109 +7,25 @@
 namespace htpb::noc {
 namespace {
 
-RouteQuery query(Coord here, Coord dst) {
-  RouteQuery q;
-  q.here = here;
-  q.dst = dst;
-  q.free_credits.fill(10);
-  return q;
-}
-
 TEST(XyRouting, ExhaustsXFirst) {
-  XyRouting xy;
-  EXPECT_EQ(xy.select(query({0, 0}, {3, 3})), Direction::kEast);
-  EXPECT_EQ(xy.select(query({3, 0}, {0, 3})), Direction::kWest);
-  EXPECT_EQ(xy.select(query({3, 0}, {3, 3})), Direction::kSouth);
-  EXPECT_EQ(xy.select(query({3, 3}, {3, 0})), Direction::kNorth);
-  EXPECT_EQ(xy.select(query({2, 2}, {2, 2})), Direction::kLocal);
+  EXPECT_EQ(xy_route({0, 0}, {3, 3}), Direction::kEast);
+  EXPECT_EQ(xy_route({3, 0}, {0, 3}), Direction::kWest);
+  EXPECT_EQ(xy_route({3, 0}, {3, 3}), Direction::kSouth);
+  EXPECT_EQ(xy_route({3, 3}, {3, 0}), Direction::kNorth);
+  EXPECT_EQ(xy_route({2, 2}, {2, 2}), Direction::kLocal);
 }
 
 TEST(XyRouting, FullPathIsMinimalAndReachesDestination) {
-  XyRouting xy;
   Coord pos{1, 6};
   const Coord dst{7, 2};
   int hops = 0;
   while (pos != dst) {
-    const Direction d = xy.select(query(pos, dst));
+    const Direction d = xy_route(pos, dst);
     ASSERT_NE(d, Direction::kLocal);
     pos = step(pos, d);
     ASSERT_LE(++hops, 64) << "routing loop";
   }
   EXPECT_EQ(hops, manhattan_distance(Coord{1, 6}, dst));
-}
-
-TEST(WestFirstAdaptive, WestwardIsDeterministic) {
-  WestFirstAdaptiveRouting wf;
-  auto q = query({5, 5}, {2, 7});
-  // Must go fully west before any south/north turn.
-  EXPECT_EQ(wf.select(q), Direction::kWest);
-  q = query({2, 5}, {2, 7});
-  EXPECT_EQ(wf.select(q), Direction::kSouth);
-}
-
-TEST(WestFirstAdaptive, AdaptsOnCredits) {
-  WestFirstAdaptiveRouting wf;
-  auto q = query({0, 0}, {3, 3});
-  q.free_credits[port_index(Direction::kEast)] = 1;
-  q.free_credits[port_index(Direction::kSouth)] = 9;
-  EXPECT_EQ(wf.select(q), Direction::kSouth);
-  q.free_credits[port_index(Direction::kEast)] = 9;
-  q.free_credits[port_index(Direction::kSouth)] = 1;
-  EXPECT_EQ(wf.select(q), Direction::kEast);
-}
-
-TEST(WestFirstAdaptive, AlwaysMinimal) {
-  WestFirstAdaptiveRouting wf;
-  Rng rng(7);
-  for (int trial = 0; trial < 500; ++trial) {
-    Coord pos{static_cast<int>(rng.below(8)), static_cast<int>(rng.below(8))};
-    const Coord dst{static_cast<int>(rng.below(8)),
-                    static_cast<int>(rng.below(8))};
-    const int expected = manhattan_distance(pos, dst);
-    int hops = 0;
-    while (pos != dst) {
-      auto q = query(pos, dst);
-      for (auto& c : q.free_credits) {
-        c = static_cast<int>(rng.below(10));
-      }
-      const Direction d = wf.select(q);
-      ASSERT_NE(d, Direction::kLocal);
-      pos = step(pos, d);
-      ++hops;
-      ASSERT_LE(hops, expected) << "non-minimal route";
-    }
-    EXPECT_EQ(hops, expected);
-  }
-}
-
-TEST(WestFirstAdaptive, NeverTurnsIntoWest) {
-  // Turn-model deadlock freedom: west moves only while dx < 0, i.e. before
-  // any other direction has been taken.
-  WestFirstAdaptiveRouting wf;
-  Rng rng(13);
-  for (int trial = 0; trial < 200; ++trial) {
-    Coord pos{static_cast<int>(rng.below(8)), static_cast<int>(rng.below(8))};
-    const Coord dst{static_cast<int>(rng.below(8)),
-                    static_cast<int>(rng.below(8))};
-    bool moved_non_west = false;
-    while (pos != dst) {
-      auto q = query(pos, dst);
-      for (auto& c : q.free_credits) c = static_cast<int>(rng.below(10));
-      const Direction d = wf.select(q);
-      if (d == Direction::kWest) {
-        EXPECT_FALSE(moved_non_west) << "illegal turn into west";
-      } else {
-        moved_non_west = true;
-      }
-      pos = step(pos, d);
-    }
-  }
-}
-
-TEST(MakeRouting, Factory) {
-  EXPECT_STREQ(make_routing(RoutingKind::kXY)->name(), "XY");
-  EXPECT_STREQ(make_routing(RoutingKind::kWestFirstAdaptive)->name(),
-               "WestFirstAdaptive");
 }
 
 TEST(XyPassThrough, HorizontalThenVerticalSegments) {
@@ -127,7 +43,6 @@ TEST(XyPassThrough, HorizontalThenVerticalSegments) {
 }
 
 TEST(XyPassThrough, MatchesStepwiseSimulation) {
-  XyRouting xy;
   Rng rng(21);
   for (int trial = 0; trial < 300; ++trial) {
     const Coord src{static_cast<int>(rng.below(6)),
@@ -140,7 +55,7 @@ TEST(XyPassThrough, MatchesStepwiseSimulation) {
     Coord pos = src;
     if (pos == via) hit = true;
     while (pos != dst) {
-      pos = step(pos, xy.select(query(pos, dst)));
+      pos = step(pos, xy_route(pos, dst));
       if (pos == via) hit = true;
     }
     EXPECT_EQ(xy_route_passes_through(src, dst, via), hit)

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -93,7 +94,7 @@ TEST(ScenarioRunner, Fig3QuickBitIdenticalToLegacyBenchPath) {
           Rng rng(1000 + static_cast<std::uint64_t>(s) * 77 + hts);
           const auto nodes =
               core::random_placement(geom, hts, rng, campaign.gm_node());
-          sim_rate += campaign.run_infection_only(nodes);
+          sim_rate += campaign.simulate(nodes).infection;
           ana_rate += analyzer.predicted_rate(nodes);
         }
         const json::Object& cell = cells[p].as_object();
@@ -195,18 +196,18 @@ TEST(ScenarioRunner, DefenseRocQuickBitIdenticalToLegacyBenchPath) {
   std::vector<power::RequestTrace> traces;
   for (std::size_t dyn = 0; dyn < dyn_count; ++dyn) {
     for (std::size_t p = 0; p < roc_placements.size(); ++p) {
-      core::AttackCampaign campaign(
+      const core::AttackCampaign campaign(
           roc_config(periods[dyn / factors.size()],
                      factors[dyn % factors.size()]));
-      traces.push_back(campaign.record_trace(roc_placements[p]));
+      (void)campaign.simulate(roc_placements[p], &traces.emplace_back());
     }
   }
   core::CampaignConfig clean_cfg = sweep_cfg.base;
   clean_cfg.trojan.active = false;
   clean_cfg.toggle_period_epochs = 0;
-  core::AttackCampaign clean_campaign(clean_cfg);
-  const power::RequestTrace clean_trace =
-      clean_campaign.record_trace(roc_placements.front());
+  power::RequestTrace clean_trace;
+  (void)core::AttackCampaign(clean_cfg).simulate(roc_placements.front(),
+                                                 &clean_trace);
 
   const json::Array& roc_points =
       root.find("roc")->as_object().find("points")->as_array();
@@ -347,6 +348,54 @@ TEST(ScenarioRunner, Fig4IsThreadCountInvariant) {
   ScenarioSpec spec = scenario_or_throw("fig4").with_quick();
   spec.axes.sizes = {64, 128};
   expect_thread_count_invariant(spec);
+}
+
+TEST(ScenarioRunner, DefenseEvaluationIsThreadCountInvariant) {
+  // 2 mixes x 7 simulations (4 arms, 3 baselines) over 3 threads.
+  ScenarioSpec spec = scenario_or_throw("defense-evaluation").with_quick();
+  spec.workload.mixes = {"mix-1", "mix-2"};
+  expect_thread_count_invariant(spec);
+}
+
+TEST(ScenarioRunner, BudgeterAblationIsThreadCountInvariant) {
+  // 3 policies x (baseline + attacked run) over 3 threads.
+  ScenarioSpec spec = scenario_or_throw("budgeter-ablation").with_quick();
+  spec.axes.budgeters = {power::BudgeterKind::kUniform,
+                         power::BudgeterKind::kGreedy,
+                         power::BudgeterKind::kMarket};
+  expect_thread_count_invariant(spec);
+}
+
+// Chips and warmup epochs each kind simulates at --quick: one baseline
+// per distinct chip side plus one run per arm. A fan-out that simulates
+// a baseline twice, or drops one, fails here.
+TEST(ScenarioRunner, QuickSimulationCountsArePinned) {
+  struct Pin {
+    const char* scenario;
+    std::uint64_t systems;
+    std::uint64_t warmup_epochs;
+  };
+  const Pin pins[] = {
+      {"fig5", 12, 24},
+      {"secVC-placement", 64, 128},
+      {"defense-roc", 13, 26},
+      {"defense-evaluation", 28, 56},
+      {"attack-comparison", 7, 4},
+      {"budgeter-ablation", 10, 20},
+      {"defense-closed-loop", 10, 20},
+  };
+  for (const Pin& pin : pins) {
+    const std::uint64_t systems = core::AttackCampaign::systems_simulated();
+    const std::uint64_t warmup =
+        core::AttackCampaign::warmup_epochs_simulated();
+    (void)run_quick(pin.scenario, 2);
+    EXPECT_EQ(core::AttackCampaign::systems_simulated() - systems,
+              pin.systems)
+        << pin.scenario;
+    EXPECT_EQ(core::AttackCampaign::warmup_epochs_simulated() - warmup,
+              pin.warmup_epochs)
+        << pin.scenario;
+  }
 }
 
 // ------------------------------------------------- defense-closed-loop
