@@ -46,6 +46,20 @@ workload::Mix uniform_mix() {
   return mix;
 }
 
+/// Does `report` hold a verdict `response`'s trigger listens to? (The
+/// migrate policy's "first confirmed flag"; with no verdict of that kind
+/// no policy ever sanctions.)
+bool triggered(const std::optional<power::ResponseConfig>& response,
+               const power::DetectorReport& report) {
+  if (!response.has_value()) return false;
+  switch (response->trigger) {
+    case power::ResponseTrigger::kHigh: return !report.flagged_high.empty();
+    case power::ResponseTrigger::kLow: return !report.flagged_low.empty();
+    case power::ResponseTrigger::kBoth: return report.any();
+  }
+  return false;
+}
+
 }  // namespace
 
 /// One leg's attack wiring, owned by the leg frame: the implanted Trojans
@@ -144,18 +158,6 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
   AdaptationOutcome adapt_totals;
   bool adapt_engaged = false;
 
-  // Does the cumulative report contain a verdict the configured trigger
-  // listens to? (The migrate policy's "first confirmed flag".)
-  const auto triggered = [this](const power::DetectorReport& report) {
-    if (!cfg_.response.has_value()) return false;
-    switch (cfg_.response->trigger) {
-      case power::ResponseTrigger::kHigh: return !report.flagged_high.empty();
-      case power::ResponseTrigger::kLow: return !report.flagged_low.empty();
-      case power::ResponseTrigger::kBoth: return report.any();
-    }
-    return false;
-  };
-
   // One simulated chip lifetime ("leg"): a non-migrating run is a single
   // full leg; a migrating run is a pre-migration leg cut short at the
   // triggering epoch boundary plus a remapped leg for the remaining
@@ -192,7 +194,7 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
       for (int e = 0; e < measure_epochs; ++e) {
         sys.run_epochs(1);
         ++measured;
-        if (triggered(detector->cumulative())) break;
+        if (triggered(cfg_.response, detector->cumulative())) break;
       }
     } else {
       sys.run_epochs(measure_epochs);
@@ -245,7 +247,7 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
 
   const int measured1 = run_leg(apps_, cfg_.measure_epochs, migrate_mode);
 
-  if (migrate_mode && triggered(detector->cumulative())) {
+  if (migrate_mode && triggered(cfg_.response, detector->cumulative())) {
     // Migration bookkeeping: the cores whose confirmed flags pulled the
     // trigger, stamped with the observed-epoch index of the boundary.
     power::ResponseStats stats;
@@ -311,6 +313,29 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
   }
   if (adapt_engaged) result.adaptation = adapt_totals;
   if (detector != nullptr) result.detection = detector->cumulative();
+  return result;
+}
+
+std::optional<RunResult> AttackCampaign::derive_unsanctioned(
+    const RunResult& response_free) const {
+  if (response_free.chip != chip_side()) {
+    throw std::invalid_argument(
+        "AttackCampaign::derive_unsanctioned: the twin was simulated on a "
+        "different chip side (system, mix, threads_per_app or "
+        "warmup/measure epochs)");
+  }
+  // The detector's cumulative lists hold every verdict it ever returned
+  // as newly confirmed (nothing re-arms it before a first sanction), so
+  // a trigger that never fires on the twin never fired inside this arm.
+  if (response_free.detection.has_value() &&
+      triggered(cfg_.response, *response_free.detection)) {
+    return std::nullopt;
+  }
+  RunResult result = response_free;
+  // As simulate(): an empty placement builds no detector, hence no engine.
+  if (cfg_.response.has_value() && result.detection.has_value()) {
+    result.response_stats = power::ResponseStats{};
+  }
   return result;
 }
 

@@ -175,6 +175,8 @@ struct RunResult {
   std::optional<power::ResponseStats> response_stats;
   std::optional<AdaptationOutcome> adaptation;
   int migrations = 0;
+
+  friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
 /// One leg's Trojans and duty-cycle controller state (campaign.cpp).
@@ -208,6 +210,18 @@ class AttackCampaign {
   [[nodiscard]] CampaignOutcome reduce(const RunResult& attacked,
                                        const RunResult& baseline,
                                        std::span<const NodeId> ht_nodes) const;
+
+  /// This response arm's RunResult without simulating it, read off the
+  /// result of its response-free twin (simulate() of the same placement
+  /// on this config with `response` unset): when the twin's cumulative
+  /// detection report holds no verdict the response trigger listens to,
+  /// no sanction ever lands, so the engine only observes and the arm
+  /// follows the twin bit for bit -- the twin's result with
+  /// response_stats set as simulate() sets it. nullopt when the trigger
+  /// fires (the arm must be simulated). Throws std::invalid_argument
+  /// when the twin was simulated on a different chip side.
+  [[nodiscard]] std::optional<RunResult> derive_unsanctioned(
+      const RunResult& response_free) const;
 
   /// Process-wide count of full ManyCoreSystem simulations run by any
   /// campaign (baselines included). Monotonic, thread-safe. The trace

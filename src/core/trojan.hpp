@@ -20,6 +20,8 @@ struct TrojanStats {
   std::uint64_t power_requests_seen = 0;
   std::uint64_t victim_requests_modified = 0;
   std::uint64_t attacker_requests_boosted = 0;
+
+  friend bool operator==(const TrojanStats&, const TrojanStats&) = default;
 };
 
 class HardwareTrojan final : public noc::PacketInspector {

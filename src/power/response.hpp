@@ -26,10 +26,12 @@
 // -- the loop keeps looping.
 //
 // Ordering contract: the detector and any trace recorder observe the RAW
-// request vector before the engine filters anything. Responses perturb
+// request vector before the engine filters anything. A sanction perturbs
 // the dynamics (grants change -> future requests change), so unlike
-// detection they are NOT replayable from a recorded trace; every response
-// arm of a sweep re-simulates.
+// detection a run that sanctions is NOT replayable from a recorded trace
+// and must be simulated. Before its first sanction the engine only
+// observes, so a run whose trigger never fires is bit for bit its
+// response-free twin (AttackCampaign::derive_unsanctioned).
 #pragma once
 
 #include <cstdint>

@@ -901,11 +901,12 @@ json::Value run_budgeter_ablation(const ScenarioSpec& spec,
 }
 
 /// Closed-loop defense tradeoff grid: placements x {static, adaptive}
-/// Trojan x {none + axes.responses} response policy. Every arm simulates
-/// its own attacked run (responses perturb the dynamics, so nothing here
-/// can ride on trace replays), but all arms share one chip side and so
-/// one Trojan-free baseline; the baseline and every arm run in one
-/// fan-out, each arm on a campaign built from its own config. The
+/// Trojan x {none + axes.responses} response policy, each arm on a
+/// campaign built from its own config. All arms share one chip side and
+/// so one Trojan-free baseline. Two fan-outs: the response-free arms
+/// first, then the baseline plus every response arm whose trigger fires
+/// on its response-free twin's detection report; an arm whose trigger
+/// never fires is its twin (AttackCampaign::derive_unsanctioned). The
 /// static and adaptive arms are tuned to equal mean duty cycle
 /// (toggle_period_epochs vs max_on/hold_off), so the duty_comparison
 /// block isolates what grant-feedback adaptation buys the attacker.
@@ -951,11 +952,37 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
       }
     }
   }
-  // [0]: the shared baseline; [1 + i]: arm i.
-  const auto runs = runner.map(1 + arms.size(), [&](std::size_t i) {
-    if (i == 0) return probe.simulate({});
-    return campaigns[i - 1].simulate(placements[arms[i - 1].placement]);
-  });
+  // runs[0]: the shared baseline; runs[1 + i]: arm i.
+  std::vector<core::RunResult> runs(1 + arms.size());
+  const auto simulate = [&](const std::vector<std::size_t>& slots) {
+    auto done = runner.map(slots.size(), [&](std::size_t k) {
+      const std::size_t s = slots[k];
+      return s == 0 ? probe.simulate({})
+                    : campaigns[s - 1].simulate(
+                          placements[arms[s - 1].placement]);
+    });
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      runs[slots[k]] = std::move(done[k]);
+    }
+  };
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    if (arms[i].response < 0) slots.push_back(1 + i);
+  }
+  simulate(slots);
+  slots = {0};
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    if (arms[i].response < 0) continue;
+    // Each response arm follows its response-free twin in `arms`, so
+    // the twin's run sits `response` slots before the arm's own.
+    const std::size_t twin = i - static_cast<std::size_t>(arms[i].response);
+    if (auto derived = campaigns[i].derive_unsanctioned(runs[twin])) {
+      runs[1 + i] = std::move(*derived);
+    } else {
+      slots.push_back(1 + i);
+    }
+  }
+  simulate(slots);
   std::vector<core::CampaignOutcome> outs(arms.size());
   for (std::size_t i = 0; i < arms.size(); ++i) {
     outs[i] = campaigns[i].reduce(runs[1 + i], runs[0],

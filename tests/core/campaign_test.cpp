@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -233,6 +234,79 @@ TEST(AttackCampaign, ReduceRejectsABaselineFromAnotherChipSide) {
                   attacked, AttackCampaign(longer_warmup).simulate({}), hts);
             }),
             "");
+}
+
+// A response arm whose trigger never fires on its response-free twin's
+// detection report never sanctions, so it follows the twin bit for bit:
+// derive_unsanctioned() returns exactly what simulate() would, and
+// declines only for arms that really act.
+TEST(AttackCampaign, UnsanctionedResponseArmIsItsResponseFreeTwin) {
+  CampaignConfig base = fast_config();
+  base.measure_epochs = 6;
+  base.trojan.active = false;
+  base.detector = power::DetectorConfig{};
+  const AttackCampaign probe(base);
+  const MeshGeometry geom(8, 8);
+  const auto hts = clustered_placement(
+      geom, 8, geom.coord_of(probe.gm_node()), probe.gm_node());
+
+  int derived = 0;
+  int simulated = 0;
+  for (const bool adaptive : {false, true}) {
+    CampaignConfig free_cfg = base;
+    free_cfg.trojan.adapt.enabled = adaptive;
+    free_cfg.trojan.active = adaptive;
+    free_cfg.toggle_period_epochs = adaptive ? 0 : 2;
+    const RunResult twin = AttackCampaign(free_cfg).simulate(hts);
+    for (const auto kind :
+         {power::ResponseKind::kQuarantine, power::ResponseKind::kThrottle,
+          power::ResponseKind::kMigrate}) {
+      for (const auto trigger :
+           {power::ResponseTrigger::kHigh, power::ResponseTrigger::kLow,
+            power::ResponseTrigger::kBoth}) {
+        CampaignConfig cfg = free_cfg;
+        cfg.response = power::ResponseConfig{};
+        cfg.response->kind = kind;
+        cfg.response->trigger = trigger;
+        const AttackCampaign arm(cfg);
+        const std::string label = std::string(power::to_string(kind)) + "/" +
+                                  power::to_string(trigger) +
+                                  (adaptive ? " adaptive" : " static");
+        const std::optional<RunResult> from_twin =
+            arm.derive_unsanctioned(twin);
+        const RunResult own = arm.simulate(hts);
+        if (from_twin.has_value()) {
+          ++derived;
+          EXPECT_TRUE(*from_twin == own) << label;
+        } else {
+          ++simulated;
+          ASSERT_TRUE(own.response_stats.has_value()) << label;
+          EXPECT_GE(own.response_stats->first_sanction_epoch, 0) << label;
+        }
+      }
+    }
+  }
+  // The grid exercises both paths.
+  EXPECT_GT(derived, 0);
+  EXPECT_GT(simulated, 0);
+
+  // An empty placement builds no detector and no engine: the arm is its
+  // twin with response_stats left unset.
+  CampaignConfig responsive = base;
+  responsive.response = power::ResponseConfig{};
+  const AttackCampaign arm(responsive);
+  const RunResult clean = probe.simulate({});
+  const std::optional<RunResult> from_clean = arm.derive_unsanctioned(clean);
+  ASSERT_TRUE(from_clean.has_value());
+  EXPECT_FALSE(from_clean->response_stats.has_value());
+  EXPECT_TRUE(*from_clean == arm.simulate({}));
+
+  // A twin from another chip side is no twin.
+  CampaignConfig shorter = base;
+  shorter.measure_epochs = base.measure_epochs - 1;
+  EXPECT_THROW(
+      (void)arm.derive_unsanctioned(AttackCampaign(shorter).simulate({})),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -214,8 +214,9 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
             2U * static_cast<std::uint64_t>(migrate_cfg.warmup_epochs));
 }
 
-// The closed-loop grid simulates one attacked run per arm (two legs when
-// it migrates) on a single shared Trojan-free baseline.
+// The closed-loop grid shares a single Trojan-free baseline and derives
+// every response arm whose trigger never fires from its response-free
+// twin instead of simulating it.
 TEST(TraceReplay, ClosedLoopArmsShareOneBaseline) {
   scenario::RunOptions quick;
   quick.quick = true;
@@ -224,14 +225,23 @@ TEST(TraceReplay, ClosedLoopArmsShareOneBaseline) {
       scenario::scenario_or_throw("defense-closed-loop"), quick);
   const std::uint64_t systems = AttackCampaign::systems_simulated() - before;
 
+  // Simulated: the baseline, every response-free arm, every response arm
+  // that sanctioned (one whose trigger never fired is its response-free
+  // twin) and every migrated leg.
   const json::Array& arms = result.as_object().find("arms")->as_array();
-  std::uint64_t migrations = 0;
+  std::uint64_t expected = 1;
   for (const json::Value& arm : arms) {
-    if (const json::Value* m = arm.as_object().find("migrations")) {
-      migrations += static_cast<std::uint64_t>(m->as_int());
+    const json::Object& row = arm.as_object();
+    if (row.find("response")->as_string() == "none") ++expected;
+    if (const json::Value* first = row.find("first_sanction_epoch")) {
+      if (first->as_int() >= 0) ++expected;
+    }
+    if (const json::Value* m = row.find("migrations")) {
+      expected += static_cast<std::uint64_t>(m->as_int());
     }
   }
-  EXPECT_EQ(systems, 1 + arms.size() + migrations);
+  EXPECT_EQ(systems, expected);
+  EXPECT_LT(expected, 1 + arms.size());
 }
 
 // Every duty-cycle period of the attack comparison shares one baseline;

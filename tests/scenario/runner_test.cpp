@@ -382,7 +382,7 @@ TEST(ScenarioRunner, QuickSimulationCountsArePinned) {
       {"defense-evaluation", 28, 56},
       {"attack-comparison", 7, 4},
       {"budgeter-ablation", 10, 20},
-      {"defense-closed-loop", 10, 20},
+      {"defense-closed-loop", 7, 14},
   };
   for (const Pin& pin : pins) {
     const std::uint64_t systems = core::AttackCampaign::systems_simulated();
