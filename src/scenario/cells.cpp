@@ -72,8 +72,11 @@ std::vector<CellPlan> expand_cells(const ScenarioSpec& resolved) {
         for (const int hts : arm.ht_counts) {
           ScenarioSpec cell = cell_base(resolved);
           cell.axes.arms = {InfectionArm{arm.nodes, {hts}}};
-          add("n" + std::to_string(arm.nodes) + "-ht" + std::to_string(hts),
-              std::move(cell));
+          std::string slug = "n";
+          slug += std::to_string(arm.nodes);
+          slug += "-ht";
+          slug += std::to_string(hts);
+          add(slug, std::move(cell));
         }
       }
       break;
@@ -84,8 +87,11 @@ std::vector<CellPlan> expand_cells(const ScenarioSpec& resolved) {
           ScenarioSpec cell = cell_base(resolved);
           cell.axes.ht_divisors = {divisor};
           cell.axes.sizes = {size};
-          add("d" + std::to_string(divisor) + "-s" + std::to_string(size),
-              std::move(cell));
+          std::string slug = "d";
+          slug += std::to_string(divisor);
+          slug += "-s";
+          slug += std::to_string(size);
+          add(slug, std::move(cell));
         }
       }
       break;

@@ -28,7 +28,7 @@
 //                             response axes are runner-internal)
 //   everything else           one cell (kDefenseSweep's record-once/
 //                             replay-many trace reuse and its
-//                             systems_simulated counters, and
+//                             simulation counts, and
 //                             kAttackComparison's shared clean-arm state,
 //                             are not shardable without changing output)
 #pragma once

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "core/area_power.hpp"
 #include "core/attack_model.hpp"
 #include "core/campaign.hpp"
-#include "core/defense_sweep.hpp"
 #include "core/flooding.hpp"
 #include "core/infection.hpp"
 #include "core/optimizer.hpp"
@@ -436,198 +436,287 @@ json::Value run_placement_study(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
-/// Defense ROC: DefenseSweep curve plus the dense stealthy-Trojan grid
-/// (duty-cycle period x modification factor x band x detector kind). The
-/// detector grid rides on trace replays; only dynamics cells simulate.
+/// Defense ROC (an extension of Sec. VI): a curve of trust-band
+/// operating points x placements, plus the dense stealthy-Trojan grid
+/// (duty-cycle period x modification factor x band x detector kind).
+///
+/// Detectors never perturb the dynamics, so every operating point of
+/// both grids replays a recorded request trace (power::RequestTrace)
+/// offline, bit-identical to in-simulation detection. Three steps: one
+/// pool pass over every simulation, one over every replay, one
+/// reduction. For D bands, P placements and R = periods x factors
+/// dynamics cells recorded on the first C placements, the simulations
+/// are:
+///   - the detection baseline and the P traced placements;
+///   - one dormant-Trojan clean trace on the first placement, read by
+///     the curve's false-positive rate and by the ROC's cells on the
+///     spec's own timing;
+///   - per band, a guard baseline and its P placements (the
+///     GuardedBudgeter changes the dynamics, so it cannot replay);
+///   - the R x C traced ROC cells, plus a clean trace on the period-0
+///     timing when the ROC axis holds a period 0.
+/// curve.simulations = 1 + P + 1 + D x (1 + P); roc.simulations = R x C
+/// (+1 with a period 0).
 json::Value run_defense_sweep(const ScenarioSpec& spec,
                               const core::ParallelSweepRunner& runner,
                               json::Object& timing) {
-  core::DefenseSweepConfig sweep_cfg;
-  sweep_cfg.base = campaign_config(spec, spec.workload.mix);
-  sweep_cfg.base.detector.reset();
-  sweep_cfg.base.response.reset();
+  core::CampaignConfig base = campaign_config(spec, spec.workload.mix);
+  base.detector.reset();
+  base.response.reset();
+  const core::AttackCampaign detect(base);
+  const MeshGeometry geom(spec.system.width, spec.system.height);
+  std::vector<std::vector<NodeId>> placements;
+  for (const ClusterSpec& cluster : spec.axes.placements) {
+    placements.push_back(resolve_cluster(cluster, geom, detect.gm_node()));
+  }
+  std::vector<power::DetectorConfig> bands;
   for (const BandSpec& band : spec.axes.bands) {
     power::DetectorConfig d;
     d.low_ratio = band.low;
     d.high_ratio = band.high;
-    sweep_cfg.detectors.push_back(d);
+    bands.push_back(d);
   }
-  const core::AttackCampaign probe(sweep_cfg.base);
-  const MeshGeometry geom(spec.system.width, spec.system.height);
-  for (const ClusterSpec& cluster : spec.axes.placements) {
-    sweep_cfg.placements.push_back(
-        resolve_cluster(cluster, geom, probe.gm_node()));
+  const std::size_t p_count = placements.size();
+
+  const RocSpec& roc = spec.axes.roc;
+  const std::vector<int> periods =
+      roc.enabled() ? roc.periods : std::vector<int>{};
+  const std::size_t roc_p =
+      roc.enabled() ? static_cast<std::size_t>(roc.placements) : 0;
+  std::vector<core::AttackCampaign> cells;  // period-major, then factor
+  for (const int period : periods) {
+    for (const double factor : roc.factors) {
+      core::CampaignConfig cfg = base;
+      cfg.trojan.victim_scale = factor;
+      if (period == 0) {
+        cfg.trojan.active = true;  // always-on, live from power-on
+        cfg.toggle_period_epochs = 0;
+        // Let the CONFIG_CMD broadcast finish before the first POWER_REQ:
+        // the attack-from-epoch-0 scenario the cohort detector exists for.
+        cfg.system.first_epoch_cycle = roc.epoch0_first_epoch_cycle;
+      } else {
+        cfg.trojan.active = false;  // dormant until the first toggle
+        cfg.toggle_period_epochs = period;
+      }
+      cells.emplace_back(std::move(cfg));
+    }
   }
 
-  const std::uint64_t sims_before_curve =
-      core::AttackCampaign::systems_simulated();
-  const double t_curve0 = now_seconds();
-  const core::DefenseSweep sweep(sweep_cfg);
-  const auto curve = sweep.run(runner);
-  timing["curve_seconds"] = json::Value(now_seconds() - t_curve0);
-  const std::uint64_t curve_sims =
-      core::AttackCampaign::systems_simulated() - sims_before_curve;
+  // Trojans implanted but dormant: the manager sees honest traffic, the
+  // same for every factor and duty-cycle period but not for every system
+  // timing. So there is one clean campaign per timing: the spec's, then
+  // the period-0 cells' when the ROC axis holds a period 0.
+  std::vector<core::AttackCampaign> cleans;
+  core::CampaignConfig dormant = base;
+  dormant.trojan.active = false;
+  dormant.toggle_period_epochs = 0;  // never wakes up
+  cleans.emplace_back(dormant);
+  if (std::find(periods.begin(), periods.end(), 0) != periods.end()) {
+    dormant.system.first_epoch_cycle = roc.epoch0_first_epoch_cycle;
+    cleans.emplace_back(dormant);
+  }
+  std::vector<core::AttackCampaign> guards;
+  for (const power::DetectorConfig& d : bands) {
+    core::CampaignConfig cfg = base;
+    cfg.system.guard_requests = true;
+    cfg.system.guard_config = d;
+    guards.emplace_back(std::move(cfg));
+  }
+
+  // Traces: the P placements, the clean ones, then the ROC cells
+  // (cell-major, then placement).
+  const std::size_t cell_trace = p_count + cleans.size();
+  std::vector<power::RequestTrace> traces(cell_trace + cells.size() * roc_p);
+
+  struct Sim {
+    const core::AttackCampaign* campaign;
+    std::span<const NodeId> hts;  ///< empty: the Trojan-free baseline
+    power::RequestTrace* trace;   ///< null: untraced
+  };
+  std::vector<Sim> sims;
+  sims.push_back({&detect, {}, nullptr});
+  for (std::size_t p = 0; p < p_count; ++p) {
+    sims.push_back({&detect, placements[p], &traces[p]});
+  }
+  sims.push_back({&cleans[0], placements.front(), &traces[p_count]});
+  const std::size_t guard_at = sims.size();
+  for (const core::AttackCampaign& guard : guards) {
+    sims.push_back({&guard, {}, nullptr});
+    for (const auto& hts : placements) sims.push_back({&guard, hts, nullptr});
+  }
+  const std::size_t curve_sims = sims.size();
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (std::size_t p = 0; p < roc_p; ++p) {
+      sims.push_back(
+          {&cells[c], placements[p], &traces[cell_trace + c * roc_p + p]});
+    }
+  }
+  for (std::size_t k = 1; k < cleans.size(); ++k) {
+    sims.push_back({&cleans[k], placements.front(), &traces[p_count + k]});
+  }
+
+  const double t_sim0 = now_seconds();
+  const auto runs = runner.map(sims.size(), [&](std::size_t i) {
+    return sims[i].campaign->simulate(sims[i].hts, sims[i].trace);
+  });
+  timing["simulate_seconds"] = json::Value(now_seconds() - t_sim0);
+
+  // Replays: per band, its P placements then the clean trace; per ROC
+  // detector, the clean traces; then per (cell, ROC detector) its C
+  // placements.
+  const std::vector<power::DetectorConfig> roc_detectors =
+      roc.enabled() ? roc_detector_grid(spec)
+                    : std::vector<power::DetectorConfig>{};
+  struct Replay {
+    const power::RequestTrace* trace;
+    const power::DetectorConfig* detector;
+  };
+  std::vector<Replay> replays;
+  for (const power::DetectorConfig& d : bands) {
+    for (std::size_t t = 0; t <= p_count; ++t) {
+      replays.push_back({&traces[t], &d});
+    }
+  }
+  const std::size_t roc_clean_at = replays.size();
+  for (const power::DetectorConfig& d : roc_detectors) {
+    for (std::size_t k = 0; k < cleans.size(); ++k) {
+      replays.push_back({&traces[p_count + k], &d});
+    }
+  }
+  const std::size_t roc_cell_at = replays.size();
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (const power::DetectorConfig& d : roc_detectors) {
+      for (std::size_t p = 0; p < roc_p; ++p) {
+        replays.push_back({&traces[cell_trace + c * roc_p + p], &d});
+      }
+    }
+  }
+  const double t_rep0 = now_seconds();
+  const auto reports = runner.map(replays.size(), [&](std::size_t i) {
+    return power::replay_detector(*replays[i].trace, *replays[i].detector);
+  });
+  timing["replay_seconds"] = json::Value(now_seconds() - t_rep0);
+
+  // Rates are over the cores the detector watches, split by allegiance.
+  int victims = 0;
+  int attackers = 0;
+  for (const auto& app : detect.apps()) {
+    (app.is_attacker() ? attackers : victims) +=
+        static_cast<int>(app.cores.size());
+  }
+  const int monitored = victims + attackers;
+  const auto flag_rate = [&](const power::DetectorReport& rep) {
+    // Distinct cores only: under duty-cycle swings one core can sit in
+    // both flag lists, and summing the lists pushed this past 1.
+    return static_cast<double>(rep.unique_flagged()) / monitored;
+  };
+  // Over reports rep[0, n): the mean flag rate, and the mean epochs to
+  // the first flag over the reports that flagged anything (-1: none did).
+  const auto mean_rate = [&](const power::DetectorReport* rep,
+                             std::size_t n) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) sum += flag_rate(rep[i]);
+    return sum / static_cast<double>(n);
+  };
+  const auto mean_latency = [](const power::DetectorReport* rep,
+                               std::size_t n) {
+    double sum = 0.0;
+    int flagged = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rep[i].first_flag_epoch >= 0) {
+        sum += rep[i].first_flag_epoch;
+        ++flagged;
+      }
+    }
+    return flagged > 0 ? sum / flagged : -1.0;
+  };
+  // Mean Q of `campaign`'s placements (runs[at + 1 + p]) against its
+  // baseline (runs[at]) over the q_valid runs; 0 when none is valid.
+  const auto mean_q = [&](const core::AttackCampaign& campaign,
+                          std::size_t at) {
+    double sum = 0.0;
+    int n = 0;
+    for (std::size_t p = 0; p < p_count; ++p) {
+      const core::CampaignOutcome out =
+          campaign.reduce(runs[at + 1 + p], runs[at], placements[p]);
+      if (out.q_valid) {
+        sum += out.q;
+        ++n;
+      }
+    }
+    return n > 0 ? sum / n : 0.0;
+  };
+  // The detector is passive, so this is the undefended attack effect.
+  const double q_plain = mean_q(detect, 0);
 
   json::Object payload;
-  {
-    json::Object curve_out;
-    curve_out["operating_points"] =
-        json::Value(static_cast<long long>(sweep_cfg.detectors.size()));
-    curve_out["placements"] =
-        json::Value(static_cast<long long>(sweep_cfg.placements.size()));
-    curve_out["simulations"] =
-        json::Value(static_cast<long long>(curve_sims));
-    json::Array points;
-    for (const auto& pt : curve) {
-      json::Object p;
-      p["low"] = json::Value(pt.detector.low_ratio);
-      p["high"] = json::Value(pt.detector.high_ratio);
-      p["detection_rate"] = json::Value(pt.detection_rate);
-      p["victim_flag_rate"] = json::Value(pt.victim_flag_rate);
-      p["attacker_flag_rate"] = json::Value(pt.attacker_flag_rate);
-      p["false_positive_rate"] = json::Value(pt.false_positive_rate);
-      p["mean_detection_latency"] = json::Value(pt.mean_detection_latency);
-      p["mean_q_plain"] = json::Value(pt.mean_q_plain);
-      p["mean_q_guarded"] = json::Value(pt.mean_q_guarded);
-      points.push_back(json::Value(std::move(p)));
-    }
-    curve_out["points"] = json::Value(std::move(points));
-    payload["curve"] = json::Value(std::move(curve_out));
-  }
-
-  if (!spec.axes.roc.enabled()) return json::Value(std::move(payload));
-
-  // ------------------------------------------------------------------
-  // ROC grid. Record one trace per (period, factor, placement) dynamics
-  // cell -- plus one clean trace per distinct system timing -- then
-  // replay the full detector grid offline.
-  // ------------------------------------------------------------------
-  const RocSpec& roc = spec.axes.roc;
-  const std::vector<power::DetectorConfig> roc_detectors =
-      roc_detector_grid(spec);
-  const std::vector<std::vector<NodeId>> roc_placements(
-      sweep_cfg.placements.begin(),
-      sweep_cfg.placements.begin() + roc.placements);
-
-  int monitored = 0;
-  for (const auto& app : probe.apps()) {
-    monitored += static_cast<int>(app.cores.size());
-  }
-
-  const auto roc_config = [&](int period, double factor) {
-    core::CampaignConfig cfg = sweep_cfg.base;
-    cfg.detector.reset();
-    cfg.response.reset();
-    cfg.trojan.victim_scale = factor;
-    if (period == 0) {
-      cfg.trojan.active = true;  // always-on, live from power-on
-      cfg.toggle_period_epochs = 0;
-      // Let the CONFIG_CMD broadcast finish before the first POWER_REQ:
-      // the attack-from-epoch-0 scenario the cohort detector exists for.
-      cfg.system.first_epoch_cycle = roc.epoch0_first_epoch_cycle;
-    } else {
-      cfg.trojan.active = false;  // dormant until the first toggle
-      cfg.toggle_period_epochs = period;
-    }
-    return cfg;
-  };
-
-  const std::size_t dyn_count = roc.periods.size() * roc.factors.size();
-  const std::size_t rec_count = dyn_count * roc_placements.size();
-  const std::uint64_t sims_before_roc =
-      core::AttackCampaign::systems_simulated();
-  const double t_rec0 = now_seconds();
-  // Clean recordings: dormant Trojans mean identical dynamics across
-  // factors and duty-cycle periods -- but NOT across system timing, so
-  // the period=0 cells (which shift first_epoch_cycle) need their own
-  // clean trace for an apples-to-apples detect/fp pair. They ride in the
-  // same fan-out as the dynamics cells, after them.
-  const bool has_period0 = std::find(roc.periods.begin(), roc.periods.end(),
-                                     0) != roc.periods.end();
-  const auto traces = runner.map(
-      rec_count + (has_period0 ? 2 : 1), [&](std::size_t i) {
-        power::RequestTrace trace;
-        if (i < rec_count) {
-          const std::size_t dyn = i / roc_placements.size();
-          const core::AttackCampaign campaign(
-              roc_config(roc.periods[dyn / roc.factors.size()],
-                         roc.factors[dyn % roc.factors.size()]));
-          (void)campaign.simulate(roc_placements[i % roc_placements.size()],
-                                  &trace);
-        } else {
-          core::CampaignConfig clean = sweep_cfg.base;
-          clean.trojan.active = false;
-          clean.toggle_period_epochs = 0;
-          if (i > rec_count) {
-            clean.system.first_epoch_cycle = roc.epoch0_first_epoch_cycle;
-          }
-          (void)core::AttackCampaign(clean).simulate(roc_placements.front(),
-                                                     &trace);
-        }
-        return trace;
-      });
-  timing["record_seconds"] = json::Value(now_seconds() - t_rec0);
-  const std::uint64_t roc_sims =
-      core::AttackCampaign::systems_simulated() - sims_before_roc;
-
-  // Replay the detector grid over every trace (and the clean traces).
-  const double t_rep0 = now_seconds();
-  std::vector<double> clean_fp(roc_detectors.size(), 0.0);
-  std::vector<double> clean_fp_epoch0(roc_detectors.size(), 0.0);
-  for (std::size_t d = 0; d < roc_detectors.size(); ++d) {
-    const auto rep =
-        power::replay_detector(traces[rec_count], roc_detectors[d]);
-    clean_fp[d] = static_cast<double>(rep.unique_flagged()) / monitored;
-    if (has_period0) {
-      const auto rep0 =
-          power::replay_detector(traces[rec_count + 1], roc_detectors[d]);
-      clean_fp_epoch0[d] =
-          static_cast<double>(rep0.unique_flagged()) / monitored;
-    }
-  }
-  std::size_t replays = roc_detectors.size() * (has_period0 ? 2 : 1);
-  json::Array roc_points;
-  for (std::size_t dyn = 0; dyn < dyn_count; ++dyn) {
-    for (std::size_t d = 0; d < roc_detectors.size(); ++d) {
-      const int period = roc.periods[dyn / roc.factors.size()];
-      const double factor = roc.factors[dyn % roc.factors.size()];
-      double detect = 0.0;
-      double latency_sum = 0.0;
-      int latency_n = 0;
-      for (std::size_t p = 0; p < roc_placements.size(); ++p) {
-        const auto rep = power::replay_detector(
-            traces[dyn * roc_placements.size() + p], roc_detectors[d]);
-        ++replays;
-        detect += static_cast<double>(rep.unique_flagged()) / monitored;
-        if (rep.first_flag_epoch >= 0) {
-          latency_sum += rep.first_flag_epoch;
-          ++latency_n;
-        }
+  json::Array points;
+  for (std::size_t d = 0; d < bands.size(); ++d) {
+    const power::DetectorReport* rep = &reports[d * (p_count + 1)];
+    double victim_rate = 0.0;
+    double attacker_rate = 0.0;
+    for (std::size_t p = 0; p < p_count; ++p) {
+      if (victims > 0) {
+        victim_rate += static_cast<double>(rep[p].flagged_low.size()) / victims;
       }
-      detect /= static_cast<double>(roc_placements.size());
+      if (attackers > 0) {
+        attacker_rate +=
+            static_cast<double>(rep[p].flagged_high.size()) / attackers;
+      }
+    }
+    const auto denom = static_cast<double>(p_count);
+    json::Object pt;
+    pt["low"] = json::Value(bands[d].low_ratio);
+    pt["high"] = json::Value(bands[d].high_ratio);
+    pt["detection_rate"] = json::Value(mean_rate(rep, p_count));
+    pt["victim_flag_rate"] = json::Value(victim_rate / denom);
+    pt["attacker_flag_rate"] = json::Value(attacker_rate / denom);
+    pt["false_positive_rate"] = json::Value(flag_rate(rep[p_count]));
+    pt["mean_detection_latency"] = json::Value(mean_latency(rep, p_count));
+    pt["mean_q_plain"] = json::Value(q_plain);
+    pt["mean_q_guarded"] =
+        json::Value(mean_q(guards[d], guard_at + d * (1 + p_count)));
+    points.push_back(json::Value(std::move(pt)));
+  }
+  json::Object curve_out;
+  curve_out["operating_points"] =
+      json::Value(static_cast<long long>(bands.size()));
+  curve_out["placements"] = json::Value(static_cast<long long>(p_count));
+  curve_out["simulations"] = json::Value(static_cast<long long>(curve_sims));
+  curve_out["points"] = json::Value(std::move(points));
+  payload["curve"] = json::Value(std::move(curve_out));
+
+  if (!roc.enabled()) return json::Value(std::move(payload));
+
+  json::Array roc_points;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const int period = periods[c / roc.factors.size()];
+    for (std::size_t d = 0; d < roc_detectors.size(); ++d) {
+      const power::DetectorReport* rep =
+          &reports[roc_cell_at + (c * roc_detectors.size() + d) * roc_p];
+      const std::size_t fp_at =
+          roc_clean_at + d * cleans.size() + (period == 0 ? 1 : 0);
       json::Object pt;
       pt["period"] = json::Value(period);
-      pt["factor"] = json::Value(factor);
+      pt["factor"] = json::Value(roc.factors[c % roc.factors.size()]);
       pt["kind"] = json::Value(to_string(roc_detectors[d].kind));
       pt["lo"] = json::Value(roc_detectors[d].low_ratio);
       pt["hi"] = json::Value(roc_detectors[d].high_ratio);
-      pt["detect"] = json::Value(detect);
-      pt["fp"] = json::Value(period == 0 ? clean_fp_epoch0[d] : clean_fp[d]);
-      pt["latency"] = json::Value(
-          latency_n > 0 ? latency_sum / latency_n : -1.0);
+      pt["detect"] = json::Value(mean_rate(rep, roc_p));
+      pt["fp"] = json::Value(flag_rate(reports[fp_at]));
+      pt["latency"] = json::Value(mean_latency(rep, roc_p));
       roc_points.push_back(json::Value(std::move(pt)));
     }
   }
-  timing["replay_seconds"] = json::Value(now_seconds() - t_rep0);
-
   json::Object roc_out;
-  roc_out["dynamics_cells"] = json::Value(static_cast<long long>(dyn_count));
-  roc_out["placements"] =
-      json::Value(static_cast<long long>(roc_placements.size()));
+  roc_out["dynamics_cells"] = json::Value(static_cast<long long>(cells.size()));
+  roc_out["placements"] = json::Value(static_cast<long long>(roc_p));
   roc_out["detector_grid"] =
       json::Value(static_cast<long long>(roc_detectors.size()));
-  roc_out["simulations"] = json::Value(static_cast<long long>(roc_sims));
-  roc_out["replays"] = json::Value(static_cast<long long>(replays));
+  roc_out["simulations"] =
+      json::Value(static_cast<long long>(sims.size() - curve_sims));
+  roc_out["replays"] =
+      json::Value(static_cast<long long>(replays.size() - roc_clean_at));
   roc_out["points"] = json::Value(std::move(roc_points));
   payload["roc"] = json::Value(std::move(roc_out));
   return json::Value(std::move(payload));
@@ -673,14 +762,14 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec,
     hts.push_back(gm_cluster(spec, arms.back().gm_node()));
   }
 
-  // Per mix, seven simulations: every arm's attacked run, and the
-  // baselines of every arm but the clean one, which reads only its
-  // detector report.
+  // Per mix, six simulations: every arm's attacked run, and the
+  // baselines of the plain and guarded arms. The detect and clean arms
+  // read only their detector reports, so they need no baseline.
   struct Sim {
     std::size_t arm;
     bool baseline;
   };
-  constexpr Sim kSims[] = {{0, true},  {0, false}, {1, true}, {1, false},
+  constexpr Sim kSims[] = {{0, false}, {1, true},  {1, false},
                            {2, false}, {3, true},  {3, false}};
   constexpr std::size_t kPerMix = std::size(kSims);
   const auto runs = runner.map(hts.size() * kPerMix, [&](std::size_t i) {
@@ -694,14 +783,13 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec,
     const core::AttackCampaign* arm = &arms[4 * k];
     const core::RunResult* r = &runs[k * kPerMix];
     const power::DetectorReport report =
-        arm[0].reduce(r[1], r[0], hts[k])
-            .detection.value_or(power::DetectorReport{});
-    const auto plain = arm[1].reduce(r[3], r[2], hts[k]);
+        r[0].detection.value_or(power::DetectorReport{});
+    const auto plain = arm[1].reduce(r[2], r[1], hts[k]);
     const auto clean_report =
-        r[4].detection.value_or(power::DetectorReport{});
+        r[3].detection.value_or(power::DetectorReport{});
     const auto false_pos =
         clean_report.flagged_low.size() + clean_report.flagged_high.size();
-    const auto mitigated = arm[3].reduce(r[6], r[5], hts[k]);
+    const auto mitigated = arm[3].reduce(r[5], r[4], hts[k]);
 
     int victims = 0;
     int attackers = 0;

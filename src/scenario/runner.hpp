@@ -1,6 +1,6 @@
 // Executes a ScenarioSpec through the experiment layer (AttackCampaign,
-// DefenseSweep, PlacementOptimizer, ManyCoreSystem) and reduces the raw
-// outcomes to one JSON result tree per scenario kind.
+// PlacementOptimizer, ManyCoreSystem, detector trace replay) and reduces
+// the raw outcomes to one JSON result tree per scenario kind.
 //
 // Determinism contract: for a fixed (spec, options) pair the returned
 // tree is bit-identical across runs and thread counts, except for the

@@ -9,9 +9,9 @@
 namespace htpb::sim {
 
 void Engine::step_one_cycle() {
-  // Most cycles have no due events; skip the queue's pop/compare loop
-  // entirely unless the earliest event is due now.
-  if (events_.next_time() <= now_) events_.run_all_at(now_);
+  // Due events fire in (when, seq) order; one may schedule another for
+  // this cycle, which fires in the same loop.
+  while (events_.next_time() <= now_) dispatch(events_.pop().desc);
   for (Tickable* t : tickables_) t->tick(now_);
   ++now_;
 }
@@ -26,11 +26,6 @@ void Engine::run_until(Cycle when) {
 
 void Engine::set_handler(EventKind kind, std::int32_t node, EventHandler fn) {
   handlers_[handler_key(kind, node)] = std::move(fn);
-}
-
-void Engine::schedule_desc_at(Cycle when, const EventDesc& desc) {
-  events_.schedule_desc(when < now_ ? now_ : when, desc,
-                        [this, desc] { dispatch(desc); });
 }
 
 void Engine::dispatch(const EventDesc& desc) {
@@ -50,18 +45,13 @@ void Engine::dispatch(const EventDesc& desc) {
 json::Value Engine::save_state() const {
   json::Array events;
   for (const EventQueue::PendingEvent& ev : events_.pending()) {
-    if (!ev.desc.has_value()) {
-      throw std::runtime_error(
-          "Engine::save_state: a pending event has no descriptor; "
-          "closure events cannot be checkpointed");
-    }
     json::Array e;
     e.push_back(common::ju64(ev.when));
     e.push_back(json::Value(
-        static_cast<long long>(static_cast<std::uint32_t>(ev.desc->kind))));
-    e.push_back(json::Value(static_cast<long long>(ev.desc->node)));
-    e.push_back(common::ju64(ev.desc->a));
-    e.push_back(common::ju64(ev.desc->b));
+        static_cast<long long>(static_cast<std::uint32_t>(ev.desc.kind))));
+    e.push_back(json::Value(static_cast<long long>(ev.desc.node)));
+    e.push_back(common::ju64(ev.desc.a));
+    e.push_back(common::ju64(ev.desc.b));
     events.push_back(json::Value(std::move(e)));
   }
   json::Object o;

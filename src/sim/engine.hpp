@@ -2,12 +2,11 @@
 // as Tickables and are ticked every cycle; sparse future work (memory
 // latencies, epoch timers) goes through the event queue.
 //
-// Checkpointing: components schedule serializable events (EventDesc) and
-// register a handler per (kind, node); save_state() captures the clock
-// and the pending descriptors, load_state() restores them against the
-// handlers currently registered. Closure events (schedule_in/at with a
-// bare lambda) still work for throwaway drivers but make the engine
-// unsnapshottable -- save_state() throws if one is pending.
+// Every event is a serializable descriptor (EventDesc): components
+// register a handler per (kind, node) and schedule descriptors, and the
+// engine dispatches each one as it comes due. So save_state() captures
+// the clock and the pending descriptors, and load_state() restores them
+// against the handlers currently registered.
 #pragma once
 
 #include <cstdint>
@@ -48,28 +47,23 @@ class Engine {
   /// the engine's lifetime.
   void add_tickable(Tickable* t) { tickables_.push_back(t); }
 
-  /// Schedules `fn` to run `delay` cycles from now (0 = end of this cycle).
-  void schedule_in(Cycle delay, EventFn fn) {
-    events_.schedule(now_ + delay, std::move(fn));
-  }
-
-  /// Schedules `fn` at absolute cycle `when`; times already in the past
-  /// are clamped to the current cycle (the event still runs, late).
-  void schedule_at(Cycle when, EventFn fn) {
-    events_.schedule(when < now_ ? now_ : when, std::move(fn));
-  }
-
   /// Registers the handler fired for descriptor events matching `kind`
   /// and `node` (node -1 registers a kind-wide wildcard, matched when no
   /// exact (kind, node) entry exists). Re-registering replaces.
   void set_handler(EventKind kind, std::int32_t node, EventHandler fn);
 
-  /// Schedules a serializable event. Requires a matching handler at
-  /// *execution* time, not at scheduling time.
+  /// Schedules `desc` to fire `delay` cycles from now. 0 means the next
+  /// event drain: this cycle's when called from an event handler, the
+  /// next cycle's when called from a tick. Requires a matching handler
+  /// at *execution* time, not at scheduling time.
   void schedule_desc_in(Cycle delay, const EventDesc& desc) {
     schedule_desc_at(now_ + delay, desc);
   }
-  void schedule_desc_at(Cycle when, const EventDesc& desc);
+  /// Schedules `desc` at absolute cycle `when`; times already in the past
+  /// are clamped to the current cycle (the event still fires, late).
+  void schedule_desc_at(Cycle when, const EventDesc& desc) {
+    events_.schedule(when < now_ ? now_ : when, desc);
+  }
 
   /// Resolves and fires the handler for `desc`; throws std::runtime_error
   /// when none is registered (a wiring bug, not a data error).
@@ -88,7 +82,7 @@ class Engine {
   }
 
   /// {"now": u64-string, "events": [[when, kind, node, a, b], ...]} with
-  /// events in firing order. Throws if a closure-only event is pending.
+  /// events in firing order.
   [[nodiscard]] json::Value save_state() const;
 
   /// Restores the clock and re-schedules the saved descriptor events (in

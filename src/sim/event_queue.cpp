@@ -1,37 +1,19 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace htpb::sim {
 
-void EventQueue::push(Event ev) {
-  heap_.push_back(std::move(ev));
+void EventQueue::schedule(Cycle when, const EventDesc& desc) {
+  heap_.push_back(Event{when, next_seq_++, desc});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-void EventQueue::schedule(Cycle when, EventFn fn) {
-  push(Event{when, next_seq_++, std::move(fn), std::nullopt});
-}
-
-void EventQueue::schedule_desc(Cycle when, const EventDesc& desc, EventFn fn) {
-  push(Event{when, next_seq_++, std::move(fn), desc});
-}
-
-void EventQueue::run_next() {
+EventQueue::PendingEvent EventQueue::pop() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  EventFn fn = std::move(heap_.back().fn);
+  const PendingEvent ev{heap_.back().when, heap_.back().desc};
   heap_.pop_back();
-  fn();
-}
-
-std::size_t EventQueue::run_all_at(Cycle t) {
-  std::size_t n = 0;
-  while (!heap_.empty() && heap_.front().when <= t) {
-    run_next();
-    ++n;
-  }
-  return n;
+  return ev;
 }
 
 void EventQueue::clear() {

@@ -1,19 +1,17 @@
-// Deterministic discrete-event queue: events at equal timestamps fire in
-// insertion (FIFO) order so simulations are bit-reproducible. The (when,
-// seq) pair is a total order -- the tie-break is part of the public
-// contract (tests/sim/event_queue_test.cpp asserts it), not an accident
-// of heap layout.
+// Deterministic discrete-event queue of serializable descriptors
+// (sim/event_desc.hpp): events at equal timestamps pop in insertion
+// (FIFO) order so simulations are bit-reproducible. The (when, seq) pair
+// is a total order -- the tie-break is part of the public contract
+// (tests/sim/event_queue_test.cpp asserts it), not an accident of heap
+// layout. The queue only orders descriptors; the engine dispatches them.
 //
-// For checkpointing, events can carry an EventDesc (sim/event_desc.hpp).
-// pending() enumerates the queue in firing order; a snapshot stores the
-// descriptors and a restore re-schedules them in that order, which
-// assigns fresh monotone sequence numbers and therefore reproduces the
-// exact firing order.
+// For checkpointing, pending() enumerates the queue in firing order; a
+// snapshot stores the descriptors and a restore re-schedules them in
+// that order, which assigns fresh monotone sequence numbers and
+// therefore reproduces the exact firing order.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -21,23 +19,15 @@
 
 namespace htpb::sim {
 
-using EventFn = std::function<void()>;
-
 class EventQueue {
  public:
-  /// One pending event, as seen by a checkpoint: firing time plus the
-  /// serializable descriptor (nullopt for closure-only events).
+  /// One pending event: firing time plus its descriptor.
   struct PendingEvent {
     Cycle when = 0;
-    std::optional<EventDesc> desc;
+    EventDesc desc;
   };
 
-  void schedule(Cycle when, EventFn fn);
-
-  /// Schedules a descriptor-carrying event. `fn` performs the action
-  /// (typically a bound Engine::dispatch); `desc` is what a snapshot
-  /// writes out.
-  void schedule_desc(Cycle when, const EventDesc& desc, EventFn fn);
+  void schedule(Cycle when, const EventDesc& desc);
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
@@ -45,25 +35,19 @@ class EventQueue {
     return heap_.empty() ? kCycleMax : heap_.front().when;
   }
 
-  /// Pops and runs the earliest event. Precondition: !empty().
-  void run_next();
-
-  /// Runs all events with timestamp == t. Returns number executed.
-  std::size_t run_all_at(Cycle t);
+  /// Removes and returns the earliest event. Precondition: !empty().
+  [[nodiscard]] PendingEvent pop();
 
   void clear();
 
   /// Every pending event in firing order -- (when, seq) ascending.
-  /// Closure-only events appear with desc == nullopt; a snapshot caller
-  /// treats those as an error (the component forgot to use a descriptor).
   [[nodiscard]] std::vector<PendingEvent> pending() const;
 
  private:
   struct Event {
     Cycle when;
     std::uint64_t seq;
-    EventFn fn;
-    std::optional<EventDesc> desc;
+    EventDesc desc;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -71,8 +55,6 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-
-  void push(Event ev);
 
   /// Min-heap on (when, seq) via std::push_heap/pop_heap. A raw vector
   /// (rather than std::priority_queue) so pending() can enumerate it.

@@ -3,7 +3,7 @@
 //     DetectorKind), replaying a recorded RequestTrace produces a
 //     DetectorReport bit-identical to the report an in-simulation
 //     detector would have filed for the same run.
-//  2. Cost shape -- the DefenseSweep detection arm simulates O(placements)
+//  2. Cost shape -- defense-roc's detection arm simulates O(placements)
 //     systems, independent of the detector-grid size (asserted via the
 //     AttackCampaign::systems_simulated counting hook), and every
 //     simulated leg pays exactly one warmup (warmup_epochs_simulated).
@@ -25,8 +25,6 @@
 #include <vector>
 
 #include "core/campaign.hpp"
-#include "core/defense_sweep.hpp"
-#include "core/parallel_sweep.hpp"
 #include "core/placement.hpp"
 #include "power/request_trace.hpp"
 #include "scenario/registry.hpp"
@@ -152,31 +150,44 @@ TEST(TraceReplay, RecordingNeverPerturbsTheRun) {
 }
 
 TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
-  DefenseSweepConfig sweep_cfg;
-  sweep_cfg.base = base_config();
-  sweep_cfg.base.detector.reset();
-  sweep_cfg.placements = placements_for(sweep_cfg.base);
-  const ParallelSweepRunner runner(2);
+  // base_config()'s chip and Trojans as a defense sweep over two
+  // placements, no ROC grid.
+  scenario::ScenarioSpec spec;
+  spec.name = "placement-bound";
+  spec.kind = scenario::ScenarioKind::kDefenseSweep;
+  spec.system.width = 8;
+  spec.system.height = 8;
+  spec.system.epoch_cycles = 1000;
+  spec.workload.mix = "mix-1";
+  spec.trojan.victim_scale = 0.10;
+  spec.trojan.attacker_boost = 8.0;
+  spec.trojan.active = false;
+  spec.trojan.toggle_period_epochs = 2;
+  spec.epochs = {1, 4};
+  spec.axes.placements = {{scenario::ClusterSpec::At::kGm, 8},
+                          {scenario::ClusterSpec::At::kCorner, 4}};
+  scenario::RunOptions two;
+  two.threads = 2;
 
-  const std::uint64_t placements = sweep_cfg.placements.size();
+  const std::uint64_t placements = spec.axes.placements.size();
   const auto run_with_grid = [&](std::size_t grid) {
-    sweep_cfg.detectors.clear();
+    spec.axes.bands.clear();
     for (std::size_t i = 0; i < grid; ++i) {
-      power::DetectorConfig d;
-      d.low_ratio = 0.2 + 0.1 * static_cast<double>(i);
-      sweep_cfg.detectors.push_back(d);
+      spec.axes.bands.push_back({0.2 + 0.1 * static_cast<double>(i), 2.2});
     }
     const std::uint64_t before = AttackCampaign::systems_simulated();
     const std::uint64_t warmup_before =
         AttackCampaign::warmup_epochs_simulated();
-    const auto curve = DefenseSweep(sweep_cfg).run(runner);
-    EXPECT_EQ(curve.size(), grid);
+    const json::Value tree = scenario::run_scenario(spec, two);
+    const json::Object& curve = tree.as_object().find("curve")->as_object();
+    EXPECT_EQ(curve.find("points")->as_array().size(), grid);
     const std::uint64_t systems = AttackCampaign::systems_simulated() - before;
+    EXPECT_EQ(static_cast<std::uint64_t>(curve.find("simulations")->as_int()),
+              systems);
     // One full warmup per simulated leg: the per-leg warmup is what
     // scenario benchmarks divide by when they report warmup reuse.
     EXPECT_EQ(AttackCampaign::warmup_epochs_simulated() - warmup_before,
-              systems * static_cast<std::uint64_t>(
-                            sweep_cfg.base.warmup_epochs));
+              systems * static_cast<std::uint64_t>(spec.epochs.warmup));
     return systems;
   };
 
@@ -204,9 +215,9 @@ TEST(TraceReplay, DetectionArmSimulationCountIsPlacementBound) {
   const RunResult baseline = campaign.simulate({});
   const std::uint64_t systems_before = AttackCampaign::systems_simulated();
   const std::uint64_t warmup_before = AttackCampaign::warmup_epochs_simulated();
-  const CampaignOutcome out =
-      campaign.reduce(campaign.simulate(sweep_cfg.placements.front()),
-                      baseline, sweep_cfg.placements.front());
+  const auto placement = placements_for(migrate_cfg).front();
+  const CampaignOutcome out = campaign.reduce(campaign.simulate(placement),
+                                              baseline, placement);
   ASSERT_TRUE(out.response.has_value());
   ASSERT_EQ(out.response->migrations, 1);
   EXPECT_EQ(AttackCampaign::systems_simulated() - systems_before, 2U);

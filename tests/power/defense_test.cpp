@@ -268,7 +268,7 @@ TEST(CohortMedianDetector, FactoryDispatchesOnKind) {
 }
 
 TEST(DetectorReport, UniqueFlaggedDeduplicatesAcrossLists) {
-  // The DefenseSweep detection-rate regression: a core in both lists
+  // The defense-roc detection-rate regression: a core in both lists
   // (duty-cycle swings) must count once, or rates exceed 1.
   DetectorReport rep;
   rep.flagged_low = {3, 1, 7};

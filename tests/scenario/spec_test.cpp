@@ -224,6 +224,15 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   spec.axes.bands.clear();
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 
+  // A defense sweep needs at least one placement, each of >= 1 Trojan.
+  spec = full_spec();
+  spec.axes.roc = RocSpec{};
+  spec.axes.placements.clear();
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = full_spec();
+  spec.axes.placements.front().hts = 0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+
   spec = full_spec();
   spec.workload.mix = "mix-9";
   EXPECT_THROW(spec.validate(), std::invalid_argument);
