@@ -1,19 +1,9 @@
 #include "common/rng.hpp"
 
-#include <cmath>
 #include <numeric>
+#include <utility>
 
 namespace htpb {
-
-std::uint64_t Rng::exponential_gap(double rate_per_cycle) noexcept {
-  if (rate_per_cycle <= 0.0) return ~0ULL;
-  // Inverse-CDF sample; clamp u away from 0 to keep log finite.
-  const double u = std::max(uniform(), 1e-12);
-  const double gap = -std::log(u) / rate_per_cycle;
-  if (gap < 1.0) return 1;
-  if (gap > 1e18) return ~0ULL;
-  return static_cast<std::uint64_t>(gap);
-}
 
 std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,
                                                            std::uint32_t k) {

@@ -86,10 +86,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   [[nodiscard]] bool chance(double p) noexcept { return uniform() < p; }
 
-  /// Geometric-ish inter-arrival sample for a Poisson process with the
-  /// given rate per cycle. Returns at least 1.
-  [[nodiscard]] std::uint64_t exponential_gap(double rate_per_cycle) noexcept;
-
   /// Fisher-Yates shuffle of a span.
   template <typename T>
   void shuffle(std::span<T> items) noexcept {

@@ -216,6 +216,8 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
     infection_epoch_sum +=
         sys.measured_infection_rate() * static_cast<double>(measured);
     measured_total += measured;
+    result.gm_flits +=
+        sys.network().router(sys.gm_node()).stats().flits_forwarded;
 
     const auto& hist = sys.gm().history();
     const std::size_t first =

@@ -175,6 +175,9 @@ struct RunResult {
   std::optional<power::ResponseStats> response_stats;
   std::optional<AdaptationOutcome> adaptation;
   int migrations = 0;
+  /// Flits the GM's router forwarded, from power-on (warmup included),
+  /// summed over legs: the traffic the manager sees.
+  std::uint64_t gm_flits = 0;
 
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };

@@ -42,12 +42,6 @@ double PlacementOptimizer::score(const Placement& p) const {
   return model_->predict(s);
 }
 
-OptimizerResult PlacementOptimizer::optimize(
-    int max_hts, int candidates_per_m, std::uint64_t seed,
-    const ParallelSweepRunner& runner) const {
-  return optimize_top_k(max_hts, candidates_per_m, 1, seed, runner).front();
-}
-
 std::vector<OptimizerResult> PlacementOptimizer::optimize_top_k(
     int max_hts, int candidates_per_m, int k, std::uint64_t seed,
     const ParallelSweepRunner& runner) const {

@@ -38,24 +38,16 @@ class PlacementOptimizer {
         phi_attackers_(std::move(phi_attackers)) {}
 
   /// Enumerates `candidates_per_m` placements for each m in [1, max_hts]
-  /// and returns the placement with the highest predicted Q. Runs on
-  /// `runner`'s thread pool; see optimize_top_k for the determinism
-  /// contract.
-  [[nodiscard]] OptimizerResult optimize(
-      int max_hts, int candidates_per_m, std::uint64_t seed,
-      const ParallelSweepRunner& runner) const;
-
-  /// Same enumeration, returning the `k` best-scoring placements in
-  /// descending predicted-Q order. The linear model (Eq. 9) is only an
-  /// approximation, so a careful attacker validates the short list in
-  /// simulation before committing fab resources.
+  /// and returns the `k` best-scoring placements in descending
+  /// predicted-Q order (k = 1 is the single best placement). The linear
+  /// model (Eq. 9) is only an approximation, so a careful attacker
+  /// validates the short list in simulation before committing fab
+  /// resources.
   ///
   /// The per-m candidate batches are fanned across `runner`'s thread
   /// pool, each drawing from its own
   /// `ParallelSweepRunner::stream_rng(seed, m - 1)` stream, so the result
-  /// is bit-identical at any thread count. (The old serial Rng& overload
-  /// drew from one sequential stream and is retired; every caller goes
-  /// through the runner now.)
+  /// is bit-identical at any thread count.
   [[nodiscard]] std::vector<OptimizerResult> optimize_top_k(
       int max_hts, int candidates_per_m, int k, std::uint64_t seed,
       const ParallelSweepRunner& runner) const;

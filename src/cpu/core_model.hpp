@@ -71,7 +71,6 @@ class CoreModel {
   [[nodiscard]] double ipc_at_level(int lvl) const {
     return ipc_.ipc(freqs_->ghz(lvl));
   }
-  [[nodiscard]] double current_ipc() const { return ipc_at_level(level_); }
   /// Instructions per nanosecond at the current level -- the per-core term
   /// IPC(j, k, f_j) * f_j of paper Def. 1.
   [[nodiscard]] double current_throughput() const {

@@ -33,10 +33,6 @@ std::string Packet::to_string() const {
 
 void PacketPtr::dispose(Packet* p) noexcept {
   detail::PoolCore* core = p->ctrl.pool;
-  if (core == nullptr) {
-    delete p;
-    return;
-  }
   --core->live;
   if (core->alive) {
     // Swap-remove from the live table (O(1); order is not meaningful).
@@ -99,12 +95,6 @@ PacketPtr PacketPool::allocate() {
   p->ctrl.live_index = static_cast<std::uint32_t>(core_->live_list.size());
   core_->live_list.push_back(p);
   ++core_->live;
-  return PacketPtr::adopt(p);
-}
-
-PacketPtr make_heap_packet() {
-  auto* p = new Packet();
-  p->ctrl.refs = 1;
   return PacketPtr::adopt(p);
 }
 

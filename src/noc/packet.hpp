@@ -11,9 +11,9 @@
 // intrusive reference-counted handle. A simulation run is single-threaded
 // by design (the two-phase router update; parallelism is across campaigns),
 // so the count is a plain integer -- copying a flit costs one increment,
-// not an atomic RMW like the former std::shared_ptr did. Packets normally
-// come from a MeshNetwork's PacketPool and return to it when the last
-// handle drops, so steady-state traffic allocates nothing.
+// not an atomic RMW like the former std::shared_ptr did. Every handled
+// packet comes from a PacketPool (one per MeshNetwork) and returns to it
+// when the last handle drops, so steady-state traffic allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -204,7 +204,7 @@ class PacketPtr {
     p_ = nullptr;
     if (p != nullptr && --p->ctrl.refs == 0) dispose(p);
   }
-  static void dispose(Packet* p) noexcept;  // packet.cpp: pool / free
+  static void dispose(Packet* p) noexcept;  // packet.cpp: back to the pool
 
   Packet* p_ = nullptr;
 };
@@ -238,10 +238,6 @@ class PacketPool {
  private:
   detail::PoolCore* core_;
 };
-
-/// Standalone packet on the plain heap (tests, ad-hoc tools); freed by the
-/// last handle like any other packet.
-[[nodiscard]] PacketPtr make_heap_packet();
 
 /// One flit of a packet. All flits of a packet share ownership of the
 /// Packet object; only the head flit triggers route computation and

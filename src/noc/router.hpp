@@ -112,9 +112,6 @@ class Router {
   void add_output_credit(Direction p, int vc) noexcept {
     ++out_[port_index(p)].vcs[static_cast<std::size_t>(vc)].credits;
   }
-  [[nodiscard]] int output_credits(Direction p, int vc) const noexcept {
-    return out_[port_index(p)].vcs[static_cast<std::size_t>(vc)].credits;
-  }
 
   [[nodiscard]] int input_occupancy(Direction p, int vc) const noexcept {
     return in_vcs_[static_cast<std::size_t>(port_index(p) * cfg_.vcs + vc)]
@@ -130,13 +127,8 @@ class Router {
   void add_inspector(PacketInspector* inspector) {
     inspectors_.push_back(inspector);
   }
-  void clear_inspectors() noexcept { inspectors_.clear(); }
-  [[nodiscard]] bool has_inspectors() const noexcept {
-    return !inspectors_.empty();
-  }
 
   [[nodiscard]] const RouterStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = RouterStats{}; }
 
   /// Checkpointing: everything that changes while flits move -- input-VC
   /// buffer contents, routing/allocation registers, output credits,

@@ -107,11 +107,6 @@ DetectorReport RequestAnomalyDetector::observe_epoch(
   return newly;
 }
 
-void RequestAnomalyDetector::reset() {
-  state_.clear();
-  cumulative_ = DetectorReport{};
-}
-
 void RequestAnomalyDetector::rearm(NodeId node) {
   const auto it = state_.find(node);
   if (it != state_.end()) it->second.flags = FlagState{};
@@ -171,11 +166,6 @@ DetectorReport CohortMedianDetector::observe_epoch(
   return newly;
 }
 
-void CohortMedianDetector::reset() {
-  state_.clear();
-  cumulative_ = DetectorReport{};
-}
-
 void CohortMedianDetector::rearm(NodeId node) {
   const auto it = state_.find(node);
   if (it != state_.end()) it->second = FlagState{};
@@ -217,11 +207,6 @@ std::vector<BudgetGrant> GuardedBudgeter::allocate(
     }
   }
   return inner_->allocate(clamped, budget_mw, floor_mw);
-}
-
-void GuardedBudgeter::reset() {
-  history_.clear();
-  samples_.clear();
 }
 
 json::Value RequestAnomalyDetector::save_state() const {

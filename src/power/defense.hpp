@@ -30,8 +30,7 @@
 // code must instantiate one per simulated run (campaigns do this from
 // DetectorConfig, see core/campaign.hpp) -- sharing one instance across
 // runs contaminates every report after the first with the previous run's
-// history and cumulative flags. `reset()` exists for callers that pool
-// instances, but fresh construction per run is the intended pattern.
+// history and cumulative flags.
 #pragma once
 
 #include <cstdint>
@@ -147,11 +146,6 @@ class RequestAnomalyDetector {
   /// the cores newly confirmed anomalous this epoch.
   virtual DetectorReport observe_epoch(std::span<const BudgetRequest> requests);
 
-  /// Forgets all history, flags and epoch counters; the configuration is
-  /// kept. After reset() the detector is indistinguishable from a freshly
-  /// constructed one.
-  virtual void reset();
-
   /// Re-arms one core's report-once flags (and streaks) so it can be
   /// confirmed anomalous again. The core's history and warmup state are
   /// kept -- the detector still knows what "normal" looks like for it.
@@ -232,7 +226,6 @@ class CohortMedianDetector final : public RequestAnomalyDetector {
 
   DetectorReport observe_epoch(
       std::span<const BudgetRequest> requests) override;
-  void reset() override;
   void rearm(NodeId node) override;
   /// Cohort judgment needs no per-core warmup.
   [[nodiscard]] std::size_t unarmed_cores() const override { return 0; }
@@ -266,12 +259,6 @@ class GuardedBudgeter final : public Budgeter {
   [[nodiscard]] std::vector<BudgetGrant> allocate(
       std::span<const BudgetRequest> requests, std::uint64_t budget_mw,
       std::uint32_t floor_mw) const override;
-
-  /// Forgets the per-core trust history. Like the detector, the guard is
-  /// per-chip-lifetime state: it is constructed per ManyCoreSystem (so
-  /// baseline and attacked runs never share a history), and reset() backs
-  /// that contract for any caller that keeps one alive across runs.
-  void reset();
 
   [[nodiscard]] const char* name() const noexcept override {
     return "guarded";

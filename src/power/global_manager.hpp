@@ -73,7 +73,6 @@ class GlobalManager {
 
   [[nodiscard]] NodeId node() const noexcept { return node_; }
   [[nodiscard]] std::uint64_t budget_mw() const noexcept { return budget_mw_; }
-  void set_budget_mw(std::uint64_t b) noexcept { budget_mw_ = b; }
 
   /// Opens a new collection window.
   void begin_epoch(Cycle now) {

@@ -97,7 +97,6 @@ std::vector<CellPlan> expand_cells(const ScenarioSpec& resolved) {
       break;
 
     case ScenarioKind::kAttackEffect:
-    case ScenarioKind::kPerformanceChange:
     case ScenarioKind::kDefenseEvaluation:
       for (const std::string& mix : resolved.workload.mixes) {
         ScenarioSpec cell = cell_base(resolved);
@@ -210,7 +209,6 @@ json::Value merge_cell_results(const ScenarioSpec& resolved, bool quick,
     }
 
     case ScenarioKind::kAttackEffect:
-    case ScenarioKind::kPerformanceChange:
     case ScenarioKind::kPlacementStudy: {
       require_cell_count(resolved.workload.mixes.size(), cell_results.size());
       json::Array mixes;

@@ -18,7 +18,6 @@
 //                             (arm, ht) / (div, size), so split/merge
 //                             stays bit-identical.
 //   kAttackEffect             cell per mix         serial Rng(seed) per mix
-//   kPerformanceChange        cell per mix         (same sweep)
 //   kPlacementStudy           cell per mix         Rng(seed + mix_i): the
 //                             cell's seed is REBASED to seed + mix_i so
 //                             its local index 0 lands on the same stream

@@ -71,10 +71,20 @@ ScenarioSpec make_fig4() {
   return s;
 }
 
-/// Shared shape of the Figs. 5-6 attack campaigns: 256 cores, Table III
-/// mixes, 50% budget, victim x0.10 / attacker x8.
-ScenarioSpec attack_campaign(std::string name, ScenarioKind kind) {
-  ScenarioSpec s = named(std::move(name), kind);
+/// Figs. 5-6 are two readouts of one attack sweep: 256 cores, Table III
+/// mixes, 50% budget, victim x0.10 / attacker x8. Each mix's `rows[]`
+/// carry Q (Fig. 5) and each row's `theta_change` the per-app Theta of
+/// `apps` (Fig. 6).
+ScenarioSpec make_fig5() {
+  ScenarioSpec s = named("fig5", ScenarioKind::kAttackEffect);
+  s.title =
+      "Figs. 5-6 -- attack effect Q and per-application Theta vs infection "
+      "rate (4 mixes, 256 cores)";
+  s.paper_ref = "Fig. 5, Fig. 6(a)-(d)";
+  s.expectation =
+      "Q grows with infection rate for every mix; paper peaks at "
+      "Q = 6.89 (mix-4, infection 0.9). Attackers' Theta >= 1 and rises; "
+      "victims' Theta < 1 and falls; compute-bound victims fall hardest";
   set_size(s, 256);
   s.system.epoch_cycles = 2000;
   s.workload.mixes = standard_mix_names();
@@ -84,30 +94,8 @@ ScenarioSpec attack_campaign(std::string name, ScenarioKind kind) {
   s.seed = 42;
   s.axes.infection_targets = {0.1, 0.3, 0.5, 0.7, 0.9};
   s.axes.placement_max_hts = 64;
-  return s;
-}
-
-ScenarioSpec make_fig5() {
-  ScenarioSpec s = attack_campaign("fig5", ScenarioKind::kAttackEffect);
-  s.title = "Fig. 5 -- attack effect Q vs infection rate (4 mixes, 256 cores)";
-  s.paper_ref = "Fig. 5";
-  s.expectation =
-      "Q grows with infection rate for every mix; paper peaks at "
-      "Q = 6.89 (mix-4, infection 0.9)";
   s.quick = json::parse(R"({"epochs": {"measure": 3},
                             "axes": {"infection_targets": [0.3, 0.9]}})");
-  return s;
-}
-
-ScenarioSpec make_fig6() {
-  ScenarioSpec s = attack_campaign("fig6", ScenarioKind::kPerformanceChange);
-  s.title = "Fig. 6 -- per-application Theta vs infection rate (4 mixes)";
-  s.paper_ref = "Fig. 6(a)-(d)";
-  s.expectation =
-      "attackers' Theta >= 1 and rises; victims' Theta < 1 and falls; "
-      "compute-bound victims fall hardest";
-  s.quick = json::parse(R"({"epochs": {"measure": 3},
-                            "axes": {"infection_targets": [0.5]}})");
   return s;
 }
 
@@ -321,7 +309,6 @@ const std::vector<ScenarioSpec>& registry() {
     all.push_back(make_fig3());
     all.push_back(make_fig4());
     all.push_back(make_fig5());
-    all.push_back(make_fig6());
     all.push_back(make_table1());
     all.push_back(make_table2());
     all.push_back(make_area_power());

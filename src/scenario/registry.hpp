@@ -4,9 +4,10 @@
 // starts here; `htpb_run --list` prints it.
 //
 // Registered names (tests/scenario/registry_test.cpp asserts the set):
-//   fig3, fig4, fig5, fig6, table1, table2, secIIID-area-power,
-//   secVC-placement, defense-roc, defense-evaluation, attack-comparison,
-//   budgeter-ablation
+//   fig3, fig4, fig5 (Figs. 5 and 6: one sweep, both readouts), table1,
+//   table2, secIIID-area-power, secVC-placement, defense-roc,
+//   defense-evaluation, attack-comparison, budgeter-ablation,
+//   defense-closed-loop
 #pragma once
 
 #include <string_view>

@@ -97,6 +97,13 @@ namespace {
       MeshGeometry(spec.system.width, spec.system.height), gm);
 }
 
+/// The spec's `detector` section, or DetectorConfig{} without one. A
+/// defense sweep varies only its band (and, on the ROC grid, its kind);
+/// defense-evaluation's detection and guard arms use it as it is.
+[[nodiscard]] power::DetectorConfig base_detector(const ScenarioSpec& spec) {
+  return spec.detector.value_or(power::DetectorConfig{});
+}
+
 /// The {ewma, cohort} x axes.bands detector grid shared by the defense
 /// sweep's ROC replay and the --replay-trace surface -- one builder so
 /// the two can never diverge in grid order or membership.
@@ -106,7 +113,7 @@ namespace {
   for (const auto kind :
        {power::DetectorKind::kSelfEwma, power::DetectorKind::kCohortMedian}) {
     for (const BandSpec& band : spec.axes.bands) {
-      power::DetectorConfig d;
+      power::DetectorConfig d = base_detector(spec);
       d.kind = kind;
       d.low_ratio = band.low;
       d.high_ratio = band.high;
@@ -471,7 +478,7 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   }
   std::vector<power::DetectorConfig> bands;
   for (const BandSpec& band : spec.axes.bands) {
-    power::DetectorConfig d;
+    power::DetectorConfig d = base_detector(spec);
     d.low_ratio = band.low;
     d.high_ratio = band.high;
     bands.push_back(d);
@@ -737,9 +744,7 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec,
     // Detection arm (mid-run activation); the run owns its detector.
     ScenarioSpec detect_spec = spec;
     detect_spec.epochs.measure = spec.axes.detection_measure_epochs;
-    if (!detect_spec.detector.has_value()) {
-      detect_spec.detector = power::DetectorConfig{};
-    }
+    detect_spec.detector = base_detector(spec);
     // Damage arms: attack always on, no detector (and so no response).
     ScenarioSpec damage_spec = spec;
     damage_spec.trojan.active = true;
@@ -752,13 +757,15 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec,
     ScenarioSpec clean_spec = detect_spec;
     clean_spec.trojan.active = false;
     clean_spec.trojan.toggle_period_epochs = 0;
-    // Mitigation arm: the GuardedBudgeter clamps requests in-band.
-    ScenarioSpec guard_spec = damage_spec;
-    guard_spec.system.guard_requests = true;
-    for (const ScenarioSpec* arm :
-         {&detect_spec, &damage_spec, &clean_spec, &guard_spec}) {
+    for (const ScenarioSpec* arm : {&detect_spec, &damage_spec, &clean_spec}) {
       arms.emplace_back(campaign_config(*arm, mix_name));
     }
+    // Mitigation arm: the GuardedBudgeter clamps requests into the
+    // detector's band.
+    core::CampaignConfig guard_cfg = campaign_config(damage_spec, mix_name);
+    guard_cfg.system.guard_requests = true;
+    guard_cfg.system.guard_config = *detect_spec.detector;
+    arms.emplace_back(std::move(guard_cfg));
     hts.push_back(gm_cluster(spec, arms.back().gm_node()));
   }
 
@@ -917,10 +924,9 @@ json::Value run_attack_comparison(const ScenarioSpec& spec,
     json::Object false_data;
     false_data["victim_throughput"] = json::Value(victim_theta_fd);
     false_data["extra_packets"] = json::Value(0);
-    // The Trojan rewrites payloads in flight: utilization counters are
-    // identical to the clean run -- the stealth headline.
+    // Measured on the attacked run, not assumed equal to the clean one.
     false_data["gm_flits"] =
-        json::Value(static_cast<long long>(gm_flits_clean));
+        json::Value(static_cast<long long>(runs[1].gm_flits));
     false_data["q"] = json::Value(fd.q);
     payload["false_data"] = json::Value(std::move(false_data));
 
@@ -1323,7 +1329,6 @@ json::Value run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
       payload = run_infection_vs_distribution(s, runner);
       break;
     case ScenarioKind::kAttackEffect:
-    case ScenarioKind::kPerformanceChange:
       payload = run_attack_sweep(s, runner);
       break;
     case ScenarioKind::kPlacementStudy:

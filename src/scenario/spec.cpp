@@ -16,7 +16,6 @@ const char* to_string(ScenarioKind kind) noexcept {
     case ScenarioKind::kInfectionVsDistribution:
       return "infection_vs_distribution";
     case ScenarioKind::kAttackEffect: return "attack_effect";
-    case ScenarioKind::kPerformanceChange: return "performance_change";
     case ScenarioKind::kPlacementStudy: return "placement_study";
     case ScenarioKind::kDefenseSweep: return "defense_sweep";
     case ScenarioKind::kDefenseEvaluation: return "defense_evaluation";
@@ -247,7 +246,6 @@ void ScenarioSpec::validate() const {
       if (axes.seeds < 1) invalid(name, "axes.seeds must be >= 1");
       break;
     case ScenarioKind::kAttackEffect:
-    case ScenarioKind::kPerformanceChange:
       check_mixes(name, workload.mixes);
       if (axes.infection_targets.empty()) {
         invalid(name, "axes.infection_targets must not be empty");
@@ -278,6 +276,11 @@ void ScenarioSpec::validate() const {
     case ScenarioKind::kDefenseSweep:
       require_bands();
       require_placements();
+      if (response.has_value()) {
+        invalid(name,
+                "response is not read by defense_sweep (its detectors only "
+                "replay traces; responses live in defense_closed_loop)");
+      }
       if (axes.roc.placements < 0) {
         invalid(name, "axes.roc.placements must be >= 0");
       }

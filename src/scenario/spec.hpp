@@ -58,8 +58,7 @@ inline constexpr std::int64_t kSchemaVersion = 1;
 enum class ScenarioKind : std::uint8_t {
   kInfectionVsHtCount,       ///< Fig. 3: infection rate vs #HTs, GM arms
   kInfectionVsDistribution,  ///< Fig. 4: center/random/corner clusters
-  kAttackEffect,             ///< Fig. 5: Q vs infection rate per mix
-  kPerformanceChange,        ///< Fig. 6: per-app Theta vs infection rate
+  kAttackEffect,             ///< Figs. 5-6: Q and per-app Theta vs infection
   kPlacementStudy,           ///< Sec. V-C: model-optimized vs random
   kDefenseSweep,             ///< Defense ROC: bands x placements (+ROC grid)
   kDefenseEvaluation,        ///< Detection & mitigation per mix
@@ -274,7 +273,7 @@ struct AxesSpec {
   std::vector<int> ht_divisors;
   /// Random-placement repetitions averaged per cell (Figs. 3-4).
   int seeds = 0;
-  // kAttackEffect / kPerformanceChange
+  // kAttackEffect
   std::vector<double> infection_targets;
   int placement_max_hts = 64;
   // kPlacementStudy (+ kBenchmarkReport / kAreaPowerReport chip size)
@@ -351,8 +350,9 @@ struct ScenarioSpec {
   TrojanSpec trojan;
   EpochSpec epochs;
   /// Detection policy for kinds that run one detector in-sim
-  /// (kDefenseEvaluation, kDefenseClosedLoop); sweeps carry their grids
-  /// in axes.bands.
+  /// (kDefenseEvaluation, kDefenseClosedLoop) and the guard that clamps
+  /// into its band. kDefenseSweep varies only the band (and, on the ROC
+  /// grid, the kind) of this base; absent means DetectorConfig{}.
   std::optional<power::DetectorConfig> detector;
   /// Closed-loop response policy; requires `detector`. For
   /// kDefenseClosedLoop this sets trigger/sanction/recovery parameters

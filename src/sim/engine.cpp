@@ -20,10 +20,6 @@ void Engine::run_cycles(Cycle cycles) {
   for (Cycle i = 0; i < cycles; ++i) step_one_cycle();
 }
 
-void Engine::run_until(Cycle when) {
-  while (now_ <= when) step_one_cycle();
-}
-
 void Engine::set_handler(EventKind kind, std::int32_t node, EventHandler fn) {
   handlers_[handler_key(kind, node)] = std::move(fn);
 }

@@ -73,9 +73,6 @@ class Engine {
   /// due at the current time, then tick every registered component.
   void run_cycles(Cycle cycles);
 
-  /// Advances until `when` (inclusive of events at `when`).
-  void run_until(Cycle when);
-
   /// Events scheduled but not yet executed (observability / test hook).
   [[nodiscard]] std::size_t pending_events() const noexcept {
     return events_.size();

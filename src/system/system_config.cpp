@@ -28,17 +28,4 @@ SystemConfig SystemConfig::with_mesh(int width, int height) {
   return cfg;
 }
 
-SystemConfig SystemConfig::with_size(int nodes) {
-  switch (nodes) {
-    case 64: return with_mesh(8, 8);
-    case 128: return with_mesh(16, 8);
-    case 256: return with_mesh(16, 16);
-    case 512: return with_mesh(32, 16);
-    default:
-      throw std::invalid_argument(
-          "SystemConfig::with_size: supported sizes are 64/128/256/512; "
-          "use with_mesh(width, height) for other shapes");
-  }
-}
-
 }  // namespace htpb::system

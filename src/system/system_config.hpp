@@ -80,10 +80,6 @@ struct SystemConfig {
   /// width/height, not from an assumed square side.
   [[nodiscard]] static SystemConfig with_mesh(int width, int height);
 
-  /// Convenience presets for the paper's system-size sweep (64..512);
-  /// delegates to with_mesh with the paper's shapes.
-  [[nodiscard]] static SystemConfig with_size(int nodes);
-
   friend bool operator==(const SystemConfig&, const SystemConfig&) = default;
 };
 

@@ -72,17 +72,4 @@ void map_threads_round_robin(std::vector<Application>& apps, int node_count) {
   }
 }
 
-void map_threads_blocked(std::vector<Application>& apps, int node_count) {
-  if (total_threads(apps) > node_count) {
-    throw std::invalid_argument("map_threads_blocked: more threads than cores");
-  }
-  for (auto& app : apps) app.cores.clear();
-  NodeId next = 0;
-  for (auto& app : apps) {
-    for (int t = 0; t < app.threads; ++t) {
-      app.cores.push_back(next++);
-    }
-  }
-}
-
 }  // namespace htpb::workload

@@ -56,7 +56,4 @@ struct Mix {
 /// than exist.
 void map_threads_round_robin(std::vector<Application>& apps, int node_count);
 
-/// Block mapping: each application gets a contiguous band of node ids.
-void map_threads_blocked(std::vector<Application>& apps, int node_count);
-
 }  // namespace htpb::workload

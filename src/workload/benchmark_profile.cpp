@@ -45,11 +45,4 @@ const BenchmarkProfile& benchmark(std::string_view name) {
                           std::string(name) + "'");
 }
 
-std::optional<const BenchmarkProfile*> find_benchmark(std::string_view name) {
-  for (const auto& profile : table()) {
-    if (profile.name == name) return &profile;
-  }
-  return std::nullopt;
-}
-
 }  // namespace htpb::workload

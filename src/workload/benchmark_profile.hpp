@@ -11,7 +11,6 @@
 // memory-bound (low Phi). DESIGN.md section 3 documents this substitution.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -45,8 +44,5 @@ struct BenchmarkProfile {
 
 /// Lookup by name; throws std::out_of_range for unknown benchmarks.
 [[nodiscard]] const BenchmarkProfile& benchmark(std::string_view name);
-
-[[nodiscard]] std::optional<const BenchmarkProfile*> find_benchmark(
-    std::string_view name);
 
 }  // namespace htpb::workload

@@ -81,25 +81,6 @@ TEST(Rng, ChanceExtremes) {
   }
 }
 
-TEST(Rng, ExponentialGapPositiveAndMeanReasonable) {
-  Rng rng(13);
-  const double rate = 0.05;  // expected gap 20 cycles
-  double sum = 0.0;
-  constexpr int kSamples = 20000;
-  for (int i = 0; i < kSamples; ++i) {
-    const auto g = rng.exponential_gap(rate);
-    EXPECT_GE(g, 1U);
-    sum += static_cast<double>(g);
-  }
-  EXPECT_NEAR(sum / kSamples, 20.0, 2.0);
-}
-
-TEST(Rng, ExponentialGapZeroRateNeverFires) {
-  Rng rng(13);
-  EXPECT_EQ(rng.exponential_gap(0.0), ~0ULL);
-  EXPECT_EQ(rng.exponential_gap(-1.0), ~0ULL);
-}
-
 TEST(Rng, SampleWithoutReplacementDistinct) {
   Rng rng(21);
   const auto sample = rng.sample_without_replacement(100, 30);

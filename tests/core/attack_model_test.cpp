@@ -95,8 +95,9 @@ TEST(PlacementOptimizer, FindsHighQRegionOfPlantedModel) {
   const NodeId gm = geom.id_of({4, 4});
   PlacementOptimizer optimizer(geom, gm, &model, {2.0, 0.5}, {1.0});
   const ParallelSweepRunner runner(2);
-  const auto result = optimizer.optimize(/*max_hts=*/16, /*candidates=*/40,
-                                         /*seed=*/17, runner);
+  const auto result =
+      optimizer.optimize_top_k(/*max_hts=*/16, /*candidates=*/40, /*k=*/1,
+                               /*seed=*/17, runner).front();
   EXPECT_EQ(result.placement.m(), 16);     // m coefficient positive
   EXPECT_LT(result.placement.rho, 2.0);    // rho coefficient negative
   EXPECT_GT(result.predicted_q, 4.0);
@@ -117,11 +118,12 @@ TEST(PlacementOptimizer, RespectsHtBudget) {
                                {1.0});
   const ParallelSweepRunner runner(2);
   for (const int budget : {1, 3, 7}) {
-    const auto result = optimizer.optimize(budget, 20, /*seed=*/21, runner);
+    const auto result =
+        optimizer.optimize_top_k(budget, 20, 1, /*seed=*/21, runner).front();
     EXPECT_LE(result.placement.m(), budget);
     EXPECT_GE(result.placement.m(), 1);
   }
-  EXPECT_THROW((void)optimizer.optimize(0, 10, /*seed=*/21, runner),
+  EXPECT_THROW((void)optimizer.optimize_top_k(0, 10, 1, /*seed=*/21, runner),
                std::invalid_argument);
 }
 
@@ -141,7 +143,8 @@ TEST(PlacementOptimizer, BeatsRandomPlacementOnPredictedQ) {
   PlacementOptimizer optimizer(geom, gm, &model, {2.0, 0.5}, {1.0});
   const ParallelSweepRunner runner(2);
   Rng opt_rng(29);
-  const auto best = optimizer.optimize(16, 40, /*seed=*/29, runner);
+  const auto best =
+      optimizer.optimize_top_k(16, 40, 1, /*seed=*/29, runner).front();
   double random_mean = 0.0;
   for (int i = 0; i < 20; ++i) {
     const auto rand_nodes = random_placement(geom, 16, opt_rng, gm);

@@ -17,7 +17,7 @@ namespace {
 
 CampaignConfig fast_config(int mix_index = 0) {
   CampaignConfig cfg;
-  cfg.system = system::SystemConfig::with_size(64);
+  cfg.system = system::SystemConfig::with_mesh(8, 8);
   cfg.system.epoch_cycles = 1500;
   cfg.mix = workload::standard_mixes().at(static_cast<std::size_t>(mix_index));
   cfg.trojan.victim_scale = 0.10;
@@ -102,7 +102,7 @@ TEST(AttackCampaign, DeactivatedTrojansAreHarmless) {
 
 TEST(AttackCampaign, InfectionOnlyModeCoversFigThreeSetup) {
   CampaignConfig cfg;
-  cfg.system = system::SystemConfig::with_size(64);
+  cfg.system = system::SystemConfig::with_mesh(8, 8);
   cfg.system.epoch_cycles = 1500;
   cfg.mix = std::nullopt;  // uniform single-app workload
   cfg.warmup_epochs = 1;
@@ -123,7 +123,7 @@ TEST(AttackCampaign, CornerManagerSeesHigherInfectionThanCenter) {
   const MeshGeometry geom(8, 8);
   auto run_with_gm = [&](system::GmPlacement place) {
     CampaignConfig cfg;
-    cfg.system = system::SystemConfig::with_size(64);
+    cfg.system = system::SystemConfig::with_mesh(8, 8);
     cfg.system.epoch_cycles = 1500;
     cfg.system.gm_placement = place;
     cfg.mix = std::nullopt;
@@ -278,6 +278,8 @@ TEST(AttackCampaign, UnsanctionedResponseArmIsItsResponseFreeTwin) {
         if (from_twin.has_value()) {
           ++derived;
           EXPECT_TRUE(*from_twin == own) << label;
+          EXPECT_GT(own.gm_flits, 0U) << label;
+          EXPECT_EQ(from_twin->gm_flits, own.gm_flits) << label;
         } else {
           ++simulated;
           ASSERT_TRUE(own.response_stats.has_value()) << label;

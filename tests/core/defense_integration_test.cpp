@@ -18,7 +18,7 @@ namespace {
 
 CampaignConfig base_config() {
   CampaignConfig cfg;
-  cfg.system = system::SystemConfig::with_size(64);
+  cfg.system = system::SystemConfig::with_mesh(8, 8);
   cfg.system.epoch_cycles = 1500;
   cfg.mix = workload::standard_mixes()[0];
   cfg.trojan.victim_scale = 0.10;
@@ -135,7 +135,7 @@ TEST(DefenseIntegration, FloodingBaselineIsLoud) {
   // with a massive traffic anomaly, unlike the false-data attack.
   auto apps = workload::instantiate_mix(workload::standard_mixes()[0], 16);
   workload::map_threads_round_robin(apps, 64);
-  system::SystemConfig sys_cfg = system::SystemConfig::with_size(64);
+  system::SystemConfig sys_cfg = system::SystemConfig::with_mesh(8, 8);
   sys_cfg.epoch_cycles = 1500;
 
   // Clean run.

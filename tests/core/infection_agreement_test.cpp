@@ -7,6 +7,7 @@
 #include "core/campaign.hpp"
 #include "core/infection.hpp"
 #include "core/placement.hpp"
+#include "scenario/spec.hpp"
 #include "workload/application.hpp"
 
 namespace htpb::core {
@@ -26,7 +27,8 @@ class InfectionAgreementTest
 TEST_P(InfectionAgreementTest, AnalyticMatchesSimulated) {
   const AgreementParam p = GetParam();
   CampaignConfig cfg;
-  cfg.system = system::SystemConfig::with_size(p.nodes);
+  const auto [width, height] = scenario::mesh_for_size(p.nodes);
+  cfg.system = system::SystemConfig::with_mesh(width, height);
   cfg.system.epoch_cycles = 1500;
   cfg.system.gm_placement = p.gm;
   cfg.mix = std::nullopt;

@@ -6,7 +6,8 @@ namespace htpb::noc {
 namespace {
 
 TEST(Packet, FlitizationSizes) {
-  auto pkt = make_heap_packet();
+  PacketPool pool;
+  auto pkt = pool.allocate();
   pkt->size_flits = 5;
   const auto flits = make_flits(pkt);
   ASSERT_EQ(flits.size(), 5U);
@@ -21,7 +22,8 @@ TEST(Packet, FlitizationSizes) {
 }
 
 TEST(Packet, SingleFlitIsHeadAndTail) {
-  auto pkt = make_heap_packet();
+  PacketPool pool;
+  auto pkt = pool.allocate();
   pkt->size_flits = 1;
   const auto flits = make_flits(pkt);
   ASSERT_EQ(flits.size(), 1U);
@@ -30,7 +32,8 @@ TEST(Packet, SingleFlitIsHeadAndTail) {
 }
 
 TEST(Packet, ZeroSizeClampedToOneFlit) {
-  auto pkt = make_heap_packet();
+  PacketPool pool;
+  auto pkt = pool.allocate();
   pkt->size_flits = 0;
   EXPECT_EQ(make_flits(pkt).size(), 1U);
 }

@@ -19,8 +19,8 @@ TEST(ScenarioRegistry, RegistersEveryPaperExperiment) {
   for (const ScenarioSpec& spec : registry()) names.push_back(spec.name);
   const std::vector<std::string> expected = {
       "fig3",           "fig4",
-      "fig5",           "fig6",
-      "table1",         "table2",
+      "fig5",           "table1",
+      "table2",
       "secIIID-area-power", "secVC-placement",
       "defense-roc",    "defense-evaluation",
       "attack-comparison", "budgeter-ablation",
@@ -32,6 +32,30 @@ TEST(ScenarioRegistry, NamesAreUnique) {
   std::set<std::string> seen;
   for (const ScenarioSpec& spec : registry()) {
     EXPECT_TRUE(seen.insert(spec.name).second) << spec.name;
+  }
+}
+
+// Two scenarios whose specs differ only in their labels run the same
+// experiment twice (Figs. 5 and 6 are two readouts of one sweep, so they
+// are one scenario). Full-size and quick variants are compared apart.
+TEST(ScenarioRegistry, NoTwoScenariosRunTheSameExperiment) {
+  const auto experiment = [](const ScenarioSpec& spec) {
+    json::Value j = spec.to_json();
+    for (const char* label :
+         {"name", "kind", "title", "paper_ref", "expectation", "quick"}) {
+      j.as_object()[label] = json::Value();
+    }
+    return json::dump(j);
+  };
+  const std::vector<ScenarioSpec>& specs = registry();
+  for (std::size_t a = 0; a < specs.size(); ++a) {
+    for (std::size_t b = a + 1; b < specs.size(); ++b) {
+      const std::string pair = specs[a].name + " and " + specs[b].name;
+      EXPECT_NE(experiment(specs[a]), experiment(specs[b])) << pair;
+      EXPECT_NE(experiment(specs[a].with_quick()),
+                experiment(specs[b].with_quick()))
+          << pair << " (--quick)";
+    }
   }
 }
 
@@ -90,7 +114,7 @@ TEST(ScenarioRegistry, SpecJsonTextIsPinned) {
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(h));
-  EXPECT_EQ(std::string(hex), "9cf618ac6a3987ae");
+  EXPECT_EQ(std::string(hex), "b18d486a06bbd8e1");
 }
 
 TEST(ScenarioRegistry, LookupByName) {

@@ -89,7 +89,8 @@ TEST(ScenarioRunner, Fig3QuickBitIdenticalToLegacyBenchPath) {
           system::GmPlacement::kCenter, system::GmPlacement::kCorner};
       for (int p = 0; p < 2; ++p) {
         core::CampaignConfig cfg;
-        cfg.system = system::SystemConfig::with_size(arm.nodes);
+        const auto [width, height] = mesh_for_size(arm.nodes);
+        cfg.system = system::SystemConfig::with_mesh(width, height);
         cfg.system.epoch_cycles = 1500;
         cfg.system.gm_placement = placements[p];
         cfg.mix = std::nullopt;
@@ -241,7 +242,7 @@ TEST(ScenarioRunner, DefenseRocQuickBitIdenticalToLegacyBenchPath) {
   // factors {0.10, 0.60}, 1 ROC placement), each curve cell simulated
   // with its own in-simulation detector.
   core::CampaignConfig base;
-  base.system = system::SystemConfig::with_size(64);
+  base.system = system::SystemConfig::with_mesh(8, 8);
   base.system.epoch_cycles = 2000;
   base.mix = workload::standard_mixes().at(0);
   base.trojan.victim_scale = 0.10;
@@ -546,6 +547,73 @@ TEST(ScenarioRunner, DefenseSweepMatchesPerCellResimulation) {
   }
   // Not vacuous: the two clean traces disagree somewhere.
   EXPECT_NE(fp_by_period[0], fp_by_period[2]);
+}
+
+// A defense sweep's `detector` section is the base every band varies:
+// each curve point (its guard included) and each ROC point equals
+// in-simulation detection with that section's other parameters, and the
+// section moves the tree.
+TEST(ScenarioRunner, DefenseSweepBandsInheritTheDetectorSection) {
+  ScenarioSpec spec = small_defense_spec();
+  power::DetectorConfig section;
+  section.confirm_epochs = 1;
+  spec.detector = section;
+  spec.axes.roc.periods = {2};
+  spec.axes.roc.factors = {0.10};
+  spec.axes.roc.placements = 1;
+  spec.validate();
+  RunOptions four;
+  four.threads = 4;
+  const json::Value tree = run_scenario(spec, four);
+
+  const core::CampaignConfig base = small_defense_base(spec);
+  const auto placements = small_defense_placements(base);
+  const json::Array& points = curve_points(tree);
+  ASSERT_EQ(points.size(), spec.axes.bands.size());
+  for (std::size_t d = 0; d < points.size(); ++d) {
+    power::DetectorConfig band = section;
+    band.low_ratio = spec.axes.bands[d].low;
+    band.high_ratio = spec.axes.bands[d].high;
+    expect_curve_point(points[d], in_sim_curve_point(base, band, placements),
+                       "band " + std::to_string(d));
+  }
+
+  const auto [victims, attackers] =
+      monitored_cores(core::AttackCampaign(base));
+  const int monitored = victims + attackers;
+  const json::Array& roc_points =
+      tree.as_object().find("roc")->as_object().find("points")->as_array();
+  ASSERT_EQ(roc_points.size(), 2U * spec.axes.bands.size());
+  for (const json::Value& v : roc_points) {
+    const json::Object& pt = v.as_object();
+    power::DetectorConfig d = section;
+    d.kind = pt.find("kind")->as_string() ==
+                     to_string(power::DetectorKind::kCohortMedian)
+                 ? power::DetectorKind::kCohortMedian
+                 : power::DetectorKind::kSelfEwma;
+    d.low_ratio = pt.find("lo")->as_double();
+    d.high_ratio = pt.find("hi")->as_double();
+    core::CampaignConfig cell = base;
+    cell.detector = d;
+    cell.trojan.victim_scale = pt.find("factor")->as_double();
+    cell.toggle_period_epochs = pt.find("period")->as_int();
+    const power::DetectorReport rep =
+        core::AttackCampaign(cell).simulate(placements.front())
+            .detection.value();
+    const std::string ctx =
+        pt.find("kind")->as_string() + " " + std::to_string(d.low_ratio);
+    EXPECT_EQ(pt.find("detect")->as_double(),
+              static_cast<double>(rep.unique_flagged()) / monitored)
+        << ctx;
+    EXPECT_EQ(pt.find("latency")->as_double(),
+              rep.first_flag_epoch >= 0 ? rep.first_flag_epoch : -1.0)
+        << ctx;
+  }
+
+  ScenarioSpec stock = spec;
+  stock.detector.reset();
+  EXPECT_NE(json::dump(without_timing(tree), 0),
+            json::dump(without_timing(run_scenario(stock, four)), 0));
 }
 
 // Regression for the detection-rate double count: rates are fractions of

@@ -52,12 +52,6 @@ ScenarioSpec full_spec() {
   det.warmup_epochs = 1;
   det.confirm_epochs = 3;
   s.detector = det;
-  power::ResponseConfig resp;
-  resp.kind = power::ResponseKind::kThrottle;
-  resp.trigger = power::ResponseTrigger::kBoth;
-  resp.sanction_epochs = 5;
-  resp.recovery_threshold = 0.8;
-  s.response = resp;
   s.axes.responses = {power::ResponseKind::kThrottle,
                       power::ResponseKind::kMigrate};
   s.axes.bands = {{0.7, 1.4}, {0.33, 2.9}};
@@ -71,8 +65,21 @@ ScenarioSpec full_spec() {
   return s;
 }
 
+/// full_spec() plus a non-default response section, for the codec tests
+/// that need every section: a defense sweep rejects it at validate().
+ScenarioSpec full_spec_with_response() {
+  ScenarioSpec s = full_spec();
+  power::ResponseConfig resp;
+  resp.kind = power::ResponseKind::kThrottle;
+  resp.trigger = power::ResponseTrigger::kBoth;
+  resp.sanction_epochs = 5;
+  resp.recovery_threshold = 0.8;
+  s.response = resp;
+  return s;
+}
+
 TEST(ScenarioSpec, RoundTripIsExact) {
-  const ScenarioSpec spec = full_spec();
+  const ScenarioSpec spec = full_spec_with_response();
   const json::Value j = spec.to_json();
   const ScenarioSpec back = ScenarioSpec::from_json(j);
   EXPECT_EQ(back, spec);
@@ -83,7 +90,7 @@ TEST(ScenarioSpec, RoundTripIsExact) {
 
 TEST(ScenarioSpec, RejectsUnknownKeysEverywhere) {
   const auto corrupt = [](const char* path, const char* key) {
-    json::Value j = full_spec().to_json();
+    json::Value j = full_spec_with_response().to_json();
     json::Value* node = &j;
     if (path[0] != '\0') node = node->as_object().find(path);
     ASSERT_NE(node, nullptr) << path;
@@ -143,7 +150,7 @@ void expect_enum_codec(int count, std::string_view bad) {
 }
 
 TEST(ScenarioSpec, EnumStringMapsAreCompleteAndInvertible) {
-  expect_enum_codec<ScenarioKind>(13, "fig99");
+  expect_enum_codec<ScenarioKind>(12, "performance_change");
   expect_enum_codec<system::GmPlacement>(2, "middle");
   expect_enum_codec<power::DetectorKind>(2, "oracle");
   expect_enum_codec<ClusterSpec::At>(4, "edge");
@@ -243,6 +250,12 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
 
   spec = full_spec();
   spec.axes.roc.placements = -1;  // used to drop the roc section silently
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  // A defense sweep only replays detectors: a response section would be
+  // accepted and then dropped.
+  spec = full_spec();
+  spec.response = power::ResponseConfig{};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 
   spec = full_spec();

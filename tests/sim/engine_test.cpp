@@ -125,12 +125,15 @@ TEST(Engine, ScheduleAtPastClampsToNow) {
   EXPECT_EQ(fired, (Fired{{5, 1}}));
 }
 
-TEST(Engine, RunUntilInclusive) {
+TEST(Engine, RunCyclesFiresEventsOfItsLastCycle) {
   Engine e;
   Fired fired;
   record_into(e, fired);
   e.schedule_desc_at(7, tagged(1));
-  e.run_until(7);
+  e.run_cycles(7);  // cycles 0..6
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(e.now(), 7U);
+  e.run_cycles(1);  // cycle 7
   EXPECT_EQ(fired.size(), 1U);
   EXPECT_EQ(e.now(), 8U);
 }

@@ -19,7 +19,7 @@ std::vector<workload::Application> small_apps(int nodes, int mix_index = 0) {
 }
 
 SystemConfig small_cfg() {
-  SystemConfig cfg = SystemConfig::with_size(64);
+  SystemConfig cfg = SystemConfig::with_mesh(8, 8);
   cfg.epoch_cycles = 1500;
   return cfg;
 }
@@ -142,23 +142,11 @@ TEST(ManyCoreSystem, MemoryTrafficFlowsThroughNoc) {
   EXPECT_GT(sys.network().total_router_stats().flits_forwarded, 0U);
 }
 
-TEST(ManyCoreSystem, WithSizePresetsMatchPaperSizes) {
-  for (const int n : {64, 128, 256, 512}) {
-    const SystemConfig cfg = SystemConfig::with_size(n);
-    EXPECT_EQ(cfg.node_count(), n);
-  }
-  EXPECT_THROW(SystemConfig::with_size(100), std::invalid_argument);
-}
-
 TEST(ManyCoreSystem, WithMeshAcceptsArbitraryShapes) {
   const SystemConfig wide = SystemConfig::with_mesh(10, 3);
   EXPECT_EQ(wide.width, 10);
   EXPECT_EQ(wide.height, 3);
   EXPECT_EQ(wide.node_count(), 30);
-  // with_size delegates: the paper presets are the same objects.
-  const SystemConfig preset = SystemConfig::with_size(128);
-  EXPECT_EQ(preset.width, 16);
-  EXPECT_EQ(preset.height, 8);
 
   EXPECT_THROW(SystemConfig::with_mesh(1, 8), std::invalid_argument);
   EXPECT_THROW(SystemConfig::with_mesh(8, 0), std::invalid_argument);
@@ -190,8 +178,8 @@ TEST(ManyCoreSystem, NonSquareMeshRunsEpochsWithCenteredGm) {
 }
 
 TEST(ManyCoreSystem, CollectWindowAutoScalesWithDiameter) {
-  const SystemConfig small = SystemConfig::with_size(64);
-  const SystemConfig large = SystemConfig::with_size(512);
+  const SystemConfig small = SystemConfig::with_mesh(8, 8);
+  const SystemConfig large = SystemConfig::with_mesh(32, 16);
   EXPECT_GT(large.resolved_collect_window(),
             small.resolved_collect_window());
   SystemConfig manual = small;
@@ -236,7 +224,7 @@ TEST(ManyCoreSystem, LoadStateRejectsMismatchedConstruction) {
   small.run_epochs(1);
   const json::Value snap = small.save_state();
 
-  SystemConfig other_cfg = SystemConfig::with_size(256);
+  SystemConfig other_cfg = SystemConfig::with_mesh(16, 16);
   other_cfg.epoch_cycles = 1500;
   ManyCoreSystem other(other_cfg, small_apps(256));
   EXPECT_THROW(other.load_state(snap), std::invalid_argument);
