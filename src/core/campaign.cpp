@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/flooding.hpp"
 #include "core/infection.hpp"
 #include "sim/event_desc.hpp"
 #include "system/manycore_system.hpp"
@@ -68,6 +69,7 @@ bool triggered(const std::optional<power::ResponseConfig>& response,
 /// reference, so it must outlive the leg's system.
 struct AttackFrame {
   std::vector<std::unique_ptr<HardwareTrojan>> trojans;
+  std::vector<std::unique_ptr<FloodingAttacker>> flooders;
   /// The resolved broadcast configuration (immutable after install).
   TrojanConfig tc;
   NodeId agent_node = 0;
@@ -99,6 +101,12 @@ AttackCampaign::AttackCampaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
     throw std::invalid_argument(
         "AttackCampaign: adaptation and toggle_period_epochs are rival "
         "duty-cycle controllers; enable one");
+  }
+  if (cfg_.flooding.has_value() &&
+      (cfg_.detector.has_value() || cfg_.response.has_value())) {
+    throw std::invalid_argument(
+        "AttackCampaign: a flooding campaign implants no false-data Trojan "
+        "for a detector or response to act on");
   }
   const workload::Mix mix = cfg_.mix.value_or(uniform_mix());
   const int nodes = cfg_.system.node_count();
@@ -229,6 +237,9 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
           static_cast<double>(hist[i].victim_granted_mw));
     }
 
+    for (const auto& flooder : frame.flooders) {
+      result.flood_packets += flooder->packets_injected();
+    }
     for (const auto& ht : frame.trojans) {
       const TrojanStats& s = ht->stats();
       result.trojan_totals.config_packets_seen += s.config_packets_seen;
@@ -353,6 +364,15 @@ void AttackCampaign::install_attack(
     system::ManyCoreSystem& sys,
     const std::vector<workload::Application>& apps,
     std::span<const NodeId> ht_nodes, AttackFrame& frame) const {
+  if (cfg_.flooding.has_value()) {
+    for (const NodeId node : ht_nodes) {
+      frame.flooders.push_back(std::make_unique<FloodingAttacker>(
+          &sys.network(), node, gm_node_, cfg_.flooding->rate,
+          cfg_.flooding->seed + node));
+      sys.engine().add_tickable(frame.flooders.back().get());
+    }
+    return;
+  }
   // Implant the Trojans (fab-time insertion: present before power-on).
   frame.trojans.reserve(ht_nodes.size());
   for (const NodeId node : ht_nodes) {

@@ -34,6 +34,13 @@ class ManyCoreSystem;
 
 namespace htpb::core {
 
+/// The related-work flooding DoS Trojan (Sec. II-B class 1): the flooder
+/// at node n sends `rate` junk packets per cycle, drawn from Rng(seed + n).
+struct FloodingConfig {
+  double rate = 0.15;
+  std::uint64_t seed = 0;
+};
+
 struct CampaignConfig {
   system::SystemConfig system;
   /// Benchmark combination (Table III). An empty mix means an
@@ -67,6 +74,11 @@ struct CampaignConfig {
   /// through the mesh's center mirror at the first confirmed flag's epoch
   /// boundary (modeled as a rebuild-and-resume, see simulate).
   std::optional<power::ResponseConfig> response;
+  /// When set, each Trojan node floods the manager instead: simulate()
+  /// installs a FloodingAttacker per node after the system's tickables and
+  /// no false-data Trojan, so `trojan` and the toggle go unused. The
+  /// constructor rejects it together with a `detector` or `response`.
+  std::optional<FloodingConfig> flooding;
 };
 
 struct AppOutcome {
@@ -178,6 +190,8 @@ struct RunResult {
   /// Flits the GM's router forwarded, from power-on (warmup included),
   /// summed over legs: the traffic the manager sees.
   std::uint64_t gm_flits = 0;
+  /// Junk packets the flooders injected, summed over legs.
+  std::uint64_t flood_packets = 0;
 
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };
@@ -226,11 +240,11 @@ class AttackCampaign {
   [[nodiscard]] std::optional<RunResult> derive_unsanctioned(
       const RunResult& response_free) const;
 
-  /// Process-wide count of full ManyCoreSystem simulations run by any
-  /// campaign (baselines included). Monotonic, thread-safe. The trace
-  /// record/replay tests assert on deltas of this counter that a defense
-  /// sweep's detection arm simulates O(placements) times, independent of
-  /// the detector-grid size.
+  /// Process-wide count of ManyCoreSystem legs simulated (baselines
+  /// included); simulate() builds every chip outside src/system/, so every
+  /// chip a scenario runs counts. Monotonic, thread-safe. The trace tests
+  /// assert on deltas of it that a defense sweep's detection arm simulates
+  /// O(placements) times, independent of the detector-grid size.
   [[nodiscard]] static std::uint64_t systems_simulated() noexcept;
 
   /// Process-wide count of warmup epochs simulated, summed over legs
@@ -243,7 +257,7 @@ class AttackCampaign {
   /// Implants the Trojans into `sys`, broadcasts the attacker's
   /// configuration and arms the duty-cycle controllers (serializable
   /// kCampaignToggle / kCampaignAdapt events whose handlers close over
-  /// `frame`).
+  /// `frame`); under `flooding`, installs the flooders instead.
   void install_attack(system::ManyCoreSystem& sys,
                       const std::vector<workload::Application>& apps,
                       std::span<const NodeId> ht_nodes,

@@ -27,8 +27,6 @@ class FloodingAttacker final : public sim::Tickable {
 
   void tick(Cycle now) override;
 
-  void set_active(bool active) noexcept { active_ = active; }
-  [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] std::uint64_t packets_injected() const noexcept {
     return injected_;
   }
@@ -40,7 +38,6 @@ class FloodingAttacker final : public sim::Tickable {
   double rate_;
   Rng rng_;
   double accumulator_ = 0.0;
-  bool active_ = true;
   std::uint64_t injected_ = 0;
 };
 

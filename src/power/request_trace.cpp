@@ -118,7 +118,13 @@ RequestTrace RequestTrace::load(const std::string& path) {
         std::to_string(kTraceFormatVersion));
   }
   RequestTrace trace;
-  trace.node_count = static_cast<int>(read_le<std::uint32_t>(in, path));
+  const auto node_count = read_le<std::uint32_t>(in, path);
+  trace.node_count = static_cast<int>(node_count);  // negative past 2^31 - 1
+  if (trace.node_count <= 0) {
+    throw std::runtime_error("RequestTrace::load: " + path +
+                             " has node count " +
+                             std::to_string(node_count));
+  }
   trace.epoch_cycles = read_le<std::uint64_t>(in, path);
   const auto epoch_count = read_le<std::uint64_t>(in, path);
   // Cap the pre-allocations: a corrupt count must fail on the truncated
@@ -135,6 +141,12 @@ RequestTrace RequestTrace::load(const std::string& path) {
     for (std::uint64_t r = 0; r < request_count; ++r) {
       BudgetRequest req;
       req.node = read_le<std::uint32_t>(in, path);
+      if (req.node >= node_count) {
+        throw std::runtime_error(
+            "RequestTrace::load: " + path + " names node " +
+            std::to_string(req.node) + " in epoch " + std::to_string(e) +
+            ", outside its " + std::to_string(node_count) + "-node mesh");
+      }
       req.app = read_le<std::uint32_t>(in, path);
       req.request_mw = read_le<std::uint32_t>(in, path);
       epoch.requests.push_back(req);

@@ -68,10 +68,11 @@ struct RequestTrace {
   /// Versioned binary persistence (the ROADMAP's "iterate on detectors
   /// without re-simulating at all"): save() writes a little-endian,
   /// magic-tagged file; load() accepts exactly that format and throws
-  /// std::runtime_error on a bad magic, an unsupported version or a
-  /// truncated body. load(save(x)) == x field for field, so a replayed
-  /// report off a loaded trace is bit-identical to one off the recording
-  /// run (tests/core/trace_replay_test.cpp locks the round trip).
+  /// std::runtime_error on a bad magic, an unsupported version, a
+  /// truncated body, a node count of 0 or past `int`, or a request from a
+  /// node outside [0, node_count). load(save(x)) == x field for field, so
+  /// a replayed report off a loaded trace is bit-identical to one off the
+  /// recording run (tests/core/trace_replay_test.cpp locks the round trip).
   /// Surfaced on the CLI as `htpb_run --record-trace / --replay-trace`.
   void save(const std::string& path) const;
   [[nodiscard]] static RequestTrace load(const std::string& path);

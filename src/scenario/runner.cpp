@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
-#include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -14,14 +12,12 @@
 #include "core/area_power.hpp"
 #include "core/attack_model.hpp"
 #include "core/campaign.hpp"
-#include "core/flooding.hpp"
 #include "core/infection.hpp"
 #include "core/optimizer.hpp"
 #include "core/parallel_sweep.hpp"
 #include "core/placement.hpp"
 #include "noc/network.hpp"
 #include "sim/engine.hpp"
-#include "system/manycore_system.hpp"
 #include "workload/application.hpp"
 #include "workload/benchmark_profile.hpp"
 
@@ -829,45 +825,24 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec,
 }
 
 /// False-data vs flooding on damage and detectability, plus the
-/// duty-cycle stealth/damage dial. Flooder i at source node `src` draws
-/// from Rng(seed + src) -- the legacy constant 7 reproduces the bench.
+/// duty-cycle stealth/damage dial. The clean reference is the false-data
+/// baseline. Flooder i at source node `src` draws from Rng(seed + src) --
+/// the legacy constant 7 reproduces the bench. Every simulation runs in
+/// one fan-out.
 json::Value run_attack_comparison(const ScenarioSpec& spec,
                                   const core::ParallelSweepRunner& runner) {
-  const workload::Mix& mix = mix_by_name(spec.workload.mix);
-  system::SystemConfig sys_cfg = spec.system.to_system_config();
-  int threads = spec.workload.threads_per_app;
-  if (threads <= 0) threads = sys_cfg.node_count() / mix.app_count();
-  auto apps = workload::instantiate_mix(mix, threads);
-  workload::map_threads_round_robin(apps, sys_cfg.node_count());
-
-  const auto victim_throughput = [&](system::ManyCoreSystem& sys) {
-    double sum = 0.0;
-    for (const auto& app : apps) {
-      if (!app.is_attacker()) sum += sys.app_throughput(app.id);
-    }
-    return sum;
-  };
-
-  // ---- arm 1: clean reference ----------------------------------------
-  double victim_theta_clean = 0.0;
-  std::uint64_t gm_flits_clean = 0;
-  {
-    system::ManyCoreSystem sys(sys_cfg, apps);
-    sys.run_epochs(spec.epochs.warmup);
-    sys.reset_measurement();
-    sys.run_epochs(spec.epochs.measure);
-    victim_theta_clean = victim_throughput(sys);
-    gm_flits_clean =
-        sys.network().router(sys.gm_node()).stats().flits_forwarded;
-  }
-
-  // ---- arms 2 and 4: the paper's false-data attack and its duty-cycled
-  // activation sweep. Every period shares the duty warmup/measure window
-  // and so one baseline; the false-data arm has its own. All of their
-  // simulations run in one fan-out.
+  // The paper's false-data attack, and the flooding DoS against the
+  // manager on the same chip with no defense.
   const core::AttackCampaign campaign(
       campaign_config(spec, spec.workload.mix));
   const auto hts = gm_cluster(spec, campaign.gm_node());
+  core::CampaignConfig flood_cfg = campaign_config(spec, spec.workload.mix);
+  flood_cfg.flooding = core::FloodingConfig{spec.axes.flood_rate, spec.seed};
+  flood_cfg.detector.reset();
+  flood_cfg.response.reset();
+  const core::AttackCampaign flood(std::move(flood_cfg));
+  // The duty-cycled activation sweep: every period shares the duty
+  // warmup/measure window and so one baseline.
   ScenarioSpec duty_spec = spec;
   duty_spec.epochs.warmup = spec.axes.duty_warmup_epochs;
   duty_spec.epochs.measure = spec.axes.duty_measure_epochs;
@@ -876,71 +851,39 @@ json::Value run_attack_comparison(const ScenarioSpec& spec,
     duty_spec.trojan.toggle_period_epochs = period;
     duty.emplace_back(campaign_config(duty_spec, spec.workload.mix));
   }
-  // [0, 1]: false-data baseline and attack; then, when there are
-  // periods, the duty baseline and one attacked run per period.
+  // [0, 1]: false-data baseline and attack; [2]: flooding; then, when
+  // there are periods, the duty baseline and one attacked run per period.
   const auto runs = runner.map(
-      duty.empty() ? 2 : 3 + duty.size(), [&](std::size_t i) {
+      duty.empty() ? 3 : 4 + duty.size(), [&](std::size_t i) {
         if (i == 0) return campaign.simulate({});
         if (i == 1) return campaign.simulate(hts);
-        if (i == 2) return duty.front().simulate({});
-        return duty[i - 3].simulate(hts);
+        if (i == 2) return flood.simulate(spec.axes.flood_sources);
+        if (i == 3) return duty.front().simulate({});
+        return duty[i - 4].simulate(hts);
       });
-  const auto fd = campaign.reduce(runs[1], runs[0], hts);
-  double victim_theta_fd = 0.0;
-  for (const auto& app : fd.apps) {
-    if (!app.attacker) victim_theta_fd += app.theta_attacked;
-  }
-
-  // ---- arm 3: flooding DoS against the manager ------------------------
-  double victim_theta_flood = 0.0;
-  std::uint64_t gm_flits_flood = 0;
-  std::uint64_t flood_packets = 0;
-  {
-    system::ManyCoreSystem sys(sys_cfg, apps);
-    std::vector<std::unique_ptr<core::FloodingAttacker>> flooders;
-    for (const NodeId src : spec.axes.flood_sources) {
-      flooders.push_back(std::make_unique<core::FloodingAttacker>(
-          &sys.network(), src, sys.gm_node(), spec.axes.flood_rate,
-          spec.seed + src));
-      sys.engine().add_tickable(flooders.back().get());
+  // One arm's damage (victim throughput) and traffic (injected packets,
+  // flits through the manager's router), each measured on its own run.
+  const auto arm = [&](const core::RunResult& run) {
+    double victim_theta = 0.0;
+    for (std::size_t a = 0; a < run.theta.size(); ++a) {
+      if (!campaign.apps()[a].is_attacker()) victim_theta += run.theta[a];
     }
-    sys.run_epochs(spec.epochs.warmup);
-    sys.reset_measurement();
-    sys.run_epochs(spec.epochs.measure);
-    victim_theta_flood = victim_throughput(sys);
-    gm_flits_flood =
-        sys.network().router(sys.gm_node()).stats().flits_forwarded;
-    for (const auto& f : flooders) flood_packets += f->packets_injected();
-  }
-
+    json::Object row;
+    row["victim_throughput"] = json::Value(victim_theta);
+    row["extra_packets"] =
+        json::Value(static_cast<long long>(run.flood_packets));
+    row["gm_flits"] = json::Value(static_cast<long long>(run.gm_flits));
+    return row;
+  };
   json::Object payload;
-  {
-    json::Object clean;
-    clean["victim_throughput"] = json::Value(victim_theta_clean);
-    clean["extra_packets"] = json::Value(0);
-    clean["gm_flits"] = json::Value(static_cast<long long>(gm_flits_clean));
-    payload["clean"] = json::Value(std::move(clean));
-
-    json::Object false_data;
-    false_data["victim_throughput"] = json::Value(victim_theta_fd);
-    false_data["extra_packets"] = json::Value(0);
-    // Measured on the attacked run, not assumed equal to the clean one.
-    false_data["gm_flits"] =
-        json::Value(static_cast<long long>(runs[1].gm_flits));
-    false_data["q"] = json::Value(fd.q);
-    payload["false_data"] = json::Value(std::move(false_data));
-
-    json::Object flooding;
-    flooding["victim_throughput"] = json::Value(victim_theta_flood);
-    flooding["extra_packets"] =
-        json::Value(static_cast<long long>(flood_packets));
-    flooding["gm_flits"] =
-        json::Value(static_cast<long long>(gm_flits_flood));
-    payload["flooding"] = json::Value(std::move(flooding));
-  }
+  payload["clean"] = json::Value(arm(runs[0]));
+  json::Object false_data = arm(runs[1]);
+  false_data["q"] = json::Value(campaign.reduce(runs[1], runs[0], hts).q);
+  payload["false_data"] = json::Value(std::move(false_data));
+  payload["flooding"] = json::Value(arm(runs[2]));
   json::Array duty_rows;
   for (std::size_t i = 0; i < duty.size(); ++i) {
-    const auto out = duty[i].reduce(runs[3 + i], runs[2], hts);
+    const auto out = duty[i].reduce(runs[4 + i], runs[3], hts);
     json::Object row;
     row["period"] = json::Value(spec.axes.toggle_periods[i]);
     row["infection"] = json::Value(out.infection_measured);
@@ -1209,7 +1152,8 @@ json::Value run_config_report(const ScenarioSpec& spec) {
 
 /// Tables II-III: the benchmark roster and mixes, plus each benchmark's
 /// measured power sensitivity Phi (Def. 5) on a quiet chip.
-json::Value run_benchmark_report(const ScenarioSpec& spec) {
+json::Value run_benchmark_report(const ScenarioSpec& spec,
+                                 const core::ParallelSweepRunner& runner) {
   json::Array roster;
   for (const auto& b : workload::benchmark_table()) {
     json::Object row;
@@ -1238,20 +1182,27 @@ json::Value run_benchmark_report(const ScenarioSpec& spec) {
   }
 
   // Measured Phi: one benchmark at a time on a quiet chip, uniform
-  // placement, `epochs.measure` epochs.
-  const SystemSpec sys_spec = system_with_size(spec.system, spec.axes.nodes);
+  // placement, no warmup, `epochs.measure` epochs; one fan-out.
+  const auto& profiles = workload::benchmark_table();
+  core::CampaignConfig cfg;
+  cfg.system = system_with_size(spec.system, spec.axes.nodes)
+                   .to_system_config();
+  cfg.threads_per_app = spec.axes.nodes;
+  cfg.warmup_epochs = 0;
+  cfg.measure_epochs = spec.epochs.measure;
+  std::vector<core::AttackCampaign> solos;
+  for (const auto& profile : profiles) {
+    cfg.mix = workload::Mix{profile.name, {}, {profile.name}};
+    solos.emplace_back(cfg);
+  }
+  const auto runs = runner.map(solos.size(), [&](std::size_t i) {
+    return solos[i].simulate({});
+  });
   json::Array phi;
-  for (const auto& profile : workload::benchmark_table()) {
-    workload::Mix solo;
-    solo.name = profile.name;
-    solo.victims = {profile.name};
-    auto apps = workload::instantiate_mix(solo, spec.axes.nodes);
-    workload::map_threads_round_robin(apps, spec.axes.nodes);
-    system::ManyCoreSystem sys(sys_spec.to_system_config(), apps);
-    sys.run_epochs(spec.epochs.measure);
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
     json::Object row;
-    row["name"] = json::Value(profile.name);
-    row["phi"] = json::Value(sys.app_sensitivity(0));
+    row["name"] = json::Value(profiles[i].name);
+    row["phi"] = json::Value(runs[i].phi[0]);
     phi.push_back(json::Value(std::move(row)));
   }
 
@@ -1350,7 +1301,7 @@ json::Value run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
       payload = run_config_report(s);
       break;
     case ScenarioKind::kBenchmarkReport:
-      payload = run_benchmark_report(s);
+      payload = run_benchmark_report(s, runner);
       break;
     case ScenarioKind::kAreaPowerReport:
       payload = run_area_power_report(s);

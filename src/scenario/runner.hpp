@@ -1,6 +1,7 @@
 // Executes a ScenarioSpec through the experiment layer (AttackCampaign,
-// PlacementOptimizer, ManyCoreSystem, detector trace replay) and reduces
-// the raw outcomes to one JSON result tree per scenario kind.
+// which builds every simulated chip, PlacementOptimizer, detector trace
+// replay) and reduces the raw outcomes to one JSON result tree per
+// scenario kind.
 //
 // Determinism contract: for a fixed (spec, options) pair the returned
 // tree is bit-identical across runs and thread counts, except for the

@@ -23,8 +23,8 @@ namespace htpb::sim {
 /// A component evaluated once per simulated cycle, in registration order.
 /// Registration order is part of the deterministic contract: the mesh
 /// registers itself as one tickable (its routers and network interfaces
-/// tick inside it), then the system registers the cores, then attack
-/// extras such as `FloodingAttacker` follow.
+/// tick inside it), then the system registers the cores, then
+/// `AttackCampaign::simulate` adds a flooding campaign's `FloodingAttacker`s.
 class Tickable {
  public:
   virtual ~Tickable() = default;

@@ -171,7 +171,8 @@ std::string rejection(Fn&& fn) {
 }
 
 // The constructor rejects an illegal attack side: a response needs a
-// detector to act on, and adaptation and toggle are rival controllers.
+// detector to act on, adaptation and toggle are rival controllers, and a
+// flooding campaign has no false-data Trojan to detect or respond to.
 TEST(AttackCampaign, ConstructorRejectsIllegalAttackSide) {
   CampaignConfig headless = fast_config();
   headless.response = power::ResponseConfig{};
@@ -186,12 +187,23 @@ TEST(AttackCampaign, ConstructorRejectsIllegalAttackSide) {
   const std::string rival = rejection([&] { AttackCampaign{rivals}; });
   EXPECT_NE(rival.find("rival"), std::string::npos) << rival;
 
+  CampaignConfig flood = fast_config();
+  flood.flooding = FloodingConfig{};
+  flood.detector = power::DetectorConfig{};
+  const std::string watched = rejection([&] { AttackCampaign{flood}; });
+  EXPECT_NE(watched.find("flooding"), std::string::npos) << watched;
+  flood.response = power::ResponseConfig{};
+  EXPECT_NE(rejection([&] { AttackCampaign{flood}; }), "");
+
   // Each rule alone is legal.
   CampaignConfig responsive = headless;
   responsive.detector = power::DetectorConfig{};
   EXPECT_EQ(rejection([&] { AttackCampaign{responsive}; }), "");
   rivals.toggle_period_epochs = 0;
   EXPECT_EQ(rejection([&] { AttackCampaign{rivals}; }), "");
+  flood.detector.reset();
+  flood.response.reset();
+  EXPECT_EQ(rejection([&] { AttackCampaign{flood}; }), "");
 }
 
 // A baseline is a value any campaign on the same chip side may reduce

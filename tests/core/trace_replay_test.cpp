@@ -256,7 +256,8 @@ TEST(TraceReplay, ClosedLoopArmsShareOneBaseline) {
 }
 
 // Every duty-cycle period of the attack comparison shares one baseline;
-// the false-data arm adds its own baseline and attacked run.
+// the false-data arm adds its own baseline and attacked run, which is
+// also the clean reference, and the flooding arm one run.
 TEST(TraceReplay, DutyArmsShareOneBaseline) {
   scenario::RunOptions quick;
   quick.quick = true;
@@ -268,7 +269,7 @@ TEST(TraceReplay, DutyArmsShareOneBaseline) {
   const std::size_t periods =
       result.as_object().find("duty_cycle")->as_array().size();
   ASSERT_GT(periods, 1U);
-  EXPECT_EQ(systems, 2 + 1 + periods);
+  EXPECT_EQ(systems, 2 + 1 + 1 + periods);
 }
 
 TEST(TraceReplay, EpochZeroAttackMissedByEwmaCaughtByCohort) {
@@ -484,6 +485,68 @@ TEST(TraceIo, RejectsCorruptAndForeignFiles) {
   }
   EXPECT_THROW((void)power::RequestTrace::load(padded.path()),
                std::runtime_error);
+}
+
+/// Expects load() of `path` to throw a runtime_error naming the path and
+/// `detail`.
+void expect_load_rejects(const std::string& path, const std::string& detail) {
+  try {
+    (void)power::RequestTrace::load(path);
+    FAIL() << "load of " << path << " did not throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(detail), std::string::npos) << what;
+  }
+}
+
+TEST(TraceIo, RejectsNodesOutsideTheMesh) {
+  // A 64-node trace whose last request names node 63 loads; one that
+  // names node 64 or 9999 would file flags for cores the chip lacks.
+  power::RequestTrace trace;
+  trace.node_count = 64;
+  trace.epoch_cycles = 500;
+  trace.epochs.resize(2);
+  trace.epochs[0].requests = {{0, 0, 100}, {63, 1, 200}};
+  const TempFile edge("trace_io_edge_node.htpbtrc");
+  trace.save(edge.path());
+  EXPECT_EQ(power::RequestTrace::load(edge.path()), trace);
+
+  for (const NodeId node : {NodeId{64}, NodeId{9999}}) {
+    trace.epochs[1].requests = {{node, 1, 200}};
+    const TempFile hostile("trace_io_hostile_node.htpbtrc");
+    trace.save(hostile.path());
+    expect_load_rejects(hostile.path(), "node " + std::to_string(node));
+  }
+}
+
+TEST(TraceIo, RejectsNodeCountsOutsideInt) {
+  power::RequestTrace trace;
+  trace.epoch_cycles = 500;
+  const TempFile zero("trace_io_zero_nodes.htpbtrc");
+  trace.save(zero.path());
+  expect_load_rejects(zero.path(), "node count 0");
+
+  // 2^31 nodes: the u32 header field after the magic and the version
+  // would turn negative as an int.
+  trace.node_count = 16;
+  const TempFile huge("trace_io_huge_nodes.htpbtrc");
+  trace.save(huge.path());
+  std::string bytes;
+  {
+    std::ifstream in(huge.path(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  bytes[12] = 0;
+  bytes[13] = 0;
+  bytes[14] = 0;
+  bytes[15] = static_cast<char>(0x80);
+  {
+    std::ofstream out(huge.path(), std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  expect_load_rejects(huge.path(), "node count 2147483648");
 }
 
 }  // namespace

@@ -754,6 +754,18 @@ TEST(ScenarioRunner, BudgeterAblationIsThreadCountInvariant) {
   expect_thread_count_invariant(spec);
 }
 
+TEST(ScenarioRunner, AttackComparisonIsThreadCountInvariant) {
+  // False-data baseline and attack, the flooders, the duty baseline and
+  // four duty periods: 8 simulations over 3 threads.
+  expect_thread_count_invariant(
+      scenario_or_throw("attack-comparison").with_quick());
+}
+
+TEST(ScenarioRunner, Table2IsThreadCountInvariant) {
+  // One solo-benchmark chip per profile: 11 simulations over 3 threads.
+  expect_thread_count_invariant(scenario_or_throw("table2").with_quick());
+}
+
 // Chips and warmup epochs each kind simulates at --quick: one baseline
 // per distinct chip side plus one run per arm. A fan-out that simulates
 // a baseline twice, or drops one, fails here.
@@ -768,7 +780,8 @@ TEST(ScenarioRunner, QuickSimulationCountsArePinned) {
       {"secVC-placement", 64, 128},
       {"defense-roc", 12, 24},
       {"defense-evaluation", 24, 48},
-      {"attack-comparison", 7, 4},
+      {"table2", 11, 0},
+      {"attack-comparison", 8, 6},
       {"budgeter-ablation", 10, 20},
       {"defense-closed-loop", 7, 14},
   };
