@@ -52,13 +52,12 @@ workload::Mix uniform_mix() {
 /// no policy ever sanctions.)
 bool triggered(const std::optional<power::ResponseConfig>& response,
                const power::DetectorReport& report) {
-  if (!response.has_value()) return false;
-  switch (response->trigger) {
-    case power::ResponseTrigger::kHigh: return !report.flagged_high.empty();
-    case power::ResponseTrigger::kLow: return !report.flagged_low.empty();
-    case power::ResponseTrigger::kBoth: return report.any();
+  bool fired = false;
+  if (response.has_value()) {
+    power::for_each_triggered(response->trigger, report,
+                              [&fired](NodeId) { fired = true; });
   }
-  return false;
+  return fired;
 }
 
 }  // namespace
@@ -144,13 +143,16 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
   if (cfg_.detector.has_value() && !ht_nodes.empty()) {
     detector = power::make_detector(*cfg_.detector);
   }
+  // Quarantine and throttle sanction through an engine inside the
+  // manager; migrate needs none -- re-placement is this layer's move.
+  const bool responding = cfg_.response.has_value() && detector != nullptr;
+  const bool migrate_mode =
+      responding && cfg_.response->kind == power::ResponseKind::kMigrate;
   std::unique_ptr<power::ResponseEngine> response;
-  if (cfg_.response.has_value() && detector != nullptr) {
+  if (responding && !migrate_mode) {
     response = std::make_unique<power::ResponseEngine>(*cfg_.response);
     response->attach_detector(detector.get());
   }
-  const bool migrate_mode =
-      response != nullptr && response->kind() == power::ResponseKind::kMigrate;
 
   if (trace != nullptr) {
     trace->epochs.clear();
@@ -175,11 +177,7 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
     g_systems_simulated.fetch_add(1, std::memory_order_relaxed);
     system::ManyCoreSystem sys(cfg_.system, apps);
     if (detector != nullptr) sys.gm().attach_detector(detector.get());
-    // Quarantine/throttle filter inside the manager; the migrate engine
-    // never filters -- re-placement is this layer's move.
-    if (response != nullptr && !migrate_mode) {
-      sys.gm().attach_response(response.get());
-    }
+    if (response != nullptr) sys.gm().attach_response(response.get());
 
     // Implant the Trojans, broadcast the attacker's configuration and arm
     // the duty-cycle controllers. The frame owns every piece of attack
@@ -264,23 +262,10 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
     // Migration bookkeeping: the cores whose confirmed flags pulled the
     // trigger, stamped with the observed-epoch index of the boundary.
     power::ResponseStats stats;
-    const power::DetectorReport& cum = detector->cumulative();
-    const auto collect = [&stats](const std::vector<NodeId>& flagged) {
-      for (const NodeId n : flagged) {
-        if (std::find(stats.sanctioned_cores.begin(),
-                      stats.sanctioned_cores.end(),
-                      n) == stats.sanctioned_cores.end()) {
-          stats.sanctioned_cores.push_back(n);
-        }
-      }
-    };
-    if (cfg_.response->trigger != power::ResponseTrigger::kLow) {
-      collect(cum.flagged_high);
-    }
-    if (cfg_.response->trigger != power::ResponseTrigger::kHigh) {
-      collect(cum.flagged_low);
-    }
-    stats.first_sanction_epoch = cfg_.warmup_epochs + measured1 - 1;
+    const int epoch = cfg_.warmup_epochs + measured1 - 1;
+    power::for_each_triggered(
+        cfg_.response->trigger, detector->cumulative(),
+        [&stats, epoch](NodeId n) { stats.record(n, epoch); });
     result.response_stats = stats;
 
     if (measured1 < cfg_.measure_epochs) {
@@ -301,10 +286,9 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
       result.migrations = 1;
       run_leg(migrated, cfg_.measure_epochs - measured1, false);
     }
-  } else if (migrate_mode) {
-    result.response_stats = power::ResponseStats{};
-  } else if (response != nullptr) {
-    result.response_stats = response->stats();
+  } else if (responding) {
+    result.response_stats =
+        response != nullptr ? response->stats() : power::ResponseStats{};
   }
 
   const double total_cycles =
@@ -539,15 +523,8 @@ CampaignOutcome AttackCampaign::reduce(const RunResult& attacked,
 
   out.adaptation = attacked.adaptation;
   if (attacked.response_stats.has_value() && cfg_.response.has_value()) {
-    const power::ResponseStats& stats = *attacked.response_stats;
     ResponseOutcome ro;
-    ro.kind = cfg_.response->kind;
-    ro.trigger = cfg_.response->trigger;
-    ro.sanctioned_cores = stats.sanctioned_cores;
-    ro.sanction_core_epochs = stats.sanction_core_epochs;
-    ro.denied_requests = stats.denied_requests;
-    ro.clamped_requests = stats.clamped_requests;
-    ro.first_sanction_epoch = stats.first_sanction_epoch;
+    ro.stats = *attacked.response_stats;
     ro.migrations = attacked.migrations;
 
     // Collateral: sanctioned cores that are not the attacker's.
@@ -556,7 +533,7 @@ CampaignOutcome AttackCampaign::reduce(const RunResult& attacked,
       if (!app.is_attacker()) continue;
       attacker_cores.insert(app.cores.begin(), app.cores.end());
     }
-    for (const NodeId n : ro.sanctioned_cores) {
+    for (const NodeId n : ro.stats.sanctioned_cores) {
       if (attacker_cores.find(n) == attacker_cores.end()) ++ro.collateral;
     }
 
@@ -566,9 +543,9 @@ CampaignOutcome AttackCampaign::reduce(const RunResult& attacked,
     const double base = baseline.mean_victim_grant_mw;
     if (base > 0.0 && !attacked.victim_grants.empty()) {
       ro.victim_grant_recovery = attacked.mean_victim_grant_mw / base;
-      if (ro.first_sanction_epoch >= 0) {
+      if (ro.stats.first_sanction_epoch >= 0) {
         const int start =
-            std::max(0, ro.first_sanction_epoch - cfg_.warmup_epochs);
+            std::max(0, ro.stats.first_sanction_epoch - cfg_.warmup_epochs);
         const double target = cfg_.response->recovery_threshold * base;
         for (std::size_t e = static_cast<std::size_t>(start);
              e < attacked.victim_grants.size(); ++e) {

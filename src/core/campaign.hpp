@@ -94,20 +94,12 @@ struct AppOutcome {
 /// What the closed loop bought (and cost) the defender, reduced from the
 /// run's ResponseStats plus app attribution and the baseline.
 struct ResponseOutcome {
-  power::ResponseKind kind = power::ResponseKind::kQuarantine;
-  power::ResponseTrigger trigger = power::ResponseTrigger::kHigh;
-  /// Distinct sanctioned cores, first-sanction order (for kMigrate: the
-  /// cores whose flags triggered the migration).
-  std::vector<NodeId> sanctioned_cores;
+  /// The run's counters; for kMigrate, the cores whose flags triggered
+  /// the migration and the observed-epoch index of its boundary.
+  power::ResponseStats stats;
   /// Sanctioned cores that belong to non-attacker applications --
   /// false-positive collateral, the policy punished a victim.
   int collateral = 0;
-  std::uint64_t sanction_core_epochs = 0;
-  std::uint64_t denied_requests = 0;
-  std::uint64_t clamped_requests = 0;
-  /// 0-based observed-epoch index (warmup included) of the first
-  /// sanction / migration trigger, -1 when the loop never engaged.
-  int first_sanction_epoch = -1;
   /// Measured epochs from the first sanction until the victims' granted
   /// power re-crossed recovery_threshold x the baseline mean; -1 when it
   /// never recovered (or the loop never engaged).

@@ -98,12 +98,6 @@ PacketPtr PacketPool::allocate() {
   return PacketPtr::adopt(p);
 }
 
-std::vector<Flit> make_flits(PacketPtr pkt) {
-  std::vector<Flit> flits;
-  make_flits_into(pkt, flits);
-  return flits;
-}
-
 json::Value flit_to_json(const Flit& f) {
   json::Array a;
   a.push_back(common::ju64(f.pkt ? f.pkt->id : 0));

@@ -253,11 +253,9 @@ struct Flit {
   std::int8_t vc = -1;
 };
 
-/// Splits a packet into its flit sequence.
-[[nodiscard]] std::vector<Flit> make_flits(PacketPtr pkt);
-
-/// `make_flits` into a caller-owned buffer (cleared first) so a hot caller
-/// can reuse one vector's capacity for every packet it serializes.
+/// Splits a packet into its flit sequence, written into a caller-owned
+/// buffer (cleared first) so a hot caller can reuse one vector's capacity
+/// for every packet it serializes.
 void make_flits_into(const PacketPtr& pkt, std::vector<Flit>& out);
 
 // ---------------------------------------------------------------------

@@ -84,23 +84,14 @@ DetectorReport RequestAnomalyDetector::observe_epoch(
     ++cumulative_.observations;
     ++newly.observations;
     const double value = static_cast<double>(req.request_mw);
-    // Armed only after warmup_epochs positive samples (and at least one,
-    // so a band reference exists); see the arming contract in the header.
-    if (pc.samples_seen >= cfg_.warmup_epochs && pc.samples_seen > 0) {
-      const bool low = value < cfg_.low_ratio * pc.history;
-      const bool high = value > cfg_.high_ratio * pc.history;
+    if (pc.band.armed(cfg_)) {
+      const bool low = value < cfg_.low_ratio * pc.band.reference;
+      const bool high = value > cfg_.high_ratio * pc.band.reference;
       update_flags(pc.flags, req.node, low, high, newly);
       // Anomalous samples do not poison the trusted history.
-      if (!low && !high) {
-        pc.history =
-            (1.0 - cfg_.history_alpha) * pc.history + cfg_.history_alpha * value;
-      }
-    } else if (value > 0.0) {
-      pc.history = pc.samples_seen == 0
-                       ? value
-                       : (1.0 - cfg_.history_alpha) * pc.history +
-                             cfg_.history_alpha * value;
-      ++pc.samples_seen;
+      if (!low && !high) pc.band.blend(cfg_, value);
+    } else {
+      pc.band.learn(cfg_, value);
     }
   }
   close_epoch(epoch, newly);
@@ -116,7 +107,7 @@ std::size_t RequestAnomalyDetector::unarmed_cores() const {
   std::size_t n = 0;
   // htpb-lint: allow(unordered-iter) order-insensitive count over all entries
   for (const auto& [node, pc] : state_) {
-    if (pc.samples_seen < cfg_.warmup_epochs || pc.samples_seen == 0) ++n;
+    if (!pc.band.armed(cfg_)) ++n;
   }
   return n;
 }
@@ -187,23 +178,16 @@ std::vector<BudgetGrant> GuardedBudgeter::allocate(
     std::uint32_t floor_mw) const {
   std::vector<BudgetRequest> clamped(requests.begin(), requests.end());
   for (BudgetRequest& req : clamped) {
-    double& hist = history_[req.node];
-    int& seen = samples_[req.node];
+    TrustBand& band = bands_[req.node];
     const double value = static_cast<double>(req.request_mw);
-    // Same arming contract as the detector: judge (here: clamp) only
-    // after warmup_epochs positive samples; zeros neither arm nor decay.
-    if (seen >= cfg_.warmup_epochs && seen > 0) {
-      const double lo = cfg_.low_ratio * hist;
-      const double hi = cfg_.high_ratio * hist;
-      const double used = std::clamp(value, lo, hi);
+    if (band.armed(cfg_)) {
+      const double used = std::clamp(value, cfg_.low_ratio * band.reference,
+                                     cfg_.high_ratio * band.reference);
       req.request_mw = static_cast<std::uint32_t>(used);
       // Track the clamped (trusted) value, not the raw one.
-      hist = (1.0 - cfg_.history_alpha) * hist + cfg_.history_alpha * used;
-    } else if (value > 0.0) {
-      hist = seen == 0 ? value
-                       : (1.0 - cfg_.history_alpha) * hist +
-                             cfg_.history_alpha * value;
-      ++seen;
+      band.blend(cfg_, used);
+    } else {
+      band.learn(cfg_, value);
     }
   }
   return inner_->allocate(clamped, budget_mw, floor_mw);
@@ -217,8 +201,8 @@ json::Value RequestAnomalyDetector::save_state() const {
     const PerCore& pc = state_.at(node);
     json::Array a;
     a.push_back(json::Value(static_cast<long long>(node)));
-    a.push_back(json::Value(pc.history));
-    a.push_back(json::Value(static_cast<long long>(pc.samples_seen)));
+    a.push_back(json::Value(pc.band.reference));
+    a.push_back(json::Value(static_cast<long long>(pc.band.samples)));
     a.push_back(flags_to_json(pc.flags.low_streak, pc.flags.high_streak,
                               pc.flags.reported_low, pc.flags.reported_high));
     state.push_back(json::Value(std::move(a)));
@@ -234,8 +218,8 @@ void RequestAnomalyDetector::load_state(const json::Value& v) {
   for (const json::Value& sv : o.at("state").as_array()) {
     const json::Array& a = sv.as_array();
     PerCore pc;
-    pc.history = a.at(1).as_double();
-    pc.samples_seen = static_cast<int>(a.at(2).as_int());
+    pc.band.reference = a.at(1).as_double();
+    pc.band.samples = static_cast<int>(a.at(2).as_int());
     const json::Array& f = a.at(3).as_array();
     pc.flags.low_streak = static_cast<int>(f.at(0).as_int());
     pc.flags.high_streak = static_cast<int>(f.at(1).as_int());
@@ -280,13 +264,12 @@ void CohortMedianDetector::load_state(const json::Value& v) {
 json::Value GuardedBudgeter::save_state() const {
   json::Object o;
   json::Array state;
-  for (const NodeId node : sorted_nodes(history_)) {
+  for (const NodeId node : sorted_nodes(bands_)) {
+    const TrustBand& band = bands_.at(node);
     json::Array a;
     a.push_back(json::Value(static_cast<long long>(node)));
-    a.push_back(json::Value(history_.at(node)));
-    const auto it = samples_.find(node);
-    a.push_back(json::Value(
-        static_cast<long long>(it == samples_.end() ? 0 : it->second)));
+    a.push_back(json::Value(band.reference));
+    a.push_back(json::Value(static_cast<long long>(band.samples)));
     state.push_back(json::Value(std::move(a)));
   }
   o["state"] = json::Value(std::move(state));
@@ -295,13 +278,11 @@ json::Value GuardedBudgeter::save_state() const {
 
 void GuardedBudgeter::load_state(const json::Value& v) {
   const json::Object& o = v.as_object();
-  history_.clear();
-  samples_.clear();
+  bands_.clear();
   for (const json::Value& sv : o.at("state").as_array()) {
     const json::Array& a = sv.as_array();
-    const auto node = static_cast<NodeId>(a.at(0).as_int());
-    history_[node] = a.at(1).as_double();
-    samples_[node] = static_cast<int>(a.at(2).as_int());
+    bands_[static_cast<NodeId>(a.at(0).as_int())] =
+        TrustBand{a.at(1).as_double(), static_cast<int>(a.at(2).as_int())};
   }
 }
 

@@ -85,6 +85,45 @@ struct DetectorConfig {
   }
 };
 
+/// One core's EWMA trust band: the request-history reference that the
+/// self-history detector judges against and the guard clamps into.
+///
+/// Arming contract: a band is armed only after `warmup_epochs` *positive*
+/// samples have seeded its reference (and at least one, so a reference
+/// exists). Zero-valued samples neither advance warmup nor decay the
+/// reference -- an idle core stays in warmup rather than silently
+/// draining its band toward zero. In particular a core that idles
+/// through the global warmup and wakes late gets the same seeded warmup
+/// as everyone else instead of having its first live sample -- possibly
+/// already Trojan-attenuated -- trusted verbatim. Once a band IS armed,
+/// every sample is judged -- including zeros: a collapse to zero against
+/// the core's own past is exactly the attenuation signature.
+struct TrustBand {
+  double reference = 0.0;
+  /// Positive samples absorbed during warm-up.
+  int samples = 0;
+
+  [[nodiscard]] bool armed(const DetectorConfig& cfg) const noexcept {
+    return samples >= cfg.warmup_epochs && samples > 0;
+  }
+  /// Folds `value` into the reference with weight history_alpha.
+  void blend(const DetectorConfig& cfg, double value) noexcept {
+    reference =
+        (1.0 - cfg.history_alpha) * reference + cfg.history_alpha * value;
+  }
+  /// Warm-up step for an unarmed band: a positive sample seeds (first)
+  /// or blends into the reference and counts toward arming.
+  void learn(const DetectorConfig& cfg, double value) noexcept {
+    if (value <= 0.0) return;
+    if (samples == 0) {
+      reference = value;
+    } else {
+      blend(cfg, value);
+    }
+    ++samples;
+  }
+};
+
 struct DetectorReport {
   std::vector<NodeId> flagged_low;   ///< suspected starved victims
   std::vector<NodeId> flagged_high;  ///< suspected boosted accomplices
@@ -122,21 +161,11 @@ struct DetectorReport {
 /// Self-history detector (DetectorKind::kSelfEwma) and the base class of
 /// every manager-side detector.
 ///
-/// Arming contract (per core): a core is judged only after
-/// `warmup_epochs` *positive* samples have seeded its history (and at
-/// least one, so a band reference exists). Zero-valued samples neither
-/// advance warmup nor decay the history -- an idle core stays in warmup
-/// rather than silently draining its trust band toward zero. In
-/// particular a core that idles through the global warmup and wakes late
-/// gets the same seeded warmup as everyone else instead of having its
-/// first live sample -- possibly already Trojan-attenuated -- trusted
-/// verbatim with no anomaly check. Once a core IS armed, every sample is
-/// judged -- including zeros: a collapse to zero against the core's own
-/// past is exactly the attenuation signature. (A stream attacked from
-/// its very first sample still anchors the band to the attacked level;
-/// no self-history scheme can tell, which is what CohortMedianDetector
-/// is for.) Cores still in warmup are not silent: `unarmed_cores()`
-/// counts them for the defender.
+/// Each core is judged against its own TrustBand, under its arming
+/// contract. A stream attacked from its very first sample still anchors
+/// the band to the attacked level; no self-history scheme can tell, which
+/// is what CohortMedianDetector is for. Cores still in warmup are not
+/// silent: `unarmed_cores()` counts them for the defender.
 class RequestAnomalyDetector {
  public:
   explicit RequestAnomalyDetector(DetectorConfig cfg = {}) : cfg_(cfg) {}
@@ -167,7 +196,7 @@ class RequestAnomalyDetector {
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] double history_of(NodeId node) const {
     const auto it = state_.find(node);
-    return it == state_.end() ? 0.0 : it->second.history;
+    return it == state_.end() ? 0.0 : it->second.band.reference;
   }
 
   /// Checkpointing: per-core histories/streaks (sorted by node) and the
@@ -195,10 +224,7 @@ class RequestAnomalyDetector {
 
  private:
   struct PerCore {
-    double history = 0.0;
-    /// Positive samples absorbed so far; the arming gate compares this
-    /// against warmup_epochs (see the class comment).
-    int samples_seen = 0;
+    TrustBand band;
     FlagState flags;
   };
 
@@ -247,9 +273,8 @@ class CohortMedianDetector final : public RequestAnomalyDetector {
 /// Mitigation: clamp every request into [low_ratio, high_ratio] x its own
 /// history before handing it to the wrapped policy. Tampered values still
 /// shift the allocation, but only by the band width -- the attack's
-/// leverage collapses from ~10x to the band ratio. Arming follows the
-/// same positive-samples contract as RequestAnomalyDetector: zero-valued
-/// requests neither advance a core's warmup nor decay its trust history.
+/// leverage collapses from ~10x to the band ratio. Each core's band is a
+/// TrustBand, armed like the detector's and fed the clamped value.
 class GuardedBudgeter final : public Budgeter {
  public:
   GuardedBudgeter(std::unique_ptr<Budgeter> inner,
@@ -273,10 +298,9 @@ class GuardedBudgeter final : public Budgeter {
   // snapshot-exempt: wrapped policy is stateless config, re-created by construction
   std::unique_ptr<Budgeter> inner_;
   DetectorConfig cfg_;  // snapshot-exempt: construction config, immutable
-  // Allocation history evolves across calls; allocate() is logically const
-  // for the Budgeter interface but the guard's memory must persist.
-  mutable std::unordered_map<NodeId, double> history_;
-  mutable std::unordered_map<NodeId, int> samples_;
+  // The bands evolve across calls; allocate() is logically const for the
+  // Budgeter interface but the guard's memory must persist.
+  mutable std::unordered_map<NodeId, TrustBand> bands_;
 };
 
 }  // namespace htpb::power

@@ -122,11 +122,11 @@ class GlobalManager {
   void attach_recorder(RequestTrace* trace) noexcept { recorder_ = trace; }
 
   /// Optional closed-loop response engine (power/response.hpp), fed the
-  /// per-epoch newly-confirmed detector verdicts and allowed to filter
-  /// the allocation (quarantine/throttle). Not owned; requires an
-  /// attached detector to ever sanction anything. The detector and the
-  /// recorder always observe the RAW request vector first -- responses
-  /// never perturb what gets detected or recorded this epoch.
+  /// per-epoch newly-confirmed detector verdicts; it enforces its own
+  /// sanctions on the allocation. Not owned; requires an attached
+  /// detector to ever sanction anything. The detector and the recorder
+  /// always observe the RAW request vector first -- responses never
+  /// perturb what gets detected or recorded this epoch.
   void attach_response(ResponseEngine* response) noexcept {
     response_ = response;
   }
@@ -146,49 +146,20 @@ class GlobalManager {
     std::vector<BudgetRequest> requests = pending_;
     if (response_ != nullptr) {
       response_->begin_epoch(newly);
-      if (response_->any_sanctioned()) {
-        switch (response_->kind()) {
-          case ResponseKind::kQuarantine: {
-            std::vector<BudgetRequest> kept;
-            kept.reserve(requests.size());
-            for (const BudgetRequest& r : requests) {
-              if (response_->sanctioned(r.node)) {
-                response_->count_denied();
-                // Explicit 0 mW grant: the core stalls instead of
-                // coasting on its previous epoch's grant.
-                auto pkt = net_->make_packet(
-                    node_, r.node, noc::PacketType::kPowerGrant, 0);
-                net_->send(std::move(pkt));
-              } else {
-                kept.push_back(r);
-              }
-            }
-            requests = std::move(kept);
-            break;
-          }
-          case ResponseKind::kThrottle:
-            for (BudgetRequest& r : requests) {
-              if (response_->sanctioned(r.node) && r.request_mw > floor_mw_) {
-                r.request_mw = floor_mw_;
-                response_->count_clamped();
-              }
-            }
-            break;
-          case ResponseKind::kMigrate:
-            // Verdicts recorded; re-placement happens a layer up.
-            break;
-        }
+      // Explicit 0 mW grants for quarantined cores: a denied core stalls
+      // instead of coasting on its previous epoch's grant.
+      for (const NodeId denied : response_->filter_requests(requests,
+                                                            floor_mw_)) {
+        net_->send(net_->make_packet(node_, denied,
+                                     noc::PacketType::kPowerGrant, 0));
       }
     }
     const auto grants = budgeter_->allocate(requests, budget_mw_, floor_mw_);
-    const bool throttling =
-        response_ != nullptr && response_->kind() == ResponseKind::kThrottle;
     for (const BudgetGrant& g : grants) {
-      std::uint32_t grant_mw = g.grant_mw;
-      if (throttling && response_->sanctioned(g.node) &&
-          grant_mw > floor_mw_) {
-        grant_mw = floor_mw_;
-      }
+      const std::uint32_t grant_mw =
+          response_ != nullptr
+              ? response_->cap_grant(g.node, g.grant_mw, floor_mw_)
+              : g.grant_mw;
       current_.granted_mw += grant_mw;
       if (victim_nodes_.find(g.node) != victim_nodes_.end()) {
         current_.victim_granted_mw += grant_mw;
@@ -205,7 +176,6 @@ class GlobalManager {
   [[nodiscard]] const std::vector<EpochRecord>& history() const noexcept {
     return history_;
   }
-  [[nodiscard]] const Budgeter& budgeter() const noexcept { return *budgeter_; }
 
   /// Checkpointing: the collection window (pending requests in arrival
   /// order, victim set, current record), epoch history, budget and the

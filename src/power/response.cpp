@@ -1,6 +1,5 @@
 #include "power/response.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/snapshot.hpp"
@@ -34,20 +33,40 @@ void ResponseEngine::begin_epoch(const DetectorReport& newly) {
       ++it;
     }
   }
-  if (cfg_.trigger != ResponseTrigger::kLow) {
-    for (const NodeId node : newly.flagged_high) sanction(node);
+  for_each_triggered(cfg_.trigger, newly,
+                     [this](NodeId node) { sanction(node); });
+}
+
+std::vector<NodeId> ResponseEngine::filter_requests(
+    std::vector<BudgetRequest>& requests, std::uint32_t floor_mw) {
+  std::vector<NodeId> denied;
+  if (active_.empty()) return denied;
+  switch (cfg_.kind) {
+    case ResponseKind::kQuarantine:
+      for (const BudgetRequest& r : requests) {
+        if (sanctioned(r.node)) denied.push_back(r.node);
+      }
+      std::erase_if(requests, [this](const BudgetRequest& r) {
+        return sanctioned(r.node);
+      });
+      stats_.denied_requests += denied.size();
+      break;
+    case ResponseKind::kThrottle:
+      for (BudgetRequest& r : requests) {
+        if (sanctioned(r.node) && r.request_mw > floor_mw) {
+          r.request_mw = floor_mw;
+          ++stats_.clamped_requests;
+        }
+      }
+      break;
+    case ResponseKind::kMigrate:  // the campaign re-places instead
+      break;
   }
-  if (cfg_.trigger != ResponseTrigger::kHigh) {
-    for (const NodeId node : newly.flagged_low) sanction(node);
-  }
+  return denied;
 }
 
 void ResponseEngine::sanction(NodeId node) {
-  if (std::find(stats_.sanctioned_cores.begin(), stats_.sanctioned_cores.end(),
-                node) == stats_.sanctioned_cores.end()) {
-    stats_.sanctioned_cores.push_back(node);
-  }
-  if (stats_.first_sanction_epoch < 0) stats_.first_sanction_epoch = epoch_;
+  stats_.record(node, epoch_);
   active_[node] = cfg_.sanction_epochs;
 }
 

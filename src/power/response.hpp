@@ -14,9 +14,9 @@
 //    per-core floor before allocation (freeing the budget the boosted
 //    request would have captured) and its grant is clamped to the floor
 //    after allocation. The core keeps running at the idle floor.
-//  - kMigrate: the engine only records verdicts; the campaign layer
-//    (core/campaign.hpp) re-places the victim workload at the next epoch
-//    boundary. Allocation is never filtered.
+//  - kMigrate: the campaign layer (core/campaign.hpp) builds no engine;
+//    it re-places the victim workload at the epoch boundary of the first
+//    verdict the trigger listens to. Allocation is never filtered.
 //
 // Sanctions act on per-epoch *newly confirmed* detector verdicts, always
 // at epoch boundaries (inside GlobalManager::allocate_and_reply), and
@@ -34,6 +34,7 @@
 // response-free twin (AttackCampaign::derive_unsanctioned).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -48,7 +49,7 @@ namespace htpb::power {
 enum class ResponseKind : std::uint8_t {
   kQuarantine,  ///< deny sanctioned cores' requests (0 mW grant)
   kThrottle,    ///< clamp sanctioned cores' requests & grants to the floor
-  kMigrate,     ///< record verdicts; the campaign re-places the victims
+  kMigrate,     ///< the campaign re-places the victims on a verdict
 };
 
 [[nodiscard]] const char* to_string(ResponseKind kind);
@@ -65,6 +66,20 @@ enum class ResponseTrigger : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(ResponseTrigger trigger);
+
+/// Calls `visit(node)` for every node of `report` that `trigger` listens
+/// to: flagged_high first, then flagged_low. The one statement of which
+/// verdicts a response acts on (sanctions and the migrate trigger alike).
+template <class Visit>
+void for_each_triggered(ResponseTrigger trigger, const DetectorReport& report,
+                        Visit&& visit) {
+  if (trigger != ResponseTrigger::kLow) {
+    for (const NodeId node : report.flagged_high) visit(node);
+  }
+  if (trigger != ResponseTrigger::kHigh) {
+    for (const NodeId node : report.flagged_low) visit(node);
+  }
+}
 
 struct ResponseConfig {
   ResponseKind kind = ResponseKind::kQuarantine;
@@ -104,6 +119,15 @@ struct ResponseStats {
   /// sanction, or -1 when nothing was ever sanctioned.
   int first_sanction_epoch = -1;
 
+  /// Books a sanction of `node` at `epoch` (each core listed once).
+  void record(NodeId node, int epoch) {
+    if (std::find(sanctioned_cores.begin(), sanctioned_cores.end(), node) ==
+        sanctioned_cores.end()) {
+      sanctioned_cores.push_back(node);
+    }
+    if (first_sanction_epoch < 0) first_sanction_epoch = epoch;
+  }
+
   friend bool operator==(const ResponseStats&, const ResponseStats&) = default;
 
   template <class S, class F>
@@ -134,6 +158,23 @@ class ResponseEngine {
   /// ingest this epoch's newly confirmed verdicts per the trigger.
   void begin_epoch(const DetectorReport& newly);
 
+  /// Sanctions before allocation, each drop or clamp counted: kQuarantine
+  /// drops sanctioned requests and returns their nodes in request order
+  /// (each is owed a 0 mW grant); kThrottle clamps those above
+  /// `floor_mw` to it.
+  /// kMigrate and unsanctioned requests pass through untouched.
+  [[nodiscard]] std::vector<NodeId> filter_requests(
+      std::vector<BudgetRequest>& requests, std::uint32_t floor_mw);
+
+  /// Sanctions after allocation: `grant_mw`, clamped to `floor_mw` for a
+  /// throttled core.
+  [[nodiscard]] std::uint32_t cap_grant(NodeId node, std::uint32_t grant_mw,
+                                        std::uint32_t floor_mw) const {
+    const bool throttled =
+        cfg_.kind == ResponseKind::kThrottle && sanctioned(node);
+    return throttled ? std::min(grant_mw, floor_mw) : grant_mw;
+  }
+
   /// Epoch-boundary step 2 (after allocation): age every active sanction
   /// by one epoch and advance the epoch counter.
   void end_epoch();
@@ -141,16 +182,7 @@ class ResponseEngine {
   [[nodiscard]] bool sanctioned(NodeId node) const {
     return active_.find(node) != active_.end();
   }
-  [[nodiscard]] bool any_sanctioned() const noexcept {
-    return !active_.empty();
-  }
-  [[nodiscard]] ResponseKind kind() const noexcept { return cfg_.kind; }
-  [[nodiscard]] const ResponseConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const ResponseStats& stats() const noexcept { return stats_; }
-
-  /// Counter hooks for the manager's filtering path.
-  void count_denied() noexcept { ++stats_.denied_requests; }
-  void count_clamped() noexcept { ++stats_.clamped_requests; }
 
   /// Checkpointing: active sanctions, stats and the epoch counter. The
   /// configuration and the detector pointer are construction wiring.

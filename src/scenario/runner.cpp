@@ -521,8 +521,7 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   std::vector<core::AttackCampaign> guards;
   for (const power::DetectorConfig& d : bands) {
     core::CampaignConfig cfg = base;
-    cfg.system.guard_requests = true;
-    cfg.system.guard_config = d;
+    cfg.system.guard = d;
     guards.emplace_back(std::move(cfg));
   }
 
@@ -759,8 +758,7 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec,
     // Mitigation arm: the GuardedBudgeter clamps requests into the
     // detector's band.
     core::CampaignConfig guard_cfg = campaign_config(damage_spec, mix_name);
-    guard_cfg.system.guard_requests = true;
-    guard_cfg.system.guard_config = *detect_spec.detector;
+    guard_cfg.system.guard = detect_spec.detector;
     arms.emplace_back(std::move(guard_cfg));
     hts.push_back(gm_cluster(spec, arms.back().gm_node()));
   }
@@ -1064,16 +1062,17 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
     }
     if (out.response.has_value()) {
       const core::ResponseOutcome& ro = *out.response;
+      const power::ResponseStats& st = ro.stats;
       row["sanctioned_cores"] =
-          json::Value(static_cast<long long>(ro.sanctioned_cores.size()));
+          json::Value(static_cast<long long>(st.sanctioned_cores.size()));
       row["collateral"] = json::Value(ro.collateral);
       row["sanction_core_epochs"] =
-          json::Value(static_cast<long long>(ro.sanction_core_epochs));
+          json::Value(static_cast<long long>(st.sanction_core_epochs));
       row["denied_requests"] =
-          json::Value(static_cast<long long>(ro.denied_requests));
+          json::Value(static_cast<long long>(st.denied_requests));
       row["clamped_requests"] =
-          json::Value(static_cast<long long>(ro.clamped_requests));
-      row["first_sanction_epoch"] = json::Value(ro.first_sanction_epoch);
+          json::Value(static_cast<long long>(st.clamped_requests));
+      row["first_sanction_epoch"] = json::Value(st.first_sanction_epoch);
       row["epochs_to_recovery"] = json::Value(ro.epochs_to_recovery);
       row["victim_grant_recovery"] = json::Value(ro.victim_grant_recovery);
       row["migrations"] = json::Value(ro.migrations);

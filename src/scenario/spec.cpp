@@ -76,7 +76,6 @@ system::SystemConfig SystemSpec::to_system_config() const {
   cfg.first_epoch_cycle = first_epoch_cycle;
   cfg.budget_fraction = budget_fraction;
   cfg.budgeter = budgeter;
-  cfg.guard_requests = guard_requests;
   cfg.gm_placement = gm_placement;
   cfg.gm_node = gm_node;
   cfg.seed = seed;
@@ -154,8 +153,19 @@ void ScenarioSpec::validate() const {
     invalid(name, "unsupported schema_version");
   }
   // The chip must build (mesh shape, GM bounds) for every simulating kind.
-  system.to_system_config().validate();
+  const system::SystemConfig chip = system.to_system_config();
+  chip.validate();
+  if (system.epoch_cycles <= chip.resolved_collect_window()) {
+    invalid(name, "system.epoch_cycles must exceed the collect window (" +
+                      std::to_string(chip.resolved_collect_window()) + ")");
+  }
+  if (system.budget_fraction <= 0.0 || system.budget_fraction > 1.0) {
+    invalid(name, "system.budget_fraction must be in (0, 1]");
+  }
   check_mix_name(name, workload.mix);
+  if (workload.threads_per_app < 0) {
+    invalid(name, "workload.threads_per_app must be >= 0 (0 = auto)");
+  }
   if (trojan.victim_scale <= 0.0 || trojan.victim_scale > 1.0) {
     invalid(name, "trojan.victim_scale must be in (0, 1]");
   }

@@ -92,7 +92,6 @@ struct SystemSpec {
   Cycle first_epoch_cycle = 10;
   double budget_fraction = 0.50;
   power::BudgeterKind budgeter = power::BudgeterKind::kProportional;
-  bool guard_requests = false;
   system::GmPlacement gm_placement = system::GmPlacement::kCenter;
   std::optional<NodeId> gm_node;
   /// Per-node workload stream seed (SystemConfig::seed).
@@ -110,7 +109,6 @@ struct SystemSpec {
     f("first_epoch_cycle", s.first_epoch_cycle);
     f("budget_fraction", s.budget_fraction);
     f("budgeter", s.budgeter);
-    f("guard_requests", s.guard_requests);
     f("gm_placement", s.gm_placement);
     f("gm_node", s.gm_node);
     f("seed", s.seed);

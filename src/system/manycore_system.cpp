@@ -73,9 +73,9 @@ ManyCoreSystem::ManyCoreSystem(SystemConfig cfg,
 
   std::unique_ptr<power::Budgeter> budgeter =
       power::make_budgeter(cfg_.budgeter);
-  if (cfg_.guard_requests) {
+  if (cfg_.guard.has_value()) {
     budgeter = std::make_unique<power::GuardedBudgeter>(std::move(budgeter),
-                                                        cfg_.guard_config);
+                                                        *cfg_.guard);
   }
   gm_ = std::make_unique<power::GlobalManager>(gm_node_, net_.get(),
                                                std::move(budgeter), budget_mw_,

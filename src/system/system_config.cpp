@@ -1,14 +1,18 @@
 #include "system/system_config.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace htpb::system {
 
 void SystemConfig::validate() const {
-  if (width < 2 || height < 2) {
+  if (width < 2 || height < 2 ||
+      static_cast<long long>(width) * height >
+          std::numeric_limits<int>::max()) {
     throw std::invalid_argument(
-        "SystemConfig: mesh must be at least 2x2 (got " +
+        "SystemConfig: width x height must be at least 2x2 and its node "
+        "count must fit int (got " +
         std::to_string(width) + "x" + std::to_string(height) + ")");
   }
   if (gm_node.has_value() &&

@@ -33,11 +33,10 @@ struct SystemConfig {
   power::CorePowerModel power_model;
 
   power::BudgeterKind budgeter = power::BudgeterKind::kProportional;
-  /// Wraps the budgeter in the request-clamping mitigation
-  /// (power::GuardedBudgeter) -- the defense evaluated by the
-  /// defense-evaluation scenario.
-  bool guard_requests = false;
-  power::DetectorConfig guard_config;
+  /// When set, wraps the budgeter in the request-clamping mitigation
+  /// (power::GuardedBudgeter) with this trust band -- the guard arms of
+  /// the defense-roc and defense-evaluation scenarios.
+  std::optional<power::DetectorConfig> guard;
   /// Chip power budget as a fraction of the all-cores-at-max demand.
   /// Below 1.0 creates the contention that power budgeting exists to
   /// arbitrate (and that the Trojan exploits).
@@ -71,7 +70,8 @@ struct SystemConfig {
 
   /// Throws std::invalid_argument when the shape or GM placement is
   /// unusable: meshes below 2x2 (XY routing and the GM placement presets
-  /// assume a real 2D mesh) or a pinned gm_node outside the mesh.
+  /// assume a real 2D mesh), a node count past int, or a pinned gm_node
+  /// outside the mesh.
   /// ManyCoreSystem and AttackCampaign call this before building.
   void validate() const;
 

@@ -226,7 +226,7 @@ TEST(AttackCampaign, ReduceRejectsABaselineFromAnotherChipSide) {
   EXPECT_EQ(campaign.reduce(attacked, shared, hts).q, own.q);
 
   CampaignConfig guarded = cfg;
-  guarded.system.guard_requests = true;
+  guarded.system.guard = power::DetectorConfig{};
   const std::string system = rejection([&] {
     (void)campaign.reduce(attacked, AttackCampaign(guarded).simulate({}), hts);
   });

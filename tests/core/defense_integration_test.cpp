@@ -88,7 +88,7 @@ TEST(DefenseIntegration, GuardedBudgeterBluntsTheAttack) {
   const auto attacked = run_gm_cluster(undefended, 8);
 
   CampaignConfig guarded_cfg = base_config();
-  guarded_cfg.system.guard_requests = true;
+  guarded_cfg.system.guard = power::DetectorConfig{};
   AttackCampaign defended(guarded_cfg);
   const auto mitigated = run_gm_cluster(defended, 8);
 

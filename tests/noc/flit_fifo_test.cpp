@@ -54,7 +54,9 @@ struct Rig {
     pkt->type = PacketType::kMemReadReq;
     pkt->size_flits = flits;
     by_id[pkt->id] = pkt;
-    for (Flit& f : make_flits(pkt)) {
+    std::vector<Flit> buffer;
+    make_flits_into(pkt, buffer);
+    for (Flit& f : buffer) {
       f.vc = static_cast<std::int8_t>(vc);
       router.accept_flit(Direction::kLocal, std::move(f), now);
     }

@@ -9,7 +9,8 @@ TEST(Packet, FlitizationSizes) {
   PacketPool pool;
   auto pkt = pool.allocate();
   pkt->size_flits = 5;
-  const auto flits = make_flits(pkt);
+  std::vector<Flit> flits;
+  make_flits_into(pkt, flits);
   ASSERT_EQ(flits.size(), 5U);
   EXPECT_TRUE(flits.front().is_head);
   EXPECT_FALSE(flits.front().is_tail);
@@ -25,7 +26,8 @@ TEST(Packet, SingleFlitIsHeadAndTail) {
   PacketPool pool;
   auto pkt = pool.allocate();
   pkt->size_flits = 1;
-  const auto flits = make_flits(pkt);
+  std::vector<Flit> flits;
+  make_flits_into(pkt, flits);
   ASSERT_EQ(flits.size(), 1U);
   EXPECT_TRUE(flits[0].is_head);
   EXPECT_TRUE(flits[0].is_tail);
@@ -35,7 +37,9 @@ TEST(Packet, ZeroSizeClampedToOneFlit) {
   PacketPool pool;
   auto pkt = pool.allocate();
   pkt->size_flits = 0;
-  EXPECT_EQ(make_flits(pkt).size(), 1U);
+  std::vector<Flit> flits;
+  make_flits_into(pkt, flits);
+  EXPECT_EQ(flits.size(), 1U);
 }
 
 TEST(Packet, VcClassPartition) {

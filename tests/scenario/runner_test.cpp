@@ -201,8 +201,7 @@ CurvePoint in_sim_curve_point(
       static_cast<double>(clean.unique_flagged()) / monitored;
 
   core::CampaignConfig guard_cfg = base;
-  guard_cfg.system.guard_requests = true;
-  guard_cfg.system.guard_config = band;
+  guard_cfg.system.guard = band;
   pt.mean_q_guarded = mean_q(core::AttackCampaign(guard_cfg), placements);
   return pt;
 }

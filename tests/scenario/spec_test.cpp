@@ -26,7 +26,6 @@ ScenarioSpec full_spec() {
   s.system.first_epoch_cycle = 77;
   s.system.budget_fraction = 0.37;
   s.system.budgeter = power::BudgeterKind::kMarket;
-  s.system.guard_requests = true;
   s.system.gm_placement = system::GmPlacement::kCorner;
   s.system.seed = 17;
   s.workload.mix = "mix-2";
@@ -261,6 +260,36 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   spec = full_spec();
   spec.system.width = 1;  // below the 2x2 mesh floor
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  // Values that used to run: each must be rejected naming its field.
+  const auto rejects = [](const ScenarioSpec& bad, const std::string& field) {
+    try {
+      bad.validate();
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  spec = full_spec();
+  spec.system.width = 65536;  // 65536 x 65537 wrapped to 65536 nodes
+  spec.system.height = 65537;
+  rejects(spec, "width x height");
+  spec = full_spec();
+  spec.system.epoch_cycles = 0;  // ran with q 1.0 and no infection
+  rejects(spec, "system.epoch_cycles");
+  spec = full_spec();  // an epoch no longer than its collect window
+  spec.system.epoch_cycles =
+      spec.system.to_system_config().resolved_collect_window();
+  rejects(spec, "system.epoch_cycles");
+  for (const double fraction : {-1.0, 0.0, 1.5}) {
+    spec = full_spec();
+    spec.system.budget_fraction = fraction;
+    rejects(spec, "system.budget_fraction");
+  }
+  spec = full_spec();
+  spec.workload.threads_per_app = -5;  // ran as auto
+  rejects(spec, "workload.threads_per_app");
 
   // A negative period used to run as the static arm, reported as -2.
   spec = scenario_or_throw("attack-comparison");

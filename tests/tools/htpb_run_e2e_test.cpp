@@ -195,6 +195,32 @@ TEST(HtpbRunE2e, BadSetOverridesFailLoudly) {
   EXPECT_EQ(range.exit_code, 1);
   EXPECT_NE(range.err.find("sanction_epochs"), std::string::npos)
       << range.err;
+
+  // Hostile values that used to run to exit 0 on nonsense: each fails
+  // validation before any simulation, naming its field.
+  struct Hostile {
+    const char* args;
+    const char* field;
+  };
+  for (const Hostile& h : {
+           Hostile{"--scenario table1 --set system.width=65536 --set "
+                   "system.height=65537",
+                   "width x height"},
+           Hostile{"--scenario budgeter-ablation --quick --set "
+                   "system.epoch_cycles=0",
+                   "system.epoch_cycles"},
+           Hostile{"--scenario budgeter-ablation --quick --set "
+                   "system.budget_fraction=-1",
+                   "system.budget_fraction"},
+           Hostile{"--scenario budgeter-ablation --quick --set "
+                   "workload.threads_per_app=-5",
+                   "workload.threads_per_app"},
+       }) {
+    const RunResult r = run_tool(dir, h.args);
+    EXPECT_EQ(r.exit_code, 1) << h.args << r.err;
+    EXPECT_NE(r.err.find(h.field), std::string::npos) << h.args << r.err;
+    EXPECT_EQ(r.out, "") << h.args;
+  }
 }
 
 TEST(HtpbRunE2e, OutOfRangeThreadsFailNamingTheFlag) {
