@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/validate.hpp"
 #include "core/flooding.hpp"
 #include "core/infection.hpp"
 #include "sim/event_desc.hpp"
@@ -90,23 +91,32 @@ struct AttackFrame {
   bool adapt_engaged = false;
 };
 
+void CampaignConfig::validate() const {
+  check_at("system.", [&] { system.validate(); });
+  check_at("trojan.", [&] { trojan.validate(); });
+  if (detector.has_value()) {
+    check_at("detector.", [&] { detector->validate(); });
+  }
+  if (response.has_value()) {
+    check_at("response.", [&] { response->validate(); });
+  }
+  require(warmup_epochs >= 0, "warmup_epochs must be >= 0");
+  require(measure_epochs >= 1, "measure_epochs must be >= 1");
+  require(toggle_period_epochs >= 0, "toggle_period_epochs must be >= 0");
+  require(threads_per_app >= 0, "threads_per_app must be >= 0 (0 = auto)");
+  require(!response.has_value() || detector.has_value(),
+          "response requires a detector to act on");
+  require(!trojan.adapt.enabled || toggle_period_epochs <= 0,
+          "trojan.adapt.enabled and a toggle period are rival duty-cycle "
+          "controllers; enable one");
+  require(!flooding.has_value() ||
+              (!detector.has_value() && !response.has_value()),
+          "flooding implants no false-data Trojan for a detector or "
+          "response to act on");
+}
+
 AttackCampaign::AttackCampaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
-  cfg_.system.validate();
-  if (cfg_.response.has_value() && !cfg_.detector.has_value()) {
-    throw std::invalid_argument(
-        "AttackCampaign: a response policy requires a detector to act on");
-  }
-  if (cfg_.trojan.adapt.enabled && cfg_.toggle_period_epochs > 0) {
-    throw std::invalid_argument(
-        "AttackCampaign: adaptation and toggle_period_epochs are rival "
-        "duty-cycle controllers; enable one");
-  }
-  if (cfg_.flooding.has_value() &&
-      (cfg_.detector.has_value() || cfg_.response.has_value())) {
-    throw std::invalid_argument(
-        "AttackCampaign: a flooding campaign implants no false-data Trojan "
-        "for a detector or response to act on");
-  }
+  check_at("AttackCampaign: ", [&] { cfg_.validate(); });
   const workload::Mix mix = cfg_.mix.value_or(uniform_mix());
   const int nodes = cfg_.system.node_count();
   int threads = cfg_.threads_per_app;
@@ -118,14 +128,9 @@ AttackCampaign::AttackCampaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {
   }
   apps_ = workload::instantiate_mix(mix, threads);
   workload::map_threads_round_robin(apps_, nodes);
-
-  // Resolve the manager node the same way the system will, so that the
-  // Trojan configuration and infection analytics agree with the substrate.
-  const MeshGeometry geom(cfg_.system.width, cfg_.system.height);
-  gm_node_ = cfg_.system.gm_node.value_or(
-      cfg_.system.gm_placement == system::GmPlacement::kCenter
-          ? geom.id_of(geom.center())
-          : geom.id_of(MeshGeometry::corner()));
+  // The manager node the system will resolve, so that the Trojan
+  // configuration and infection analytics agree with the substrate.
+  gm_node_ = cfg_.system.resolved_gm_node();
 }
 
 ChipSide AttackCampaign::chip_side() const {

@@ -79,6 +79,13 @@ struct CampaignConfig {
   /// no false-data Trojan, so `trojan` and the toggle go unused. The
   /// constructor rejects it together with a `detector` or `response`.
   std::optional<FloodingConfig> flooding;
+
+  /// Checks system, trojan, detector and response through their own
+  /// validate(), the epoch/toggle/thread counts, and the cross-field
+  /// rules (a response needs a detector; trojan.adapt excludes the
+  /// toggle; flooding excludes both). Throws std::invalid_argument whose
+  /// message names member paths as whole words (common/validate.hpp).
+  void validate() const;
 };
 
 struct AppOutcome {
@@ -143,7 +150,7 @@ struct CampaignOutcome {
   /// detector configured and the run implanted at least one Trojan node.
   std::optional<power::DetectorReport> detection;
   /// Closed-loop response outcome; engaged iff the campaign has a
-  /// response configured (which requires a detector) and the run
+  /// response configured (only ever with a detector) and the run
   /// implanted at least one Trojan node.
   std::optional<ResponseOutcome> response;
   /// Adaptive-agent accounting; engaged iff trojan.adapt.enabled and the

@@ -3,7 +3,27 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/validate.hpp"
+
 namespace htpb::core {
+
+void TrojanAdaptation::validate() const {
+  require(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
+  require(backoff_ratio > 0.0 && backoff_ratio < 1.0,
+          "backoff_ratio must be in (0, 1)");
+  require(max_on_epochs >= 1, "max_on_epochs must be >= 1");
+  require(hold_off_epochs >= 1, "hold_off_epochs must be >= 1");
+}
+
+void TrojanConfig::validate() const {
+  require(victim_scale >= 0.005 && victim_scale <= 1.0,
+          "victim_scale must be in [0.005, 1] (CONFIG_CMD carries whole "
+          "percent)");
+  require(attacker_boost >= 1.0 && attacker_boost <= 655.35,
+          "attacker_boost must be in [1, 655.35] (CONFIG_CMD carries at "
+          "most 65535%)");
+  check_at("adapt.", [&] { adapt.validate(); });
+}
 
 void encode_config(const TrojanConfig& cfg, noc::Packet& pkt) {
   pkt.type = noc::PacketType::kConfigCmd;

@@ -44,6 +44,10 @@ struct TrojanAdaptation {
   /// sanction.
   int hold_off_epochs = 1;
 
+  /// Throws std::invalid_argument naming the out-of-range member. Holds
+  /// while disabled too: a caller may switch the agent on later.
+  void validate() const;
+
   friend bool operator==(const TrojanAdaptation&,
                          const TrojanAdaptation&) = default;
 
@@ -68,6 +72,12 @@ struct TrojanConfig {
   NodeId global_manager = kInvalidNode;
   std::vector<NodeId> attacker_agents;
   TrojanAdaptation adapt;
+
+  /// Throws std::invalid_argument naming the out-of-range member (adapt
+  /// included). The scales must reach the wire unclamped and nonzero:
+  /// below 0.005 a victim scale encodes as 0%, and the boost field holds
+  /// at most 65535%.
+  void validate() const;
 };
 
 /// Encodes the configuration into payload + options of a CONFIG_CMD packet.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/snapshot.hpp"
+#include "common/validate.hpp"
 
 namespace htpb::power {
 
@@ -30,6 +31,15 @@ std::vector<NodeId> sorted_nodes(const Map& m) {
 }
 
 }  // namespace
+
+void DetectorConfig::validate() const {
+  require(low_ratio > 0.0 && low_ratio < high_ratio,
+          "low_ratio must be in (0, high_ratio)");
+  require(history_alpha > 0.0 && history_alpha <= 1.0,
+          "history_alpha must be in (0, 1]");
+  require(warmup_epochs >= 0, "warmup_epochs must be >= 0");
+  require(confirm_epochs >= 1, "confirm_epochs must be >= 1");
+}
 
 std::size_t DetectorReport::unique_flagged() const {
   std::vector<NodeId> all;

@@ -71,6 +71,10 @@ struct DetectorConfig {
   /// Consecutive anomalous epochs before a core is reported.
   int confirm_epochs = 2;
 
+  /// Throws std::invalid_argument naming the out-of-range member (at
+  /// confirm_epochs 0 every observed core is reported in its first epoch).
+  void validate() const;
+
   friend bool operator==(const DetectorConfig&,
                          const DetectorConfig&) = default;
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/snapshot.hpp"
+#include "common/validate.hpp"
 
 namespace htpb::power {
 
@@ -22,6 +23,12 @@ const char* to_string(ResponseTrigger trigger) {
     case ResponseTrigger::kBoth: return "both";
   }
   return "?";
+}
+
+void ResponseConfig::validate() const {
+  require(sanction_epochs >= 1, "sanction_epochs must be >= 1");
+  require(recovery_threshold > 0.0 && recovery_threshold <= 2.0,
+          "recovery_threshold must be in (0, 2]");
 }
 
 void ResponseEngine::begin_epoch(const DetectorReport& newly) {

@@ -92,6 +92,9 @@ struct ResponseConfig {
   /// counts as neutralised (ResponseOutcome::epochs_to_recovery).
   double recovery_threshold = 0.9;
 
+  /// Throws std::invalid_argument naming the out-of-range member.
+  void validate() const;
+
   friend bool operator==(const ResponseConfig&,
                          const ResponseConfig&) = default;
 

@@ -32,35 +32,6 @@ namespace {
       .count();
 }
 
-[[nodiscard]] const workload::Mix& mix_by_name(const std::string& name) {
-  for (const auto& m : workload::standard_mixes()) {
-    if (m.name == name) return m;
-  }
-  throw std::invalid_argument("unknown mix \"" + name + "\"");
-}
-
-/// The spec's campaign sections as a core::CampaignConfig. `mix_name`
-/// empty = the uniform infection-only workload.
-[[nodiscard]] core::CampaignConfig campaign_config(
-    const ScenarioSpec& spec, const std::string& mix_name) {
-  core::CampaignConfig cfg;
-  cfg.system = spec.system.to_system_config();
-  if (!mix_name.empty()) cfg.mix = mix_by_name(mix_name);
-  cfg.threads_per_app = spec.workload.threads_per_app;
-  cfg.trojan.active = spec.trojan.active;
-  cfg.trojan.attenuate_victims = spec.trojan.attenuate_victims;
-  cfg.trojan.boost_attackers = spec.trojan.boost_attackers;
-  cfg.trojan.victim_scale = spec.trojan.victim_scale;
-  cfg.trojan.attacker_boost = spec.trojan.attacker_boost;
-  cfg.toggle_period_epochs = spec.trojan.toggle_period_epochs;
-  cfg.trojan.adapt = spec.trojan.adaptation;
-  cfg.warmup_epochs = spec.epochs.warmup;
-  cfg.measure_epochs = spec.epochs.measure;
-  cfg.detector = spec.detector;
-  cfg.response = spec.response;
-  return cfg;
-}
-
 /// `spec.system` with the mesh swapped for a paper preset size.
 [[nodiscard]] SystemSpec system_with_size(const SystemSpec& base, int nodes) {
   SystemSpec out = base;
@@ -91,6 +62,31 @@ namespace {
   return resolve_cluster(
       ClusterSpec{ClusterSpec::At::kGm, spec.axes.cluster_hts},
       MeshGeometry(spec.system.width, spec.system.height), gm);
+}
+
+/// axes.placements resolved on the spec's mesh around the manager `gm`.
+[[nodiscard]] std::vector<std::vector<NodeId>> resolve_placements(
+    const ScenarioSpec& spec, NodeId gm) {
+  const MeshGeometry geom(spec.system.width, spec.system.height);
+  std::vector<std::vector<NodeId>> placements;
+  for (const ClusterSpec& cluster : spec.axes.placements) {
+    placements.push_back(resolve_cluster(cluster, geom, gm));
+  }
+  return placements;
+}
+
+/// The cores `campaign` maps to victim and to attacker applications.
+struct CoreSplit {
+  int victims = 0;
+  int attackers = 0;
+};
+[[nodiscard]] CoreSplit core_split(const core::AttackCampaign& campaign) {
+  CoreSplit split;
+  for (const auto& app : campaign.apps()) {
+    (app.is_attacker() ? split.attackers : split.victims) +=
+        static_cast<int>(app.cores.size());
+  }
+  return split;
 }
 
 /// The spec's `detector` section, or DetectorConfig{} without one. A
@@ -229,10 +225,10 @@ json::Value run_infection_vs_distribution(
     core::AttackCampaign campaign(campaign_config(cell_spec, ""));
     const MeshGeometry geom(cell_spec.system.width, cell_spec.system.height);
     if (leg < 2) {
+      const ClusterSpec cluster{
+          leg == 0 ? ClusterSpec::At::kCenter : ClusterSpec::At::kCorner, hts};
       return campaign
-          .simulate(core::clustered_placement(
-              geom, hts, leg == 0 ? geom.center() : MeshGeometry::corner(),
-              campaign.gm_node()))
+          .simulate(resolve_cluster(cluster, geom, campaign.gm_node()))
           .infection;
     }
     Rng rng(spec.seed + static_cast<std::uint64_t>(leg - 2) * 13 +
@@ -467,11 +463,7 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   base.detector.reset();
   base.response.reset();
   const core::AttackCampaign detect(base);
-  const MeshGeometry geom(spec.system.width, spec.system.height);
-  std::vector<std::vector<NodeId>> placements;
-  for (const ClusterSpec& cluster : spec.axes.placements) {
-    placements.push_back(resolve_cluster(cluster, geom, detect.gm_node()));
-  }
+  const auto placements = resolve_placements(spec, detect.gm_node());
   std::vector<power::DetectorConfig> bands;
   for (const BandSpec& band : spec.axes.bands) {
     power::DetectorConfig d = base_detector(spec);
@@ -600,12 +592,7 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   timing["replay_seconds"] = json::Value(now_seconds() - t_rep0);
 
   // Rates are over the cores the detector watches, split by allegiance.
-  int victims = 0;
-  int attackers = 0;
-  for (const auto& app : detect.apps()) {
-    (app.is_attacker() ? attackers : victims) +=
-        static_cast<int>(app.cores.size());
-  }
+  const auto [victims, attackers] = core_split(detect);
   const int monitored = victims + attackers;
   const auto flag_rate = [&](const power::DetectorReport& rep) {
     // Distinct cores only: under duty-cycle swings one core can sit in
@@ -786,18 +773,11 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec,
     const power::DetectorReport report =
         r[0].detection.value_or(power::DetectorReport{});
     const auto plain = arm[1].reduce(r[2], r[1], hts[k]);
-    const auto clean_report =
-        r[3].detection.value_or(power::DetectorReport{});
+    // Distinct cores flagged on the clean chip, as defense-roc counts.
     const auto false_pos =
-        clean_report.flagged_low.size() + clean_report.flagged_high.size();
+        r[3].detection.value_or(power::DetectorReport{}).unique_flagged();
     const auto mitigated = arm[3].reduce(r[5], r[4], hts[k]);
-
-    int victims = 0;
-    int attackers = 0;
-    for (const auto& app : arm[0].apps()) {
-      (app.is_attacker() ? attackers : victims) +=
-          static_cast<int>(app.cores.size());
-    }
+    const auto [victims, attackers] = core_split(arm[0]);
     double worst = 1.0;
     for (const auto& app : mitigated.apps) {
       if (!app.attacker) worst = std::min(worst, app.change);
@@ -954,15 +934,8 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
   };
 
   const core::AttackCampaign probe(campaign_config(spec, spec.workload.mix));
-  const MeshGeometry geom(spec.system.width, spec.system.height);
-  std::vector<std::vector<NodeId>> placements;
-  for (const ClusterSpec& cluster : spec.axes.placements) {
-    placements.push_back(resolve_cluster(cluster, geom, probe.gm_node()));
-  }
-  int attacker_cores = 0;
-  for (const auto& app : probe.apps()) {
-    if (app.is_attacker()) attacker_cores += static_cast<int>(app.cores.size());
-  }
+  const auto placements = resolve_placements(spec, probe.gm_node());
+  const int attacker_cores = core_split(probe).attackers;
 
   std::vector<Arm> arms;
   std::vector<core::AttackCampaign> campaigns;  // campaigns[i]: arm i's

@@ -1,6 +1,7 @@
 #include "scenario/spec.hpp"
 
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "scenario/spec_codec.hpp"
@@ -71,7 +72,9 @@ std::pair<int, int> mesh_for_size(int nodes) {
 // --------------------------------------------------------- config bridge
 
 system::SystemConfig SystemSpec::to_system_config() const {
-  system::SystemConfig cfg = system::SystemConfig::with_mesh(width, height);
+  system::SystemConfig cfg;
+  cfg.width = width;
+  cfg.height = height;
   cfg.epoch_cycles = epoch_cycles;
   cfg.first_epoch_cycle = first_epoch_cycle;
   cfg.budget_fraction = budget_fraction;
@@ -79,6 +82,60 @@ system::SystemConfig SystemSpec::to_system_config() const {
   cfg.gm_placement = gm_placement;
   cfg.gm_node = gm_node;
   cfg.seed = seed;
+  return cfg;
+}
+
+namespace {
+
+[[nodiscard]] const workload::Mix& mix_by_name(const std::string& name) {
+  for (const auto& m : workload::standard_mixes()) {
+    if (m.name == name) return m;
+  }
+  throw std::invalid_argument("unknown mix \"" + name + "\"");
+}
+
+/// The spec key of each CampaignConfig member that campaign_config fills
+/// from a key spelled differently: the bridge read backwards, so that a
+/// campaign error found in a spec names the key to fix.
+constexpr std::pair<std::string_view, std::string_view> kSpecKeys[] = {
+    {"threads_per_app", "workload.threads_per_app"},
+    {"warmup_epochs", "epochs.warmup"},
+    {"measure_epochs", "epochs.measure"},
+    {"toggle_period_epochs", "trojan.toggle_period_epochs"},
+    {"trojan.adapt", "trojan.adaptation"},
+};
+
+/// `what` (a CampaignConfig::validate() message, which opens with the
+/// offending member's path) with a kSpecKeys member renamed to its key.
+[[nodiscard]] std::string in_spec_keys(std::string what) {
+  for (const auto& [member, key] : kSpecKeys) {
+    if (what.starts_with(member) && what.size() > member.size() &&
+        (what[member.size()] == ' ' || what[member.size()] == '.')) {
+      return what.replace(0, member.size(), key);
+    }
+  }
+  return what;
+}
+
+}  // namespace
+
+core::CampaignConfig campaign_config(const ScenarioSpec& spec,
+                                     const std::string& mix_name) {
+  core::CampaignConfig cfg;
+  cfg.system = spec.system.to_system_config();
+  if (!mix_name.empty()) cfg.mix = mix_by_name(mix_name);
+  cfg.threads_per_app = spec.workload.threads_per_app;
+  cfg.trojan.active = spec.trojan.active;
+  cfg.trojan.attenuate_victims = spec.trojan.attenuate_victims;
+  cfg.trojan.boost_attackers = spec.trojan.boost_attackers;
+  cfg.trojan.victim_scale = spec.trojan.victim_scale;
+  cfg.trojan.attacker_boost = spec.trojan.attacker_boost;
+  cfg.toggle_period_epochs = spec.trojan.toggle_period_epochs;
+  cfg.trojan.adapt = spec.trojan.adaptation;
+  cfg.warmup_epochs = spec.epochs.warmup;
+  cfg.measure_epochs = spec.epochs.measure;
+  cfg.detector = spec.detector;
+  cfg.response = spec.response;
   return cfg;
 }
 
@@ -152,75 +209,29 @@ void ScenarioSpec::validate() const {
   if (schema_version != kSchemaVersion) {
     invalid(name, "unsupported schema_version");
   }
-  // The chip must build (mesh shape, GM bounds) for every simulating kind.
-  const system::SystemConfig chip = system.to_system_config();
-  chip.validate();
-  if (system.epoch_cycles <= chip.resolved_collect_window()) {
-    invalid(name, "system.epoch_cycles must exceed the collect window (" +
-                      std::to_string(chip.resolved_collect_window()) + ")");
-  }
-  if (system.budget_fraction <= 0.0 || system.budget_fraction > 1.0) {
-    invalid(name, "system.budget_fraction must be in (0, 1]");
-  }
-  check_mix_name(name, workload.mix);
-  if (workload.threads_per_app < 0) {
-    invalid(name, "workload.threads_per_app must be >= 0 (0 = auto)");
-  }
-  if (trojan.victim_scale <= 0.0 || trojan.victim_scale > 1.0) {
-    invalid(name, "trojan.victim_scale must be in (0, 1]");
-  }
-  if (trojan.attacker_boost < 1.0) {
-    invalid(name, "trojan.attacker_boost must be >= 1");
-  }
-  if (trojan.toggle_period_epochs < 0) {
-    invalid(name, "trojan.toggle_period_epochs must be >= 0");
-  }
-  {
-    // Ranges are checked even when disabled: kDefenseClosedLoop carries
-    // the parameters with enabled=false and flips the switch per arm.
-    const core::TrojanAdaptation& a = trojan.adaptation;
-    if (a.enabled && trojan.toggle_period_epochs > 0) {
-      invalid(name,
-              "trojan.adaptation and trojan.toggle_period_epochs are rival "
-              "duty-cycle controllers; enable one");
-    }
-    if (a.alpha <= 0.0 || a.alpha > 1.0) {
-      invalid(name, "trojan.adaptation.alpha must be in (0, 1]");
-    }
-    if (a.backoff_ratio <= 0.0 || a.backoff_ratio >= 1.0) {
-      invalid(name, "trojan.adaptation.backoff_ratio must be in (0, 1)");
-    }
-    if (a.max_on_epochs < 1 || a.hold_off_epochs < 1) {
-      invalid(name,
-              "trojan.adaptation.max_on_epochs and hold_off_epochs must "
-              "be >= 1");
-    }
-  }
-  if (response.has_value()) {
-    if (!detector.has_value()) {
-      invalid(name, "response requires a detector to act on");
-    }
-    if (response->sanction_epochs < 1) {
-      invalid(name, "response.sanction_epochs must be >= 1");
-    }
-    if (response->recovery_threshold <= 0.0 ||
-        response->recovery_threshold > 2.0) {
-      invalid(name, "response.recovery_threshold must be in (0, 2]");
-    }
-  }
-  if (epochs.warmup < 0 || epochs.measure < 1) {
-    invalid(name, "epochs.warmup must be >= 0 and epochs.measure >= 1");
-  }
-  if (threads < 0) invalid(name, "threads must be >= 0");
-
-  const auto require_bands = [&] {
-    if (axes.bands.empty()) invalid(name, "axes.bands must not be empty");
-    for (const BandSpec& b : axes.bands) {
-      if (b.low <= 0.0 || b.high <= b.low) {
-        invalid(name, "axes.bands entries need 0 < low < high");
-      }
+  // `key` + `check`'s error, named by spec keys (kSpecKeys).
+  const auto check_key = [&](std::string_view key, const auto& check) {
+    try {
+      check();
+    } catch (const std::invalid_argument& e) {
+      invalid(name, in_spec_keys(std::string(key) + e.what()));
     }
   };
+  // The shared sections (system, workload, trojan, epochs, detector,
+  // response) through the check every campaign runs on them.
+  const core::CampaignConfig campaign = campaign_config(*this, "");
+  check_key("", [&] { campaign.validate(); });
+  check_mix_name(name, workload.mix);
+  if (threads < 0) invalid(name, "threads must be >= 0");
+  // Each band, applied to the detector base, is a detector: the sweep
+  // and any kind's --replay-trace build one from it.
+  for (const BandSpec& b : axes.bands) {
+    power::DetectorConfig d = detector.value_or(power::DetectorConfig{});
+    d.low_ratio = b.low;
+    d.high_ratio = b.high;
+    check_key("axes.bands: ", [&] { d.validate(); });
+  }
+
   const auto require_placements = [&] {
     if (axes.placements.empty()) {
       invalid(name, "axes.placements must not be empty");
@@ -284,7 +295,7 @@ void ScenarioSpec::validate() const {
       }
       break;
     case ScenarioKind::kDefenseSweep:
-      require_bands();
+      if (axes.bands.empty()) invalid(name, "axes.bands must not be empty");
       require_placements();
       if (response.has_value()) {
         invalid(name,
@@ -299,10 +310,11 @@ void ScenarioSpec::validate() const {
             static_cast<int>(axes.placements.size())) {
           invalid(name, "axes.roc.placements exceeds axes.placements");
         }
+        // Each factor is the victim scale of a ROC cell's Trojan.
         for (const double f : axes.roc.factors) {
-          if (f <= 0.0 || f > 1.0) {
-            invalid(name, "axes.roc.factors must be in (0, 1]");
-          }
+          core::TrojanConfig t = campaign.trojan;
+          t.victim_scale = f;
+          check_key("axes.roc.factors: ", [&] { t.validate(); });
         }
         for (const int p : axes.roc.periods) {
           if (p < 0) invalid(name, "axes.roc.periods must be >= 0");

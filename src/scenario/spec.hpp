@@ -11,6 +11,13 @@
 // not new binaries. C++ callers write a spec by assigning its members
 // and calling validate().
 //
+// Validation contract: each config type states its rules once, in its
+// own validate(). A spec checks its shared sections through
+// core::CampaignConfig::validate() on the campaign_config bridge, with
+// errors renamed to spec keys; ScenarioSpec::validate() states only the
+// scenario's rules: name, schema, mix names, per-kind axes and the
+// quick overlay.
+//
 // Serialization contract (locked by tests/scenario/spec_test.cpp):
 //  - Every section lists its members once, in a static `fields` template
 //    (common/fields.hpp); scenario/spec_codec.hpp turns those lists into
@@ -34,6 +41,7 @@
 
 #include "common/json.hpp"
 #include "common/types.hpp"
+#include "core/campaign.hpp"
 #include "core/trojan_config.hpp"
 #include "power/budgeter.hpp"
 #include "power/defense.hpp"
@@ -376,10 +384,12 @@ struct ScenarioSpec {
   [[nodiscard]] json::Value to_json() const;
   [[nodiscard]] static ScenarioSpec from_json(const json::Value& v);
 
-  /// Schema-level sanity: kind-required axes populated, ranges legal,
-  /// mix names known, mesh shape usable -- and the quick overlay, if
-  /// any, applies and yields a valid spec, so a typo'd overlay fails at
-  /// load, not only under --quick. Throws std::invalid_argument.
+  /// Schema-level sanity: the shared sections pass
+  /// core::CampaignConfig::validate() (errors name the spec key), mix
+  /// names are known, kind-required axes are populated and legal -- and
+  /// the quick overlay, if any, applies and yields a valid spec, so a
+  /// typo'd overlay fails at load, not only under --quick. Throws
+  /// std::invalid_argument.
   void validate() const;
 
   /// The spec with its quick overlay applied (and re-validated); returns
@@ -408,6 +418,12 @@ struct ScenarioSpec {
     f("quick", s.quick);
   }
 };
+
+/// The spec's campaign sections as a core::CampaignConfig on Table III
+/// mix `mix_name` (empty: the uniform infection-only workload; unknown:
+/// std::invalid_argument).
+[[nodiscard]] core::CampaignConfig campaign_config(
+    const ScenarioSpec& spec, const std::string& mix_name);
 
 /// Parses, deserializes and validates a spec file in one step. Every
 /// error -- unreadable file, malformed JSON, schema violation, validate()

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/snapshot.hpp"
+#include "common/validate.hpp"
 #include "mem/coherence.hpp"
 #include "workload/benchmark_profile.hpp"
 
@@ -35,17 +36,10 @@ constexpr std::uint64_t shared_base(AppId app) {
 ManyCoreSystem::ManyCoreSystem(SystemConfig cfg,
                                std::vector<workload::Application> apps)
     : cfg_(std::move(cfg)), apps_(std::move(apps)) {
-  cfg_.validate();
+  check_at("ManyCoreSystem: ", [&] { cfg_.validate(); });
   net_ = std::make_unique<noc::MeshNetwork>(
       engine_, MeshGeometry(cfg_.width, cfg_.height), cfg_.noc);
-
-  gm_node_ = cfg_.gm_node.value_or(
-      cfg_.gm_placement == GmPlacement::kCenter
-          ? geometry().id_of(geometry().center())
-          : geometry().id_of(MeshGeometry::corner()));
-  if (!geometry().contains(gm_node_)) {
-    throw std::invalid_argument("ManyCoreSystem: gm_node outside mesh");
-  }
+  gm_node_ = cfg_.resolved_gm_node();
 
   build_tiles();
   for (Tile& t : tiles_) {

@@ -68,17 +68,16 @@ struct SystemConfig {
            200;
   }
 
-  /// Throws std::invalid_argument when the shape or GM placement is
-  /// unusable: meshes below 2x2 (XY routing and the GM placement presets
-  /// assume a real 2D mesh), a node count past int, or a pinned gm_node
-  /// outside the mesh.
-  /// ManyCoreSystem and AttackCampaign call this before building.
-  void validate() const;
+  /// The global manager's node: gm_node when pinned, else the mesh center
+  /// or the (0,0) corner per gm_placement. Needs a valid shape.
+  [[nodiscard]] NodeId resolved_gm_node() const;
 
-  /// Arbitrary W x H mesh (validated). Non-square shapes are first-class:
-  /// GM center/corner placement and the collect window derive from
-  /// width/height, not from an assumed square side.
-  [[nodiscard]] static SystemConfig with_mesh(int width, int height);
+  /// The chip rules; throws std::invalid_argument naming the member: a
+  /// mesh of at least 2x2 (XY routing and the GM presets need a real 2D
+  /// mesh) whose node count fits int, a pinned gm_node inside it, an
+  /// epoch longer than its collect window, budget_fraction in (0, 1],
+  /// and a valid guard. ManyCoreSystem and CampaignConfig call it.
+  void validate() const;
 
   friend bool operator==(const SystemConfig&, const SystemConfig&) = default;
 };

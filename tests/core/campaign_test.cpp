@@ -17,7 +17,8 @@ namespace {
 
 CampaignConfig fast_config(int mix_index = 0) {
   CampaignConfig cfg;
-  cfg.system = system::SystemConfig::with_mesh(8, 8);
+  cfg.system.width = 8;
+  cfg.system.height = 8;
   cfg.system.epoch_cycles = 1500;
   cfg.mix = workload::standard_mixes().at(static_cast<std::size_t>(mix_index));
   cfg.trojan.victim_scale = 0.10;
@@ -102,7 +103,8 @@ TEST(AttackCampaign, DeactivatedTrojansAreHarmless) {
 
 TEST(AttackCampaign, InfectionOnlyModeCoversFigThreeSetup) {
   CampaignConfig cfg;
-  cfg.system = system::SystemConfig::with_mesh(8, 8);
+  cfg.system.width = 8;
+  cfg.system.height = 8;
   cfg.system.epoch_cycles = 1500;
   cfg.mix = std::nullopt;  // uniform single-app workload
   cfg.warmup_epochs = 1;
@@ -123,7 +125,8 @@ TEST(AttackCampaign, CornerManagerSeesHigherInfectionThanCenter) {
   const MeshGeometry geom(8, 8);
   auto run_with_gm = [&](system::GmPlacement place) {
     CampaignConfig cfg;
-    cfg.system = system::SystemConfig::with_mesh(8, 8);
+    cfg.system.width = 8;
+    cfg.system.height = 8;
     cfg.system.epoch_cycles = 1500;
     cfg.system.gm_placement = place;
     cfg.mix = std::nullopt;
@@ -173,7 +176,40 @@ std::string rejection(Fn&& fn) {
 // The constructor rejects an illegal attack side: a response needs a
 // detector to act on, adaptation and toggle are rival controllers, and a
 // flooding campaign has no false-data Trojan to detect or respond to.
+// It also holds a C++ caller to every rule a scenario spec is held to,
+// each error naming the member path.
 TEST(AttackCampaign, ConstructorRejectsIllegalAttackSide) {
+  const struct {
+    const char* member;
+    void (*mutate)(CampaignConfig&);
+  } illegal[] = {
+      {"system.epoch_cycles",
+       [](CampaignConfig& c) {
+         c.system.epoch_cycles = c.system.resolved_collect_window();
+       }},
+      {"system.budget_fraction",
+       [](CampaignConfig& c) { c.system.budget_fraction = 1.5; }},
+      {"threads_per_app", [](CampaignConfig& c) { c.threads_per_app = -1; }},
+      {"warmup_epochs", [](CampaignConfig& c) { c.warmup_epochs = -1; }},
+      {"measure_epochs", [](CampaignConfig& c) { c.measure_epochs = 0; }},
+      {"trojan.victim_scale",
+       [](CampaignConfig& c) { c.trojan.victim_scale = 0.001; }},
+      {"trojan.attacker_boost",
+       [](CampaignConfig& c) { c.trojan.attacker_boost = 1000.0; }},
+      {"detector.confirm_epochs",
+       [](CampaignConfig& c) {
+         c.detector = power::DetectorConfig{};
+         c.detector->confirm_epochs = 0;
+       }},
+  };
+  for (const auto& bad : illegal) {
+    CampaignConfig cfg = fast_config();
+    bad.mutate(cfg);
+    const std::string what = rejection([&] { AttackCampaign{cfg}; });
+    EXPECT_NE(what.find(bad.member), std::string::npos)
+        << bad.member << ": " << what;
+  }
+
   CampaignConfig headless = fast_config();
   headless.response = power::ResponseConfig{};
   const std::string no_detector =

@@ -17,7 +17,8 @@ namespace {
 
 CampaignConfig base_config() {
   CampaignConfig cfg;
-  cfg.system = system::SystemConfig::with_mesh(8, 8);
+  cfg.system.width = 8;
+  cfg.system.height = 8;
   cfg.system.epoch_cycles = 1500;
   cfg.mix = workload::standard_mixes()[0];
   cfg.trojan.victim_scale = 0.10;

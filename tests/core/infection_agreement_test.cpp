@@ -28,7 +28,8 @@ TEST_P(InfectionAgreementTest, AnalyticMatchesSimulated) {
   const AgreementParam p = GetParam();
   CampaignConfig cfg;
   const auto [width, height] = scenario::mesh_for_size(p.nodes);
-  cfg.system = system::SystemConfig::with_mesh(width, height);
+  cfg.system.width = width;
+  cfg.system.height = height;
   cfg.system.epoch_cycles = 1500;
   cfg.system.gm_placement = p.gm;
   cfg.mix = std::nullopt;

@@ -181,7 +181,8 @@ TEST(GoldenStats, FullCampaignOutcomeBitIdentical) {
   // refactor that changes packet-id assignment, delivery order or timing
   // anywhere in the stack.
   core::CampaignConfig cfg;
-  cfg.system = system::SystemConfig::with_mesh(8, 8);
+  cfg.system.width = 8;
+  cfg.system.height = 8;
   cfg.system.epoch_cycles = 1500;
   cfg.system.seed = 7;
   cfg.mix = workload::standard_mixes().at(0);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace htpb::power {
 namespace {
@@ -104,6 +106,33 @@ TEST(RequestAnomalyDetector, DefaultFactoryHonoursConfig) {
   // With confirm_epochs = 1 a single 20% dip inside the 0.9 band flags.
   const auto report = detector->observe_epoch(epoch({1600}));
   EXPECT_EQ(report.flagged_low.size(), 1U);
+}
+
+// Each rule of DetectorConfig::validate(), one out-of-range member at a
+// time; the message opens with the member's name.
+TEST(DetectorConfig, ValidateNamesTheOutOfRangeMember) {
+  EXPECT_NO_THROW(DetectorConfig{}.validate());
+  const struct {
+    const char* member;
+    void (*mutate)(DetectorConfig&);
+  } illegal[] = {
+      {"confirm_epochs", [](DetectorConfig& d) { d.confirm_epochs = 0; }},
+      {"low_ratio", [](DetectorConfig& d) { d.low_ratio = 3.0; }},
+      {"low_ratio", [](DetectorConfig& d) { d.low_ratio = 0.0; }},
+      {"history_alpha", [](DetectorConfig& d) { d.history_alpha = 7.0; }},
+      {"history_alpha", [](DetectorConfig& d) { d.history_alpha = 0.0; }},
+      {"warmup_epochs", [](DetectorConfig& d) { d.warmup_epochs = -1; }},
+  };
+  for (const auto& bad : illegal) {
+    DetectorConfig cfg;
+    bad.mutate(cfg);
+    try {
+      cfg.validate();
+      ADD_FAILURE() << bad.member << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(bad.member, 0), 0U) << e.what();
+    }
+  }
 }
 
 TEST(RequestAnomalyDetector, ZeroSamplesNeitherArmNorDecayHistory) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -107,6 +109,30 @@ TEST(ResponseEngine, MigrateAndUnsanctionedRequestsPassThrough) {
     EXPECT_EQ(requests[1].request_mw, 4000U);
     EXPECT_EQ(idle.cap_grant(2, 3000, 500), 3000U);
     EXPECT_EQ(idle.stats(), ResponseStats{});
+  }
+}
+
+TEST(ResponseConfig, ValidateNamesTheOutOfRangeMember) {
+  EXPECT_NO_THROW(ResponseConfig{}.validate());
+  const struct {
+    const char* member;
+    void (*mutate)(ResponseConfig&);
+  } illegal[] = {
+      {"sanction_epochs", [](ResponseConfig& r) { r.sanction_epochs = 0; }},
+      {"recovery_threshold",
+       [](ResponseConfig& r) { r.recovery_threshold = 0.0; }},
+      {"recovery_threshold",
+       [](ResponseConfig& r) { r.recovery_threshold = 2.5; }},
+  };
+  for (const auto& bad : illegal) {
+    ResponseConfig cfg;
+    bad.mutate(cfg);
+    try {
+      cfg.validate();
+      ADD_FAILURE() << bad.member << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(bad.member, 0), 0U) << e.what();
+    }
   }
 }
 

@@ -90,7 +90,8 @@ TEST(ScenarioRunner, Fig3QuickBitIdenticalToLegacyBenchPath) {
       for (int p = 0; p < 2; ++p) {
         core::CampaignConfig cfg;
         const auto [width, height] = mesh_for_size(arm.nodes);
-        cfg.system = system::SystemConfig::with_mesh(width, height);
+        cfg.system.width = width;
+        cfg.system.height = height;
         cfg.system.epoch_cycles = 1500;
         cfg.system.gm_placement = placements[p];
         cfg.mix = std::nullopt;
@@ -241,7 +242,8 @@ TEST(ScenarioRunner, DefenseRocQuickBitIdenticalToLegacyBenchPath) {
   // factors {0.10, 0.60}, 1 ROC placement), each curve cell simulated
   // with its own in-simulation detector.
   core::CampaignConfig base;
-  base.system = system::SystemConfig::with_mesh(8, 8);
+  base.system.width = 8;
+  base.system.height = 8;
   base.system.epoch_cycles = 2000;
   base.mix = workload::standard_mixes().at(0);
   base.trojan.victim_scale = 0.10;

@@ -291,6 +291,17 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   spec.workload.threads_per_app = -5;  // ran as auto
   rejects(spec, "workload.threads_per_app");
 
+  // A ROC factor is a victim scale: one that rounds to 0% on the wire
+  // ran as a Trojan that zeroes its victims.
+  spec = scenario_or_throw("defense-roc");
+  spec.axes.roc.factors = {0.35, 0.004};
+  rejects(spec, "axes.roc.factors");
+  // An inverted band on a kind that does not sweep bands still reached
+  // --replay-trace, which flagged all 64 cores with it.
+  spec = scenario_or_throw("defense-evaluation");
+  spec.axes.bands = {{2.0, 1.0}};
+  rejects(spec, "axes.bands");
+
   // A negative period used to run as the static arm, reported as -2.
   spec = scenario_or_throw("attack-comparison");
   spec.axes.toggle_periods = {0, -2};

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "common/json.hpp"
 #include "workload/application.hpp"
 
@@ -19,7 +23,9 @@ std::vector<workload::Application> small_apps(int nodes, int mix_index = 0) {
 }
 
 SystemConfig small_cfg() {
-  SystemConfig cfg = SystemConfig::with_mesh(8, 8);
+  SystemConfig cfg;
+  cfg.width = 8;
+  cfg.height = 8;
   cfg.epoch_cycles = 1500;
   return cfg;
 }
@@ -142,19 +148,51 @@ TEST(ManyCoreSystem, MemoryTrafficFlowsThroughNoc) {
   EXPECT_GT(sys.network().total_router_stats().flits_forwarded, 0U);
 }
 
-TEST(ManyCoreSystem, WithMeshAcceptsArbitraryShapes) {
-  const SystemConfig wide = SystemConfig::with_mesh(10, 3);
-  EXPECT_EQ(wide.width, 10);
-  EXPECT_EQ(wide.height, 3);
+TEST(ManyCoreSystem, ValidateAcceptsArbitraryShapes) {
+  SystemConfig wide;
+  wide.width = 10;
+  wide.height = 3;
+  EXPECT_NO_THROW(wide.validate());
   EXPECT_EQ(wide.node_count(), 30);
 
-  EXPECT_THROW(SystemConfig::with_mesh(1, 8), std::invalid_argument);
-  EXPECT_THROW(SystemConfig::with_mesh(8, 0), std::invalid_argument);
-  EXPECT_THROW(SystemConfig::with_mesh(-4, 4), std::invalid_argument);
+  for (const auto& [w, h] : {std::pair{1, 8}, {8, 0}, {-4, 4}}) {
+    SystemConfig bad;
+    bad.width = w;
+    bad.height = h;
+    EXPECT_THROW(bad.validate(), std::invalid_argument) << w << "x" << h;
+  }
+}
+
+// The epoch and budget rules hold for every consumer of a chip config,
+// not only for scenario specs: the chip itself refuses to build.
+TEST(ManyCoreSystem, ValidateRejectsAnEpochInsideItsCollectWindowOrABadBudget) {
+  SystemConfig cfg = small_cfg();
+  cfg.epoch_cycles = cfg.resolved_collect_window();
+  EXPECT_THROW(ManyCoreSystem(cfg, small_apps(64)), std::invalid_argument);
+  cfg.epoch_cycles += 1;
+  EXPECT_NO_THROW(cfg.validate());
+  for (const double fraction : {0.0, -1.0, 1.5}) {
+    cfg.budget_fraction = fraction;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << fraction;
+  }
+  cfg.budget_fraction = 1.0;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.guard = power::DetectorConfig{};
+  cfg.guard->confirm_epochs = 0;
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "guard.confirm_epochs 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("guard.confirm_epochs"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ManyCoreSystem, ValidateCatchesGmOutsideMesh) {
-  SystemConfig cfg = SystemConfig::with_mesh(6, 4);
+  SystemConfig cfg;
+  cfg.width = 6;
+  cfg.height = 4;
   cfg.gm_node = 23;  // last node: fine
   EXPECT_NO_THROW(cfg.validate());
   cfg.gm_node = 24;  // one past the end
@@ -164,7 +202,9 @@ TEST(ManyCoreSystem, ValidateCatchesGmOutsideMesh) {
 TEST(ManyCoreSystem, NonSquareMeshRunsEpochsWithCenteredGm) {
   // A 12x4 mesh: GM placement presets and the collect window must derive
   // from width/height, not an assumed square side.
-  SystemConfig cfg = SystemConfig::with_mesh(12, 4);
+  SystemConfig cfg;
+  cfg.width = 12;
+  cfg.height = 4;
   cfg.epoch_cycles = 1500;
   auto apps = workload::instantiate_mix(workload::standard_mixes()[0], 12);
   workload::map_threads_round_robin(apps, cfg.node_count());
@@ -178,8 +218,12 @@ TEST(ManyCoreSystem, NonSquareMeshRunsEpochsWithCenteredGm) {
 }
 
 TEST(ManyCoreSystem, CollectWindowAutoScalesWithDiameter) {
-  const SystemConfig small = SystemConfig::with_mesh(8, 8);
-  const SystemConfig large = SystemConfig::with_mesh(32, 16);
+  SystemConfig small;
+  small.width = 8;
+  small.height = 8;
+  SystemConfig large;
+  large.width = 32;
+  large.height = 16;
   EXPECT_GT(large.resolved_collect_window(),
             small.resolved_collect_window());
   SystemConfig manual = small;
@@ -224,7 +268,9 @@ TEST(ManyCoreSystem, LoadStateRejectsMismatchedConstruction) {
   small.run_epochs(1);
   const json::Value snap = small.save_state();
 
-  SystemConfig other_cfg = SystemConfig::with_mesh(16, 16);
+  SystemConfig other_cfg;
+  other_cfg.width = 16;
+  other_cfg.height = 16;
   other_cfg.epoch_cycles = 1500;
   ManyCoreSystem other(other_cfg, small_apps(256));
   EXPECT_THROW(other.load_state(snap), std::invalid_argument);

@@ -215,6 +215,31 @@ TEST(HtpbRunE2e, BadSetOverridesFailLoudly) {
            Hostile{"--scenario budgeter-ablation --quick --set "
                    "workload.threads_per_app=-5",
                    "workload.threads_per_app"},
+           // Every core reported in its first epoch (64 victims flagged
+           // of 32, 128 false positives on 64 cores).
+           Hostile{"--scenario defense-evaluation --quick --set "
+                   "detector.confirm_epochs=0",
+                   "detector.confirm_epochs"},
+           Hostile{"--scenario defense-evaluation --quick --set "
+                   "detector.low_ratio=3.0",
+                   "detector.low_ratio"},
+           Hostile{"--scenario defense-evaluation --quick --set "
+                   "detector.history_alpha=7",
+                   "detector.history_alpha"},
+           // Past the CONFIG_CMD fields: 700 and 1000 both ran as 655.35,
+           // 0.004 and 0.001 both as 0%.
+           Hostile{"--scenario budgeter-ablation --quick --set "
+                   "trojan.attacker_boost=700",
+                   "trojan.attacker_boost"},
+           Hostile{"--scenario budgeter-ablation --quick --set "
+                   "trojan.attacker_boost=1000",
+                   "trojan.attacker_boost"},
+           Hostile{"--scenario budgeter-ablation --quick --set "
+                   "trojan.victim_scale=0.004",
+                   "trojan.victim_scale"},
+           Hostile{"--scenario budgeter-ablation --quick --set "
+                   "trojan.victim_scale=0.001",
+                   "trojan.victim_scale"},
        }) {
     const RunResult r = run_tool(dir, h.args);
     EXPECT_EQ(r.exit_code, 1) << h.args << r.err;
