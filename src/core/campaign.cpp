@@ -91,6 +91,11 @@ struct AttackFrame {
   bool adapt_engaged = false;
 };
 
+void FloodingConfig::validate() const {
+  require(rate > 0.0 && rate <= 1.0,
+          "rate must be in (0, 1] (one packet start per cycle at most)");
+}
+
 void CampaignConfig::validate() const {
   check_at("system.", [&] { system.validate(); });
   check_at("trojan.", [&] { trojan.validate(); });
@@ -99,6 +104,9 @@ void CampaignConfig::validate() const {
   }
   if (response.has_value()) {
     check_at("response.", [&] { response->validate(); });
+  }
+  if (flooding.has_value()) {
+    check_at("flooding.", [&] { flooding->validate(); });
   }
   require(warmup_epochs >= 0, "warmup_epochs must be >= 0");
   require(measure_epochs >= 1, "measure_epochs must be >= 1");

@@ -39,6 +39,10 @@ namespace htpb::core {
 struct FloodingConfig {
   double rate = 0.15;
   std::uint64_t seed = 0;
+
+  /// rate in (0, 1]: a network interface starts at most one packet per
+  /// cycle. Throws std::invalid_argument naming the member.
+  void validate() const;
 };
 
 struct CampaignConfig {
@@ -80,8 +84,8 @@ struct CampaignConfig {
   /// constructor rejects it together with a `detector` or `response`.
   std::optional<FloodingConfig> flooding;
 
-  /// Checks system, trojan, detector and response through their own
-  /// validate(), the epoch/toggle/thread counts, and the cross-field
+  /// Checks system, trojan, detector, response and flooding through their
+  /// own validate(), the epoch/toggle/thread counts, and the cross-field
   /// rules (a response needs a detector; trojan.adapt excludes the
   /// toggle; flooding excludes both). Throws std::invalid_argument whose
   /// message names member paths as whole words (common/validate.hpp).

@@ -68,8 +68,6 @@ class Budgeter {
       std::span<const BudgetRequest> requests, std::uint64_t budget_mw,
       std::uint32_t floor_mw) const = 0;
 
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-
   /// Checkpointing: the stock allocators are stateless and return null /
   /// ignore loads; stateful wrappers (GuardedBudgeter) override both.
   [[nodiscard]] virtual json::Value save_state() const { return json::Value(); }
@@ -82,7 +80,6 @@ class UniformBudgeter final : public Budgeter {
   [[nodiscard]] std::vector<BudgetGrant> allocate(
       std::span<const BudgetRequest> requests, std::uint64_t budget_mw,
       std::uint32_t floor_mw) const override;
-  [[nodiscard]] const char* name() const noexcept override { return "uniform"; }
 };
 
 /// Greedy heuristic in the spirit of SmartCap [8]: satisfy the smallest
@@ -93,7 +90,6 @@ class GreedyBudgeter final : public Budgeter {
   [[nodiscard]] std::vector<BudgetGrant> allocate(
       std::span<const BudgetRequest> requests, std::uint64_t budget_mw,
       std::uint32_t floor_mw) const override;
-  [[nodiscard]] const char* name() const noexcept override { return "greedy"; }
 };
 
 /// Grants proportional to the requested amount above the floor.
@@ -102,9 +98,6 @@ class ProportionalBudgeter final : public Budgeter {
   [[nodiscard]] std::vector<BudgetGrant> allocate(
       std::span<const BudgetRequest> requests, std::uint64_t budget_mw,
       std::uint32_t floor_mw) const override;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "proportional";
-  }
 };
 
 /// Fine-grained DP allocation [9]: discretizes the budget and maximizes a
@@ -118,7 +111,6 @@ class DpBudgeter final : public Budgeter {
   [[nodiscard]] std::vector<BudgetGrant> allocate(
       std::span<const BudgetRequest> requests, std::uint64_t budget_mw,
       std::uint32_t floor_mw) const override;
-  [[nodiscard]] const char* name() const noexcept override { return "dp"; }
 
  private:
   std::uint32_t quantum_mw_;
@@ -132,12 +124,11 @@ class MarketBudgeter final : public Budgeter {
   [[nodiscard]] std::vector<BudgetGrant> allocate(
       std::span<const BudgetRequest> requests, std::uint64_t budget_mw,
       std::uint32_t floor_mw) const override;
-  [[nodiscard]] const char* name() const noexcept override { return "market"; }
 };
 
 /// Factory over every allocator above (budgeter-ablation sweeps it).
 [[nodiscard]] std::unique_ptr<Budgeter> make_budgeter(BudgeterKind kind);
-/// Stable short name for reports and result trees (matches `name()`).
+/// Stable short name for reports and result trees.
 [[nodiscard]] const char* to_string(BudgeterKind kind) noexcept;
 
 }  // namespace htpb::power

@@ -3,22 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/snapshot.hpp"
 #include "common/validate.hpp"
 
 namespace htpb::power {
 
 namespace {
-
-json::Value flags_to_json(int low_streak, int high_streak, bool reported_low,
-                          bool reported_high) {
-  json::Array a;
-  a.push_back(json::Value(static_cast<long long>(low_streak)));
-  a.push_back(json::Value(static_cast<long long>(high_streak)));
-  a.push_back(json::Value(reported_low));
-  a.push_back(json::Value(reported_high));
-  return json::Value(std::move(a));
-}
 
 /// Sorted key list of an unordered node-keyed map (deterministic dumps).
 template <typename Map>
@@ -201,74 +190,6 @@ std::vector<BudgetGrant> GuardedBudgeter::allocate(
     }
   }
   return inner_->allocate(clamped, budget_mw, floor_mw);
-}
-
-json::Value RequestAnomalyDetector::save_state() const {
-  json::Object o;
-  o["cumulative"] = common::to_snapshot(cumulative_);
-  json::Array state;
-  for (const NodeId node : sorted_nodes(state_)) {
-    const PerCore& pc = state_.at(node);
-    json::Array a;
-    a.push_back(json::Value(static_cast<long long>(node)));
-    a.push_back(json::Value(pc.band.reference));
-    a.push_back(json::Value(static_cast<long long>(pc.band.samples)));
-    a.push_back(flags_to_json(pc.flags.low_streak, pc.flags.high_streak,
-                              pc.flags.reported_low, pc.flags.reported_high));
-    state.push_back(json::Value(std::move(a)));
-  }
-  o["state"] = json::Value(std::move(state));
-  return json::Value(std::move(o));
-}
-
-void RequestAnomalyDetector::load_state(const json::Value& v) {
-  const json::Object& o = v.as_object();
-  common::from_snapshot(o.at("cumulative"), cumulative_);
-  state_.clear();
-  for (const json::Value& sv : o.at("state").as_array()) {
-    const json::Array& a = sv.as_array();
-    PerCore pc;
-    pc.band.reference = a.at(1).as_double();
-    pc.band.samples = static_cast<int>(a.at(2).as_int());
-    const json::Array& f = a.at(3).as_array();
-    pc.flags.low_streak = static_cast<int>(f.at(0).as_int());
-    pc.flags.high_streak = static_cast<int>(f.at(1).as_int());
-    pc.flags.reported_low = f.at(2).as_bool();
-    pc.flags.reported_high = f.at(3).as_bool();
-    state_.emplace(static_cast<NodeId>(a.at(0).as_int()), pc);
-  }
-}
-
-json::Value CohortMedianDetector::save_state() const {
-  json::Object o;
-  o["cumulative"] = common::to_snapshot(cumulative_);
-  json::Array state;
-  for (const NodeId node : sorted_nodes(state_)) {
-    const FlagState& fs = state_.at(node);
-    json::Array a;
-    a.push_back(json::Value(static_cast<long long>(node)));
-    a.push_back(flags_to_json(fs.low_streak, fs.high_streak, fs.reported_low,
-                              fs.reported_high));
-    state.push_back(json::Value(std::move(a)));
-  }
-  o["state"] = json::Value(std::move(state));
-  return json::Value(std::move(o));
-}
-
-void CohortMedianDetector::load_state(const json::Value& v) {
-  const json::Object& o = v.as_object();
-  common::from_snapshot(o.at("cumulative"), cumulative_);
-  state_.clear();
-  for (const json::Value& sv : o.at("state").as_array()) {
-    const json::Array& a = sv.as_array();
-    FlagState fs;
-    const json::Array& f = a.at(1).as_array();
-    fs.low_streak = static_cast<int>(f.at(0).as_int());
-    fs.high_streak = static_cast<int>(f.at(1).as_int());
-    fs.reported_low = f.at(2).as_bool();
-    fs.reported_high = f.at(3).as_bool();
-    state_.emplace(static_cast<NodeId>(a.at(0).as_int()), fs);
-  }
 }
 
 json::Value GuardedBudgeter::save_state() const {

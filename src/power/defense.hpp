@@ -151,15 +151,6 @@ struct DetectorReport {
 
   friend bool operator==(const DetectorReport&,
                          const DetectorReport&) = default;
-
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f("flagged_low", s.flagged_low);
-    f("flagged_high", s.flagged_high);
-    f("observations", s.observations);
-    f("epochs_observed", s.epochs_observed);
-    f("first_flag_epoch", s.first_flag_epoch);
-  }
 };
 
 /// Self-history detector (DetectorKind::kSelfEwma) and the base class of
@@ -203,12 +194,6 @@ class RequestAnomalyDetector {
     return it == state_.end() ? 0.0 : it->second.band.reference;
   }
 
-  /// Checkpointing: per-core histories/streaks (sorted by node) and the
-  /// cumulative report. The configuration is construction state and is
-  /// not captured; load into a detector built from the same config.
-  [[nodiscard]] virtual json::Value save_state() const;
-  virtual void load_state(const json::Value& v);
-
  protected:
   /// Shared bookkeeping for subclasses: streak/report-once flag logic
   /// writing into `cumulative_` and the per-epoch `newly` report.
@@ -223,7 +208,7 @@ class RequestAnomalyDetector {
   /// Stamps first_flag_epoch on `newly` and the cumulative report.
   void close_epoch(int epoch, DetectorReport& newly);
 
-  DetectorConfig cfg_;  // snapshot-exempt: construction config, immutable
+  DetectorConfig cfg_;
   DetectorReport cumulative_;
 
  private:
@@ -260,9 +245,6 @@ class CohortMedianDetector final : public RequestAnomalyDetector {
   /// Cohort judgment needs no per-core warmup.
   [[nodiscard]] std::size_t unarmed_cores() const override { return 0; }
 
-  [[nodiscard]] json::Value save_state() const override;
-  void load_state(const json::Value& v) override;
-
  private:
   std::unordered_map<NodeId, FlagState> state_;
 };
@@ -288,10 +270,6 @@ class GuardedBudgeter final : public Budgeter {
   [[nodiscard]] std::vector<BudgetGrant> allocate(
       std::span<const BudgetRequest> requests, std::uint64_t budget_mw,
       std::uint32_t floor_mw) const override;
-
-  [[nodiscard]] const char* name() const noexcept override {
-    return "guarded";
-  }
 
   /// Checkpointing: the per-core trust band (sorted by node). The guard's
   /// history drives allocation, so it is part of the system snapshot.

@@ -247,9 +247,9 @@ class GlobalManager {
   std::uint64_t budget_mw_;
   std::uint32_t floor_mw_;  // snapshot-exempt: construction config, immutable
   std::function<bool(AppId)> is_attacker_;  // snapshot-exempt: callback wiring, re-installed by construction
-  RequestAnomalyDetector* detector_ = nullptr;  // snapshot-exempt: non-owning; the detector snapshots itself
+  RequestAnomalyDetector* detector_ = nullptr;  // snapshot-exempt: non-owning; the campaign owns the detector and the snapshot leaves it out
   RequestTrace* recorder_ = nullptr;   // snapshot-exempt: non-owning attached recorder
-  ResponseEngine* response_ = nullptr;  // snapshot-exempt: non-owning; the response engine snapshots itself
+  ResponseEngine* response_ = nullptr;  // snapshot-exempt: non-owning; the campaign owns the engine and the snapshot leaves it out
   bool collecting_ = false;
   std::vector<BudgetRequest> pending_;
   /// Requesters of victim applications this epoch (victim_granted_mw

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/snapshot.hpp"
 #include "common/validate.hpp"
 
 namespace htpb::power {
@@ -83,33 +82,6 @@ void ResponseEngine::end_epoch() {
     ++stats_.sanction_core_epochs;
   }
   ++epoch_;
-}
-
-json::Value ResponseEngine::save_state() const {
-  json::Object o;
-  json::Array active;
-  for (const auto& [node, remaining] : active_) {
-    json::Array a;
-    a.push_back(json::Value(static_cast<long long>(node)));
-    a.push_back(json::Value(static_cast<long long>(remaining)));
-    active.push_back(json::Value(std::move(a)));
-  }
-  o["active"] = json::Value(std::move(active));
-  o["stats"] = common::to_snapshot(stats_);
-  o["epoch"] = json::Value(static_cast<long long>(epoch_));
-  return json::Value(std::move(o));
-}
-
-void ResponseEngine::load_state(const json::Value& v) {
-  const json::Object& o = v.as_object();
-  active_.clear();
-  for (const json::Value& av : o.at("active").as_array()) {
-    const json::Array& a = av.as_array();
-    active_[static_cast<NodeId>(a.at(0).as_int())] =
-        static_cast<int>(a.at(1).as_int());
-  }
-  common::from_snapshot(o.at("stats"), stats_);
-  epoch_ = static_cast<int>(o.at("epoch").as_int());
 }
 
 }  // namespace htpb::power

@@ -39,7 +39,6 @@
 #include <map>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/types.hpp"
 #include "power/defense.hpp"
 
@@ -132,15 +131,6 @@ struct ResponseStats {
   }
 
   friend bool operator==(const ResponseStats&, const ResponseStats&) = default;
-
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f("sanctioned_cores", s.sanctioned_cores);
-    f("sanction_core_epochs", s.sanction_core_epochs);
-    f("denied_requests", s.denied_requests);
-    f("clamped_requests", s.clamped_requests);
-    f("first_sanction_epoch", s.first_sanction_epoch);
-  }
 };
 
 /// Per-run sanction bookkeeping, driven by GlobalManager once per epoch.
@@ -187,16 +177,11 @@ class ResponseEngine {
   }
   [[nodiscard]] const ResponseStats& stats() const noexcept { return stats_; }
 
-  /// Checkpointing: active sanctions, stats and the epoch counter. The
-  /// configuration and the detector pointer are construction wiring.
-  [[nodiscard]] json::Value save_state() const;
-  void load_state(const json::Value& v);
-
  private:
   void sanction(NodeId node);
 
-  ResponseConfig cfg_;  // snapshot-exempt: construction config, immutable
-  RequestAnomalyDetector* detector_ = nullptr;  // snapshot-exempt: non-owning wiring, re-attached by construction
+  ResponseConfig cfg_;
+  RequestAnomalyDetector* detector_ = nullptr;
   /// node -> remaining sanction epochs. std::map: iteration order must be
   /// deterministic (release/re-arm order feeds detector state).
   std::map<NodeId, int> active_;

@@ -93,7 +93,7 @@ ScenarioSpec make_fig5() {
   s.epochs = {2, 5};
   s.seed = 42;
   s.axes.infection_targets = {0.1, 0.3, 0.5, 0.7, 0.9};
-  s.axes.placement_max_hts = 64;
+  s.axes.max_hts = 64;
   s.quick = json::parse(R"({"epochs": {"measure": 3},
                             "axes": {"infection_targets": [0.3, 0.9]}})");
   return s;
@@ -115,9 +115,9 @@ ScenarioSpec make_table2() {
   s.expectation =
       "11 PARSEC/SPLASH-2 profiles; 4 mixes with 1-3 "
       "attackers/victims; compute-bound apps have higher Phi";
+  set_size(s, 64);
   s.system.epoch_cycles = 1500;
   s.epochs = {0, 3};
-  s.axes.nodes = 64;
   return s;
 }
 
@@ -128,8 +128,8 @@ ScenarioSpec make_area_power() {
   s.expectation =
       "HT ~0.017%/0.0017% of one router; 60 HTs ~0.002%/0.0002% of "
       "all routers in a 512-node chip";
+  set_size(s, 512);
   s.axes.ht_counts = {1, 10, 20, 40, 60};
-  s.axes.nodes = 512;
   return s;
 }
 
@@ -158,7 +158,6 @@ ScenarioSpec make_placement_study() {
   s.quick = json::parse(R"({"epochs": {"measure": 3},
                             "axes": {"train_samples": 10,
                                      "random_trials": 2}})");
-  s.axes.nodes = 64;
   s.axes.max_hts = 16;
   s.axes.train_samples = 24;
   s.axes.random_trials = 4;
@@ -222,7 +221,7 @@ ScenarioSpec make_defense_evaluation() {
   s.trojan.toggle_period_epochs = 3;
   s.detector = power::DetectorConfig{};
   s.quick = json::parse(R"({"epochs": {"measure": 3}})");
-  s.axes.cluster_hts = 8;
+  s.axes.placements = {{ClusterSpec::At::kGm, 8}};
   s.axes.detection_measure_epochs = 6;
   return s;
 }
@@ -240,7 +239,7 @@ ScenarioSpec make_attack_comparison() {
       "traffic counters) while flooding lights up the victim router; "
       "duty-cycling scales damage with exposure";
   s.seed = 7;
-  s.axes.cluster_hts = 8;
+  s.axes.placements = {{ClusterSpec::At::kGm, 8}};
   s.axes.flood_sources = {0, 7, 56, 63};
   s.axes.flood_rate = 0.15;
   s.axes.toggle_periods = {0, 4, 2, 1};
@@ -262,7 +261,7 @@ ScenarioSpec make_budgeter_ablation() {
       "Q > 1 under every policy; magnitude varies with how "
       "aggressively the policy follows the (tampered) requests";
   s.quick = json::parse(R"({"epochs": {"measure": 3}})");
-  s.axes.cluster_hts = 8;
+  s.axes.placements = {{ClusterSpec::At::kGm, 8}};
   s.axes.budgeters = {
       power::BudgeterKind::kUniform, power::BudgeterKind::kGreedy,
       power::BudgeterKind::kProportional,

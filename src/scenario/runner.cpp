@@ -56,14 +56,6 @@ namespace {
   return core::clustered_placement(geom, c.hts, at, gm);
 }
 
-/// axes.cluster_hts Trojans clustered around the manager node `gm`.
-[[nodiscard]] std::vector<NodeId> gm_cluster(const ScenarioSpec& spec,
-                                             NodeId gm) {
-  return resolve_cluster(
-      ClusterSpec{ClusterSpec::At::kGm, spec.axes.cluster_hts},
-      MeshGeometry(spec.system.width, spec.system.height), gm);
-}
-
 /// axes.placements resolved on the spec's mesh around the manager `gm`.
 [[nodiscard]] std::vector<std::vector<NodeId>> resolve_placements(
     const ScenarioSpec& spec, NodeId gm) {
@@ -292,7 +284,7 @@ json::Value run_attack_sweep(const ScenarioSpec& spec,
     node_sets.emplace_back();
     for (const double target : targets) {
       node_sets.push_back(analyzer.placement_for_target(
-          target, spec.axes.placement_max_hts, rng));
+          target, spec.axes.max_hts, rng));
     }
   }
   const auto runs = runner.map(node_sets.size(), [&](std::size_t i) {
@@ -335,11 +327,9 @@ json::Value run_placement_study(const ScenarioSpec& spec,
                                 const core::ParallelSweepRunner& runner) {
   json::Array mixes_out;
   for (std::size_t mix_i = 0; mix_i < spec.workload.mixes.size(); ++mix_i) {
-    ScenarioSpec study = spec;
-    study.system = system_with_size(spec.system, spec.axes.nodes);
     const core::AttackCampaign campaign(
-        campaign_config(study, spec.workload.mixes[mix_i]));
-    const MeshGeometry geom(study.system.width, study.system.height);
+        campaign_config(spec, spec.workload.mixes[mix_i]));
+    const MeshGeometry geom(spec.system.width, spec.system.height);
     Rng rng(spec.seed + static_cast<std::uint64_t>(mix_i));
     const auto simulate_all = [&](const std::vector<std::vector<NodeId>>& sets) {
       return runner.map(sets.size(), [&](std::size_t i) {
@@ -719,7 +709,8 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
 json::Value run_defense_evaluation(const ScenarioSpec& spec,
                                    const core::ParallelSweepRunner& runner) {
   // Per mix, four arms on campaigns of their own: detect, plain, clean,
-  // guarded (arms[4 * mix + arm]), all attacking the same GM cluster.
+  // guarded (arms[4 * mix + arm]), all attacking the one axes.placements
+  // cluster.
   std::vector<core::AttackCampaign> arms;
   std::vector<std::vector<NodeId>> hts;
   for (const std::string& mix_name : spec.workload.mixes) {
@@ -747,7 +738,7 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec,
     core::CampaignConfig guard_cfg = campaign_config(damage_spec, mix_name);
     guard_cfg.system.guard = detect_spec.detector;
     arms.emplace_back(std::move(guard_cfg));
-    hts.push_back(gm_cluster(spec, arms.back().gm_node()));
+    hts.push_back(resolve_placements(spec, arms.back().gm_node()).front());
   }
 
   // Per mix, six simulations: every arm's attacked run, and the
@@ -813,7 +804,7 @@ json::Value run_attack_comparison(const ScenarioSpec& spec,
   // manager on the same chip with no defense.
   const core::AttackCampaign campaign(
       campaign_config(spec, spec.workload.mix));
-  const auto hts = gm_cluster(spec, campaign.gm_node());
+  const auto hts = resolve_placements(spec, campaign.gm_node()).front();
   core::CampaignConfig flood_cfg = campaign_config(spec, spec.workload.mix);
   flood_cfg.flooding = core::FloodingConfig{spec.axes.flood_rate, spec.seed};
   flood_cfg.detector.reset();
@@ -883,7 +874,8 @@ json::Value run_budgeter_ablation(const ScenarioSpec& spec,
     campaigns.emplace_back(campaign_config(arm, spec.workload.mix));
   }
   // The policy does not move the manager: one cluster serves every arm.
-  const auto hts = gm_cluster(spec, campaigns.front().gm_node());
+  const auto hts =
+      resolve_placements(spec, campaigns.front().gm_node()).front();
   // Per policy: [0] the baseline, [1] the attacked run.
   const auto runs = runner.map(2 * campaigns.size(), [&](std::size_t i) {
     const core::AttackCampaign& campaign = campaigns[i / 2];
@@ -1157,9 +1149,8 @@ json::Value run_benchmark_report(const ScenarioSpec& spec,
   // placement, no warmup, `epochs.measure` epochs; one fan-out.
   const auto& profiles = workload::benchmark_table();
   core::CampaignConfig cfg;
-  cfg.system = system_with_size(spec.system, spec.axes.nodes)
-                   .to_system_config();
-  cfg.threads_per_app = spec.axes.nodes;
+  cfg.system = spec.system.to_system_config();
+  cfg.threads_per_app = cfg.system.node_count();
   cfg.warmup_epochs = 0;
   cfg.measure_epochs = spec.epochs.measure;
   std::vector<core::AttackCampaign> solos;
@@ -1187,6 +1178,7 @@ json::Value run_benchmark_report(const ScenarioSpec& spec,
 
 /// Sec. III-D: every derived stealth number from the synthesis constants.
 json::Value run_area_power_report(const ScenarioSpec& spec) {
+  const int nodes = spec.system.width * spec.system.height;
   const core::HtAreaPowerModel m;
   json::Object model;
   model["ht_area_um2"] = json::Value(m.ht_area_um2);
@@ -1204,14 +1196,14 @@ json::Value run_area_power_report(const ScenarioSpec& spec) {
     row["total_area_um2"] = json::Value(m.total_area_um2(hts));
     row["total_power_uw"] = json::Value(m.total_power_uw(hts));
     row["area_fraction_of_chip"] =
-        json::Value(m.area_fraction_of_chip(hts, spec.axes.nodes));
+        json::Value(m.area_fraction_of_chip(hts, nodes));
     row["power_fraction_of_chip"] =
-        json::Value(m.power_fraction_of_chip(hts, spec.axes.nodes));
+        json::Value(m.power_fraction_of_chip(hts, nodes));
     scaling.push_back(json::Value(std::move(row)));
   }
 
   json::Object payload;
-  payload["chip_nodes"] = json::Value(spec.axes.nodes);
+  payload["chip_nodes"] = json::Value(nodes);
   payload["model"] = json::Value(std::move(model));
   payload["scaling"] = json::Value(std::move(scaling));
   return json::Value(std::move(payload));
@@ -1225,14 +1217,13 @@ ScenarioSpec resolve(const ScenarioSpec& spec, const RunOptions& opts) {
     resolved.seed = *opts.seed;
     resolved.system.seed = *opts.seed;
   }
-  if (opts.threads > 0) resolved.threads = opts.threads;
   resolved.validate();
   return resolved;
 }
 
 json::Value run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   const ScenarioSpec s = resolve(spec, opts);
-  const core::ParallelSweepRunner runner(s.threads);
+  const core::ParallelSweepRunner runner(opts.threads);
 
   json::Object envelope;
   envelope["scenario"] = json::Value(s.name);
@@ -1301,10 +1292,8 @@ power::RequestTrace record_scenario_trace(const ScenarioSpec& spec,
   cfg.response.reset();  // ... and responses perturb what they'd record
   core::AttackCampaign campaign(cfg);
   const MeshGeometry geom(s.system.width, s.system.height);
-  const ClusterSpec cluster = s.axes.placements.empty()
-                                  ? ClusterSpec{ClusterSpec::At::kGm,
-                                                s.axes.cluster_hts}
-                                  : s.axes.placements.front();
+  const ClusterSpec cluster =
+      s.axes.placements.empty() ? ClusterSpec{} : s.axes.placements.front();
   const auto placement = resolve_cluster(cluster, geom, campaign.gm_node());
   power::RequestTrace trace;
   (void)campaign.simulate(placement, &trace);

@@ -25,15 +25,17 @@ namespace htpb::scenario {
 struct RunOptions {
   /// Apply the spec's quick overlay (`htpb_run --quick`).
   bool quick = false;
-  /// Overrides spec.threads when > 0 (0 = spec, then HTPB_THREADS/cores).
+  /// ParallelSweepRunner pool size; 0 = HTPB_THREADS, else the core
+  /// count. An execution setting, not part of the experiment: the spec
+  /// has no thread count, and the result tree is the same at any size.
   int threads = 0;
   /// Overrides BOTH spec.seed and spec.system.seed: one knob reseeds the
   /// whole experiment (placements and per-node workload streams alike).
   std::optional<std::uint64_t> seed;
 };
 
-/// The spec with options folded in (quick overlay applied, seed/thread
-/// overrides written through); what run_scenario actually executes.
+/// The spec with options folded in (quick overlay applied, seed override
+/// written through); what run_scenario actually executes.
 [[nodiscard]] ScenarioSpec resolve(const ScenarioSpec& spec,
                                    const RunOptions& opts);
 
@@ -48,9 +50,9 @@ struct RunOptions {
 /// The scenario's canonical attacked campaign for trace tooling: the
 /// spec's system/workload/trojan/epoch sections (first mix when several
 /// are swept, detector detached) against its first declared placement
-/// (axes.placements.front(), else a GM-adjacent cluster of
-/// axes.cluster_hts Trojans). `htpb_run --record-trace` simulates it once
-/// and RequestTrace::save()s the stream.
+/// (axes.placements.front(), else ClusterSpec{}: 8 Trojans around the
+/// manager). `htpb_run --record-trace` simulates it once and
+/// RequestTrace::save()s the stream.
 [[nodiscard]] power::RequestTrace record_scenario_trace(
     const ScenarioSpec& spec, const RunOptions& opts = {});
 

@@ -103,6 +103,7 @@ constexpr std::pair<std::string_view, std::string_view> kSpecKeys[] = {
     {"measure_epochs", "epochs.measure"},
     {"toggle_period_epochs", "trojan.toggle_period_epochs"},
     {"trojan.adapt", "trojan.adaptation"},
+    {"flooding.rate", "axes.flood_rate"},
 };
 
 /// `what` (a CampaignConfig::validate() message, which opens with the
@@ -222,7 +223,6 @@ void ScenarioSpec::validate() const {
   const core::CampaignConfig campaign = campaign_config(*this, "");
   check_key("", [&] { campaign.validate(); });
   check_mix_name(name, workload.mix);
-  if (threads < 0) invalid(name, "threads must be >= 0");
   // Each band, applied to the detector base, is a detector: the sweep
   // and any kind's --replay-trace build one from it.
   for (const BandSpec& b : axes.bands) {
@@ -231,6 +231,8 @@ void ScenarioSpec::validate() const {
     d.high_ratio = b.high;
     check_key("axes.bands: ", [&] { d.validate(); });
   }
+  // The HT budget of fig5's and the placement study's placements.
+  if (axes.max_hts < 1) invalid(name, "axes.max_hts must be >= 1");
 
   const auto require_placements = [&] {
     if (axes.placements.empty()) {
@@ -238,6 +240,13 @@ void ScenarioSpec::validate() const {
     }
     for (const ClusterSpec& c : axes.placements) {
       if (c.hts < 1) invalid(name, "axes.placements hts must be >= 1");
+    }
+  };
+  // Kinds that attack one cluster: a second one would be ignored.
+  const auto require_one_placement = [&] {
+    require_placements();
+    if (axes.placements.size() != 1) {
+      invalid(name, "axes.placements must hold exactly one cluster");
     }
   };
 
@@ -276,14 +285,9 @@ void ScenarioSpec::validate() const {
           invalid(name, "axes.infection_targets must be in (0, 1]");
         }
       }
-      if (axes.placement_max_hts < 1) {
-        invalid(name, "axes.placement_max_hts must be >= 1");
-      }
       break;
     case ScenarioKind::kPlacementStudy:
       check_mixes(name, workload.mixes);
-      (void)mesh_for_size(axes.nodes);
-      if (axes.max_hts < 1) invalid(name, "axes.max_hts must be >= 1");
       if (axes.train_samples < 2) {
         invalid(name, "axes.train_samples must be >= 2 (model fit)");
       }
@@ -323,7 +327,7 @@ void ScenarioSpec::validate() const {
       break;
     case ScenarioKind::kDefenseEvaluation:
       check_mixes(name, workload.mixes);
-      if (axes.cluster_hts < 1) invalid(name, "axes.cluster_hts must be >= 1");
+      require_one_placement();
       if (axes.detection_measure_epochs < 1) {
         invalid(name, "axes.detection_measure_epochs must be >= 1");
       }
@@ -340,9 +344,12 @@ void ScenarioSpec::validate() const {
           invalid(name, "axes.flood_sources outside the mesh");
         }
       }
-      if (axes.flood_rate <= 0.0) {
-        invalid(name, "axes.flood_rate must be > 0");
-      }
+      // The flooding arm's campaign, as the runner builds it.
+      core::CampaignConfig flood = campaign;
+      flood.detector.reset();
+      flood.response.reset();
+      flood.flooding = core::FloodingConfig{axes.flood_rate, seed};
+      check_key("", [&] { flood.validate(); });
       if (axes.toggle_periods.empty()) {
         invalid(name, "axes.toggle_periods must not be empty");
       }
@@ -352,7 +359,7 @@ void ScenarioSpec::validate() const {
       if (axes.duty_warmup_epochs < 0 || axes.duty_measure_epochs < 1) {
         invalid(name, "duty epochs need warmup >= 0 and measure >= 1");
       }
-      if (axes.cluster_hts < 1) invalid(name, "axes.cluster_hts must be >= 1");
+      require_one_placement();
       break;
     }
     case ScenarioKind::kBudgeterAblation:
@@ -360,18 +367,15 @@ void ScenarioSpec::validate() const {
       if (axes.budgeters.empty()) {
         invalid(name, "axes.budgeters must not be empty");
       }
-      if (axes.cluster_hts < 1) invalid(name, "axes.cluster_hts must be >= 1");
+      require_one_placement();
       break;
     case ScenarioKind::kConfigReport:
-      break;
     case ScenarioKind::kBenchmarkReport:
-      (void)mesh_for_size(axes.nodes);
       break;
     case ScenarioKind::kAreaPowerReport:
       if (axes.ht_counts.empty()) {
         invalid(name, "axes.ht_counts must not be empty");
       }
-      if (axes.nodes < 1) invalid(name, "axes.nodes must be >= 1");
       break;
     case ScenarioKind::kDefenseClosedLoop:
       require_placements();

@@ -1,7 +1,11 @@
 // The declarative scenario API: one serializable value type that captures
 // an entire experiment -- mesh/system, workload mix, Trojan behaviour
 // (duty-cycle included), placement axes, detector operating points,
-// epochs, seeds and thread budget.
+// epochs and seeds. Each experimental quantity has one key: the chip is
+// `system.width x height` (the size-swept Figs. 3-4 alone sweep it, through
+// `axes.arms` / `axes.sizes`), the attacked cluster is `axes.placements`
+// and the HT budget is `axes.max_hts`. How a run executes (its pool size)
+// is not part of the experiment: it is RunOptions::threads.
 //
 // Every paper experiment (Figs. 3-6, Tables I-III, the Sec. V placement
 // study, the defense extensions) is a ScenarioSpec in the registry
@@ -281,18 +285,21 @@ struct AxesSpec {
   int seeds = 0;
   // kAttackEffect
   std::vector<double> infection_targets;
-  int placement_max_hts = 64;
-  // kPlacementStudy (+ kBenchmarkReport / kAreaPowerReport chip size)
-  int nodes = 0;
+  /// The HT budget: kAttackEffect's greedy target-coverage placements
+  /// and kPlacementStudy's optimized and random placements use at most
+  /// this many Trojans.
   int max_hts = 16;
+  // kPlacementStudy
   int train_samples = 24;
   int random_trials = 4;
   int candidates_per_m = 60;
   int shortlist = 3;
   // kDefenseSweep / kDefenseEvaluation / kDefenseClosedLoop
   std::vector<BandSpec> bands;
+  /// The attacked clusters. kDefenseSweep and kDefenseClosedLoop sweep
+  /// them; kDefenseEvaluation, kAttackComparison and kBudgeterAblation
+  /// attack exactly one.
   std::vector<ClusterSpec> placements;
-  int cluster_hts = 8;
   int detection_measure_epochs = 6;
   RocSpec roc;
   /// kDefenseClosedLoop: the response-policy axis (each kind is one arm).
@@ -318,8 +325,6 @@ struct AxesSpec {
     f("ht_divisors", s.ht_divisors);
     f("seeds", s.seeds);
     f("infection_targets", s.infection_targets);
-    f("placement_max_hts", s.placement_max_hts);
-    f("nodes", s.nodes);
     f("max_hts", s.max_hts);
     f("train_samples", s.train_samples);
     f("random_trials", s.random_trials);
@@ -327,7 +332,6 @@ struct AxesSpec {
     f("shortlist", s.shortlist);
     f("bands", s.bands);
     f("placements", s.placements);
-    f("cluster_hts", s.cluster_hts);
     f("detection_measure_epochs", s.detection_measure_epochs);
     f("roc", s.roc);
     f("responses", s.responses);
@@ -372,8 +376,6 @@ struct ScenarioSpec {
   /// point reachable from a scenario run draws from a default-seeded Rng
   /// (tests/scenario/runner_test.cpp locks same-seed determinism).
   std::uint64_t seed = 1;
-  /// ParallelSweepRunner pool cap; 0 = default (HTPB_THREADS or cores).
-  int threads = 0;
 
   /// Sparse JSON overlay merged over the spec by with_quick() -- what
   /// `htpb_run --quick` applies (CI-size sweeps). Objects merge
@@ -414,7 +416,6 @@ struct ScenarioSpec {
     f("response", s.response);
     f("axes", s.axes);
     f("seed", s.seed);
-    f("threads", s.threads);
     f("quick", s.quick);
   }
 };

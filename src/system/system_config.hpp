@@ -42,10 +42,8 @@ struct SystemConfig {
   /// arbitrate (and that the Trojan exploits).
   double budget_fraction = 0.50;
 
-  /// Budgeting epoch length and the manager's collection window.
+  /// Budgeting epoch length.
   Cycle epoch_cycles = 2000;
-  /// 0 = auto: scaled with mesh diameter at build time.
-  Cycle collect_window = 0;
   /// Cycle of the first budgeting epoch (power-on settle time). The
   /// default leaves just enough room for cycle-0 events; raise it when an
   /// experiment needs the attacker's CONFIG_CMD broadcast to complete
@@ -60,8 +58,9 @@ struct SystemConfig {
 
   [[nodiscard]] int node_count() const noexcept { return width * height; }
 
+  /// The manager's request-collection window, scaled with the mesh
+  /// diameter.
   [[nodiscard]] Cycle resolved_collect_window() const noexcept {
-    if (collect_window != 0) return collect_window;
     const auto diameter = static_cast<Cycle>(width + height);
     return 4 * diameter * static_cast<Cycle>(noc.router_latency +
                                              noc.link_latency) +

@@ -336,7 +336,7 @@ TEST(TraceReplay, ScenarioReplayRejectsMismatchedTraceGeometry) {
   spec.epochs = {1, 2};
   spec.workload.mixes = {"mix-1"};
   spec.axes.infection_targets = {0.5};
-  spec.axes.placement_max_hts = 16;
+  spec.axes.max_hts = 16;
 
   const power::RequestTrace trace = scenario::record_scenario_trace(spec);
   ASSERT_FALSE(trace.empty());

@@ -100,9 +100,7 @@ TEST(MakeBudgeter, AllKindsConstructible) {
        {BudgeterKind::kUniform, BudgeterKind::kGreedy,
         BudgeterKind::kProportional, BudgeterKind::kDynamicProgramming,
         BudgeterKind::kMarket}) {
-    const auto b = make_budgeter(kind);
-    ASSERT_NE(b, nullptr);
-    EXPECT_STREQ(b->name(), to_string(kind));
+    EXPECT_NE(make_budgeter(kind), nullptr) << to_string(kind);
   }
 }
 
@@ -119,6 +117,7 @@ class BudgeterInvariantTest
 TEST_P(BudgeterInvariantTest, FeasibilityUnderRandomLoads) {
   const auto param = GetParam();
   const auto budgeter = make_budgeter(param.kind);
+  const char* name = to_string(param.kind);
   Rng rng(param.seed);
   for (int trial = 0; trial < 60; ++trial) {
     const int n = 1 + static_cast<int>(rng.below(64));
@@ -132,11 +131,11 @@ TEST_P(BudgeterInvariantTest, FeasibilityUnderRandomLoads) {
     const auto grants = budgeter->allocate(reqs, budget, floor);
 
     ASSERT_EQ(grants.size(), reqs.size());
-    EXPECT_LE(total(grants), budget) << budgeter->name();
+    EXPECT_LE(total(grants), budget) << name;
     for (std::size_t i = 0; i < grants.size(); ++i) {
       EXPECT_EQ(grants[i].node, reqs[i].node);
       EXPECT_LE(grants[i].grant_mw, reqs[i].request_mw)
-          << budgeter->name() << ": grant exceeds request";
+          << name << ": grant exceeds request";
     }
     // If the budget covers all floors, everyone gets at least
     // min(floor, request).
@@ -147,18 +146,19 @@ TEST_P(BudgeterInvariantTest, FeasibilityUnderRandomLoads) {
     if (floor_sum <= budget) {
       for (std::size_t i = 0; i < grants.size(); ++i) {
         EXPECT_GE(grants[i].grant_mw, std::min(floor, reqs[i].request_mw))
-            << budgeter->name() << ": floor violated";
+            << name << ": floor violated";
       }
     }
   }
 }
 
 TEST_P(BudgeterInvariantTest, AbundantBudgetSatisfiesEveryone) {
-  const auto budgeter = make_budgeter(GetParam().kind);
+  const BudgeterKind kind = GetParam().kind;
+  const auto budgeter = make_budgeter(kind);
   const auto reqs = make_requests({1000, 2500, 400, 3300});
   const auto grants = budgeter->allocate(reqs, 1'000'000, 500);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(grants[i].grant_mw, reqs[i].request_mw) << budgeter->name();
+    EXPECT_EQ(grants[i].grant_mw, reqs[i].request_mw) << to_string(kind);
   }
 }
 

@@ -78,6 +78,7 @@ TEST(CellsTest, CellIdsAreUniqueAndOrderStable) {
   ScenarioSpec spec =
       small_spec("cells-ablation", ScenarioKind::kBudgeterAblation);
   spec.workload.mix = "mix-1";
+  spec.axes.placements = {{ClusterSpec::At::kGm, 8}};
   spec.epochs = {1, 2};
   spec.axes.budgeters = {power::BudgeterKind::kUniform,
                          power::BudgeterKind::kGreedy};
@@ -97,6 +98,7 @@ TEST(CellsTest, BudgeterAblationMergesBitIdentical) {
   ScenarioSpec spec =
       small_spec("cells-ablation", ScenarioKind::kBudgeterAblation);
   spec.workload.mix = "mix-1";
+  spec.axes.placements = {{ClusterSpec::At::kGm, 8}};
   spec.epochs = {1, 2};
   spec.axes.budgeters = {power::BudgeterKind::kUniform,
                          power::BudgeterKind::kGreedy,
@@ -130,7 +132,7 @@ TEST(CellsTest, AttackEffectMergesBitIdentical) {
   spec.epochs = {1, 2};
   spec.workload.mixes = {"mix-1", "mix-2"};
   spec.axes.infection_targets = {0.2, 0.6};
-  spec.axes.placement_max_hts = 16;
+  spec.axes.max_hts = 16;
   expect_merge_bit_identical(spec, 2);
 }
 
@@ -142,7 +144,6 @@ TEST(CellsTest, PlacementStudySeedRebasingMergesBitIdentical) {
   spec.epochs = {1, 2};
   spec.seed = 7;
   spec.workload.mixes = {"mix-1", "mix-3"};
-  spec.axes.nodes = 64;
   spec.axes.max_hts = 4;
   spec.axes.train_samples = 10;  // must cover the effect model's coefficients
   spec.axes.random_trials = 2;
@@ -180,6 +181,7 @@ TEST(CellsTest, FailedCellsLeaveHolesNotInvalidTrees) {
   ScenarioSpec spec =
       small_spec("cells-ablation", ScenarioKind::kBudgeterAblation);
   spec.workload.mix = "mix-1";
+  spec.axes.placements = {{ClusterSpec::At::kGm, 8}};
   spec.epochs = {1, 2};
   spec.axes.budgeters = {power::BudgeterKind::kUniform,
                          power::BudgeterKind::kGreedy,
@@ -202,6 +204,7 @@ TEST(CellsTest, MergeRejectsCellCountMismatch) {
   ScenarioSpec spec =
       small_spec("cells-ablation", ScenarioKind::kBudgeterAblation);
   spec.workload.mix = "mix-1";
+  spec.axes.placements = {{ClusterSpec::At::kGm, 8}};
   spec.axes.budgeters = {power::BudgeterKind::kUniform,
                          power::BudgeterKind::kGreedy};
   const std::vector<Value> wrong(3);

@@ -136,8 +136,6 @@ TEST(FieldLists, EverySnapshotMemberRoundTrips) {
   expect_snapshot_fields_round_trip<mem::L2Stats>("l2_stats");
   expect_snapshot_fields_round_trip<mem::L2Bank::Request>("l2_request");
   expect_snapshot_fields_round_trip<power::EpochRecord>("epoch_record");
-  expect_snapshot_fields_round_trip<power::DetectorReport>("detector_report");
-  expect_snapshot_fields_round_trip<power::ResponseStats>("response_stats");
 }
 
 // A u64 spec member past the JSON int64 range is an error on write, not a

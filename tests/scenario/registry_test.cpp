@@ -114,7 +114,7 @@ TEST(ScenarioRegistry, SpecJsonTextIsPinned) {
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(h));
-  EXPECT_EQ(std::string(hex), "b18d486a06bbd8e1");
+  EXPECT_EQ(std::string(hex), "09f41f31d87d090c");
 }
 
 TEST(ScenarioRegistry, LookupByName) {

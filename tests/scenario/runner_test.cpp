@@ -382,15 +382,8 @@ ScenarioSpec small_defense_spec() {
 
 /// small_defense_spec()'s campaign sections, detector-free.
 core::CampaignConfig small_defense_base(const ScenarioSpec& s) {
-  core::CampaignConfig cfg;
-  cfg.system = s.system.to_system_config();
-  cfg.mix = workload::standard_mixes().at(0);
-  cfg.trojan.victim_scale = s.trojan.victim_scale;
-  cfg.trojan.attacker_boost = s.trojan.attacker_boost;
-  cfg.trojan.active = s.trojan.active;
-  cfg.toggle_period_epochs = s.trojan.toggle_period_epochs;
-  cfg.warmup_epochs = s.epochs.warmup;
-  cfg.measure_epochs = s.epochs.measure;
+  core::CampaignConfig cfg = campaign_config(s, "mix-1");
+  cfg.detector.reset();
   return cfg;
 }
 
@@ -676,7 +669,7 @@ ScenarioSpec small_attack_spec() {
   s.epochs = {1, 2};
   s.workload.mixes = {"mix-1"};
   s.axes.infection_targets = {0.5};
-  s.axes.placement_max_hts = 16;
+  s.axes.max_hts = 16;
   s.validate();
   return s;
 }
@@ -765,6 +758,24 @@ TEST(ScenarioRunner, AttackComparisonIsThreadCountInvariant) {
 TEST(ScenarioRunner, Table2IsThreadCountInvariant) {
   // One solo-benchmark chip per profile: 11 simulations over 3 threads.
   expect_thread_count_invariant(scenario_or_throw("table2").with_quick());
+}
+
+// Each quantity has one key, and the kinds read it: the chip from
+// `system`, the attacked cluster from `axes.placements`.
+TEST(ScenarioRunner, AreaPowerReadsTheChipFromSystem) {
+  ScenarioSpec spec = scenario_or_throw("secIIID-area-power");
+  spec.system.width = 8;
+  spec.system.height = 8;
+  EXPECT_EQ(run_scenario(spec).as_object().find("chip_nodes")->as_int(), 64);
+}
+
+TEST(ScenarioRunner, BudgeterAblationAttacksItsPlacement) {
+  ScenarioSpec spec = scenario_or_throw("budgeter-ablation").with_quick();
+  spec.axes.budgeters = {power::BudgeterKind::kProportional};
+  const json::Value gm = without_timing(run_scenario(spec));
+  spec.axes.placements = {{ClusterSpec::At::kCorner, 8}};
+  const json::Value corner = without_timing(run_scenario(spec));
+  EXPECT_NE(json::dump(gm, 0), json::dump(corner, 0));
 }
 
 // Chips and warmup epochs each kind simulates at --quick: one baseline

@@ -41,7 +41,6 @@ ScenarioSpec full_spec() {
   s.trojan.adaptation.hold_off_epochs = 3;
   s.epochs = {1, 4};
   s.seed = 987654321;
-  s.threads = 3;
   s.quick = json::parse(R"({"epochs": {"measure": 2}})");
   power::DetectorConfig det;
   det.kind = power::DetectorKind::kCohortMedian;
@@ -104,6 +103,13 @@ TEST(ScenarioSpec, RejectsUnknownKeysEverywhere) {
   corrupt("axes", "band");          // singular typo of "bands"
   corrupt("detector", "threshold");
   corrupt("response", "duration");  // belongs nowhere (sanction_epochs)
+  // Second homes of one quantity, removed: the chip is system.width x
+  // height, the attacked cluster axes.placements, the HT budget
+  // axes.max_hts, and the pool size is an execution option.
+  corrupt("axes", "nodes");
+  corrupt("axes", "cluster_hts");
+  corrupt("axes", "placement_max_hts");
+  corrupt("", "threads");
 
   // Nested one deeper: the adaptation block under trojan.
   json::Value j = full_spec().to_json();
@@ -306,6 +312,22 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   spec = scenario_or_throw("attack-comparison");
   spec.axes.toggle_periods = {0, -2};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  // An NI starts at most one packet per cycle.
+  spec = scenario_or_throw("attack-comparison");
+  spec.axes.flood_rate = 2.0;
+  rejects(spec, "axes.flood_rate");
+
+  // The kinds that attack one cluster read exactly one placement.
+  for (const char* kind :
+       {"defense-evaluation", "attack-comparison", "budgeter-ablation"}) {
+    spec = scenario_or_throw(kind);
+    spec.axes.placements.clear();
+    rejects(spec, "axes.placements");
+    spec.axes.placements = {{ClusterSpec::At::kGm, 8},
+                            {ClusterSpec::At::kCorner, 8}};
+    rejects(spec, "axes.placements");
+  }
 }
 
 TEST(ScenarioSpec, ValidateChecksTheQuickOverlay) {

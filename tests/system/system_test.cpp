@@ -226,9 +226,6 @@ TEST(ManyCoreSystem, CollectWindowAutoScalesWithDiameter) {
   large.height = 16;
   EXPECT_GT(large.resolved_collect_window(),
             small.resolved_collect_window());
-  SystemConfig manual = small;
-  manual.collect_window = 123;
-  EXPECT_EQ(manual.resolved_collect_window(), 123U);
 }
 
 // Snapshot layer: run-to-cycle-N, save, restore into a FRESH system of

@@ -230,11 +230,36 @@ TEST(HtpbFleetE2e, RunDirHoldingADifferentSpecIsRefused) {
   const std::string rd = (dir.path() / "rd").string();
   ASSERT_EQ(run_fleet(dir, "", "--run-dir \"" + rd + "\"").exit_code, 0);
 
-  const RunResult r = run_fleet(
-      dir, "", "--run-dir \"" + rd + "\" --set axes.cluster_hts=4");
+  constexpr const char* kFewerHts =
+      R"( --set 'axes.placements=[{"at": "gm", "hts": 4}]')";
+  const RunResult r =
+      run_fleet(dir, "", "--run-dir \"" + rd + "\"" + kFewerHts);
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.err.find("different spec"), std::string::npos) << r.err;
   EXPECT_NE(r.err.find("fresh directory"), std::string::npos) << r.err;
+}
+
+// The pool size is an execution option: each worker gets it on its
+// command line, and a finished run dir resumes under another one.
+TEST(HtpbFleetE2e, ResumeIgnoresTheThreadCount) {
+  const TempDir dir("threads");
+  const std::string rd = (dir.path() / "rd").string();
+  ASSERT_EQ(run_fleet(dir, "", "--run-dir \"" + rd + "\"").exit_code, 0);
+  const htpb::json::Value cell = htpb::json::parse(
+      slurp(fs::path(rd) / "results" / "c000-uniform.json"));
+  EXPECT_EQ(cell.as_object().find("threads")->as_int(), 2);
+
+  // This --threads overrides kScenarioArgs' 2.
+  const RunResult r =
+      run_fleet(dir, "", "--run-dir \"" + rd + "\" --threads 1");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  const htpb::json::Value merged =
+      htpb::json::parse(slurp(rd + "/merged.json"));
+  ASSERT_NE(fleet_section(merged), nullptr);
+  const htpb::json::Object& fleet = fleet_section(merged)->as_object();
+  EXPECT_EQ(fleet.find("resumed")->as_int(), 5);
+  EXPECT_EQ(fleet.find("attempts")->as_int(), 0);
+  EXPECT_EQ(diff_exit(dir, single_run_json(), rd + "/merged.json"), 0);
 }
 
 TEST(HtpbFleetE2e, ListCellsPrintsThePlan) {

@@ -240,6 +240,10 @@ TEST(HtpbRunE2e, BadSetOverridesFailLoudly) {
            Hostile{"--scenario budgeter-ablation --quick --set "
                    "trojan.victim_scale=0.001",
                    "trojan.victim_scale"},
+           // Two packet starts per cycle from one NI.
+           Hostile{"--scenario attack-comparison --quick --set "
+                   "axes.flood_rate=2",
+                   "axes.flood_rate"},
        }) {
     const RunResult r = run_tool(dir, h.args);
     EXPECT_EQ(r.exit_code, 1) << h.args << r.err;

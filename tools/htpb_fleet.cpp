@@ -21,8 +21,10 @@
 //   --quick               apply the spec's quick overlay
 //   --set key=value       dotted-path override (repeatable, after quick)
 //   --seed N              reseed the experiment
-//   --threads N           ParallelSweepRunner cap inside each worker
-//                         (0..4096)
+//   --threads N           ParallelSweepRunner pool of each worker, passed
+//                         on its command line (0..4096; 0 = the worker's
+//                         default); not part of the spec, so a run dir
+//                         resumes under any --threads
 //   --shards N            concurrent worker subprocesses (default 2)
 //   --max-attempts N      tries per cell, first included (default 3)
 //   --timeout S           per-cell wall clock; SIGTERM then SIGKILL (0 = off)
@@ -240,10 +242,17 @@ int main(int argc, char** argv) {
 
     const std::string run_binary = find_htpb_run(htpb_run_flag);
     fleet.run_dir = run_dir_path;
-    fleet.worker_command = [&run_binary](const std::string& spec_path,
-                                         const std::string& result_path) {
-      return std::vector<std::string>{run_binary, "--scenario", spec_path,
-                                      "--json", result_path};
+    // The pool size is an execution option, not part of a cell's spec:
+    // each worker gets it on its command line.
+    fleet.worker_command = [&run_binary, &opts](
+                               const std::string& spec_path,
+                               const std::string& result_path) {
+      std::vector<std::string> cmd{run_binary, "--scenario", spec_path,
+                                   "--json", result_path};
+      if (opts.threads > 0) {
+        cmd.insert(cmd.end(), {"--threads", std::to_string(opts.threads)});
+      }
+      return cmd;
     };
     fleet.log = [](const std::string& line) {
       std::fprintf(stderr, "htpb_fleet: %s\n", line.c_str());
@@ -266,9 +275,8 @@ int main(int argc, char** argv) {
     }
 
     const int threads =
-        resolved.threads > 0
-            ? resolved.threads
-            : htpb::core::ParallelSweepRunner::default_threads();
+        opts.threads > 0 ? opts.threads
+                         : htpb::core::ParallelSweepRunner::default_threads();
     Value merged = htpb::scenario::merge_cell_results(resolved, quick,
                                                       threads, results);
 

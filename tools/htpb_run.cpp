@@ -16,8 +16,8 @@
 //   --quick                apply the spec's quick overlay (CI-size sweeps)
 //   --seed <n>             reseed the whole experiment (spec seed + the
 //                          per-node workload streams)
-//   --threads <n>          cap the ParallelSweepRunner pool (0..4096;
-//                          0 = the spec's, then HTPB_THREADS/cores)
+//   --threads <n>          ParallelSweepRunner pool size (0..4096;
+//                          0 = HTPB_THREADS, else the core count)
 //   --json <path|->        write the result JSON to a file (or stdout);
 //                          default: pretty-print to stdout
 //   --dump-spec [path|-]   print the fully resolved spec JSON and exit
