@@ -6,30 +6,34 @@
 // The split axis per kind follows the runner's stochastic contract
 // (scenario/runner.cpp documents each): only axes whose RNG streams are
 // value-keyed -- or re-keyable by rebasing the cell's seed -- are split,
-// so `merge_cell_results` over the cells is bit-identical (minus the
+// and each cell slices the outermost array of its kind's payload, so
+// `merge_cell_results` over the cells is bit-identical (minus the
 // "timing" object) to a single `run_scenario` of the full spec.
 //
-//   kInfectionVsHtCount       cell per (arm, ht)   Rng(seed + s*77 + ht)
-//   kInfectionVsDistribution  cell per (div, size) Rng(seed + s*13 + size)
-//                             Inside a cell the runner fans the legs
-//                             (gm x seed; center, corner, random seeds)
-//                             flat across its pool. Each leg's stream is
-//                             value-keyed and the fleet still splits per
-//                             (arm, ht) / (div, size), so split/merge
-//                             stays bit-identical.
-//   kAttackEffect             cell per mix         serial Rng(seed) per mix
-//   kPlacementStudy           cell per mix         Rng(seed + mix_i): the
-//                             cell's seed is REBASED to seed + mix_i so
-//                             its local index 0 lands on the same stream
-//   kDefenseEvaluation        cell per mix
-//   kBudgeterAblation         cell per budgeter
-//   kDefenseClosedLoop        cell per placement (the adaptive and
-//                             response axes are runner-internal)
-//   everything else           one cell (kDefenseSweep's record-once/
-//                             replay-many trace reuse and its
-//                             simulation counts, and
-//                             kAttackComparison's shared clean-arm state,
-//                             are not shardable without changing output)
+//   kind                      a cell per  slices    stream per leg
+//   kInfectionVsHtCount       arm         arms      Rng(seed + s*77 + ht)
+//   kInfectionVsDistribution  divisor     divisors  Rng(seed + s*13 + size)
+//   kAttackEffect             mix         mixes     serial Rng(seed)
+//   kPlacementStudy           mix         mixes     Rng(seed + mix_i)
+//   kDefenseEvaluation        mix         rows
+//   kBudgeterAblation         budgeter    rows
+//   kDefenseClosedLoop        placement   arms
+//   everything else           -- one cell --
+//
+// kPlacementStudy REBASES each cell's seed to seed + mix_i, so the cell's
+// local mix 0 lands on the whole run's stream. kDefenseClosedLoop's
+// attacker_cores is the same in every cell and its duty_comparison is
+// defined on the first placement, so both come from cell 0. One cell:
+// kDefenseSweep records one trace and replays it per detector (its
+// simulation counts depend on running whole), kAttackComparison's arms
+// are named keys rather than an array, and the report kinds are cheap.
+// Inside a cell the worker's pool still fans the legs out (fig3: gm x
+// seed x ht-count; fig4: size x center, corner and random seeds).
+//
+// The merge knows no kind's payload. The merged tree is result_envelope
+// (runner.hpp) followed by each payload key in the first surviving cell's
+// order: an array is the concatenation of the surviving cells' arrays in
+// cell order; any other value is cell 0's, and absent if cell 0 failed.
 #pragma once
 
 #include <string>
@@ -53,10 +57,10 @@ struct CellPlan {
 [[nodiscard]] std::vector<CellPlan> expand_cells(const ScenarioSpec& resolved);
 
 /// Reassembles cell results (the `htpb_run --json` envelopes, in
-/// expand_cells order) into the single-run envelope: scenario, kind,
-/// quick, seed, threads, then the merged payload. No "timing" member --
-/// the caller appends its own. Failed cells are passed as null and their
-/// slices are skipped, so the merge degrades gracefully instead of
+/// expand_cells order) into the single-run tree by the rule above:
+/// result_envelope(resolved, quick, threads), then the merged payload. No
+/// "timing" member -- the caller appends its own. Failed cells are passed
+/// as null and leave holes, so the merge degrades gracefully instead of
 /// throwing; a size mismatch with expand_cells(resolved) throws.
 [[nodiscard]] json::Value merge_cell_results(
     const ScenarioSpec& resolved, bool quick, int threads,

@@ -1221,16 +1221,22 @@ ScenarioSpec resolve(const ScenarioSpec& spec, const RunOptions& opts) {
   return resolved;
 }
 
+json::Object result_envelope(const ScenarioSpec& resolved, bool quick,
+                             int threads) {
+  json::Object envelope;
+  envelope["scenario"] = json::Value(resolved.name);
+  envelope["kind"] = json::Value(to_string(resolved.kind));
+  envelope["quick"] = json::Value(quick);
+  envelope["seed"] = json::Value(static_cast<long long>(resolved.seed));
+  envelope["threads"] =
+      json::Value(core::ParallelSweepRunner(threads).threads());
+  return envelope;
+}
+
 json::Value run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   const ScenarioSpec s = resolve(spec, opts);
   const core::ParallelSweepRunner runner(opts.threads);
-
-  json::Object envelope;
-  envelope["scenario"] = json::Value(s.name);
-  envelope["kind"] = json::Value(to_string(s.kind));
-  envelope["quick"] = json::Value(opts.quick);
-  envelope["seed"] = json::Value(static_cast<long long>(s.seed));
-  envelope["threads"] = json::Value(runner.threads());
+  json::Object envelope = result_envelope(s, opts.quick, runner.threads());
 
   json::Object timing;
   const double t0 = now_seconds();

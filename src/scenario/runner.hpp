@@ -39,10 +39,14 @@ struct RunOptions {
 [[nodiscard]] ScenarioSpec resolve(const ScenarioSpec& spec,
                                    const RunOptions& opts);
 
-/// Runs the scenario and returns its result tree:
-///   { "scenario": <name>, "kind": <kind>, "quick": <bool>,
-///     "seed": <seed>, "threads": <pool size>,
-///     ...kind-specific payload..., "timing": {...seconds...} }
+/// The keys every result tree opens with, in order: scenario, kind,
+/// quick, seed, and threads (the pool size; `threads` <= 0 resolves as
+/// ParallelSweepRunner does). Every other key but "timing" is payload.
+[[nodiscard]] json::Object result_envelope(const ScenarioSpec& resolved,
+                                           bool quick, int threads);
+
+/// Runs the scenario and returns its result tree: result_envelope, then
+/// the kind-specific payload, then "timing": {...seconds...}.
 /// Throws on an invalid spec.
 [[nodiscard]] json::Value run_scenario(const ScenarioSpec& spec,
                                        const RunOptions& opts = {});

@@ -1,6 +1,5 @@
 #include "system/system_config.hpp"
 
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -19,12 +18,11 @@ NodeId SystemConfig::resolved_gm_node() const {
 
 void SystemConfig::validate() const {
   if (width < 2 || height < 2 ||
-      static_cast<long long>(width) * height >
-          std::numeric_limits<int>::max()) {
+      static_cast<long long>(width) * height > kMaxNodes) {
     throw std::invalid_argument(
-        "width x height must be at least 2x2 and its node count must fit "
-        "int (got " +
-        std::to_string(width) + "x" + std::to_string(height) + ")");
+        "width x height must be at least 2x2 and at most " +
+        std::to_string(kMaxNodes) + " nodes (got " + std::to_string(width) +
+        "x" + std::to_string(height) + ")");
   }
   if (gm_node.has_value() &&
       *gm_node >= static_cast<NodeId>(node_count())) {
@@ -32,10 +30,13 @@ void SystemConfig::validate() const {
         "gm_node " + std::to_string(*gm_node) + " outside the " +
         std::to_string(width) + "x" + std::to_string(height) + " mesh");
   }
-  if (epoch_cycles <= resolved_collect_window()) {
+  if (epoch_cycles <= resolved_collect_window() ||
+      epoch_cycles > kMaxEpochCycles) {
     throw std::invalid_argument(
         "epoch_cycles must exceed the collect window (" +
-        std::to_string(resolved_collect_window()) + ")");
+        std::to_string(resolved_collect_window()) + ") and be at most " +
+        std::to_string(kMaxEpochCycles) + " (got " +
+        std::to_string(epoch_cycles) + ")");
   }
   require(budget_fraction > 0.0 && budget_fraction <= 1.0,
           "budget_fraction must be in (0, 1]");

@@ -23,6 +23,14 @@ enum class GmPlacement {
 };
 
 struct SystemConfig {
+  /// Node-count ceiling: 8x the paper's largest chip (512 cores) and 4x
+  /// the 32x32 mesh bench_noc_hotpath runs. A chip past it costs memory
+  /// per tile that no experiment here needs.
+  static constexpr int kMaxNodes = 4096;
+  /// Epoch-length ceiling: 500x the registry's longest epoch (2000
+  /// cycles). Simulated cycles per epoch are paid in wall time.
+  static constexpr Cycle kMaxEpochCycles = 1'000'000;
+
   int width = 16;
   int height = 16;
 
@@ -73,9 +81,10 @@ struct SystemConfig {
 
   /// The chip rules; throws std::invalid_argument naming the member: a
   /// mesh of at least 2x2 (XY routing and the GM presets need a real 2D
-  /// mesh) whose node count fits int, a pinned gm_node inside it, an
-  /// epoch longer than its collect window, budget_fraction in (0, 1],
-  /// and a valid guard. ManyCoreSystem and CampaignConfig call it.
+  /// mesh) of at most kMaxNodes nodes, a pinned gm_node inside it, an
+  /// epoch longer than its collect window and at most kMaxEpochCycles,
+  /// budget_fraction in (0, 1], and a valid guard. ManyCoreSystem and
+  /// CampaignConfig call it.
   void validate() const;
 
   friend bool operator==(const SystemConfig&, const SystemConfig&) = default;

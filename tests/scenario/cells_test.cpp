@@ -114,7 +114,7 @@ TEST(CellsTest, InfectionVsHtCountMergesBitIdentical) {
   spec.axes.gm_placements = {htpb::system::GmPlacement::kCenter,
                              htpb::system::GmPlacement::kCorner};
   spec.axes.seeds = 2;
-  expect_merge_bit_identical(spec, 3);
+  expect_merge_bit_identical(spec, 2);  // one cell per arm
 }
 
 TEST(CellsTest, InfectionVsDistributionMergesBitIdentical) {
@@ -124,7 +124,7 @@ TEST(CellsTest, InfectionVsDistributionMergesBitIdentical) {
   spec.axes.sizes = {64, 128};
   spec.axes.ht_divisors = {16, 8};
   spec.axes.seeds = 2;
-  expect_merge_bit_identical(spec, 4);
+  expect_merge_bit_identical(spec, 2);  // one cell per divisor
 }
 
 TEST(CellsTest, AttackEffectMergesBitIdentical) {
@@ -198,6 +198,65 @@ TEST(CellsTest, FailedCellsLeaveHolesNotInvalidTrees) {
   const htpb::json::Array& rows = root.find("rows")->as_array();
   ASSERT_EQ(rows.size(), 1U);
   EXPECT_EQ(rows[0].as_object().find("budgeter")->as_string(), "greedy");
+}
+
+TEST(CellsTest, MergeConcatenatesAnyPayloadArray) {
+  // The merge names no payload key: an array no kind writes is
+  // concatenated in cell order like any other.
+  ScenarioSpec spec =
+      small_spec("cells-ablation", ScenarioKind::kBudgeterAblation);
+  spec.workload.mix = "mix-1";
+  spec.axes.placements = {{ClusterSpec::At::kGm, 8}};
+  spec.axes.budgeters = {power::BudgeterKind::kUniform,
+                         power::BudgeterKind::kGreedy};
+  std::vector<Value> results;
+  for (const int widget : {1, 2}) {
+    htpb::json::Object cell =
+        htpb::scenario::result_envelope(spec, false, 1);
+    cell["widgets"] = Value(htpb::json::Array{Value(widget)});
+    cell["timing"] = Value(htpb::json::Object{});
+    results.emplace_back(std::move(cell));
+  }
+  const Value merged =
+      htpb::scenario::merge_cell_results(spec, false, 2, results);
+  htpb::json::Object expected =
+      htpb::scenario::result_envelope(spec, false, 2);
+  expected["widgets"] = Value(htpb::json::Array{Value(1), Value(2)});
+  EXPECT_EQ(merged, Value(std::move(expected)));
+}
+
+TEST(CellsTest, FailedCellZeroDropsItsNonArrayPayload) {
+  // A non-array payload value is cell 0's; with cell 0 failed it is
+  // absent rather than borrowed from another cell.
+  ScenarioSpec spec =
+      small_spec("cells-loop", ScenarioKind::kDefenseClosedLoop);
+  spec.workload.mix = "mix-1";
+  spec.trojan.victim_scale = 0.10;
+  spec.trojan.attacker_boost = 8.0;
+  spec.trojan.active = false;
+  spec.trojan.toggle_period_epochs = 2;
+  spec.epochs = {1, 3};
+  spec.detector = power::DetectorConfig{};
+  spec.response = power::ResponseConfig{};
+  spec.axes.placements = {{ClusterSpec::At::kGm, 8},
+                          {ClusterSpec::At::kQuarter, 8}};
+  spec.axes.responses = {power::ResponseKind::kQuarantine};
+  const auto plan = htpb::scenario::expand_cells(spec);
+  ASSERT_EQ(plan.size(), 2U);
+
+  std::vector<Value> results(plan.size());  // cell 0 failed
+  results[1] = htpb::scenario::run_scenario(plan[1].spec, RunOptions{});
+  const htpb::json::Object& cell1 = results[1].as_object();
+  ASSERT_NE(cell1.find("attacker_cores"), nullptr);
+  ASSERT_NE(cell1.find("duty_comparison"), nullptr);
+
+  const Value merged =
+      htpb::scenario::merge_cell_results(spec, false, 2, results);
+  const htpb::json::Object& root = merged.as_object();
+  ASSERT_NE(root.find("arms"), nullptr);
+  EXPECT_EQ(*root.find("arms"), *cell1.find("arms"));
+  EXPECT_EQ(root.find("attacker_cores"), nullptr);
+  EXPECT_EQ(root.find("duty_comparison"), nullptr);
 }
 
 TEST(CellsTest, MergeRejectsCellCountMismatch) {

@@ -282,6 +282,13 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   spec.system.height = 65537;
   rejects(spec, "width x height");
   spec = full_spec();
+  spec.system.width = 128;  // 8192 nodes, past kMaxNodes
+  spec.system.height = 64;
+  rejects(spec, "width x height");
+  spec = full_spec();
+  spec.system.epoch_cycles = 4'000'000'000ULL;  // ran for minutes
+  rejects(spec, "system.epoch_cycles");
+  spec = full_spec();
   spec.system.epoch_cycles = 0;  // ran with q 1.0 and no infection
   rejects(spec, "system.epoch_cycles");
   spec = full_spec();  // an epoch no longer than its collect window

@@ -163,6 +163,27 @@ TEST(ManyCoreSystem, ValidateAcceptsArbitraryShapes) {
   }
 }
 
+TEST(ManyCoreSystem, ValidateCapsNodeCountAndEpochLength) {
+  SystemConfig cfg;
+  cfg.width = 64;
+  cfg.height = 64;  // exactly kMaxNodes
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.height = 65;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // 1.6e9 nodes with an epoch past its 960200-cycle collect window: only
+  // validated, never built.
+  cfg.width = 40000;
+  cfg.height = 40000;
+  cfg.epoch_cycles = SystemConfig::kMaxEpochCycles;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  cfg = SystemConfig{};
+  cfg.epoch_cycles = SystemConfig::kMaxEpochCycles;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.epoch_cycles += 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
 // The epoch and budget rules hold for every consumer of a chip config,
 // not only for scenario specs: the chip itself refuses to build.
 TEST(ManyCoreSystem, ValidateRejectsAnEpochInsideItsCollectWindowOrABadBudget) {

@@ -206,8 +206,16 @@ TEST(HtpbRunE2e, BadSetOverridesFailLoudly) {
            Hostile{"--scenario table1 --set system.width=65536 --set "
                    "system.height=65537",
                    "width x height"},
+           // Past kMaxNodes: ran as an 8192-node chip.
+           Hostile{"--scenario table1 --set system.width=128 --set "
+                   "system.height=64 --set system.epoch_cycles=5000",
+                   "width x height"},
            Hostile{"--scenario budgeter-ablation --quick --set "
                    "system.epoch_cycles=0",
+                   "system.epoch_cycles"},
+           // Past kMaxEpochCycles: ran for minutes.
+           Hostile{"--scenario budgeter-ablation --quick --set "
+                   "system.epoch_cycles=4000000000",
                    "system.epoch_cycles"},
            Hostile{"--scenario budgeter-ablation --quick --set "
                    "system.budget_fraction=-1",

@@ -51,12 +51,12 @@
 #include <vector>
 
 #include "cli_number.hpp"
+#include "cli_scenario.hpp"
 #include "common/json.hpp"
 #include "core/fleet_scheduler.hpp"
 #include "core/parallel_sweep.hpp"
 #include "core/run_dir.hpp"
 #include "scenario/cells.hpp"
-#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
@@ -78,18 +78,6 @@ int usage(const char* argv0) {
                "           [--merged PATH] [--no-resume] [--list-cells]\n",
                argv0);
   return 2;
-}
-
-bool looks_like_path(const std::string& arg) {
-  return arg.find('/') != std::string::npos ||
-         (arg.size() > 5 && arg.compare(arg.size() - 5, 5, ".json") == 0);
-}
-
-ScenarioSpec load_scenario(const std::string& arg) {
-  if (looks_like_path(arg)) {
-    return htpb::scenario::load_spec_file(arg);
-  }
-  return htpb::scenario::scenario_or_throw(arg);
 }
 
 /// The worker binary: --htpb-run flag, else $HTPB_RUN, else htpb_run in
@@ -194,24 +182,8 @@ int main(int argc, char** argv) {
   try {
     if (scenario_arg.empty()) return usage(argv[0]);
 
-    ScenarioSpec spec = load_scenario(scenario_arg);
-    if (!sets.empty()) {
-      // Same precedence as htpb_run: quick first, --set second.
-      if (quick) spec = spec.with_quick();
-      Value spec_json = spec.to_json();
-      for (const std::string& kv : sets) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0) {
-          std::fprintf(stderr, "%s: --set expects key=value, got \"%s\"\n",
-                       argv[0], kv.c_str());
-          return 2;
-        }
-        htpb::scenario::apply_override(spec_json, kv.substr(0, eq),
-                                       kv.substr(eq + 1));
-      }
-      spec = ScenarioSpec::from_json(spec_json);
-      spec.validate();
-    }
+    const ScenarioSpec spec =
+        htpb::cli::load_cli_spec(scenario_arg, quick, sets, argv[0]);
     opts.quick = quick;
 
     const ScenarioSpec resolved = htpb::scenario::resolve(spec, opts);
@@ -274,11 +246,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    const int threads =
-        opts.threads > 0 ? opts.threads
-                         : htpb::core::ParallelSweepRunner::default_threads();
     Value merged = htpb::scenario::merge_cell_results(resolved, quick,
-                                                      threads, results);
+                                                      opts.threads, results);
 
     htpb::json::Object fleet_out;
     fleet_out["cells"] = Value(static_cast<long long>(plan.size()));

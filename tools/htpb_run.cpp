@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "cli_number.hpp"
+#include "cli_scenario.hpp"
 #include "common/fault_inject.hpp"
 #include "common/json.hpp"
 #include "core/parallel_sweep.hpp"
@@ -61,18 +62,6 @@ void print_usage(std::FILE* out, const char* argv0) {
                " [--dump-spec [out|-]]\n"
                "           [--record-trace path | --replay-trace path]\n",
                argv0, argv0);
-}
-
-bool looks_like_path(const std::string& arg) {
-  return arg.find('/') != std::string::npos ||
-         (arg.size() > 5 && arg.compare(arg.size() - 5, 5, ".json") == 0);
-}
-
-ScenarioSpec load_scenario(const std::string& arg) {
-  if (looks_like_path(arg)) {
-    return htpb::scenario::load_spec_file(arg);
-  }
-  return htpb::scenario::scenario_or_throw(arg);
 }
 
 void emit(const Value& v, const std::string& path) {
@@ -168,26 +157,9 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    ScenarioSpec spec = load_scenario(scenario_arg);
-    if (!sets.empty()) {
-      // Quick first, --set second: an explicit CLI override must win
-      // over whatever the spec's quick overlay touches.
-      if (quick) spec = spec.with_quick();
-      Value spec_json = spec.to_json();
-      for (const std::string& kv : sets) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0) {
-          std::fprintf(stderr, "%s: --set expects key=value, got \"%s\"\n",
-                       argv[0], kv.c_str());
-          return 2;
-        }
-        htpb::scenario::apply_override(spec_json, kv.substr(0, eq),
-                                       kv.substr(eq + 1));
-      }
-      spec = ScenarioSpec::from_json(spec_json);
-      spec.validate();
-    }
-    opts.quick = quick;  // after with_quick() above this is a no-op merge
+    const ScenarioSpec spec =
+        htpb::cli::load_cli_spec(scenario_arg, quick, sets, argv[0]);
+    opts.quick = quick;  // after load_cli_spec's with_quick() a no-op merge
 
     if (dump_spec) {
       emit(htpb::scenario::resolve(spec, opts).to_json(), dump_spec_path);
