@@ -147,7 +147,14 @@ ChipSide AttackCampaign::chip_side() const {
 }
 
 RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
-                                   power::RequestTrace* trace) const {
+                                   power::RequestTrace* trace,
+                                   Horizon horizon) const {
+  if (horizon == Horizon::kLastWindow && cfg_.response.has_value() &&
+      cfg_.response->kind == power::ResponseKind::kMigrate) {
+    throw std::invalid_argument(
+        "AttackCampaign::simulate: a migrate response rebuilds the chip at "
+        "an epoch boundary; it needs the full horizon");
+  }
   // The detector lives exactly as long as this run: constructed fresh
   // from the config (never shared across runs or placements) and reduced
   // to a report before the run ends. For a migrating run it spans BOTH
@@ -175,6 +182,7 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
 
   RunResult result;
   result.chip = chip_side();
+  result.horizon = horizon;
   std::vector<double> instr(apps_.size(), 0.0);
   double infection_epoch_sum = 0.0;
   int measured_total = 0;
@@ -216,10 +224,26 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
         if (triggered(cfg_.response, detector->cumulative())) break;
       }
     } else {
-      sys.run_epochs(measure_epochs);
+      sys.run_epochs(measure_epochs, horizon);
       measured = measure_epochs;
     }
 
+    // What the manager fixed at allocation: final under either horizon.
+    infection_epoch_sum +=
+        sys.measured_infection_rate() * static_cast<double>(measured);
+    measured_total += measured;
+    const auto& hist = sys.gm().history();
+    const std::size_t first =
+        hist.size() >= static_cast<std::size_t>(measured)
+            ? hist.size() - static_cast<std::size_t>(measured)
+            : 0;
+    for (std::size_t i = first; i < hist.size(); ++i) {
+      result.victim_grants.push_back(
+          static_cast<double>(hist[i].victim_granted_mw));
+    }
+    if (horizon == Horizon::kLastWindow) return measured;
+
+    // What the cores, routers and Trojans accumulate to the epoch's end.
     const double elapsed =
         static_cast<double>(measured) *
         static_cast<double>(cfg_.system.epoch_cycles);
@@ -232,22 +256,8 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
         result.phi[i] = sys.app_sensitivity(apps_[i].id);
       }
     }
-    infection_epoch_sum +=
-        sys.measured_infection_rate() * static_cast<double>(measured);
-    measured_total += measured;
     result.gm_flits +=
         sys.network().router(sys.gm_node()).stats().flits_forwarded;
-
-    const auto& hist = sys.gm().history();
-    const std::size_t first =
-        hist.size() >= static_cast<std::size_t>(measured)
-            ? hist.size() - static_cast<std::size_t>(measured)
-            : 0;
-    for (std::size_t i = first; i < hist.size(); ++i) {
-      result.victim_grants.push_back(
-          static_cast<double>(hist[i].victim_granted_mw));
-    }
-
     for (const auto& flooder : frame.flooders) {
       result.flood_packets += flooder->packets_injected();
     }
@@ -304,12 +314,14 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
         response != nullptr ? response->stats() : power::ResponseStats{};
   }
 
-  const double total_cycles =
-      static_cast<double>(measured_total) *
-      static_cast<double>(cfg_.system.epoch_cycles);
-  result.theta.resize(apps_.size());
-  for (std::size_t i = 0; i < apps_.size(); ++i) {
-    result.theta[i] = total_cycles > 0.0 ? instr[i] / total_cycles : 0.0;
+  if (horizon == Horizon::kFull) {
+    const double total_cycles =
+        static_cast<double>(measured_total) *
+        static_cast<double>(cfg_.system.epoch_cycles);
+    result.theta.resize(apps_.size());
+    for (std::size_t i = 0; i < apps_.size(); ++i) {
+      result.theta[i] = total_cycles > 0.0 ? instr[i] / total_cycles : 0.0;
+    }
   }
   result.infection = measured_total > 0
                          ? infection_epoch_sum /
@@ -328,6 +340,11 @@ RunResult AttackCampaign::simulate(std::span<const NodeId> ht_nodes,
 
 std::optional<RunResult> AttackCampaign::derive_unsanctioned(
     const RunResult& response_free) const {
+  if (response_free.horizon != Horizon::kFull) {
+    throw std::invalid_argument(
+        "AttackCampaign::derive_unsanctioned: the twin is a short "
+        "(kLastWindow) result");
+  }
   if (response_free.chip != chip_side()) {
     throw std::invalid_argument(
         "AttackCampaign::derive_unsanctioned: the twin was simulated on a "
@@ -488,6 +505,12 @@ void AttackCampaign::install_attack(
 CampaignOutcome AttackCampaign::reduce(const RunResult& attacked,
                                        const RunResult& baseline,
                                        std::span<const NodeId> ht_nodes) const {
+  if (attacked.horizon != Horizon::kFull ||
+      baseline.horizon != Horizon::kFull) {
+    throw std::invalid_argument(
+        "AttackCampaign::reduce: a short (kLastWindow) result carries no "
+        "theta, phi or Trojan totals");
+  }
   if (baseline.chip != chip_side()) {
     throw std::invalid_argument(
         "AttackCampaign::reduce: the baseline was simulated on a different "

@@ -174,10 +174,17 @@ struct ChipSide {
   friend bool operator==(const ChipSide&, const ChipSide&) = default;
 };
 
+/// How far AttackCampaign::simulate runs the final measured epoch.
+using system::Horizon;
+
 /// One simulation's raw output (AttackCampaign::simulate), before it is
 /// reduced against a baseline.
 struct RunResult {
   ChipSide chip;  ///< the chip side it was simulated on
+  /// kLastWindow marks a short result: only infection, victim_grants,
+  /// mean_victim_grant_mw, detection and response_stats are set (the
+  /// rest keep their defaults), and reduce/derive_unsanctioned reject it.
+  Horizon horizon = Horizon::kFull;
   std::vector<double> theta;  ///< per app
   std::vector<double> phi;    ///< per app
   double infection = 0.0;
@@ -218,15 +225,26 @@ class AttackCampaign {
   /// detection included, and replaying the trace through any
   /// DetectorConfig (power/request_trace.hpp) reproduces, bit for bit, the
   /// report an in-simulation detector with that config would have filed.
+  ///
+  /// `horizon` kFull runs every measured epoch to its end. kLastWindow
+  /// stops the final measured epoch on the cycle after the last
+  /// kSystemAllocate the full run would fire: the values the manager
+  /// fixes at allocation (infection, epoch history and victim grants,
+  /// detection, response stats, the trace) equal the full run's bit for
+  /// bit, and the result is marked short (RunResult::horizon). Throws
+  /// std::invalid_argument for kLastWindow under a migrate response,
+  /// which rebuilds the chip at an epoch boundary.
+  ///
   /// Const and free of shared state: one campaign may simulate from many
   /// pool threads at once.
   [[nodiscard]] RunResult simulate(std::span<const NodeId> ht_nodes,
-                                   power::RequestTrace* trace = nullptr) const;
+                                   power::RequestTrace* trace = nullptr,
+                                   Horizon horizon = Horizon::kFull) const;
 
   /// The paper's metrics for `attacked` (a simulate(ht_nodes) result),
   /// measured against `baseline` (a simulate({}) result). Throws
   /// std::invalid_argument when `baseline` was simulated on a different
-  /// chip side than this campaign's.
+  /// chip side than this campaign's, or when either result is short.
   [[nodiscard]] CampaignOutcome reduce(const RunResult& attacked,
                                        const RunResult& baseline,
                                        std::span<const NodeId> ht_nodes) const;
@@ -239,7 +257,7 @@ class AttackCampaign {
   /// follows the twin bit for bit -- the twin's result with
   /// response_stats set as simulate() sets it. nullopt when the trigger
   /// fires (the arm must be simulated). Throws std::invalid_argument
-  /// when the twin was simulated on a different chip side.
+  /// when the twin was simulated on a different chip side or is short.
   [[nodiscard]] std::optional<RunResult> derive_unsanctioned(
       const RunResult& response_free) const;
 

@@ -115,6 +115,19 @@ FleetReport FleetScheduler::run(const std::string& scenario_name,
     config_.log(line);
   };
 
+  if (config_.resume) {
+    // The same spec may be split into another cell plan (a new build's
+    // split axis): the old plan's files would never be read again.
+    std::vector<std::string> ids;
+    ids.reserve(cells.size());
+    for (const FleetCell& cell : cells) ids.push_back(cell.id);
+    const std::size_t removed = run_dir_.remove_cells_except(ids);
+    if (removed > 0) {
+      log("removed " + std::to_string(removed) +
+          " files of cells outside the plan");
+    }
+  }
+
   FleetReport report;
   report.cells.resize(cells.size());
 

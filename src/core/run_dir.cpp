@@ -5,7 +5,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "common/atomic_file.hpp"
 
@@ -141,6 +143,29 @@ void RunDir::write_status(const std::string& id,
     o["last_error"] = json::Value(status.last_error);
   }
   json::dump_file(json::Value(std::move(o)), status_path(id), 2);
+}
+
+std::size_t RunDir::remove_cells_except(
+    const std::vector<std::string>& ids) const {
+  const std::unordered_set<std::string> live(ids.begin(), ids.end());
+  std::size_t removed = 0;
+  for (const char* sub : {"cells", "results", "status"}) {
+    std::error_code ec;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(root_ + "/" + sub, ec)) {
+      const std::filesystem::path& path = entry.path();
+      if (path.extension() != ".json" ||
+          live.count(path.stem().string()) != 0) {
+        continue;
+      }
+      if (!std::filesystem::remove(path, ec) || ec) {
+        throw std::runtime_error("RunDir: cannot remove " + path.string() +
+                                 ": " + ec.message());
+      }
+      ++removed;
+    }
+  }
+  return removed;
 }
 
 void RunDir::quarantine_result(const std::string& id, int attempt) const {

@@ -71,6 +71,11 @@ class RunDir {
   [[nodiscard]] std::optional<CellStatus> load_status(const std::string& id) const;
   void write_status(const std::string& id, const CellStatus& status) const;
 
+  /// Removes the cells/, results/ and status/ files of every id not in
+  /// `ids` (a resumed run dir whose cell plan changed); returns how many
+  /// files went.
+  std::size_t remove_cells_except(const std::vector<std::string>& ids) const;
+
   /// Moves results/<id>.json to quarantine/<id>.attempt<k>.json so a
   /// corrupt artifact is preserved for inspection but can never be
   /// mistaken for a good result. Missing source is a no-op.

@@ -125,7 +125,8 @@ struct CoreSplit {
 /// for cell (seed index s, #HTs h) draw from Rng(seed + s*77 + h); the
 /// default seed 1000 reproduces the pre-registry bench bit for bit.
 /// Every arm x ht x gm x seed leg runs in one flat fan-out, each on its
-/// own campaign; the per-cell means add the legs in seed order.
+/// own campaign; the per-cell means add the legs in seed order. A leg
+/// reads infection alone, so it stops at its last collection window.
 json::Value run_infection_vs_ht_count(const ScenarioSpec& spec,
                                       const core::ParallelSweepRunner& runner) {
   struct Leg {
@@ -159,7 +160,8 @@ json::Value run_infection_vs_ht_count(const ScenarioSpec& spec,
             static_cast<std::uint64_t>(leg.hts));
     const auto nodes =
         core::random_placement(geom, leg.hts, rng, campaign.gm_node());
-    return Rates{campaign.simulate(nodes).infection,
+    return Rates{campaign.simulate(nodes, nullptr, core::Horizon::kLastWindow)
+                     .infection,
                  core::InfectionAnalyzer(geom, campaign.gm_node())
                      .predicted_rate(nodes)};
   });
@@ -200,7 +202,8 @@ json::Value run_infection_vs_ht_count(const ScenarioSpec& spec,
 
 /// Fig. 4. Random-placement cells draw from Rng(seed + s*13 + size);
 /// seed 500 reproduces the legacy bench. Every divisor x size cell's
-/// center, corner and random-seed legs run in one flat fan-out.
+/// center, corner and random-seed legs run in one flat fan-out, each
+/// stopped at its last collection window (it reads infection alone).
 json::Value run_infection_vs_distribution(
     const ScenarioSpec& spec, const core::ParallelSweepRunner& runner) {
   // Per (divisor, size) cell: leg 0 = center cluster, 1 = corner cluster,
@@ -220,13 +223,15 @@ json::Value run_infection_vs_distribution(
       const ClusterSpec cluster{
           leg == 0 ? ClusterSpec::At::kCenter : ClusterSpec::At::kCorner, hts};
       return campaign
-          .simulate(resolve_cluster(cluster, geom, campaign.gm_node()))
+          .simulate(resolve_cluster(cluster, geom, campaign.gm_node()),
+                    nullptr, core::Horizon::kLastWindow)
           .infection;
     }
     Rng rng(spec.seed + static_cast<std::uint64_t>(leg - 2) * 13 +
             static_cast<std::uint64_t>(size));
     return campaign
-        .simulate(core::random_placement(geom, hts, rng, campaign.gm_node()))
+        .simulate(core::random_placement(geom, hts, rng, campaign.gm_node()),
+                  nullptr, core::Horizon::kLastWindow)
         .infection;
   };
   const auto rates =
@@ -512,17 +517,23 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   const std::size_t cell_trace = p_count + cleans.size();
   std::vector<power::RequestTrace> traces(cell_trace + cells.size() * roc_p);
 
+  // Only runs[0..P] and the guard runs feed Q; the clean and ROC-cell
+  // sims are read through their traces alone, so they stop at the last
+  // collection window.
   struct Sim {
     const core::AttackCampaign* campaign;
     std::span<const NodeId> hts;  ///< empty: the Trojan-free baseline
     power::RequestTrace* trace;   ///< null: untraced
+    core::Horizon horizon = core::Horizon::kFull;
   };
+  constexpr core::Horizon kTraceOnly = core::Horizon::kLastWindow;
   std::vector<Sim> sims;
   sims.push_back({&detect, {}, nullptr});
   for (std::size_t p = 0; p < p_count; ++p) {
     sims.push_back({&detect, placements[p], &traces[p]});
   }
-  sims.push_back({&cleans[0], placements.front(), &traces[p_count]});
+  sims.push_back(
+      {&cleans[0], placements.front(), &traces[p_count], kTraceOnly});
   const std::size_t guard_at = sims.size();
   for (const core::AttackCampaign& guard : guards) {
     sims.push_back({&guard, {}, nullptr});
@@ -531,17 +542,19 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   const std::size_t curve_sims = sims.size();
   for (std::size_t c = 0; c < cells.size(); ++c) {
     for (std::size_t p = 0; p < roc_p; ++p) {
-      sims.push_back(
-          {&cells[c], placements[p], &traces[cell_trace + c * roc_p + p]});
+      sims.push_back({&cells[c], placements[p],
+                      &traces[cell_trace + c * roc_p + p], kTraceOnly});
     }
   }
   for (std::size_t k = 1; k < cleans.size(); ++k) {
-    sims.push_back({&cleans[k], placements.front(), &traces[p_count + k]});
+    sims.push_back(
+        {&cleans[k], placements.front(), &traces[p_count + k], kTraceOnly});
   }
 
   const double t_sim0 = now_seconds();
   const auto runs = runner.map(sims.size(), [&](std::size_t i) {
-    return sims[i].campaign->simulate(sims[i].hts, sims[i].trace);
+    return sims[i].campaign->simulate(sims[i].hts, sims[i].trace,
+                                      sims[i].horizon);
   });
   timing["simulate_seconds"] = json::Value(now_seconds() - t_sim0);
 

@@ -1,6 +1,7 @@
 #include "system/manycore_system.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -248,26 +249,56 @@ void ManyCoreSystem::tick(Cycle now) {
   for (cpu::CoreModel* core : cores_) core->tick(now);
 }
 
-void ManyCoreSystem::run_epochs(int epochs) {
-  const Cycle total = static_cast<Cycle>(epochs) * cfg_.epoch_cycles;
+std::optional<Cycle> ManyCoreSystem::last_allocate_before(Cycle end) const {
+  // Epoch k opens at first_epoch_cycle + k x epoch_cycles, and
+  // begin_epoch schedules its kSystemAllocate one collect window later.
+  const Cycle first =
+      cfg_.first_epoch_cycle + cfg_.resolved_collect_window();
+  if (end <= first) return std::nullopt;
+  const Cycle last =
+      first + (end - 1 - first) / cfg_.epoch_cycles * cfg_.epoch_cycles;
+  if (last < engine_.now()) return std::nullopt;
+  return last;
+}
+
+void ManyCoreSystem::run_epochs(int epochs, Horizon horizon) {
+  Cycle total = static_cast<Cycle>(epochs) * cfg_.epoch_cycles;
+  std::optional<Cycle> last_allocate;
+  if (horizon == Horizon::kLastWindow) {
+    last_allocate = last_allocate_before(engine_.now() + total);
+    if (last_allocate.has_value()) {
+      total = *last_allocate + 1 - engine_.now();
+    }
+  }
   if (!g_snapshot_self_test || epochs < 2) {
     engine_.run_cycles(total);
-    return;
+  } else {
+    // Armed self-test: interrupt at one near-boundary cut and one
+    // mid-epoch cut, round-tripping the whole system through its JSON
+    // snapshot each time. Bit-identity with the uninterrupted run is the
+    // property under test (tests/scenario/snapshot_roundtrip_test.cpp).
+    const Cycle cuts[] = {total / 4, total / 2 + cfg_.epoch_cycles / 2};
+    Cycle done = 0;
+    for (const Cycle cut : cuts) {
+      if (cut <= done || cut >= total) continue;
+      engine_.run_cycles(cut - done);
+      done = cut;
+      const std::string text = json::dump(save_state());
+      load_state(json::parse(text));
+    }
+    engine_.run_cycles(total - done);
   }
-  // Armed self-test: interrupt at one near-boundary cut and one mid-epoch
-  // cut, round-tripping the whole system through its JSON snapshot each
-  // time. Bit-identity with the uninterrupted run is the property under
-  // test (tests/scenario/snapshot_roundtrip_test.cpp).
-  const Cycle cuts[] = {total / 4, total / 2 + cfg_.epoch_cycles / 2};
-  Cycle done = 0;
-  for (const Cycle cut : cuts) {
-    if (cut <= done || cut >= total) continue;
-    engine_.run_cycles(cut - done);
-    done = cut;
-    const std::string text = json::dump(save_state());
-    load_state(json::parse(text));
+  // The stop came from the epoch schedule; the manager's history records
+  // where the last window really closed. A window that closes on another
+  // cycle would leave a short run's records unfinished, so refuse it.
+  if (last_allocate.has_value() &&
+      (gm_->history().empty() ||
+       gm_->history().back().allocate_cycle != *last_allocate)) {
+    throw std::logic_error(
+        "ManyCoreSystem::run_epochs: the last collection window did not "
+        "close on cycle " +
+        std::to_string(*last_allocate));
   }
-  engine_.run_cycles(total - done);
 }
 
 json::Value ManyCoreSystem::save_state() const {

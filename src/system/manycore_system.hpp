@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -74,12 +75,16 @@ class ManyCoreSystem : public sim::Tickable {
   void tick(Cycle now) override;
 
   /// Runs `epochs` budgeting epochs (the epoch driver self-schedules).
+  /// Under Horizon::kLastWindow the run stops on the cycle after the last
+  /// kSystemAllocate those epochs would fire (the whole span when none
+  /// fires), and throws std::logic_error if the manager's history does
+  /// not close its last window on exactly that cycle.
   /// When the snapshot self-test hook (set_snapshot_self_test) is armed
   /// and `epochs` >= 2, the run is interrupted at two interior cuts (one
   /// near an epoch boundary, one mid-epoch) for an in-place
   /// save -> dump -> parse -> load round trip; a correct snapshot layer
   /// makes this a no-op, which the scenario property test locks in.
-  void run_epochs(int epochs);
+  void run_epochs(int epochs, Horizon horizon = Horizon::kFull);
 
   /// Checkpointing: engine clock + pending events, the full NoC, every
   /// tile (core/L1/L2 + grant bookkeeping), the global manager and the
@@ -116,6 +121,8 @@ class ManyCoreSystem : public sim::Tickable {
   void schedule_next_epoch();
   void begin_epoch();
   void refresh_miss_rates();
+  /// The cycle of the last kSystemAllocate due in [now, end), if any.
+  [[nodiscard]] std::optional<Cycle> last_allocate_before(Cycle end) const;
 
   SystemConfig cfg_;  // snapshot-exempt: construction config, immutable
   sim::Engine engine_;

@@ -22,6 +22,15 @@ enum class GmPlacement {
   kCorner,  ///< The "global manager in one corner" arm of Fig. 3.
 };
 
+/// How far ManyCoreSystem::run_epochs runs its final epoch.
+enum class Horizon {
+  kFull,  ///< every epoch to its end
+  /// Stop on the cycle after the last kSystemAllocate the full run would
+  /// fire: every manager-side record (epoch history, detector, response
+  /// engine, request trace) is final there; the cores' counters are not.
+  kLastWindow,
+};
+
 struct SystemConfig {
   /// Node-count ceiling: 8x the paper's largest chip (512 cores) and 4x
   /// the 32x32 mesh bench_noc_hotpath runs. A chip past it costs memory

@@ -1,6 +1,6 @@
 // RunDir contract: layout creation, status round-trips, the
-// torn-status-means-rerun rule, quarantine moves, and the spec
-// fingerprint helper.
+// torn-status-means-rerun rule, quarantine moves, removal of cells
+// outside a plan, and the spec fingerprint helper.
 #include "core/run_dir.hpp"
 
 #include <gtest/gtest.h>
@@ -115,6 +115,30 @@ TEST(RunDir, QuarantineMovesTheArtifactAside) {
   // Missing source: no-op, not an error (the garbage fault may have
   // written nothing at all).
   rd.quarantine_result("c001-y", 3);
+}
+
+TEST(RunDir, RemoveCellsExceptKeepsOnlyThePlannedIds) {
+  const TempDir dir;
+  RunDir rd((dir.path() / "run").string());
+  rd.ensure_layout();
+  for (const char* id : {"c000-a", "c001-b", "c000-a-old"}) {
+    htpb::common::atomic_write_file(rd.cell_spec_path(id), "{}");
+    htpb::common::atomic_write_file(rd.result_path(id), "{}");
+    htpb::common::atomic_write_file(rd.status_path(id), "{}");
+    htpb::common::atomic_write_file(rd.stdout_path(id), "log");
+  }
+  EXPECT_EQ(rd.remove_cells_except({"c000-a", "c001-b"}), 3U);
+  for (const char* id : {"c000-a", "c001-b"}) {
+    EXPECT_TRUE(fs::exists(rd.cell_spec_path(id))) << id;
+    EXPECT_TRUE(fs::exists(rd.result_path(id))) << id;
+    EXPECT_TRUE(fs::exists(rd.status_path(id))) << id;
+  }
+  EXPECT_FALSE(fs::exists(rd.cell_spec_path("c000-a-old")));
+  EXPECT_FALSE(fs::exists(rd.result_path("c000-a-old")));
+  EXPECT_FALSE(fs::exists(rd.status_path("c000-a-old")));
+  // Logs are not plan state; they stay.
+  EXPECT_TRUE(fs::exists(rd.stdout_path("c000-a-old")));
+  EXPECT_EQ(rd.remove_cells_except({"c000-a", "c001-b"}), 0U);
 }
 
 TEST(RunDir, ManifestRoundTrips) {

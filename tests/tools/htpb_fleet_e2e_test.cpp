@@ -15,11 +15,15 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hpp"
 
@@ -260,6 +264,53 @@ TEST(HtpbFleetE2e, ResumeIgnoresTheThreadCount) {
   EXPECT_EQ(fleet.find("resumed")->as_int(), 5);
   EXPECT_EQ(fleet.find("attempts")->as_int(), 0);
   EXPECT_EQ(diff_exit(dir, single_run_json(), rd + "/merged.json"), 0);
+}
+
+// A run dir written under an older cell plan of the same spec -- fig3
+// --quick once split per HT count into 14 cells, now per arm into 2 --
+// keeps only the current plan's files once resumed.
+TEST(HtpbFleetE2e, ResumeRemovesCellsOutsideThePlan) {
+  const TempDir dir("replan");
+  const fs::path rd = dir.path() / "rd";
+  const std::string fig3 = std::string("--scenario fig3 --quick --threads 2 ") +
+                           "--htpb-run \"" + HTPB_RUN_BINARY +
+                           "\" --run-dir \"" + rd.string() + "\"";
+  ASSERT_EQ(run_cmd(dir, "", HTPB_FLEET_BINARY, fig3).exit_code, 0);
+
+  const std::string live_status = slurp(rd / "status" / "c000-n64.json");
+  const std::string live_result = slurp(rd / "results" / "c000-n64.json");
+  int index = 0;
+  for (const auto& [nodes, hts] :
+       {std::pair{64, std::vector{2, 5, 10, 15, 20, 25, 30}},
+        std::pair{512, std::vector{5, 10, 20, 30, 40, 50, 60}}}) {
+    for (const int h : hts) {
+      char id[32];
+      std::snprintf(id, sizeof(id), "c%03d-n%d-ht%d", index++, nodes, h);
+      const std::string file = std::string(id) + ".json";
+      std::ofstream(rd / "cells" / file) << "{}\n";
+      std::ofstream(rd / "results" / file) << live_result;
+      std::ofstream(rd / "status" / file) << live_status;
+    }
+  }
+
+  const RunResult r = run_cmd(dir, "", HTPB_FLEET_BINARY, fig3);
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.err.find("removed 42 files"), std::string::npos) << r.err;
+  const htpb::json::Value merged =
+      htpb::json::parse(slurp(rd / "merged.json"));
+  const htpb::json::Object& fleet = fleet_section(merged)->as_object();
+  EXPECT_EQ(fleet.find("resumed")->as_int(), 2);
+  EXPECT_EQ(fleet.find("attempts")->as_int(), 0);
+  for (const char* sub : {"cells", "results", "status"}) {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(rd / sub)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names,
+              (std::vector<std::string>{"c000-n64.json", "c001-n512.json"}))
+        << sub;
+  }
 }
 
 TEST(HtpbFleetE2e, ListCellsPrintsThePlan) {

@@ -5,15 +5,13 @@
 // mapping, or file-emission regressions; this one does.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "common/json.hpp"
+#include "common/subprocess.hpp"
 
 #ifndef HTPB_RUN_BINARY
 #error "HTPB_RUN_BINARY must be defined to the htpb_run executable path"
@@ -48,20 +46,39 @@ class TempDir {
 };
 
 struct RunResult {
-  int exit_code = -1;
+  int exit_code = -1;  ///< -1 when the run was killed or crashed
+  bool timed_out = false;
   std::string out;
   std::string err;
 };
 
-RunResult run_tool(const TempDir& dir, const std::string& args) {
+/// Every run has a wall-clock limit, so a regressed validation rule whose
+/// hostile value simulates fails its row instead of hanging the suite.
+/// A row that only reaches validation or usage exits in milliseconds; the
+/// ctest TIMEOUT (tests/CMakeLists.txt) leaves room for one limit to fire.
+constexpr double kRowLimitSeconds = 5.0;
+/// A row that simulates: ~0.3 s in a Release build, far more under the
+/// sanitizers.
+constexpr double kSimulationLimitSeconds = 300.0;
+
+RunResult run_tool(const TempDir& dir, const std::string& args,
+                   double limit_seconds = kRowLimitSeconds) {
   const fs::path out = dir.path() / "stdout.txt";
   const fs::path err = dir.path() / "stderr.txt";
-  const std::string cmd = std::string("\"") + HTPB_RUN_BINARY + "\" " +
-                          args + " > \"" + out.string() + "\" 2> \"" +
-                          err.string() + "\"";
-  const int status = std::system(cmd.c_str());
+  htpb::common::SubprocessOptions opts;
+  opts.stdout_path = out.string();
+  opts.stderr_path = err.string();
+  opts.timeout_seconds = limit_seconds;
+  opts.term_grace_seconds = 1.0;
+  // The shell only unquotes `args`; exec hands its process to htpb_run,
+  // so the limit's SIGTERM/SIGKILL reach the driver itself.
+  const std::string cmd =
+      std::string("exec \"") + HTPB_RUN_BINARY + "\" " + args;
+  const htpb::common::SubprocessResult sub =
+      htpb::common::run_subprocess({"/bin/sh", "-c", cmd}, opts);
   RunResult r;
-  if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
+  r.timed_out = sub.timed_out;
+  if (!sub.timed_out && !sub.signaled) r.exit_code = sub.exit_code;
   r.out = slurp(out);
   r.err = slurp(err);
   return r;
@@ -71,8 +88,10 @@ TEST(HtpbRunE2e, ClosedLoopQuickRunEmitsTradeoffCurves) {
   const TempDir dir;
   const fs::path json_out = dir.path() / "closed_loop.json";
   const RunResult r = run_tool(
-      dir, "--scenario defense-closed-loop --quick --threads 2 --json \"" +
-               json_out.string() + "\"");
+      dir,
+      "--scenario defense-closed-loop --quick --threads 2 --json \"" +
+          json_out.string() + "\"",
+      kSimulationLimitSeconds);
   ASSERT_EQ(r.exit_code, 0) << r.err;
   ASSERT_TRUE(fs::exists(json_out)) << r.err;
 
@@ -254,6 +273,8 @@ TEST(HtpbRunE2e, BadSetOverridesFailLoudly) {
                    "axes.flood_rate"},
        }) {
     const RunResult r = run_tool(dir, h.args);
+    EXPECT_FALSE(r.timed_out) << h.args << " ran past " << kRowLimitSeconds
+                              << " s: its value reached the simulator";
     EXPECT_EQ(r.exit_code, 1) << h.args << r.err;
     EXPECT_NE(r.err.find(h.field), std::string::npos) << h.args << r.err;
     EXPECT_EQ(r.out, "") << h.args;

@@ -12,8 +12,9 @@
 //
 // The run directory is resumable: re-invoking the same command after a
 // crash or kill skips cells whose status files say done (and whose
-// artifacts still parse), re-running only the rest. A run dir holding a
-// DIFFERENT spec (by fingerprint) is refused.
+// artifacts still parse), re-running only the rest, and removes the
+// cells/, results/ and status/ files of ids outside the current plan. A
+// run dir holding a DIFFERENT spec (by fingerprint) is refused.
 //
 // Options:
 //   --scenario <arg>      registry name or ScenarioSpec JSON file
