@@ -3,104 +3,23 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "power/budgeter.hpp"
+#include "scenario/kinds.hpp"
 #include "scenario/runner.hpp"
 
 namespace htpb::scenario {
 
-namespace {
-
-[[nodiscard]] std::string cell_id(std::size_t index, const std::string& slug) {
-  char prefix[16];
-  std::snprintf(prefix, sizeof(prefix), "c%03zu", index);
-  return std::string(prefix) + "-" + slug;
-}
-
-/// A cell spec is the resolved spec with one slice selected and the quick
-/// overlay stripped: with_quick already ran, and a worker re-applying it
-/// would double the trim.
-[[nodiscard]] ScenarioSpec cell_base(const ScenarioSpec& resolved) {
-  ScenarioSpec cell = resolved;
-  cell.quick = json::Value();
-  return cell;
-}
-
-}  // namespace
-
 std::vector<CellPlan> expand_cells(const ScenarioSpec& resolved) {
-  std::vector<CellPlan> cells;
-  const auto add = [&](const std::string& slug, ScenarioSpec spec) {
-    spec.validate();
-    cells.push_back(CellPlan{cell_id(cells.size(), slug), std::move(spec)});
-  };
-
-  switch (resolved.kind) {
-    case ScenarioKind::kInfectionVsHtCount:
-      for (const InfectionArm& arm : resolved.axes.arms) {
-        ScenarioSpec cell = cell_base(resolved);
-        cell.axes.arms = {arm};
-        std::string slug = "n";
-        slug += std::to_string(arm.nodes);
-        add(slug, std::move(cell));
-      }
-      break;
-
-    case ScenarioKind::kInfectionVsDistribution:
-      for (const int divisor : resolved.axes.ht_divisors) {
-        ScenarioSpec cell = cell_base(resolved);
-        cell.axes.ht_divisors = {divisor};
-        std::string slug = "d";
-        slug += std::to_string(divisor);
-        add(slug, std::move(cell));
-      }
-      break;
-
-    case ScenarioKind::kAttackEffect:
-    case ScenarioKind::kDefenseEvaluation:
-      for (const std::string& mix : resolved.workload.mixes) {
-        ScenarioSpec cell = cell_base(resolved);
-        cell.workload.mixes = {mix};
-        add(mix, std::move(cell));
-      }
-      break;
-
-    case ScenarioKind::kPlacementStudy:
-      // The runner keys each mix's stream as Rng(seed + mix_index). A
-      // cell sees its mix at local index 0, so rebasing the cell's seed
-      // by the global index reproduces the stream exactly. system.seed
-      // (the workload streams) is deliberately left alone.
-      for (std::size_t mix_i = 0; mix_i < resolved.workload.mixes.size();
-           ++mix_i) {
-        ScenarioSpec cell = cell_base(resolved);
-        cell.workload.mixes = {resolved.workload.mixes[mix_i]};
-        cell.seed = resolved.seed + mix_i;
-        add(resolved.workload.mixes[mix_i], std::move(cell));
-      }
-      break;
-
-    case ScenarioKind::kBudgeterAblation:
-      for (const power::BudgeterKind kind : resolved.axes.budgeters) {
-        ScenarioSpec cell = cell_base(resolved);
-        cell.axes.budgeters = {kind};
-        add(power::to_string(kind), std::move(cell));
-      }
-      break;
-
-    case ScenarioKind::kDefenseClosedLoop:
-      for (const ClusterSpec& placement : resolved.axes.placements) {
-        ScenarioSpec cell = cell_base(resolved);
-        cell.axes.placements = {placement};
-        add(to_string(placement.at), std::move(cell));
-      }
-      break;
-
-    case ScenarioKind::kDefenseSweep:
-    case ScenarioKind::kAttackComparison:
-    case ScenarioKind::kConfigReport:
-    case ScenarioKind::kBenchmarkReport:
-    case ScenarioKind::kAreaPowerReport:
-      add("all", cell_base(resolved));
-      break;
+  // A cell carries no quick overlay: with_quick already ran, and a worker
+  // re-applying it would double the trim.
+  ScenarioSpec base = resolved;
+  base.quick = json::Value();
+  std::vector<CellPlan> cells = kind_row(resolved.kind).split(base);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i].spec.validate();
+    // The slug behind the index: ids are unique and sort in cell order.
+    char prefix[24];
+    std::snprintf(prefix, sizeof(prefix), "c%03zu-", i);
+    cells[i].id.insert(0, prefix);
   }
   return cells;
 }

@@ -17,6 +17,7 @@
 #include "core/parallel_sweep.hpp"
 #include "core/placement.hpp"
 #include "noc/network.hpp"
+#include "scenario/kinds.hpp"
 #include "sim/engine.hpp"
 #include "workload/application.hpp"
 #include "workload/benchmark_profile.hpp"
@@ -24,6 +25,8 @@
 namespace htpb::scenario {
 
 namespace {
+
+using Runner = core::ParallelSweepRunner;
 
 [[nodiscard]] double now_seconds() {
   using clock = std::chrono::steady_clock;
@@ -119,7 +122,61 @@ struct CoreSplit {
   return json::Value(std::move(apps));
 }
 
+/// The axis `values`, spec key `key`, holds at least one value.
+template <class T>
+void require_some(const ScenarioSpec& spec, const std::vector<T>& values,
+                  const std::string& key) {
+  if (values.empty()) invalid(spec.name, key + " must not be empty");
+}
+
+void require_placements(const ScenarioSpec& spec) {
+  require_some(spec, spec.axes.placements, "axes.placements");
+  for (const ClusterSpec& c : spec.axes.placements) {
+    if (c.hts < 1) invalid(spec.name, "axes.placements hts must be >= 1");
+  }
+}
+
+/// For kinds that attack one cluster: a second one would be ignored.
+void require_one_placement(const ScenarioSpec& spec) {
+  require_placements(spec);
+  if (spec.axes.placements.size() != 1) {
+    invalid(spec.name, "axes.placements must hold exactly one cluster");
+  }
+}
+
+/// The fleet split that slices the vector `axis` of the spec's `section`:
+/// a cell per element, holding that element alone, its id slug(element).
+template <auto section, auto axis, auto slug>
+std::vector<CellPlan> slice(const ScenarioSpec& base) {
+  std::vector<CellPlan> cells;
+  for (const auto& element : (base.*section).*axis) {
+    cells.push_back({slug(element), base});
+    (cells.back().spec.*section).*axis = {element};
+  }
+  return cells;
+}
+
+/// A cell per mix, named by the mix.
+constexpr auto slice_mixes =
+    &slice<&ScenarioSpec::workload, &WorkloadSpec::mixes,
+           [](const std::string& mix) { return mix; }>;
+
+/// The split of the kinds that run whole: one cell, the spec itself.
+std::vector<CellPlan> one_cell(const ScenarioSpec& base) {
+  return {CellPlan{"all", base}};
+}
+
 // ------------------------------------------------------------ per kind
+
+void validate_infection_vs_ht_count(const ScenarioSpec& spec) {
+  require_some(spec, spec.axes.arms, "axes.arms");
+  for (const InfectionArm& arm : spec.axes.arms) {
+    (void)mesh_for_size(arm.nodes);
+    require_some(spec, arm.ht_counts, "axes.arms ht_counts");
+  }
+  require_some(spec, spec.axes.gm_placements, "axes.gm_placements");
+  if (spec.axes.seeds < 1) invalid(spec.name, "axes.seeds must be >= 1");
+}
 
 /// Fig. 3. Stochastic contract (= the legacy bench): random placements
 /// for cell (seed index s, #HTs h) draw from Rng(seed + s*77 + h); the
@@ -127,8 +184,8 @@ struct CoreSplit {
 /// Every arm x ht x gm x seed leg runs in one flat fan-out, each on its
 /// own campaign; the per-cell means add the legs in seed order. A leg
 /// reads infection alone, so it stops at its last collection window.
-json::Value run_infection_vs_ht_count(const ScenarioSpec& spec,
-                                      const core::ParallelSweepRunner& runner) {
+json::Value run_infection_vs_ht_count(
+    const ScenarioSpec& spec, const Runner& runner, json::Object&) {
   struct Leg {
     int nodes;
     int hts;
@@ -200,12 +257,22 @@ json::Value run_infection_vs_ht_count(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
+void validate_infection_vs_distribution(const ScenarioSpec& spec) {
+  require_some(spec, spec.axes.sizes, "axes.sizes");
+  for (const int size : spec.axes.sizes) (void)mesh_for_size(size);
+  require_some(spec, spec.axes.ht_divisors, "axes.ht_divisors");
+  for (const int d : spec.axes.ht_divisors) {
+    if (d < 1) invalid(spec.name, "axes.ht_divisors must be >= 1");
+  }
+  if (spec.axes.seeds < 1) invalid(spec.name, "axes.seeds must be >= 1");
+}
+
 /// Fig. 4. Random-placement cells draw from Rng(seed + s*13 + size);
 /// seed 500 reproduces the legacy bench. Every divisor x size cell's
 /// center, corner and random-seed legs run in one flat fan-out, each
 /// stopped at its last collection window (it reads infection alone).
 json::Value run_infection_vs_distribution(
-    const ScenarioSpec& spec, const core::ParallelSweepRunner& runner) {
+    const ScenarioSpec& spec, const Runner& runner, json::Object&) {
   // Per (divisor, size) cell: leg 0 = center cluster, 1 = corner cluster,
   // 2 + s = random placement s.
   const std::size_t per_cell = 2 + static_cast<std::size_t>(spec.axes.seeds);
@@ -267,13 +334,23 @@ json::Value run_infection_vs_distribution(
   return json::Value(std::move(payload));
 }
 
+void validate_attack_effect(const ScenarioSpec& spec) {
+  check_mixes(spec.name, spec.workload.mixes);
+  require_some(spec, spec.axes.infection_targets, "axes.infection_targets");
+  for (const double t : spec.axes.infection_targets) {
+    if (t <= 0.0 || t > 1.0) {
+      invalid(spec.name, "axes.infection_targets must be in (0, 1]");
+    }
+  }
+}
+
 /// Figs. 5 and 6 share one sweep: per mix, greedy target-coverage
 /// placements off one serial Rng(seed) stream (legacy constant: 42).
 /// Every mix's baseline and every mix x target leg run in one flat
 /// fan-out. The result carries both the Q reduction (Fig. 5) and the
 /// per-app Theta detail (Fig. 6).
-json::Value run_attack_sweep(const ScenarioSpec& spec,
-                             const core::ParallelSweepRunner& runner) {
+json::Value run_attack_sweep(const ScenarioSpec& spec, const Runner& runner,
+                             json::Object&) {
   const std::vector<std::string>& mixes = spec.workload.mixes;
   const std::vector<double>& targets = spec.axes.infection_targets;
   const MeshGeometry geom(spec.system.width, spec.system.height);
@@ -325,11 +402,36 @@ json::Value run_attack_sweep(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
+void validate_placement_study(const ScenarioSpec& spec) {
+  const std::string& name = spec.name;
+  const AxesSpec& axes = spec.axes;
+  check_mixes(name, spec.workload.mixes);
+  if (axes.train_samples < 2) {
+    invalid(name, "axes.train_samples must be >= 2 (model fit)");
+  }
+  if (axes.random_trials < 1) invalid(name, "axes.random_trials must be >= 1");
+  if (axes.shortlist < 1 || axes.candidates_per_m < axes.shortlist) {
+    invalid(name, "need candidates_per_m >= shortlist >= 1");
+  }
+}
+
+/// A cell per mix. The run keys each mix's stream as Rng(seed + mix
+/// index). A cell sees its mix at local index 0, so rebasing the cell's
+/// seed by the global index reproduces the stream exactly. system.seed
+/// (the workload streams) is deliberately left alone.
+std::vector<CellPlan> split_placement_study(const ScenarioSpec& base) {
+  std::vector<CellPlan> cells = slice_mixes(base);
+  for (std::size_t mix_i = 0; mix_i < cells.size(); ++mix_i) {
+    cells[mix_i].spec.seed = base.seed + mix_i;
+  }
+  return cells;
+}
+
 /// Sec. V-C. Per-mix stream: Rng(seed + mix index); inside it the legacy
 /// draw order is preserved exactly (train placements, then the
 /// optimizer's stream seed, then the random-trial placements).
-json::Value run_placement_study(const ScenarioSpec& spec,
-                                const core::ParallelSweepRunner& runner) {
+json::Value run_placement_study(const ScenarioSpec& spec, const Runner& runner,
+                                json::Object&) {
   json::Array mixes_out;
   for (std::size_t mix_i = 0; mix_i < spec.workload.mixes.size(); ++mix_i) {
     const core::AttackCampaign campaign(
@@ -430,6 +532,33 @@ json::Value run_placement_study(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
+void validate_defense_sweep(const ScenarioSpec& spec) {
+  const AxesSpec& axes = spec.axes;
+  require_some(spec, axes.bands, "axes.bands");
+  require_placements(spec);
+  if (spec.response.has_value()) {
+    invalid(spec.name,
+            "response is not read by defense_sweep (its detectors only "
+            "replay traces; responses live in defense_closed_loop)");
+  }
+  if (axes.roc.placements < 0) {
+    invalid(spec.name, "axes.roc.placements must be >= 0");
+  }
+  if (!axes.roc.enabled()) return;
+  if (axes.roc.placements > static_cast<int>(axes.placements.size())) {
+    invalid(spec.name, "axes.roc.placements exceeds axes.placements");
+  }
+  // Each factor is the victim scale of a ROC cell's Trojan.
+  for (const double f : axes.roc.factors) {
+    core::TrojanConfig t = campaign_config(spec, "").trojan;
+    t.victim_scale = f;
+    check_key(spec, "axes.roc.factors: ", [&] { t.validate(); });
+  }
+  for (const int p : axes.roc.periods) {
+    if (p < 0) invalid(spec.name, "axes.roc.periods must be >= 0");
+  }
+}
+
 /// Defense ROC (an extension of Sec. VI): a curve of trust-band
 /// operating points x placements, plus the dense stealthy-Trojan grid
 /// (duty-cycle period x modification factor x band x detector kind).
@@ -451,8 +580,7 @@ json::Value run_placement_study(const ScenarioSpec& spec,
 ///     timing when the ROC axis holds a period 0.
 /// curve.simulations = 1 + P + 1 + D x (1 + P); roc.simulations = R x C
 /// (+1 with a period 0).
-json::Value run_defense_sweep(const ScenarioSpec& spec,
-                              const core::ParallelSweepRunner& runner,
+json::Value run_defense_sweep(const ScenarioSpec& spec, const Runner& runner,
                               json::Object& timing) {
   core::CampaignConfig base = campaign_config(spec, spec.workload.mix);
   base.detector.reset();
@@ -714,13 +842,21 @@ json::Value run_defense_sweep(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
+void validate_defense_evaluation(const ScenarioSpec& spec) {
+  check_mixes(spec.name, spec.workload.mixes);
+  require_one_placement(spec);
+  if (spec.axes.detection_measure_epochs < 1) {
+    invalid(spec.name, "axes.detection_measure_epochs must be >= 1");
+  }
+}
+
 /// Detection & mitigation arms per mix (the defense-evaluation scenario).
 /// The detection/clean arms use the spec's trojan schedule (mid-run
 /// activation) and axes.detection_measure_epochs; the damage arms pin
 /// the Trojan always-on so plain and guarded Q are directly comparable.
 /// Every mix's simulations run in one fan-out.
-json::Value run_defense_evaluation(const ScenarioSpec& spec,
-                                   const core::ParallelSweepRunner& runner) {
+json::Value run_defense_evaluation(
+    const ScenarioSpec& spec, const Runner& runner, json::Object&) {
   // Per mix, four arms on campaigns of their own: detect, plain, clean,
   // guarded (arms[4 * mix + arm]), all attacking the one axes.placements
   // cluster.
@@ -806,13 +942,40 @@ json::Value run_defense_evaluation(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
+void validate_attack_comparison(const ScenarioSpec& spec) {
+  const AxesSpec& axes = spec.axes;
+  if (spec.workload.mix.empty()) invalid(spec.name, "workload.mix must be set");
+  require_some(spec, axes.flood_sources, "axes.flood_sources");
+  const auto node_count =
+      static_cast<NodeId>(spec.system.width * spec.system.height);
+  for (const NodeId src : axes.flood_sources) {
+    if (src >= node_count) {
+      invalid(spec.name, "axes.flood_sources outside the mesh");
+    }
+  }
+  // The flooding arm's campaign, as the run builds it.
+  core::CampaignConfig flood = campaign_config(spec, "");
+  flood.detector.reset();
+  flood.response.reset();
+  flood.flooding = core::FloodingConfig{axes.flood_rate, spec.seed};
+  check_key(spec, "", [&] { flood.validate(); });
+  require_some(spec, axes.toggle_periods, "axes.toggle_periods");
+  for (const int p : axes.toggle_periods) {
+    if (p < 0) invalid(spec.name, "axes.toggle_periods must be >= 0");
+  }
+  if (axes.duty_warmup_epochs < 0 || axes.duty_measure_epochs < 1) {
+    invalid(spec.name, "duty epochs need warmup >= 0 and measure >= 1");
+  }
+  require_one_placement(spec);
+}
+
 /// False-data vs flooding on damage and detectability, plus the
 /// duty-cycle stealth/damage dial. The clean reference is the false-data
 /// baseline. Flooder i at source node `src` draws from Rng(seed + src) --
 /// the legacy constant 7 reproduces the bench. Every simulation runs in
 /// one fan-out.
-json::Value run_attack_comparison(const ScenarioSpec& spec,
-                                  const core::ParallelSweepRunner& runner) {
+json::Value run_attack_comparison(
+    const ScenarioSpec& spec, const Runner& runner, json::Object&) {
   // The paper's false-data attack, and the flooding DoS against the
   // manager on the same chip with no defense.
   const core::AttackCampaign campaign(
@@ -876,10 +1039,16 @@ json::Value run_attack_comparison(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
+void validate_budgeter_ablation(const ScenarioSpec& spec) {
+  if (spec.workload.mix.empty()) invalid(spec.name, "workload.mix must be set");
+  require_some(spec, spec.axes.budgeters, "axes.budgeters");
+  require_one_placement(spec);
+}
+
 /// The same mix-1 attack under every implemented allocation policy. Each
 /// policy's baseline and attacked run go in one fan-out.
-json::Value run_budgeter_ablation(const ScenarioSpec& spec,
-                                  const core::ParallelSweepRunner& runner) {
+json::Value run_budgeter_ablation(
+    const ScenarioSpec& spec, const Runner& runner, json::Object&) {
   std::vector<core::AttackCampaign> campaigns;
   for (const power::BudgeterKind kind : spec.axes.budgeters) {
     ScenarioSpec arm = spec;
@@ -920,6 +1089,24 @@ json::Value run_budgeter_ablation(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
+void validate_defense_closed_loop(const ScenarioSpec& spec) {
+  require_placements(spec);
+  if (!spec.detector.has_value()) {
+    invalid(spec.name, "detector must be set (responses need verdicts)");
+  }
+  if (!spec.response.has_value()) {
+    invalid(spec.name,
+            "response must be set (trigger / sanction parameters; "
+            "axes.responses supplies the policy axis)");
+  }
+  require_some(spec, spec.axes.responses, "axes.responses");
+  if (spec.trojan.toggle_period_epochs < 1) {
+    invalid(spec.name,
+            "trojan.toggle_period_epochs must be >= 1 (the static "
+            "duty-cycled arm)");
+  }
+}
+
 /// Closed-loop defense tradeoff grid: placements x {static, adaptive}
 /// Trojan x {none + axes.responses} response policy, each arm on a
 /// campaign built from its own config. All arms share one chip side and
@@ -930,8 +1117,8 @@ json::Value run_budgeter_ablation(const ScenarioSpec& spec,
 /// static and adaptive arms are tuned to equal mean duty cycle
 /// (toggle_period_epochs vs max_on/hold_off), so the duty_comparison
 /// block isolates what grant-feedback adaptation buys the attacker.
-json::Value run_defense_closed_loop(const ScenarioSpec& spec,
-                                    const core::ParallelSweepRunner& runner) {
+json::Value run_defense_closed_loop(
+    const ScenarioSpec& spec, const Runner& runner, json::Object&) {
   struct Arm {
     std::size_t placement = 0;
     bool adaptive = false;
@@ -1081,7 +1268,8 @@ json::Value run_defense_closed_loop(const ScenarioSpec& spec,
 
 /// Table I: the implemented configuration plus a zero-load latency check
 /// of the NoC timing parameters on the wire.
-json::Value run_config_report(const ScenarioSpec& spec) {
+json::Value run_config_report(const ScenarioSpec& spec, const Runner&,
+                              json::Object&) {
   const system::SystemConfig cfg = spec.system.to_system_config();
   json::Object params;
   params["nodes"] = json::Value(cfg.node_count());
@@ -1129,8 +1317,8 @@ json::Value run_config_report(const ScenarioSpec& spec) {
 
 /// Tables II-III: the benchmark roster and mixes, plus each benchmark's
 /// measured power sensitivity Phi (Def. 5) on a quiet chip.
-json::Value run_benchmark_report(const ScenarioSpec& spec,
-                                 const core::ParallelSweepRunner& runner) {
+json::Value run_benchmark_report(const ScenarioSpec& spec, const Runner& runner,
+                                 json::Object&) {
   json::Array roster;
   for (const auto& b : workload::benchmark_table()) {
     json::Object row;
@@ -1189,8 +1377,13 @@ json::Value run_benchmark_report(const ScenarioSpec& spec,
   return json::Value(std::move(payload));
 }
 
+void validate_area_power_report(const ScenarioSpec& spec) {
+  require_some(spec, spec.axes.ht_counts, "axes.ht_counts");
+}
+
 /// Sec. III-D: every derived stealth number from the synthesis constants.
-json::Value run_area_power_report(const ScenarioSpec& spec) {
+json::Value run_area_power_report(const ScenarioSpec& spec, const Runner&,
+                                  json::Object&) {
   const int nodes = spec.system.width * spec.system.height;
   const core::HtAreaPowerModel m;
   json::Object model;
@@ -1222,7 +1415,75 @@ json::Value run_area_power_report(const ScenarioSpec& spec) {
   return json::Value(std::move(payload));
 }
 
+// ---------------------------------------------------------- kind table
+
+// One row per ScenarioKind, in enum order (kinds.hpp). Each row's comment
+// is its fleet split under cells.hpp's rule: what a cell holds, the
+// payload array the cells slice, and the RNG stream of each leg. Inside a
+// cell the worker's pool still fans the legs out.
+constexpr KindRow kKinds[] = {
+    // A cell per arm; slices "arms"; Rng(seed + s*77 + ht).
+    {ScenarioKind::kInfectionVsHtCount, "infection_vs_ht_count",
+     validate_infection_vs_ht_count, run_infection_vs_ht_count,
+     slice<&ScenarioSpec::axes, &AxesSpec::arms, [](const InfectionArm& a) {
+       return 'n' + std::to_string(a.nodes);
+     }>},
+    // A cell per divisor; slices "divisors"; Rng(seed + s*13 + size).
+    {ScenarioKind::kInfectionVsDistribution, "infection_vs_distribution",
+     validate_infection_vs_distribution, run_infection_vs_distribution,
+     slice<&ScenarioSpec::axes, &AxesSpec::ht_divisors,
+           [](int divisor) { return 'd' + std::to_string(divisor); }>},
+    // A cell per mix; slices "mixes"; each a serial Rng(seed).
+    {ScenarioKind::kAttackEffect, "attack_effect", validate_attack_effect,
+     run_attack_sweep, slice_mixes},
+    // A cell per mix, its seed rebased; slices "mixes"; Rng(seed + mix_i).
+    {ScenarioKind::kPlacementStudy, "placement_study", validate_placement_study,
+     run_placement_study, split_placement_study},
+    // One cell: one recorded trace per placement is replayed per detector,
+    // and the simulation counts describe the whole run.
+    {ScenarioKind::kDefenseSweep, "defense_sweep", validate_defense_sweep,
+     run_defense_sweep, one_cell},
+    // A cell per mix; slices "rows".
+    {ScenarioKind::kDefenseEvaluation, "defense_evaluation",
+     validate_defense_evaluation, run_defense_evaluation, slice_mixes},
+    // One cell: its arms are named keys, not an array.
+    {ScenarioKind::kAttackComparison, "attack_comparison",
+     validate_attack_comparison, run_attack_comparison, one_cell},
+    // A cell per budgeter; slices "rows".
+    {ScenarioKind::kBudgeterAblation, "budgeter_ablation",
+     validate_budgeter_ablation, run_budgeter_ablation,
+     slice<&ScenarioSpec::axes, &AxesSpec::budgeters,
+           [](power::BudgeterKind kind) { return power::to_string(kind); }>},
+    // The reports are cheap: one cell each.
+    {ScenarioKind::kConfigReport, "config_report", [](const ScenarioSpec&) {},
+     run_config_report, one_cell},
+    {ScenarioKind::kBenchmarkReport, "benchmark_report",
+     [](const ScenarioSpec&) {}, run_benchmark_report, one_cell},
+    {ScenarioKind::kAreaPowerReport, "area_power_report",
+     validate_area_power_report, run_area_power_report, one_cell},
+    // A cell per placement; slices "arms". attacker_cores is the same in
+    // every cell and duty_comparison is defined on the first placement,
+    // so the merge takes both from cell 0.
+    {ScenarioKind::kDefenseClosedLoop, "defense_closed_loop",
+     validate_defense_closed_loop, run_defense_closed_loop,
+     slice<&ScenarioSpec::axes, &AxesSpec::placements,
+           [](const ClusterSpec& cluster) { return to_string(cluster.at); }>},
+};
+constexpr bool kRowsFollowTheEnum = [] {
+  std::size_t i = 0;
+  for (const KindRow& row : kKinds) {
+    if (row.kind != static_cast<ScenarioKind>(i++)) return false;
+  }
+  return i == static_cast<std::size_t>(ScenarioKind::kCount);
+}();
+static_assert(kRowsFollowTheEnum, "one row per ScenarioKind, in enum order");
+
 }  // namespace
+
+const KindRow& kind_row(ScenarioKind kind) {
+  if (kind >= ScenarioKind::kCount) throw std::invalid_argument("no such kind");
+  return kKinds[static_cast<std::size_t>(kind)];
+}
 
 ScenarioSpec resolve(const ScenarioSpec& spec, const RunOptions& opts) {
   ScenarioSpec resolved = opts.quick ? spec.with_quick() : spec;
@@ -1248,50 +1509,12 @@ json::Object result_envelope(const ScenarioSpec& resolved, bool quick,
 
 json::Value run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   const ScenarioSpec s = resolve(spec, opts);
-  const core::ParallelSweepRunner runner(opts.threads);
+  const Runner runner(opts.threads);
   json::Object envelope = result_envelope(s, opts.quick, runner.threads());
 
   json::Object timing;
   const double t0 = now_seconds();
-  json::Value payload;
-  switch (s.kind) {
-    case ScenarioKind::kInfectionVsHtCount:
-      payload = run_infection_vs_ht_count(s, runner);
-      break;
-    case ScenarioKind::kInfectionVsDistribution:
-      payload = run_infection_vs_distribution(s, runner);
-      break;
-    case ScenarioKind::kAttackEffect:
-      payload = run_attack_sweep(s, runner);
-      break;
-    case ScenarioKind::kPlacementStudy:
-      payload = run_placement_study(s, runner);
-      break;
-    case ScenarioKind::kDefenseSweep:
-      payload = run_defense_sweep(s, runner, timing);
-      break;
-    case ScenarioKind::kDefenseEvaluation:
-      payload = run_defense_evaluation(s, runner);
-      break;
-    case ScenarioKind::kAttackComparison:
-      payload = run_attack_comparison(s, runner);
-      break;
-    case ScenarioKind::kBudgeterAblation:
-      payload = run_budgeter_ablation(s, runner);
-      break;
-    case ScenarioKind::kConfigReport:
-      payload = run_config_report(s);
-      break;
-    case ScenarioKind::kBenchmarkReport:
-      payload = run_benchmark_report(s, runner);
-      break;
-    case ScenarioKind::kAreaPowerReport:
-      payload = run_area_power_report(s);
-      break;
-    case ScenarioKind::kDefenseClosedLoop:
-      payload = run_defense_closed_loop(s, runner);
-      break;
-  }
+  json::Value payload = kind_row(s.kind).run(s, runner, timing);
   timing["seconds"] = json::Value(now_seconds() - t0);
 
   for (auto& [key, value] : payload.as_object()) {
@@ -1314,8 +1537,9 @@ power::RequestTrace record_scenario_trace(const ScenarioSpec& spec,
   const ClusterSpec cluster =
       s.axes.placements.empty() ? ClusterSpec{} : s.axes.placements.front();
   const auto placement = resolve_cluster(cluster, geom, campaign.gm_node());
+  // The trace is complete when the last collection window closes.
   power::RequestTrace trace;
-  (void)campaign.simulate(placement, &trace);
+  (void)campaign.simulate(placement, &trace, core::Horizon::kLastWindow);
   return trace;
 }
 

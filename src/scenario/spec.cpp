@@ -4,6 +4,7 @@
 #include <string_view>
 #include <utility>
 
+#include "scenario/kinds.hpp"
 #include "scenario/spec_codec.hpp"
 #include "workload/application.hpp"
 
@@ -12,22 +13,7 @@ namespace htpb::scenario {
 // ------------------------------------------------------------ enum names
 
 const char* to_string(ScenarioKind kind) noexcept {
-  switch (kind) {
-    case ScenarioKind::kInfectionVsHtCount: return "infection_vs_ht_count";
-    case ScenarioKind::kInfectionVsDistribution:
-      return "infection_vs_distribution";
-    case ScenarioKind::kAttackEffect: return "attack_effect";
-    case ScenarioKind::kPlacementStudy: return "placement_study";
-    case ScenarioKind::kDefenseSweep: return "defense_sweep";
-    case ScenarioKind::kDefenseEvaluation: return "defense_evaluation";
-    case ScenarioKind::kAttackComparison: return "attack_comparison";
-    case ScenarioKind::kBudgeterAblation: return "budgeter_ablation";
-    case ScenarioKind::kConfigReport: return "config_report";
-    case ScenarioKind::kBenchmarkReport: return "benchmark_report";
-    case ScenarioKind::kAreaPowerReport: return "area_power_report";
-    case ScenarioKind::kDefenseClosedLoop: return "defense_closed_loop";
-  }
-  return "?";
+  return kind < ScenarioKind::kCount ? kind_row(kind).name : "?";
 }
 
 const char* to_string(system::GmPlacement placement) noexcept {
@@ -180,11 +166,20 @@ ScenarioSpec load_spec_file(const std::string& path) {
 
 // --------------------------------------------------------------- validate
 
-namespace {
-
-[[noreturn]] void invalid(const std::string& name, const std::string& what) {
+void invalid(const std::string& name, const std::string& what) {
   throw std::invalid_argument("scenario \"" + name + "\": " + what);
 }
+
+void check_key(const ScenarioSpec& spec, std::string_view key,
+               const std::function<void()>& check) {
+  try {
+    check();
+  } catch (const std::invalid_argument& e) {
+    invalid(spec.name, in_spec_keys(std::string(key) + e.what()));
+  }
+}
+
+namespace {
 
 void check_mix_name(const std::string& name, const std::string& mix) {
   if (mix.empty()) return;  // uniform infection-only workload
@@ -193,6 +188,8 @@ void check_mix_name(const std::string& name, const std::string& mix) {
   }
   invalid(name, "unknown mix \"" + mix + "\"");
 }
+
+}  // namespace
 
 void check_mixes(const std::string& name,
                  const std::vector<std::string>& mixes) {
@@ -203,25 +200,14 @@ void check_mixes(const std::string& name,
   }
 }
 
-}  // namespace
-
 void ScenarioSpec::validate() const {
   if (name.empty()) invalid("(unnamed)", "name must not be empty");
   if (schema_version != kSchemaVersion) {
     invalid(name, "unsupported schema_version");
   }
-  // `key` + `check`'s error, named by spec keys (kSpecKeys).
-  const auto check_key = [&](std::string_view key, const auto& check) {
-    try {
-      check();
-    } catch (const std::invalid_argument& e) {
-      invalid(name, in_spec_keys(std::string(key) + e.what()));
-    }
-  };
   // The shared sections (system, workload, trojan, epochs, detector,
   // response) through the check every campaign runs on them.
-  const core::CampaignConfig campaign = campaign_config(*this, "");
-  check_key("", [&] { campaign.validate(); });
+  check_key(*this, "", [&] { campaign_config(*this, "").validate(); });
   check_mix_name(name, workload.mix);
   // Each band, applied to the detector base, is a detector: the sweep
   // and any kind's --replay-trace build one from it.
@@ -229,174 +215,11 @@ void ScenarioSpec::validate() const {
     power::DetectorConfig d = detector.value_or(power::DetectorConfig{});
     d.low_ratio = b.low;
     d.high_ratio = b.high;
-    check_key("axes.bands: ", [&] { d.validate(); });
+    check_key(*this, "axes.bands: ", [&] { d.validate(); });
   }
   // The HT budget of fig5's and the placement study's placements.
   if (axes.max_hts < 1) invalid(name, "axes.max_hts must be >= 1");
-
-  const auto require_placements = [&] {
-    if (axes.placements.empty()) {
-      invalid(name, "axes.placements must not be empty");
-    }
-    for (const ClusterSpec& c : axes.placements) {
-      if (c.hts < 1) invalid(name, "axes.placements hts must be >= 1");
-    }
-  };
-  // Kinds that attack one cluster: a second one would be ignored.
-  const auto require_one_placement = [&] {
-    require_placements();
-    if (axes.placements.size() != 1) {
-      invalid(name, "axes.placements must hold exactly one cluster");
-    }
-  };
-
-  switch (kind) {
-    case ScenarioKind::kInfectionVsHtCount:
-      if (axes.arms.empty()) invalid(name, "axes.arms must not be empty");
-      for (const InfectionArm& arm : axes.arms) {
-        (void)mesh_for_size(arm.nodes);
-        if (arm.ht_counts.empty()) {
-          invalid(name, "axes.arms ht_counts must not be empty");
-        }
-      }
-      if (axes.gm_placements.empty()) {
-        invalid(name, "axes.gm_placements must not be empty");
-      }
-      if (axes.seeds < 1) invalid(name, "axes.seeds must be >= 1");
-      break;
-    case ScenarioKind::kInfectionVsDistribution:
-      if (axes.sizes.empty()) invalid(name, "axes.sizes must not be empty");
-      for (const int size : axes.sizes) (void)mesh_for_size(size);
-      if (axes.ht_divisors.empty()) {
-        invalid(name, "axes.ht_divisors must not be empty");
-      }
-      for (const int d : axes.ht_divisors) {
-        if (d < 1) invalid(name, "axes.ht_divisors must be >= 1");
-      }
-      if (axes.seeds < 1) invalid(name, "axes.seeds must be >= 1");
-      break;
-    case ScenarioKind::kAttackEffect:
-      check_mixes(name, workload.mixes);
-      if (axes.infection_targets.empty()) {
-        invalid(name, "axes.infection_targets must not be empty");
-      }
-      for (const double t : axes.infection_targets) {
-        if (t <= 0.0 || t > 1.0) {
-          invalid(name, "axes.infection_targets must be in (0, 1]");
-        }
-      }
-      break;
-    case ScenarioKind::kPlacementStudy:
-      check_mixes(name, workload.mixes);
-      if (axes.train_samples < 2) {
-        invalid(name, "axes.train_samples must be >= 2 (model fit)");
-      }
-      if (axes.random_trials < 1) {
-        invalid(name, "axes.random_trials must be >= 1");
-      }
-      if (axes.shortlist < 1 || axes.candidates_per_m < axes.shortlist) {
-        invalid(name, "need candidates_per_m >= shortlist >= 1");
-      }
-      break;
-    case ScenarioKind::kDefenseSweep:
-      if (axes.bands.empty()) invalid(name, "axes.bands must not be empty");
-      require_placements();
-      if (response.has_value()) {
-        invalid(name,
-                "response is not read by defense_sweep (its detectors only "
-                "replay traces; responses live in defense_closed_loop)");
-      }
-      if (axes.roc.placements < 0) {
-        invalid(name, "axes.roc.placements must be >= 0");
-      }
-      if (axes.roc.enabled()) {
-        if (axes.roc.placements >
-            static_cast<int>(axes.placements.size())) {
-          invalid(name, "axes.roc.placements exceeds axes.placements");
-        }
-        // Each factor is the victim scale of a ROC cell's Trojan.
-        for (const double f : axes.roc.factors) {
-          core::TrojanConfig t = campaign.trojan;
-          t.victim_scale = f;
-          check_key("axes.roc.factors: ", [&] { t.validate(); });
-        }
-        for (const int p : axes.roc.periods) {
-          if (p < 0) invalid(name, "axes.roc.periods must be >= 0");
-        }
-      }
-      break;
-    case ScenarioKind::kDefenseEvaluation:
-      check_mixes(name, workload.mixes);
-      require_one_placement();
-      if (axes.detection_measure_epochs < 1) {
-        invalid(name, "axes.detection_measure_epochs must be >= 1");
-      }
-      break;
-    case ScenarioKind::kAttackComparison: {
-      if (workload.mix.empty()) invalid(name, "workload.mix must be set");
-      if (axes.flood_sources.empty()) {
-        invalid(name, "axes.flood_sources must not be empty");
-      }
-      const auto node_count =
-          static_cast<NodeId>(system.width * system.height);
-      for (const NodeId src : axes.flood_sources) {
-        if (src >= node_count) {
-          invalid(name, "axes.flood_sources outside the mesh");
-        }
-      }
-      // The flooding arm's campaign, as the runner builds it.
-      core::CampaignConfig flood = campaign;
-      flood.detector.reset();
-      flood.response.reset();
-      flood.flooding = core::FloodingConfig{axes.flood_rate, seed};
-      check_key("", [&] { flood.validate(); });
-      if (axes.toggle_periods.empty()) {
-        invalid(name, "axes.toggle_periods must not be empty");
-      }
-      for (const int p : axes.toggle_periods) {
-        if (p < 0) invalid(name, "axes.toggle_periods must be >= 0");
-      }
-      if (axes.duty_warmup_epochs < 0 || axes.duty_measure_epochs < 1) {
-        invalid(name, "duty epochs need warmup >= 0 and measure >= 1");
-      }
-      require_one_placement();
-      break;
-    }
-    case ScenarioKind::kBudgeterAblation:
-      if (workload.mix.empty()) invalid(name, "workload.mix must be set");
-      if (axes.budgeters.empty()) {
-        invalid(name, "axes.budgeters must not be empty");
-      }
-      require_one_placement();
-      break;
-    case ScenarioKind::kConfigReport:
-    case ScenarioKind::kBenchmarkReport:
-      break;
-    case ScenarioKind::kAreaPowerReport:
-      if (axes.ht_counts.empty()) {
-        invalid(name, "axes.ht_counts must not be empty");
-      }
-      break;
-    case ScenarioKind::kDefenseClosedLoop:
-      require_placements();
-      if (!detector.has_value()) {
-        invalid(name, "detector must be set (responses need verdicts)");
-      }
-      if (!response.has_value()) {
-        invalid(name,
-                "response must be set (trigger / sanction parameters; "
-                "axes.responses supplies the policy axis)");
-      }
-      if (axes.responses.empty()) {
-        invalid(name, "axes.responses must not be empty");
-      }
-      if (trojan.toggle_period_epochs < 1) {
-        invalid(name,
-                "trojan.toggle_period_epochs must be >= 1 (the static "
-                "duty-cycled arm)");
-      }
-      break;
-  }
+  kind_row(kind).validate_axes(*this);
 
   // The quick variant must be valid too. with_quick() validates the
   // overlaid spec, which carries no overlay unless this one nests one.

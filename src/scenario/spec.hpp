@@ -66,7 +66,8 @@ inline constexpr std::int64_t kSchemaVersion = 1;
 /// The experiment families of the paper reproduction. One value per
 /// reduction shape (what is swept and what is reported); the shared
 /// sections (system/workload/trojan/...) mean the same thing under every
-/// kind.
+/// kind. Each kind's name, axes rules, run function and fleet split are
+/// its row of the kind table (scenario/kinds.hpp).
 enum class ScenarioKind : std::uint8_t {
   kInfectionVsHtCount,       ///< Fig. 3: infection rate vs #HTs, GM arms
   kInfectionVsDistribution,  ///< Fig. 4: center/random/corner clusters
@@ -80,12 +81,13 @@ enum class ScenarioKind : std::uint8_t {
   kBenchmarkReport,          ///< Tables II-III: roster, mixes, measured Phi
   kAreaPowerReport,          ///< Sec. III-D: HT area/power stealth numbers
   kDefenseClosedLoop,        ///< Response policies x {static, adaptive} Trojan
+  kCount,  ///< Not a kind: the number of kinds. New kinds go above it.
 };
 
-/// Enum names used by the JSON schema. Every to_string is an exhaustive
-/// switch that answers "?" past the last enumerator; the spec codec
-/// (scenario/spec_codec.hpp, enum_from_name) parses names by walking
-/// the enumerators through it, so the two directions cannot drift.
+/// Enum names used by the JSON schema (ScenarioKind's from the kind
+/// table). Each answers "?" past the last enumerator; the spec codec
+/// (scenario/spec_codec.hpp, enum_from_name) parses names by walking the
+/// enumerators through it, so the two directions cannot drift.
 [[nodiscard]] const char* to_string(ScenarioKind kind) noexcept;
 [[nodiscard]] const char* to_string(system::GmPlacement placement) noexcept;
 [[nodiscard]] const char* to_string(power::DetectorKind kind) noexcept;

@@ -38,7 +38,7 @@ namespace htpb::scenario {
 /// The enumerator of E whose to_string() is `name`. The enumerators are
 /// walked from 0 until to_string() answers "?" (every spec enum's does
 /// past its last enumerator), so names and the choice list in the error
-/// come from the one switch. Throws std::invalid_argument naming `name`
+/// come from to_string alone. Throws std::invalid_argument naming `name`
 /// and every valid choice.
 template <class E>
 [[nodiscard]] E enum_from_name(std::string_view name) {

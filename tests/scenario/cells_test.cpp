@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
@@ -91,6 +92,59 @@ TEST(CellsTest, CellIdsAreUniqueAndOrderStable) {
   for (const auto& cell : plan) {
     EXPECT_TRUE(cell.spec.quick.is_null()) << cell.id;
     EXPECT_NO_THROW(cell.spec.validate()) << cell.id;
+  }
+}
+
+/// `spec`'s cell plan as "id@seed" entries, space-separated.
+std::string plan_text(const ScenarioSpec& spec, bool quick) {
+  RunOptions opts;
+  opts.quick = quick;
+  std::string text;
+  for (const CellPlan& cell :
+       htpb::scenario::expand_cells(htpb::scenario::resolve(spec, opts))) {
+    if (!text.empty()) text += ' ';
+    text += cell.id + "@" + std::to_string(cell.spec.seed);
+  }
+  return text;
+}
+
+// Every registry scenario's fleet plan, ids and cell seeds, at --quick and
+// at full size. A run dir written under one plan resumes only under it.
+TEST(CellsTest, EveryRegistryScenarioCellPlanIsPinned) {
+  const std::string mixes_seed1 =
+      "c000-mix-1@1 c001-mix-2@1 c002-mix-3@1 c003-mix-4@1";
+  const struct {
+    const char* scenario;
+    std::string quick;
+    std::string full;
+  } rows[] = {
+      {"fig3", "c000-n64@1000 c001-n512@1000", "c000-n64@1000 c001-n512@1000"},
+      {"fig4", "c000-d16@500 c001-d8@500", "c000-d16@500 c001-d8@500"},
+      {"fig5", "c000-mix-1@42 c001-mix-2@42 c002-mix-3@42 c003-mix-4@42",
+       "c000-mix-1@42 c001-mix-2@42 c002-mix-3@42 c003-mix-4@42"},
+      {"table1", "c000-all@1", "c000-all@1"},
+      {"table2", "c000-all@1", "c000-all@1"},
+      {"secIIID-area-power", "c000-all@1", "c000-all@1"},
+      // Each cell's seed is rebased to seed + mix index.
+      {"secVC-placement",
+       "c000-mix-1@7 c001-mix-2@8 c002-mix-3@9 c003-mix-4@10",
+       "c000-mix-1@7 c001-mix-2@8 c002-mix-3@9 c003-mix-4@10"},
+      {"defense-roc", "c000-all@1", "c000-all@1"},
+      {"defense-evaluation", mixes_seed1, mixes_seed1},
+      {"attack-comparison", "c000-all@7", "c000-all@7"},
+      {"budgeter-ablation",
+       "c000-uniform@1 c001-greedy@1 c002-proportional@1 c003-dp@1 "
+       "c004-market@1",
+       "c000-uniform@1 c001-greedy@1 c002-proportional@1 c003-dp@1 "
+       "c004-market@1"},
+      {"defense-closed-loop", "c000-gm@1", "c000-gm@1 c001-quarter@1"},
+  };
+  const auto& registry = htpb::scenario::registry();
+  ASSERT_EQ(registry.size(), std::size(rows));
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    ASSERT_EQ(registry[i].name, rows[i].scenario);
+    EXPECT_EQ(plan_text(registry[i], true), rows[i].quick) << rows[i].scenario;
+    EXPECT_EQ(plan_text(registry[i], false), rows[i].full) << rows[i].scenario;
   }
 }
 

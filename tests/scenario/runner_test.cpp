@@ -929,5 +929,35 @@ TEST(ScenarioRunner, TraceRecordReplayAgreesThroughDisk) {
             direct.unique_flagged());
 }
 
+// --record-trace stops each final epoch when its last collection window
+// closes. The trace must equal a full-horizon recording of the campaign
+// record_scenario_trace documents, field for field.
+TEST(ScenarioRunner, RecordedTraceEqualsTheFullHorizonRecording) {
+  RunOptions quick;
+  quick.quick = true;
+  for (const ScenarioSpec& spec :
+       {scenario_or_throw("defense-roc"),
+        load_spec_file(std::string(HTPB_REPO_ROOT) +
+                       "/examples/specs/quarantine-vs-adaptive.json")}) {
+    const ScenarioSpec s = resolve(spec, quick);
+    core::CampaignConfig cfg = campaign_config(
+        s, s.workload.mixes.empty() ? s.workload.mix : s.workload.mixes[0]);
+    cfg.detector.reset();
+    cfg.response.reset();
+    const core::AttackCampaign campaign(cfg);
+    const ClusterSpec& cluster = s.axes.placements.front();
+    ASSERT_EQ(cluster.at, ClusterSpec::At::kGm) << s.name;
+    const MeshGeometry geom(s.system.width, s.system.height);
+    power::RequestTrace full;
+    (void)campaign.simulate(
+        core::clustered_placement(geom, cluster.hts,
+                                  geom.coord_of(campaign.gm_node()),
+                                  campaign.gm_node()),
+        &full, core::Horizon::kFull);
+    ASSERT_FALSE(full.empty()) << s.name;
+    EXPECT_EQ(record_scenario_trace(spec, quick), full) << s.name;
+  }
+}
+
 }  // namespace
 }  // namespace htpb::scenario

@@ -337,6 +337,64 @@ TEST(ScenarioSpec, ValidateCatchesBadSpecs) {
   }
 }
 
+// The per-kind axes rules, one rejecting spec each, with the full message:
+// a rule that moves must keep its text byte for byte.
+TEST(ScenarioSpec, PerKindRuleMessagesArePinned) {
+  struct Row {
+    const char* scenario;
+    void (*mutate)(ScenarioSpec&);
+    const char* what;
+  };
+  const Row rows[] = {
+      {"fig3", [](ScenarioSpec& s) { s.axes.arms.clear(); },
+       "scenario \"fig3\": axes.arms must not be empty"},
+      {"fig3", [](ScenarioSpec& s) { s.axes.arms = {{100, {2}}}; },
+       "no paper mesh shape for 100 nodes (64/128/256/512)"},
+      {"fig3", [](ScenarioSpec& s) { s.axes.seeds = 0; },
+       "scenario \"fig3\": axes.seeds must be >= 1"},
+      {"fig4", [](ScenarioSpec& s) { s.axes.ht_divisors = {0}; },
+       "scenario \"fig4\": axes.ht_divisors must be >= 1"},
+      {"fig5", [](ScenarioSpec& s) { s.axes.infection_targets = {1.5}; },
+       "scenario \"fig5\": axes.infection_targets must be in (0, 1]"},
+      {"secVC-placement", [](ScenarioSpec& s) { s.axes.train_samples = 1; },
+       "scenario \"secVC-placement\": axes.train_samples must be >= 2 "
+       "(model fit)"},
+      {"secVC-placement",
+       [](ScenarioSpec& s) { s.axes.shortlist = s.axes.candidates_per_m + 1; },
+       "scenario \"secVC-placement\": need candidates_per_m >= shortlist "
+       ">= 1"},
+      {"defense-evaluation",
+       [](ScenarioSpec& s) { s.axes.detection_measure_epochs = 0; },
+       "scenario \"defense-evaluation\": axes.detection_measure_epochs must "
+       "be >= 1"},
+      {"budgeter-ablation", [](ScenarioSpec& s) { s.axes.budgeters.clear(); },
+       "scenario \"budgeter-ablation\": axes.budgeters must not be empty"},
+      {"secIIID-area-power", [](ScenarioSpec& s) { s.axes.ht_counts.clear(); },
+       "scenario \"secIIID-area-power\": axes.ht_counts must not be empty"},
+      // Without both: the shared check rejects a response with no detector.
+      {"defense-closed-loop",
+       [](ScenarioSpec& s) {
+         s.detector.reset();
+         s.response.reset();
+       },
+       "scenario \"defense-closed-loop\": detector must be set (responses "
+       "need verdicts)"},
+      {"defense-closed-loop", [](ScenarioSpec& s) { s.response.reset(); },
+       "scenario \"defense-closed-loop\": response must be set (trigger / "
+       "sanction parameters; axes.responses supplies the policy axis)"},
+  };
+  for (const Row& row : rows) {
+    ScenarioSpec spec = scenario_or_throw(row.scenario);
+    row.mutate(spec);
+    try {
+      spec.validate();
+      ADD_FAILURE() << row.what << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), row.what);
+    }
+  }
+}
+
 TEST(ScenarioSpec, ValidateChecksTheQuickOverlay) {
   ScenarioSpec empty;
   empty.name = "bad";

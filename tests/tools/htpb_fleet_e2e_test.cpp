@@ -13,11 +13,8 @@
 // 9 worker launches, every fault kind exercised, zero failures.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -26,6 +23,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/subprocess.hpp"
 
 #ifndef HTPB_RUN_BINARY
 #error "HTPB_RUN_BINARY must be defined"
@@ -35,6 +33,9 @@
 #endif
 #ifndef HTPB_DIFF_BINARY
 #error "HTPB_DIFF_BINARY must be defined"
+#endif
+#ifndef HTPB_TIMEOUT_SCALE
+#error "HTPB_TIMEOUT_SCALE must be defined"
 #endif
 
 namespace {
@@ -71,34 +72,59 @@ class TempDir {
 };
 
 struct RunResult {
-  int exit_code = -1;
+  int exit_code = -1;  ///< -1 when the run was killed or crashed
   std::string out;
   std::string err;
 };
 
-/// `prefix` rides in front of the command line -- env assignments or a
-/// `timeout -s KILL` wrapper.
+/// Every run has a wall-clock limit, so a hung row fails naming its
+/// command line instead of hanging the suite. Both limits sit inside the
+/// ctest TIMEOUT and scale with it (tests/CMakeLists.txt). A row that
+/// exits before any simulation (usage errors, diffs, --list-cells) takes
+/// milliseconds.
+constexpr double kRowLimitSeconds = 5.0 * HTPB_TIMEOUT_SCALE;
+/// A row that runs a campaign: ~0.2 s for a quick fleet in a Release
+/// build; the faulted fleet adds its one 5 s worker timeout.
+constexpr double kFleetLimitSeconds = 30.0 * HTPB_TIMEOUT_SCALE;
+
+/// `prefix` rides in front of the command line: env assignments.
 RunResult run_cmd(const TempDir& dir, const std::string& prefix,
-                  const std::string& binary, const std::string& args) {
+                  const std::string& binary, const std::string& args,
+                  double limit_seconds = kRowLimitSeconds) {
   const fs::path out = dir.path() / "stdout.txt";
   const fs::path err = dir.path() / "stderr.txt";
-  const std::string cmd = prefix + "\"" + binary + "\" " + args + " > \"" +
-                          out.string() + "\" 2> \"" + err.string() + "\"";
-  const int status = std::system(cmd.c_str());
+  htpb::common::SubprocessOptions opts;
+  opts.stdout_path = out.string();
+  opts.stderr_path = err.string();
+  opts.timeout_seconds = limit_seconds;
+  opts.term_grace_seconds = 1.0;
+  // The shell only sets `prefix` and unquotes `args`; exec hands its
+  // process to the binary, so the limit's SIGTERM/SIGKILL reach it.
+  const std::string cmd = prefix + "exec \"" + binary + "\" " + args;
+  const htpb::common::SubprocessResult sub =
+      htpb::common::run_subprocess({"/bin/sh", "-c", cmd}, opts);
+  if (sub.timed_out) {
+    ADD_FAILURE() << "timed out after " << limit_seconds << " s: " << cmd;
+  }
   RunResult r;
-  if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
+  if (!sub.timed_out && !sub.signaled) r.exit_code = sub.exit_code;
   r.out = slurp(out);
   r.err = slurp(err);
   return r;
 }
 
-RunResult run_fleet(const TempDir& dir, const std::string& prefix,
-                    const std::string& extra_args) {
+/// htpb_fleet's arguments for the shared scenario plus `extra_args`.
+std::string fleet_args(const std::string& extra_args) {
   // --htpb-run pins the worker explicitly; the test must not depend on
   // binary discovery relative to the fleet executable.
-  return run_cmd(dir, prefix, HTPB_FLEET_BINARY,
-                 std::string(kScenarioArgs) + "--htpb-run \"" +
-                     HTPB_RUN_BINARY + "\" " + extra_args);
+  return std::string(kScenarioArgs) + "--htpb-run \"" + HTPB_RUN_BINARY +
+         "\" " + extra_args;
+}
+
+RunResult run_fleet(const TempDir& dir, const std::string& prefix,
+                    const std::string& extra_args) {
+  return run_cmd(dir, prefix, HTPB_FLEET_BINARY, fleet_args(extra_args),
+                 kFleetLimitSeconds);
 }
 
 /// Single-process reference tree, shared across tests (immutable).
@@ -106,9 +132,10 @@ const std::string& single_run_json() {
   static const std::string path = [] {
     static TempDir dir("ref");  // lives for the whole test binary
     const std::string p = (dir.path() / "single.json").string();
-    const RunResult r = run_cmd(dir, "", HTPB_RUN_BINARY,
-                                std::string(kScenarioArgs) + "--json \"" +
-                                    p + "\"");
+    const RunResult r = run_cmd(
+        dir, "", HTPB_RUN_BINARY,
+        std::string(kScenarioArgs) + "--json \"" + p + "\"",
+        kFleetLimitSeconds);
     if (r.exit_code != 0) {
       ADD_FAILURE() << "reference htpb_run failed: " << r.err;
     }
@@ -222,7 +249,10 @@ TEST(HtpbFleetE2e, KilledMidRunCompletesOnReinvocation) {
   const std::string rd = (dir.path() / "rd").string();
   // SIGKILL the whole fleet mid-campaign: no destructors, no cleanup --
   // whatever statuses were durably written are all the resume gets.
-  (void)run_fleet(dir, "timeout -s KILL 0.1 ", "--run-dir \"" + rd + "\"");
+  (void)run_cmd(dir, "", "timeout",
+                "-s KILL 0.1 \"" + std::string(HTPB_FLEET_BINARY) + "\" " +
+                    fleet_args("--run-dir \"" + rd + "\""),
+                kFleetLimitSeconds);
 
   const RunResult r = run_fleet(dir, "", "--run-dir \"" + rd + "\"");
   ASSERT_EQ(r.exit_code, 0) << r.err;
@@ -275,7 +305,9 @@ TEST(HtpbFleetE2e, ResumeRemovesCellsOutsideThePlan) {
   const std::string fig3 = std::string("--scenario fig3 --quick --threads 2 ") +
                            "--htpb-run \"" + HTPB_RUN_BINARY +
                            "\" --run-dir \"" + rd.string() + "\"";
-  ASSERT_EQ(run_cmd(dir, "", HTPB_FLEET_BINARY, fig3).exit_code, 0);
+  ASSERT_EQ(
+      run_cmd(dir, "", HTPB_FLEET_BINARY, fig3, kFleetLimitSeconds).exit_code,
+      0);
 
   const std::string live_status = slurp(rd / "status" / "c000-n64.json");
   const std::string live_result = slurp(rd / "results" / "c000-n64.json");
@@ -293,7 +325,8 @@ TEST(HtpbFleetE2e, ResumeRemovesCellsOutsideThePlan) {
     }
   }
 
-  const RunResult r = run_cmd(dir, "", HTPB_FLEET_BINARY, fig3);
+  const RunResult r =
+      run_cmd(dir, "", HTPB_FLEET_BINARY, fig3, kFleetLimitSeconds);
   ASSERT_EQ(r.exit_code, 0) << r.err;
   EXPECT_NE(r.err.find("removed 42 files"), std::string::npos) << r.err;
   const htpb::json::Value merged =
